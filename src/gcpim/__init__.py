@@ -23,6 +23,7 @@ from gcpim.compiler import (
     ParseError,
     PimProgram,
     RefreshScheduleError,
+    RetentionViolationError,
     compile_program,
     exhaustive_vectors,
     lower_to_nor,
@@ -65,6 +66,7 @@ __all__ = [
     "ParseError",
     "PimProgram",
     "RefreshScheduleError",
+    "RetentionViolationError",
     "RunConfig",
     "SubArray",
     "SuccessReport",

@@ -2,8 +2,8 @@
 
 Subcommands: compile, run, mc, calibrate, report.  Exit codes: 0 ok,
 1 Monte Carlo worst case below the success floor, 2 source or usage
-errors, 3 resource errors (row capacity, refresh schedule), 4
-calibration failure, 5 missing or corrupt files.
+errors, 3 resource errors (row capacity, refresh schedule, retention
+violations), 4 calibration failure, 5 missing or corrupt files.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from gcpim.compiler import (
     CapacityError,
     ParseError,
     RefreshScheduleError,
+    RetentionViolationError,
     compile_program,
     exhaustive_vectors,
     simulate_program,
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"gcpim: syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, RefreshScheduleError) as exc:
+    except (CapacityError, RefreshScheduleError, RetentionViolationError) as exc:
         print(f"gcpim: resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except CalibrationError as exc:

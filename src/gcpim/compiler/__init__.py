@@ -35,6 +35,7 @@ from gcpim.compiler.program import (
 )
 from gcpim.compiler.schedule import SystemSchedule, schedule
 from gcpim.compiler.simulate import (
+    RetentionViolationError,
     SimulationResult,
     exhaustive_vectors,
     run_program_on_array,
@@ -44,7 +45,8 @@ from gcpim.compiler.simulate import (
 __all__ = [
     "And", "CapacityError", "CompilerConfig", "Const", "Expr", "Nand",
     "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or", "ParseError",
-    "PimProgram", "Program", "RefreshScheduleError", "RowAssignment",
+    "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
+    "RowAssignment",
     "SimulationResult", "SystemSchedule", "Var", "Xor",
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",
     "compile_program", "eval_expr", "exhaustive_vectors", "insert_refresh",

@@ -8,7 +8,8 @@ in front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
 value would outlive the read retention window and become unrefreshable.
 Insertion is greedy latest-possible: a refresh lands immediately before
-the op that needs it, never earlier than required.
+the op that needs it, never earlier than required.  Insertion and the
+audits share one retention-age rule (``retention_ages``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "compile_program",
     "emit_ops",
     "insert_refresh",
+    "retention_ages",
 ]
 
 PROGRAM_FORMAT = "gcpim-program"
@@ -41,8 +43,10 @@ PROGRAM_VERSION = 1
 
 class RefreshScheduleError(RuntimeError):
     """A required refresh could not be placed while its row was still
-    readable.  Unreachable for the default retention windows; kept as a
-    guard for degenerate configurations."""
+    readable.  Greedy latest-possible placement hits this at tight
+    windows with refresh bandwidth to spare, e.g. ripple-8 at
+    drt_read_ns/drt_logic_ns = 400/100 or ripple-32 (256 rows) at
+    1000/300: inputs written back to back expire together."""
 
 
 @dataclass(frozen=True)
@@ -259,18 +263,42 @@ def with_timestamps(
     return out
 
 
-def _consumed_rows(op: MicroOp) -> tuple[int, ...]:
-    if op.kind is OpKind.READ:
-        return op.rows
-    if op.kind is OpKind.LOGIC:
-        return op.rows  # input rows; the output row's old value is not consumed
-    return ()
+class _RowAges:
+    """The one retention-age rule.  READ and REFRESH sense their row at
+    pulse start, LOGIC its input rows when evaluation begins.  The row
+    an op writes (WRITE, REFRESH, LOGIC output) is fresh from the end of
+    its pulse; ``t_valid`` maps each written row to that instant."""
+
+    def __init__(self, timing: TimingEnergyConfig) -> None:
+        self.sense_offset = {k: timing.t_init_ns if k is OpKind.LOGIC else 0
+                             for k in OpKind}
+        self.duration = {k: timing.duration_ns(k) for k in OpKind}
+        self.t_valid: dict[int, int] = {}
+
+    def sensed(self, op: MicroOp, t_start: int) -> list[tuple[int, int, int | None]]:
+        """(row, t_sense, age) per row the op senses when started at
+        t_start; age is None for a row that was never written."""
+        if op.kind is OpKind.WRITE:
+            return []
+        t = t_start + self.sense_offset[op.kind]
+        t_valid = self.t_valid
+        return [(r, t, t - t_valid[r] if r in t_valid else None) for r in op.rows]
+
+    def commit(self, op: MicroOp, t_start: int) -> None:
+        if op.kind is not OpKind.READ:
+            row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
+            self.t_valid[row] = t_start + self.duration[op.kind]
 
 
-def _consumption_offset(op: MicroOp, timing: TimingEnergyConfig) -> int:
-    # READ senses at pulse start; LOGIC samples inputs when the
-    # evaluation phase begins
-    return timing.t_init_ns if op.kind is OpKind.LOGIC else 0
+def retention_ages(ops, timing: TimingEnergyConfig):
+    """Replay timestamped ops; yield ``(op_index, op, row, t_sense, age)``
+    for every sensed row, with ``age=None`` for a never-written row."""
+    ages = _RowAges(timing)
+    sensed, commit = ages.sensed, ages.commit
+    for i, op in enumerate(ops):
+        for row, t, age in sensed(op, op.t_start_ns):
+            yield i, op, row, t, age
+        commit(op, op.t_start_ns)
 
 
 def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "PimProgram":
@@ -292,8 +320,9 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
     future_use: dict[int, list[int]] = {}
     redefs: dict[int, list[int]] = {}
     for i, op in enumerate(program.ops):
-        for r in _consumed_rows(op):
-            future_use.setdefault(r, []).append(i)
+        if op.kind in (OpKind.READ, OpKind.LOGIC):
+            for r in op.rows:
+                future_use.setdefault(r, []).append(i)
         if op.kind is OpKind.WRITE:
             redefs.setdefault(op.rows[0], []).append(i)
         elif op.kind is OpKind.LOGIC:
@@ -312,19 +341,22 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
     new_nodes: list = []
     new_reads: list = []
     t = 0
-    t_valid: dict[int, int] = {}
+    ages = _RowAges(timing)
+    t_valid = ages.t_valid
 
     def emit_refresh(row: int) -> None:
         nonlocal t
-        if t - t_valid[row] > drt_read:
+        op = MicroOp(OpKind.REFRESH, (row,), t_start_ns=t)
+        [(_, _, age)] = ages.sensed(op, t)
+        if age > drt_read:
             raise RefreshScheduleError(
-                f"row {row} is {t - t_valid[row]}ns old at t={t}ns; its "
+                f"row {row} is {age}ns old at t={t}ns; its "
                 f"refresh would sense garbage (limit {drt_read}ns)"
             )
-        new_ops.append(MicroOp(OpKind.REFRESH, (row,), t_start_ns=t))
+        new_ops.append(op)
         new_nodes.append(None)
         new_reads.append(None)
-        t_valid[row] = t + timing.t_refresh_ns
+        ages.commit(op, t)
         t += timing.t_refresh_ns
 
     for i, op in enumerate(program.ops):
@@ -332,13 +364,10 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
             # re-inserting over an already-refreshed program: drop old
             # refreshes, they are re-derived below
             continue
-        dur = timing.duration_ns(op.kind)
-        offset = _consumption_offset(op, timing)
+        dur = ages.duration[op.kind]
         while True:
-            stale = [
-                r for r in _consumed_rows(op)
-                if r in t_valid and (t + offset) - t_valid[r] > budget
-            ]
+            stale = [r for r, _, age in ages.sensed(op, t)
+                     if age is not None and age > budget]
             expiring = [
                 r for r in sorted(t_valid)
                 if needed_after(r, i) and t + dur > t_valid[r] + drt_read
@@ -350,10 +379,7 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
         new_ops.append(replace(op, t_start_ns=t))
         new_nodes.append(program.logic_nodes[i] if program.logic_nodes else None)
         new_reads.append(program.read_outputs[i] if program.read_outputs else None)
-        if op.kind is OpKind.WRITE:
-            t_valid[op.rows[0]] = t + timing.t_write_ns
-        elif op.kind is OpKind.LOGIC:
-            t_valid[op.out_row] = t + timing.t_logic_ns
+        ages.commit(op, t)
         t += dur
 
     return replace(
@@ -375,45 +401,29 @@ class AuditViolation:
 
 def audit_refresh_safety(program: PimProgram, drt_logic_ns: int | None = None,
                          drt_read_ns: int | None = None) -> list[AuditViolation]:
-    """Independent timestamp replay; returns every stale consumption.
+    """Every stale or unwritten sense in the retention_ages replay.
 
     Checks both budgets: consumed values must be within the logic window,
     and refreshes must sense values still within the read window.
     """
     budget = program.drt_logic_ns if drt_logic_ns is None else drt_logic_ns
     drt_read = program.drt_read_ns if drt_read_ns is None else drt_read_ns
-    timing = program.timing
     violations: list[AuditViolation] = []
-    t_valid: dict[int, int] = {}
-
-    for i, op in enumerate(program.ops):
-        t = op.t_start_ns
-        if op.kind is OpKind.REFRESH:
-            row = op.rows[0]
-            if row not in t_valid:
-                violations.append(AuditViolation(i, t, row, "unwritten",
-                                                 f"refresh of never-written row {row}"))
-            elif t - t_valid[row] > drt_read:
-                violations.append(AuditViolation(
-                    i, t, row, "stale-refresh",
-                    f"refresh senses row {row} at age {t - t_valid[row]}ns "
-                    f"(> {drt_read}ns)"))
-            t_valid[row] = t + timing.t_refresh_ns
-            continue
-        t_c = t + _consumption_offset(op, timing)
-        for row in _consumed_rows(op):
-            if row not in t_valid:
-                violations.append(AuditViolation(i, t_c, row, "unwritten",
-                                                 f"row {row} consumed before any write"))
-            elif t_c - t_valid[row] > budget:
-                violations.append(AuditViolation(
-                    i, t_c, row, "stale-value",
-                    f"row {row} consumed at age {t_c - t_valid[row]}ns "
-                    f"(> {budget}ns)"))
-        if op.kind is OpKind.WRITE:
-            t_valid[op.rows[0]] = t + timing.t_write_ns
-        elif op.kind is OpKind.LOGIC:
-            t_valid[op.out_row] = t + timing.t_logic_ns
+    for i, op, row, t, age in retention_ages(program.ops, program.timing):
+        refresh = op.kind is OpKind.REFRESH
+        if age is None:
+            violations.append(AuditViolation(
+                i, t, row, "unwritten",
+                f"refresh of never-written row {row}" if refresh
+                else f"row {row} consumed before any write"))
+        elif refresh and age > drt_read:
+            violations.append(AuditViolation(
+                i, t, row, "stale-refresh",
+                f"refresh senses row {row} at age {age}ns (> {drt_read}ns)"))
+        elif not refresh and age > budget:
+            violations.append(AuditViolation(
+                i, t, row, "stale-value",
+                f"row {row} consumed at age {age}ns (> {budget}ns)"))
     return violations
 
 

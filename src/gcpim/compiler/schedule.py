@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from gcpim.charge import ConfigError
-from gcpim.subarray import MicroOp, OpKind
-from gcpim.compiler.program import PimProgram, _consumed_rows, _consumption_offset
+from gcpim.subarray import MicroOp
+from gcpim.compiler.program import AuditViolation, PimProgram, audit_refresh_safety
 
 __all__ = ["ScheduledOp", "SystemSchedule", "schedule"]
 
@@ -58,39 +58,21 @@ class SystemSchedule:
                 total += prog.timing.energy_fj(s.op.kind, len(s.op.rows), prog.cols)
         return total
 
-    def audit_refresh(self) -> list:
-        """Stale-consumption violations per stream, with scheduled times."""
-        from gcpim.compiler.program import AuditViolation
+    def audit_refresh(self) -> list[AuditViolation]:
+        """Refresh-safety audit of every program at its scheduled times.
 
+        Each violation's op_index points into its program's own ops.
+        """
         violations = []
         for k, stream in enumerate(self.streams):
-            t_valid: dict[tuple[int, int], int] = {}  # (program, row) -> ns
+            ops_of: dict[int, list[MicroOp]] = {}
             for s in stream:
-                op = s.op
-                prog = self.programs[s.program_index]
-                timing = prog.timing
-                key = lambda r: (s.program_index, r)
-                t = op.t_start_ns
-                if op.kind is OpKind.REFRESH:
-                    row = op.rows[0]
-                    if key(row) in t_valid and t - t_valid[key(row)] > prog.drt_read_ns:
-                        violations.append(AuditViolation(
-                            k, t, row, "stale-refresh",
-                            f"sub-array {k}: refresh senses row {row} at age "
-                            f"{t - t_valid[key(row)]}ns"))
-                    t_valid[key(row)] = t + timing.t_refresh_ns
-                    continue
-                t_c = t + _consumption_offset(op, timing)
-                for row in _consumed_rows(op):
-                    if key(row) in t_valid and t_c - t_valid[key(row)] > prog.drt_logic_ns:
-                        violations.append(AuditViolation(
-                            k, t_c, row, "stale-value",
-                            f"sub-array {k}: row {row} consumed at age "
-                            f"{t_c - t_valid[key(row)]}ns"))
-                if op.kind is OpKind.WRITE:
-                    t_valid[key(op.rows[0])] = t + timing.t_write_ns
-                elif op.kind is OpKind.LOGIC:
-                    t_valid[key(op.out_row)] = t + timing.t_logic_ns
+                ops_of.setdefault(s.program_index, []).append(s.op)
+            for pi, ops in ops_of.items():
+                violations += (
+                    replace(v, message=f"sub-array {k}, program {pi}: {v.message}")
+                    for v in audit_refresh_safety(replace(self.programs[pi], ops=tuple(ops)))
+                )
         return violations
 
 

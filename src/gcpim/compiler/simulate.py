@@ -17,18 +17,25 @@ import numpy as np
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
     CombinationResult,
-    FailureBreakdown,
     SuccessReport,
     VariationConfig,
+    _adverse_threshold_mask,
+    _classify_failures,
+    _fast_decay_mask,
     sample_params,
 )
 from gcpim.subarray import EventLedger, OpKind, SubArray, TraceSample
 from gcpim.compiler.program import PimProgram, audit_refresh_safety, audit_row_soundness
 
-__all__ = ["SimulationResult", "exhaustive_vectors", "run_program_on_array",
-           "simulate_program"]
+__all__ = ["RetentionViolationError", "SimulationResult", "exhaustive_vectors",
+           "run_program_on_array", "simulate_program"]
 
 MODES = ("ideal", "nominal", "mc")
+
+
+class RetentionViolationError(ValueError):
+    """The program consumes or refreshes a value past its retention
+    window, so an array run would compute garbage."""
 
 
 @dataclass
@@ -169,9 +176,9 @@ def simulate_program(
     if enforce_freshness and mode != "ideal":
         stale = audit_refresh_safety(program)
         if stale:
-            raise ValueError(
-                f"program violates retention budgets: {stale[0].message}; "
-                f"compile with refresh insertion or relax enforce_freshness"
+            raise RetentionViolationError(
+                f"program violates retention budgets: {stale[0].message} "
+                f"({len(stale)} violations); compile it with refresh insertion"
             )
 
     ideal_out = {
@@ -207,13 +214,11 @@ def simulate_program(
         "".join(str(int(vectors[name][c])) for name in program.inputs)
         for c in range(width)
     ]
-    input_row_list = [program.assignment.input_rows[n] for n in program.inputs]
-    nominal_thr = model.v_sa_read
-    successes = np.zeros(width, dtype=np.int64)
-    fails_decay = np.zeros(width, dtype=np.int64)
-    fails_thr = np.zeros(width, dtype=np.int64)
-    fails_both = np.zeros(width, dtype=np.int64)
-    fails_other = np.zeros(width, dtype=np.int64)
+    input_rows = [program.assignment.input_rows[n] for n in program.inputs]
+    input_bits = np.array([vectors[n] for n in program.inputs])
+    ok = np.ones((n_trials, width), dtype=bool)
+    fast = np.zeros((n_trials, width), dtype=bool)
+    adverse = np.zeros((n_trials, width), dtype=bool)
     ledger = None
 
     for trial in range(n_trials):
@@ -227,52 +232,27 @@ def simulate_program(
             sa_threshold=sv.sa_threshold,
         )
         outputs = run_program_on_array(program, sa, vectors, width)
-        ok = np.ones(width, dtype=bool)
+        # a failing column is attributed by its first wrong output
         first_bad_expected = np.zeros(width, dtype=np.uint8)
-        decided = np.zeros(width, dtype=bool)
         for name in ideal_out:
             bad = outputs[name] != ideal_out[name]
-            newly = bad & ~decided
+            newly = bad & ok[trial]
             first_bad_expected[newly] = ideal_out[name][newly]
-            decided |= bad
-            ok &= ~bad
-        successes += ok
-
-        fail_cols = np.nonzero(~ok)[0]
-        if len(fail_cols):
-            for c in fail_cols:
-                fast = any(
-                    sv.tau_scale[row, c] < 1.0
-                    for row, name in zip(input_row_list, program.inputs)
-                    if vectors[name][c] == 1
-                )
-                expected = int(first_bad_expected[c])
-                thr = sv.sa_threshold[c]
-                adverse = thr < nominal_thr if expected == 0 else thr > nominal_thr
-                if fast and adverse:
-                    fails_both[c] += 1
-                elif fast:
-                    fails_decay[c] += 1
-                elif adverse:
-                    fails_thr[c] += 1
-                else:
-                    fails_other[c] += 1
+            ok[trial] &= ~bad
+        fast[trial] = _fast_decay_mask(sv.tau_scale[input_rows, :width], input_bits)
+        adverse[trial] = _adverse_threshold_mask(
+            sv.sa_threshold[:width], model.v_sa_read, first_bad_expected)
         ledger = sa.ledger
 
     combos: dict[str, CombinationResult] = {}
     for key in dict.fromkeys(combo_key):  # stable order, unique
         cols_for = [c for c in range(width) if combo_key[c] == key]
-        trials_for = n_trials * len(cols_for)
         combos[key] = CombinationResult(
             input_bits=tuple(int(ch) for ch in key),
-            trials=trials_for,
-            successes=int(sum(successes[c] for c in cols_for)),
-            breakdown=FailureBreakdown(
-                decay_only=int(sum(fails_decay[c] for c in cols_for)),
-                threshold_only=int(sum(fails_thr[c] for c in cols_for)),
-                both=int(sum(fails_both[c] for c in cols_for)),
-                other=int(sum(fails_other[c] for c in cols_for)),
-            ),
+            trials=n_trials * len(cols_for),
+            successes=int(ok[:, cols_for].sum()),
+            breakdown=_classify_failures(
+                ~ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for]),
         )
     report = SuccessReport(
         gate="program", n_inputs=len(program.inputs),

@@ -277,23 +277,24 @@ def _classify_failures(
 
 
 def _adverse_threshold_mask(
-    sa_threshold: np.ndarray, nominal: float, expected: int
+    sa_threshold: np.ndarray, nominal: float, expected
 ) -> np.ndarray:
-    # sensing a '0' fails low-threshold-first, sensing a '1' high-first
-    if expected == 0:
-        return sa_threshold < nominal
-    return sa_threshold > nominal
+    # sensing a '0' fails low-threshold-first, sensing a '1' high-first;
+    # expected is one bit or one bit per threshold
+    return np.where(np.asarray(expected) == 0,
+                    sa_threshold < nominal, sa_threshold > nominal)
 
 
-def _fast_decay_mask(tau_scale_inputs: np.ndarray, input_bits: tuple[int, ...]) -> np.ndarray:
+def _fast_decay_mask(tau_scale_inputs: np.ndarray, input_bits) -> np.ndarray:
     """True where some input cell that holds '1' decays faster than nominal.
 
-    tau_scale_inputs has shape (n_inputs, n_trials).
+    tau_scale_inputs has shape (n_inputs, n); input_bits is one bit per
+    input, or shape (n_inputs, n) for per-column input bits.
     """
-    one_rows = [i for i, b in enumerate(input_bits) if b == 1]
-    if not one_rows:
-        return np.zeros(tau_scale_inputs.shape[1], dtype=bool)
-    return (tau_scale_inputs[one_rows] < 1.0).any(axis=0)
+    bits = np.asarray(input_bits, dtype=bool)
+    if bits.ndim == 1:
+        bits = bits[:, None]
+    return ((tau_scale_inputs < 1.0) & bits).any(axis=0)
 
 
 def run_gate_trials(

@@ -436,12 +436,3 @@ class SubArray:
             s for s in self.trace_samples if t_start_ns <= s.time_ns <= t_end_ns
         ]
         return sorted(window, key=lambda s: (s.time_ns, s.signal))
-
-    def trace_to_csv(self, path, t_start_ns: int = 0, t_end_ns: int | None = None) -> None:
-        if t_end_ns is None:
-            t_end_ns = self.ledger.makespan_ns()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_ns", "signal", "value"])
-            for s in self.dump_trace(t_start_ns, t_end_ns):
-                writer.writerow([s.time_ns, s.signal, repr(s.value)])

@@ -221,6 +221,27 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_exit_code_for_retention_violation(tmp_path, capsys):
+    # input a idles through a 40-gate chain: unrefreshed, it is consumed
+    # stale at 100/50 ns windows, a resource error (3), not an I/O error
+    src = tmp_path / "chain.txt"
+    src.write_text(aged_and_source())
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(
+        {"version": 1, "model": {"drt_read_ns": 100, "drt_logic_ns": 50}}))
+    compiled = tmp_path / "chain.json"
+    assert main(["compile", str(src), "--no-refresh", "--config", str(cfg),
+                 "-o", str(compiled)]) == 0
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("a,b\n1,0\n0,1\n")
+    capsys.readouterr()
+    assert main(["run", str(compiled), "--inputs", str(inputs), "--config",
+                 str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "resource error" in err and "retention" in err
+    assert "enforce_freshness" not in err
+
+
 def test_input_csv_validation(adder, tmp_path):
     src, _ = adder
     main(["compile", str(src)])
@@ -242,13 +263,17 @@ def test_input_csv_validation(adder, tmp_path):
                  "--out", str(tmp_path / "x3")]) == 2
 
 
-def test_compile_no_refresh_flag(tmp_path, capsys):
+def aged_and_source() -> str:
     chain = ["t0 = ~b;"]
     for i in range(1, 40):
         chain.append(f"t{i} = ~t{i - 1};")
     chain.append("out = a & t39;")
+    return "\n".join(chain) + "\n"
+
+
+def test_compile_no_refresh_flag(tmp_path, capsys):
     src = tmp_path / "chain.txt"
-    src.write_text("\n".join(chain) + "\n")
+    src.write_text(aged_and_source())
     assert main(["compile", str(src)]) == 0
     with_default = json.loads((tmp_path / "chain.compiled.json").read_text())
     assert main(["compile", str(src), "--no-refresh",

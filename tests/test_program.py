@@ -36,12 +36,28 @@ TIM = TimingEnergyConfig()
 # die in ~100 ns instead of ~15 us, so refresh actually matters in tests
 SHORT = ModelConfig(drt_read_ns=100, drt_logic_ns=50).calibrated()
 
+# windows tight enough that an unrefreshed ripple-8 adder goes stale
+TIGHT = ModelConfig(drt_read_ns=400, drt_logic_ns=100)
+
 
 def chain_text(n: int, first: str = "b", last: str = "x") -> str:
     lines = [f"t0 = ~{first};"]
     for i in range(1, n):
         lines.append(f"t{i} = ~t{i - 1};")
     lines.append(f"{last} = ~t{n - 1};")
+    return "\n".join(lines)
+
+
+def ripple_text(n: int) -> str:
+    """n-bit ripple-carry adder; inputs a0, b0, cin, a1, b1, ... in first use."""
+    lines = []
+    carry = "cin"
+    for i in range(n):
+        out = "cout" if i == n - 1 else f"c{i}"
+        lines += [f"p{i} = a{i} ^ b{i};", f"s{i} = p{i} ^ {carry};",
+                  f"g{i} = a{i} & b{i};", f"t{i} = p{i} & {carry};",
+                  f"{out} = g{i} | t{i};"]
+        carry = out
     return "\n".join(lines)
 
 
@@ -186,6 +202,29 @@ def test_audit_catches_unwritten_consumption():
     assert [v.kind for v in bad] == ["unwritten"]
 
 
+def test_audit_flags_a_refresh_that_senses_an_expired_row():
+    prog = compile_program("out = ~a;")
+
+    def refreshed_at_age(age: int) -> PimProgram:
+        ops = (MicroOp(OpKind.WRITE, (0,), source="input:a", t_start_ns=0),
+               MicroOp(OpKind.REFRESH, (0,), t_start_ns=TIM.t_write_ns + age))
+        return dataclasses.replace(prog, ops=ops, logic_nodes=(None, None),
+                                   read_outputs=(None, None))
+
+    assert audit_refresh_safety(refreshed_at_age(prog.drt_read_ns)) == []
+    bad = audit_refresh_safety(refreshed_at_age(prog.drt_read_ns + 1))
+    assert [(v.op_index, v.row, v.kind) for v in bad] == [(1, 0, "stale-refresh")]
+
+
+def test_audit_flags_a_refresh_of_a_never_written_row():
+    prog = compile_program("out = ~a;")
+    ops = (MicroOp(OpKind.REFRESH, (3,), t_start_ns=0),)
+    broken = dataclasses.replace(prog, ops=ops, logic_nodes=(None,),
+                                 read_outputs=(None,))
+    bad = audit_refresh_safety(broken)
+    assert [(v.op_index, v.row, v.kind) for v in bad] == [(0, 3, "unwritten")]
+
+
 # -- scheduling -------------------------------------------------------
 
 
@@ -258,6 +297,32 @@ def test_strict_stretch_is_visible_to_the_audit():
     assert s.makespan_ns == before
 
 
+def test_single_subarray_schedule_audit_matches_the_program_audit():
+    bare = compile_program(ripple_text(8), CompilerConfig(insert_refreshes=False),
+                           model_cfg=TIGHT)
+    expected = [(v.t_ns, v.row, v.kind) for v in audit_refresh_safety(bare)]
+    assert len(expected) == 42
+    got = [(v.t_ns, v.row, v.kind) for v in schedule([bare], 1).audit_refresh()]
+    assert got == expected
+
+
+def test_strict_schedule_audit_indexes_the_programs_own_ops():
+    bare = compile_program(ripple_text(8), CompilerConfig(insert_refreshes=False),
+                           model_cfg=TIGHT)
+    other = compile_program("out = a & b;", model_cfg=TIGHT)
+    s = schedule([other, bare], 2, mode="strict")
+    stream = s.streams[1]  # the bare adder, alone on sub-array 1
+    violations = s.audit_refresh()
+    assert len(violations) >= 42
+    assert len({v.op_index for v in violations}) > 1
+    for v in violations:
+        scheduled = stream[v.op_index].op
+        assert scheduled.kind is bare.ops[v.op_index].kind
+        assert v.row in scheduled.rows
+        assert v.t_ns >= scheduled.t_start_ns
+        assert v.message.startswith("sub-array 1, program 1: ")
+
+
 # -- simulation -------------------------------------------------------
 
 
@@ -312,6 +377,22 @@ def test_unrefreshed_program_fails_physically():
     )
     ideal = simulate_program(prog, vecs, mode="ideal")
     assert not np.array_equal(nom.outputs["out"], ideal.outputs["out"])
+
+
+def test_program_mc_failure_attribution_is_pinned():
+    # pins the decay/threshold tags of program MC: 64 random vectors on a
+    # ripple-8 adder, 20 trials at twice the calibrated sigmas
+    prog = compile_program(ripple_text(8))
+    rng = np.random.default_rng(1)
+    vecs = {name: rng.integers(0, 2, 64) for name in prog.inputs}
+    res = simulate_program(prog, vecs, mode="mc",
+                           var_cfg=VariationConfig().scaled(2.0), n_trials=20)
+    combos = res.report.combinations.values()
+    assert sum(c.trials for c in combos) == 1280
+    assert sum(c.successes for c in combos) == 1042
+    totals = {k: sum(c.breakdown.to_dict()[k] for c in combos)
+              for k in ("decay_only", "threshold_only", "both", "other")}
+    assert totals == {"decay_only": 98, "threshold_only": 2, "both": 138, "other": 0}
 
 
 def test_vector_validation():
