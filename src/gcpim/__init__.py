@@ -24,6 +24,7 @@ from gcpim.compiler import (
     PimProgram,
     RefreshScheduleError,
     RetentionViolationError,
+    UnsoundProgramError,
     compile_program,
     exhaustive_vectors,
     lower_to_nor,
@@ -71,6 +72,7 @@ __all__ = [
     "SubArray",
     "SuccessReport",
     "TimingEnergyConfig",
+    "UnsoundProgramError",
     "VariationConfig",
     "calibrate_tau",
     "calibrate_variation",

@@ -3,7 +3,8 @@
 Subcommands: compile, run, mc, calibrate, report.  Exit codes: 0 ok,
 1 Monte Carlo worst case below the success floor, 2 source or usage
 errors, 3 resource errors (row capacity, refresh schedule, retention
-violations), 4 calibration failure, 5 missing or corrupt files.
+violations), 4 calibration failure, 5 missing, corrupt or malformed
+files (an unsound compiled program is malformed).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from gcpim.compiler import (
     ParseError,
     RefreshScheduleError,
     RetentionViolationError,
+    UnsoundProgramError,
     compile_program,
     exhaustive_vectors,
     simulate_program,
@@ -329,6 +331,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"gcpim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnsoundProgramError as exc:
+        print(f"gcpim: malformed program: {exc}", file=sys.stderr)
+        return EXIT_IO
     except FileNotFoundError as exc:
         print(f"gcpim: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO

@@ -37,6 +37,7 @@ from gcpim.compiler.schedule import SystemSchedule, schedule
 from gcpim.compiler.simulate import (
     RetentionViolationError,
     SimulationResult,
+    UnsoundProgramError,
     exhaustive_vectors,
     run_program_on_array,
     simulate_program,
@@ -47,7 +48,7 @@ __all__ = [
     "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or", "ParseError",
     "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
     "RowAssignment",
-    "SimulationResult", "SystemSchedule", "Var", "Xor",
+    "SimulationResult", "SystemSchedule", "UnsoundProgramError", "Var", "Xor",
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",
     "compile_program", "eval_expr", "exhaustive_vectors", "insert_refresh",
     "lower_program", "lower_to_nor", "parse_expr", "parse_program",

@@ -2,9 +2,11 @@
 
 Input vectors are laid out one per column, so a single pass evaluates up
 to 64 vectors bitwise-parallel.  Nominal mode must agree with ideal mode
-exactly; Monte Carlo mode samples one array instance per trial (all
-columns of a trial share that instance's variation draw) and scores each
-column against the ideal outputs.
+exactly.  Monte Carlo mode gives every trial its own variation draw (all
+columns of a trial share it) and scores each column against the ideal
+outputs.  Trials run in blocks, side by side on the columns of one
+array: columns never interact, so each trial computes exactly what it
+would on an array of its own.
 """
 
 from __future__ import annotations
@@ -24,13 +26,24 @@ from gcpim.montecarlo import (
     _fast_decay_mask,
     sample_params,
 )
-from gcpim.subarray import EventLedger, OpKind, SubArray, TraceSample
+from gcpim.subarray import EventLedger, OpKind, SubArray, TraceSample, ledger_entry
 from gcpim.compiler.program import PimProgram, audit_refresh_safety, audit_row_soundness
 
-__all__ = ["RetentionViolationError", "SimulationResult", "exhaustive_vectors",
-           "run_program_on_array", "simulate_program"]
+__all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
+           "exhaustive_vectors", "run_program_on_array", "simulate_program"]
 
 MODES = ("ideal", "nominal", "mc")
+
+# Cells in one Monte Carlo block array (rows touched x trials x vectors);
+# a block holds at least one trial.  Peak memory grows by about 48 bytes
+# per cell: this budget runs the full adder 128 trials at a time and
+# ripple-8 on 64 vectors 4 at a time for well under 1 MB.
+BLOCK_CELLS = 8192
+
+
+class UnsoundProgramError(ValueError):
+    """An op consumes a row that does not hold the netlist value it was
+    compiled against: the program file is malformed."""
 
 
 class RetentionViolationError(ValueError):
@@ -103,10 +116,21 @@ def run_program_on_array(
     program: PimProgram,
     subarray: SubArray,
     vectors: dict[str, np.ndarray],
-    width: int,
+    columns: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Execute the timestamped ops; returns output name -> bits[width]."""
-    cols = subarray.cols
+    """Execute the timestamped ops; returns output name -> one bit per
+    array column.
+
+    Array column ``j`` runs program column ``columns[j]``: it is written
+    that column's input bit and literal-write bit.  Program columns past
+    the end of the input vectors hold input bits of 0.
+    """
+    columns = np.asarray(columns)
+    inputs = {}
+    for name, v in vectors.items():
+        padded = np.zeros(program.cols, dtype=np.uint8)
+        padded[:len(v)] = v
+        inputs[name] = padded[columns]
     outputs: dict[str, np.ndarray] = {}
     for i, op in enumerate(program.ops):
         t = op.t_start_ns
@@ -114,29 +138,80 @@ def run_program_on_array(
             if op.source is not None:
                 kind, _, arg = op.source.partition(":")
                 if kind == "input":
-                    bits = np.zeros(cols, dtype=np.uint8)
-                    bits[:width] = vectors[arg]
+                    bits = inputs[arg]
                 elif kind == "const":
-                    bits = np.full(cols, int(arg), dtype=np.uint8)
+                    bits = np.full(len(columns), int(arg), dtype=np.uint8)
                 else:
                     raise ConfigError(f"unknown write source {op.source!r}")
             else:
-                if len(op.bits) != cols:
+                if len(op.bits) != program.cols:
                     raise ConfigError(
-                        f"literal write carries {len(op.bits)} bits for {cols} columns"
+                        f"literal write carries {len(op.bits)} bits "
+                        f"for {program.cols} columns"
                     )
-                bits = np.asarray(op.bits, dtype=np.uint8)
+                bits = np.asarray(op.bits, dtype=np.uint8)[columns]
             subarray.write_row(op.rows[0], bits, t)
         elif op.kind is OpKind.READ:
             bits = subarray.read_row(op.rows[0], t)
             name = program.read_outputs[i] if program.read_outputs else None
             if name is not None:
-                outputs[name] = bits[:width].copy()
+                outputs[name] = bits
         elif op.kind is OpKind.REFRESH:
             subarray.refresh_row(op.rows[0], t)
         else:
             subarray.exec_logic(op.rows, op.out_row, t)
     return outputs
+
+
+def _program_ledger(program: PimProgram) -> EventLedger:
+    """The ledger every array run of the program records: op timing and
+    energy depend on the ops and the active columns, not on the cells."""
+    ledger = EventLedger()
+    for op in program.ops:
+        rows = op.rows if op.out_row is None else (*op.rows, op.out_row)
+        ledger.append(ledger_entry(program.timing, op.t_start_ns, op.kind,
+                                   rows, len(op.rows), program.cols))
+    return ledger
+
+
+def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
+                  streams):
+    """Run MC trials side by side on one array.
+
+    Trial ``i`` draws from stream ``streams[i]``, keeps the first
+    ``n_rows`` rows and ``width`` columns of that full-grid draw, and owns
+    array columns ``[i*width, (i+1)*width)``.  Returns the (trials, width)
+    masks: success, a fast-decaying '1' input, and a sense threshold
+    adverse to the first wrong output.
+    """
+    n = len(streams)
+    tau = np.empty((n_rows, n, width))
+    drive = np.empty((n_rows, n, width))
+    threshold = np.empty((n, width))
+    for i, stream in enumerate(streams):
+        sv = sample_params(var_cfg, rng_stream=stream, rows=program.rows,
+                           cols=program.cols, model_cfg=model)
+        tau[:, i] = sv.tau_scale[:n_rows, :width]
+        drive[:, i] = sv.drive_offset[:n_rows, :width]
+        threshold[i] = sv.sa_threshold[:width]
+    sa = SubArray(
+        model, program.timing, rows=n_rows, cols=n * width,
+        tau_scale=tau.reshape(n_rows, -1), drive_offset=drive.reshape(n_rows, -1),
+        sa_threshold=threshold.reshape(-1),
+    )
+    outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
+    # a failing column is attributed by its first wrong output
+    ok = np.ones((n, width), dtype=bool)
+    first_bad_expected = np.zeros((n, width), dtype=np.uint8)
+    for name, want in ideal_out.items():
+        bad = outputs[name].reshape(n, width) != want
+        first_bad_expected = np.where(bad & ok, want, first_bad_expected)
+        ok &= ~bad
+    input_rows = [program.assignment.input_rows[name] for name in program.inputs]
+    input_bits = np.array([vectors[name] for name in program.inputs])
+    fast = _fast_decay_mask(tau[input_rows], input_bits.reshape(-1, 1, width))
+    adverse = _adverse_threshold_mask(threshold, model.v_sa_read, first_bad_expected)
+    return ok, fast, adverse
 
 
 def simulate_program(
@@ -155,9 +230,10 @@ def simulate_program(
 
     ideal: netlist evaluation only.  nominal: array simulation with
     nominal cells (must match ideal).  mc: n_trials array simulations
-    with sampled variation, scored per column against ideal; the
-    returned outputs are the ideal reference, and the report aggregates
-    per input combination.
+    with sampled variation, run in blocks of trials side by side on one
+    array's columns and scored per column against ideal; the returned
+    outputs are the ideal reference, the ledger is the nominal one, and
+    the report aggregates per input combination.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -168,7 +244,7 @@ def simulate_program(
 
     clobbered = audit_row_soundness(program)
     if clobbered:
-        raise ValueError(
+        raise UnsoundProgramError(
             f"program is unsound: {clobbered[0].message} "
             f"(+{len(clobbered) - 1} more)" if len(clobbered) > 1
             else f"program is unsound: {clobbered[0].message}"
@@ -195,9 +271,10 @@ def simulate_program(
     if mode == "nominal":
         sa = SubArray(model, program.timing, rows=program.rows,
                       cols=program.cols, trace=trace)
-        outputs = run_program_on_array(program, sa, vectors, width)
+        outputs = run_program_on_array(program, sa, vectors, np.arange(program.cols))
         return SimulationResult(
-            mode=mode, width=width, outputs=outputs,
+            mode=mode, width=width,
+            outputs={name: bits[:width] for name, bits in outputs.items()},
             duration_ns=sa.ledger.makespan_ns(),
             energy_fj=sa.ledger.total_energy_fj(),
             ledger=sa.ledger,
@@ -214,35 +291,17 @@ def simulate_program(
         "".join(str(int(vectors[name][c])) for name in program.inputs)
         for c in range(width)
     ]
-    input_rows = [program.assignment.input_rows[n] for n in program.inputs]
-    input_bits = np.array([vectors[n] for n in program.inputs])
-    ok = np.ones((n_trials, width), dtype=bool)
-    fast = np.zeros((n_trials, width), dtype=bool)
-    adverse = np.zeros((n_trials, width), dtype=bool)
-    ledger = None
-
-    for trial in range(n_trials):
-        sv = sample_params(
-            var_cfg, rng_stream=trial_stream_base + trial,
-            rows=program.rows, cols=program.cols, model_cfg=model,
-        )
-        sa = SubArray(
-            model, program.timing, rows=program.rows, cols=program.cols,
-            tau_scale=sv.tau_scale, drive_offset=sv.drive_offset,
-            sa_threshold=sv.sa_threshold,
-        )
-        outputs = run_program_on_array(program, sa, vectors, width)
-        # a failing column is attributed by its first wrong output
-        first_bad_expected = np.zeros(width, dtype=np.uint8)
-        for name in ideal_out:
-            bad = outputs[name] != ideal_out[name]
-            newly = bad & ok[trial]
-            first_bad_expected[newly] = ideal_out[name][newly]
-            ok[trial] &= ~bad
-        fast[trial] = _fast_decay_mask(sv.tau_scale[input_rows, :width], input_bits)
-        adverse[trial] = _adverse_threshold_mask(
-            sv.sa_threshold[:width], model.v_sa_read, first_bad_expected)
-        ledger = sa.ledger
+    # a block array keeps only the rows the program touches
+    n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
+                      if r is not None), default=0)
+    per_block = max(1, BLOCK_CELLS // (n_rows * width))
+    streams = range(trial_stream_base, trial_stream_base + n_trials)
+    blocks = [
+        _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
+                      streams[first:first + per_block])
+        for first in range(0, n_trials, per_block)
+    ]
+    ok, fast, adverse = (np.concatenate(masks) for masks in zip(*blocks))
 
     combos: dict[str, CombinationResult] = {}
     for key in dict.fromkeys(combo_key):  # stable order, unique
@@ -258,6 +317,7 @@ def simulate_program(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,
     )
+    ledger = _program_ledger(program)
     return SimulationResult(
         mode=mode, width=width, outputs=ideal_out,
         duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),

@@ -288,8 +288,8 @@ def _adverse_threshold_mask(
 def _fast_decay_mask(tau_scale_inputs: np.ndarray, input_bits) -> np.ndarray:
     """True where some input cell that holds '1' decays faster than nominal.
 
-    tau_scale_inputs has shape (n_inputs, n); input_bits is one bit per
-    input, or shape (n_inputs, n) for per-column input bits.
+    tau_scale_inputs has shape (n_inputs, ...); input_bits is one bit per
+    input, or per-input bits that broadcast against tau_scale_inputs.
     """
     bits = np.asarray(input_bits, dtype=bool)
     if bits.ndim == 1:

@@ -35,6 +35,7 @@ __all__ = [
     "SubArray",
     "TimingEnergyConfig",
     "TraceSample",
+    "ledger_entry",
 ]
 
 
@@ -164,6 +165,28 @@ class LedgerEntry:
             *ins, out = self.rows
             return "+".join(str(r) for r in ins) + ">" + str(out)
         return "+".join(str(r) for r in self.rows)
+
+
+def ledger_entry(
+    timing: TimingEnergyConfig,
+    t: int,
+    kind: OpKind,
+    rows: tuple[int, ...],
+    n_inputs: int,
+    cols: int,
+) -> LedgerEntry:
+    """The record of one op started at ``t`` on ``cols`` active columns.
+
+    ``rows`` lists a LOGIC op's input rows followed by its output row.
+    """
+    return LedgerEntry(
+        start_ns=t,
+        duration_ns=timing.duration_ns(kind),
+        op=kind.value,
+        rows=rows,
+        active_columns=cols,
+        energy_fj=timing.energy_fj(kind, n_inputs, cols),
+    )
 
 
 LEDGER_CSV_HEADER = ["start_ns", "duration_ns", "op", "rows", "energy_fj"]
@@ -317,16 +340,7 @@ class SubArray:
         )
 
     def _record(self, t: int, kind: OpKind, rows: tuple[int, ...], n_inputs: int = 1) -> None:
-        self.ledger.append(
-            LedgerEntry(
-                start_ns=t,
-                duration_ns=self.timing.duration_ns(kind),
-                op=kind.value,
-                rows=rows,
-                active_columns=self.cols,
-                energy_fj=self.timing.energy_fj(kind, n_inputs, self.cols),
-            )
-        )
+        self.ledger.append(ledger_entry(self.timing, t, kind, rows, n_inputs, self.cols))
 
     def _sample_row(self, t: int, row: int, values: np.ndarray) -> None:
         if self.trace_samples is None:

@@ -242,6 +242,26 @@ def test_run_exit_code_for_retention_violation(tmp_path, capsys):
     assert "enforce_freshness" not in err
 
 
+def test_run_exit_code_for_unsound_program(tmp_path, capsys):
+    # the output READ of a compiled AND points one row off: the file is
+    # malformed (5), not a usage error
+    src = tmp_path / "and.txt"
+    src.write_text("out = a & b;\n")
+    compiled = tmp_path / "and.json"
+    assert main(["compile", str(src), "-o", str(compiled)]) == 0
+    data = json.loads(compiled.read_text())
+    (read,) = [op for op in data["ops"] if op["op"] == "READ"]
+    read["rows"] = [read["rows"][0] + 1]
+    compiled.write_text(json.dumps(data))
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("a,b\n1,1\n0,1\n")
+    capsys.readouterr()
+    assert main(["run", str(compiled), "--inputs", str(inputs),
+                 "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert "malformed program" in err and "unsound" in err
+
+
 def test_input_csv_validation(adder, tmp_path):
     src, _ = adder
     main(["compile", str(src)])
