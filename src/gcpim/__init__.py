@@ -29,7 +29,6 @@ from gcpim.compiler import (
     exhaustive_vectors,
     lower_to_nor,
     parse_program,
-    schedule,
     simulate_program,
 )
 from gcpim.config import RunConfig, load_config
@@ -87,7 +86,6 @@ __all__ = [
     "run_gate_campaign",
     "run_gate_trials",
     "sample_params",
-    "schedule",
     "sense",
     "simulate_program",
 ]

@@ -16,6 +16,7 @@ whole 64-wide row evaluates in one call.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -27,9 +28,11 @@ __all__ = [
     "ConfigError",
     "ModelConfig",
     "NOMINAL_CELL",
+    "RETIRED_KEYS",
     "calibrate_tau",
     "decay",
     "decay_with_scale",
+    "known_keys",
     "overdrive",
     "residual_from_overdrive",
     "residual_after_discharge",
@@ -39,6 +42,26 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A model configuration violates its invariants."""
+
+
+# Keys that version-1 config and program files may still carry from before
+# their removal.  Readers drop them; every other unknown key is an error.
+RETIRED_KEYS = {
+    "run": frozenset({"n_subarrays", "schedule", "refresh_period_ns"}),
+    "timing_energy": frozenset({"e_dual_sense_fj"}),
+}
+
+
+def known_keys(section: str, cls, body: dict) -> dict:
+    """``body`` without the retired keys of ``section``.
+
+    Raises ConfigError for any other key that is not a field of ``cls``.
+    """
+    retired = RETIRED_KEYS.get(section, frozenset())
+    bad = set(body) - {f.name for f in dataclasses.fields(cls)} - retired
+    if bad:
+        raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+    return {k: v for k, v in body.items() if k not in retired}
 
 
 def calibrate_tau(

@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
     prog = PimProgram.from_json(args.program)
     vectors = _read_input_csv(args.inputs)
     mode = args.mode or cfg.run.mode
-    trials = args.trials or cfg.run.trials
+    trials = args.trials if args.trials is not None else cfg.run.trials
     res = simulate_program(
         prog, vectors, mode=mode, model_cfg=cfg.model, var_cfg=cfg.variation,
         n_trials=trials, trace=args.trace,
@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
-    trials = args.trials or cfg.run.trials
+    trials = args.trials if args.trials is not None else cfg.run.trials
     age = args.age if args.age is not None else cfg.model.drt_logic_ns
     if args.gate:
         report = run_gate_campaign(
@@ -209,6 +209,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.period is not None and args.period < 1:
+        raise ConfigError(f"--period must be >= 1 ns, got {args.period}")
     total_energy = 0.0
     makespan = 0
     refresh_time = 0
@@ -226,7 +228,7 @@ def cmd_report(args) -> int:
         makespan = max(makespan, span)
         refresh_time += refresh
         n_ops += len(rows)
-    period = args.period or makespan
+    period = args.period if args.period is not None else makespan
     availability = 1.0 - refresh_time / period if period > 0 else 1.0
     summary = {
         "files": per_file,
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-o", "--out", help="output path (default: <source>.compiled.json)")
     c.add_argument("--config", help="run configuration JSON")
     c.add_argument("--no-refresh", action="store_true",
-                   help="skip refresh insertion (for schedule experiments)")
+                   help="skip refresh insertion")
     c.set_defaults(func=cmd_compile)
 
     r = sub.add_parser("run", help="execute a compiled program")

@@ -2,8 +2,7 @@
 
 Pipeline: parse (expr) -> lower to a NOR-only DAG (netlist) -> assign
 rows with liveness reuse (allocate) -> emit timestamped micro-ops and
-insert refreshes (program) -> optionally gang programs across sub-arrays
-(schedule) and execute them (simulate).
+insert refreshes (program) -> execute them (simulate).
 """
 
 from gcpim.compiler.expr import (
@@ -33,7 +32,6 @@ from gcpim.compiler.program import (
     compile_program,
     insert_refresh,
 )
-from gcpim.compiler.schedule import SystemSchedule, schedule
 from gcpim.compiler.simulate import (
     RetentionViolationError,
     SimulationResult,
@@ -47,10 +45,9 @@ __all__ = [
     "And", "CapacityError", "CompilerConfig", "Const", "Expr", "Nand",
     "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or", "ParseError",
     "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
-    "RowAssignment",
-    "SimulationResult", "SystemSchedule", "UnsoundProgramError", "Var", "Xor",
+    "RowAssignment", "SimulationResult", "UnsoundProgramError", "Var", "Xor",
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",
     "compile_program", "eval_expr", "exhaustive_vectors", "insert_refresh",
     "lower_program", "lower_to_nor", "parse_expr", "parse_program",
-    "run_program_on_array", "schedule", "simulate_program",
+    "run_program_on_array", "simulate_program",
 ]

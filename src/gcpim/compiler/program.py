@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
-from gcpim.charge import ConfigError, ModelConfig
+from gcpim.charge import ConfigError, ModelConfig, known_keys
 from gcpim.subarray import MicroOp, OpKind, TimingEnergyConfig
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
 from gcpim.compiler.expr import Program, parse_program
@@ -148,12 +148,7 @@ class PimProgram:
             "cols": self.cols,
             "drt_logic_ns": self.drt_logic_ns,
             "drt_read_ns": self.drt_read_ns,
-            "timing_energy": {
-                k: getattr(self.timing, k)
-                for k in ("t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns",
-                          "e_write_fj", "e_read_fj", "e_not_fj", "e_nor_fj",
-                          "e_dual_sense_fj")
-            },
+            "timing_energy": asdict(self.timing),
             "netlist": self.netlist.to_json_dict(),
             "row_assignment": {
                 "row_of": {str(nid): row for nid, row in sorted(a.row_of.items())},
@@ -178,7 +173,8 @@ class PimProgram:
             raise ValueError("not a compiled program file")
         if data.get("version") != PROGRAM_VERSION:
             raise ValueError(f"unsupported program version {data.get('version')}")
-        timing = TimingEnergyConfig(**data["timing_energy"])
+        timing = TimingEnergyConfig(**known_keys(
+            "timing_energy", TimingEnergyConfig, data["timing_energy"]))
         netlist = NorNetlist.from_json_dict(data["netlist"])
         ra = data["row_assignment"]
         assignment = RowAssignment(

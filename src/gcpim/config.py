@@ -2,7 +2,9 @@
 
 Sections map one-to-one onto the dataclasses they configure.  Every
 section and every key is optional (defaults apply), but unknown keys are
-rejected so a typo cannot silently fall back to a default.
+rejected so a typo cannot silently fall back to a default.  The few keys
+in ``gcpim.charge.RETIRED_KEYS`` that older version-1 files carry are
+read and dropped.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 
-from gcpim.charge import ConfigError, ModelConfig
+from gcpim.charge import ConfigError, ModelConfig, known_keys
 from gcpim.compiler.program import CompilerConfig
 from gcpim.montecarlo import VariationConfig
 from gcpim.subarray import TimingEnergyConfig
@@ -25,26 +27,17 @@ CONFIG_VERSION = 1
 class RunSection:
     """Knobs that belong to a run rather than to the device model."""
 
-    n_subarrays: int = 1
     trials: int = 1000
     mode: str = "nominal"
-    schedule: str = "relaxed"
     success_floor: float = 0.99
-    refresh_period_ns: int = 5000
 
     def __post_init__(self) -> None:
-        if self.n_subarrays < 1:
-            raise ConfigError("n_subarrays must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.mode not in ("ideal", "nominal", "mc"):
             raise ConfigError(f"unknown run mode {self.mode!r}")
-        if self.schedule not in ("relaxed", "strict"):
-            raise ConfigError(f"unknown schedule mode {self.schedule!r}")
         if not 0.0 < self.success_floor <= 1.0:
             raise ConfigError("success_floor must be in (0, 1]")
-        if self.refresh_period_ns < 1:
-            raise ConfigError("refresh_period_ns must be >= 1")
 
 
 _SECTIONS = {
@@ -99,13 +92,7 @@ class RunConfig:
             body = data[section]
             if not isinstance(body, dict):
                 raise ConfigError(f"section {section!r} must be a JSON object")
-            allowed = {f.name for f in dataclasses.fields(cls)}
-            bad = set(body) - allowed
-            if bad:
-                raise ConfigError(
-                    f"unknown keys in section {section!r}: {sorted(bad)}"
-                )
-            kwargs[section] = cls(**body)
+            kwargs[section] = cls(**known_keys(section, cls, body))
         return RunConfig(**kwargs)
 
     @staticmethod

@@ -12,14 +12,13 @@ evaluates all 64 columns at once.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from gcpim.charge import (
-    CellParams,
     CellState,
     ConfigError,
     ModelConfig,
@@ -107,16 +106,11 @@ class TimingEnergyConfig:
     e_read_fj: float = 13.3
     e_not_fj: float = 13.4
     e_nor_fj: float = 13.5
-    e_dual_sense_fj: float = 13.34
 
     def __post_init__(self) -> None:
-        for name in (
-            "t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns",
-            "e_write_fj", "e_read_fj", "e_not_fj", "e_nor_fj",
-            "e_dual_sense_fj",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
 
     @property
     def t_logic_ns(self) -> int:
@@ -219,9 +213,6 @@ class EventLedger:
         """End of the last operation, measured from simulation time 0."""
         return max((e.end_ns for e in self.entries), default=0)
 
-    def refresh_time_ns(self) -> int:
-        return sum(e.duration_ns for e in self.entries if e.op == OpKind.REFRESH.value)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -320,12 +311,6 @@ class SubArray:
         return CellState(
             voltage=float(self.voltage[row, col]),
             last_update=int(self.last_update[row, col]),
-        )
-
-    def cell_params(self, row: int, col: int) -> CellParams:
-        return CellParams(
-            tau_scale=float(self.tau_scale[row, col]),
-            drive_offset=float(self.drive_offset[row, col]),
         )
 
     def _check_row(self, row: int) -> None:

@@ -75,7 +75,33 @@ def test_run_section_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"version": 1, "run": {"success_floor": 1.5}})
     with pytest.raises(ConfigError):
-        RunConfig.from_json_dict({"version": 1, "run": {"n_subarrays": 0}})
+        RunConfig.from_json_dict({"version": 1, "run": {"trials": 0}})
+
+
+def test_config_with_retired_keys_loads_and_drops_them(tmp_path):
+    # a version-1 file as older releases of `calibrate` wrote it
+    old = RunConfig().to_json_dict()
+    old["run"].update(n_subarrays=1, schedule="relaxed", refresh_period_ns=5000)
+    old["timing_energy"]["e_dual_sense_fj"] = 13.34
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(old))
+    cfg = RunConfig.from_json(p)
+    assert cfg == RunConfig()
+    cfg.to_json(tmp_path / "new.json")
+    text = (tmp_path / "new.json").read_text()
+    for key in ("n_subarrays", "schedule", "refresh_period_ns", "e_dual_sense_fj"):
+        assert key not in text
+
+
+def test_misspelt_or_misplaced_keys_are_still_rejected(tmp_path, capsys):
+    for body in ({"run": {"n_subarray": 1}},
+                 {"run": {"e_dual_sense_fj": 13.34}},
+                 {"timing_energy": {"schedule": "relaxed"}}):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"version": 1, **body}))
+        assert main(["mc", "--gate", "NOT", "--arity", "1", "--trials", "10",
+                     "--config", str(p), "--out", str(tmp_path / "m")]) == 2
+        assert "unknown keys" in capsys.readouterr().err
 
 
 def test_seed_override():
@@ -200,6 +226,55 @@ def test_report_json_totals(adder, tmp_path, capsys):
     assert summary["refresh_ns"] == 0
     assert summary["availability"] == 1.0
     assert summary["ops"] == 23
+
+
+def test_program_with_retired_timing_key_runs_unchanged(adder, tmp_path, capsys):
+    src, inputs = adder
+    fresh = tmp_path / "fresh.json"
+    assert main(["compile", str(src), "-o", str(fresh)]) == 0
+    data = json.loads(fresh.read_text())
+    assert "e_dual_sense_fj" not in data["timing_energy"]
+    data["timing_energy"]["e_dual_sense_fj"] = 13.34
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    for prog in (fresh, old):
+        assert main(["run", str(prog), "--inputs", str(inputs), "--mode",
+                     "nominal", "--out", str(tmp_path / prog.stem)]) == 0
+    for name in ("outputs.csv", "ledger.csv"):
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
+
+    data["timing_energy"]["e_dual_sense"] = 13.34
+    old.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", str(old), "--inputs", str(inputs),
+                 "--out", str(tmp_path / "typo")]) == 2
+    assert "e_dual_sense'" in capsys.readouterr().err
+
+
+def test_zero_trials_are_rejected(adder, tmp_path, capsys):
+    src, inputs = adder
+    main(["compile", str(src)])
+    compiled = tmp_path / "adder.compiled.json"
+    assert main(["run", str(compiled), "--inputs", str(inputs), "--mode", "mc",
+                 "--trials", "0", "--out", str(tmp_path / "r")]) == 2
+    assert main(["mc", "--gate", "NOT", "--arity", "1", "--trials", "0",
+                 "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.count("n_trials must be >= 1") == 2
+
+
+def test_report_period_must_be_positive(adder, tmp_path, capsys):
+    src, inputs = adder
+    main(["compile", str(src)])
+    rundir = tmp_path / "r"
+    main(["run", str(tmp_path / "adder.compiled.json"), "--inputs", str(inputs),
+          "--mode", "nominal", "--out", str(rundir)])
+    capsys.readouterr()
+    for period in ("0", "-100"):
+        assert main(["report", str(rundir / "ledger.csv"),
+                     "--period", period]) == 2
+        err = capsys.readouterr().err
+        assert "--period must be >= 1" in err
 
 
 def test_cli_exit_codes(adder, tmp_path, capsys):

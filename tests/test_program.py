@@ -1,5 +1,4 @@
-"""Back-end checks: op emission, refresh insertion, audits, scheduling,
-and execution.
+"""Back-end checks: op emission, refresh insertion, audits and execution.
 
 The retention negative controls compile against a deliberately shortened
 retention model (with tau re-derived to match) so that skipping refresh
@@ -21,7 +20,6 @@ from gcpim.compiler import (
     exhaustive_vectors,
     insert_refresh,
     run_program_on_array,
-    schedule,
     simulate_program,
 )
 from gcpim.compiler.program import (
@@ -38,10 +36,6 @@ TIM = TimingEnergyConfig()
 # retention shortened 150x, decay constant re-derived to match: values
 # die in ~100 ns instead of ~15 us, so refresh actually matters in tests
 SHORT = ModelConfig(drt_read_ns=100, drt_logic_ns=50).calibrated()
-
-# windows tight enough that an unrefreshed ripple-8 adder goes stale
-TIGHT = ModelConfig(drt_read_ns=400, drt_logic_ns=100)
-
 
 def chain_text(n: int, first: str = "b", last: str = "x") -> str:
     lines = [f"t0 = ~{first};"]
@@ -228,104 +222,6 @@ def test_audit_flags_a_refresh_of_a_never_written_row():
                                  read_outputs=(None,))
     bad = audit_refresh_safety(broken)
     assert [(v.op_index, v.row, v.kind) for v in bad] == [(0, 3, "unwritten")]
-
-
-# -- scheduling -------------------------------------------------------
-
-
-def test_four_on_four_runs_at_single_program_time():
-    progs = [compile_program("out = a ^ b;") for _ in range(4)]
-    one = progs[0].duration_ns
-    for mode in ("relaxed", "strict"):
-        s = schedule(progs, 4, mode=mode)
-        assert s.makespan_ns == one
-        owners = [
-            tuple(dict.fromkeys(so.program_index for so in stream))
-            for stream in s.streams
-        ]
-        assert sorted(owners) == [(0,), (1,), (2,), (3,)]
-
-
-def test_five_on_four_doubles_the_makespan():
-    progs = [compile_program("out = a ^ b;") for _ in range(5)]
-    one = progs[0].duration_ns
-    s = schedule(progs, 4, mode="relaxed")
-    assert s.makespan_ns == 2 * one
-    # round robin: the fifth program lands on the first sub-array
-    first = tuple(dict.fromkeys(so.program_index for so in s.streams[0]))
-    assert first == (0, 4)
-
-
-def test_strict_lockstep_stalls_mismatched_streams():
-    quick = compile_program("out = ~a;")       # write, logic, read: 7 ns
-    heavy = compile_program("out = a & b;")    # 14 ns
-    relaxed = schedule([quick, heavy], 2, mode="relaxed")
-    strict = schedule([quick, heavy], 2, mode="strict")
-    assert relaxed.makespan_ns == heavy.duration_ns
-    assert strict.makespan_ns > relaxed.makespan_ns
-    # lockstep changes timing but not the op mix
-    assert strict.total_energy_fj == pytest.approx(relaxed.total_energy_fj)
-
-
-def test_strict_requires_uniform_timing():
-    slow = TimingEnergyConfig(t_write_ns=2)
-    a = compile_program("out = ~a;")
-    b = compile_program("out = ~a;", timing_cfg=slow)
-    with pytest.raises(ConfigError):
-        schedule([a, b], 2, mode="strict")
-    schedule([a, b], 2, mode="relaxed")  # relaxed accepts mixed timing
-
-
-def test_schedule_energy_is_conserved():
-    progs = [compile_program("out = a ^ b;") for _ in range(5)]
-    s = schedule(progs, 2, mode="relaxed")
-    assert s.total_energy_fj == pytest.approx(5 * progs[0].energy_fj)
-
-
-def test_schedule_validation():
-    prog = compile_program("out = ~a;")
-    with pytest.raises(ConfigError):
-        schedule([prog], 0)
-    with pytest.raises(ConfigError):
-        schedule([prog], 1, mode="loose")
-
-
-def test_strict_stretch_is_visible_to_the_audit():
-    # the audit over a stretched strict schedule reports any consumption
-    # pushed past the budget; with default windows short programs stay
-    # clean, and the call itself must not mutate the schedule
-    quick = compile_program("out = ~a;")
-    heavy = compile_program("out = a & b;")
-    s = schedule([quick, heavy], 2, mode="strict")
-    before = s.makespan_ns
-    assert s.audit_refresh() == []
-    assert s.makespan_ns == before
-
-
-def test_single_subarray_schedule_audit_matches_the_program_audit():
-    bare = compile_program(ripple_text(8), CompilerConfig(insert_refreshes=False),
-                           model_cfg=TIGHT)
-    expected = [(v.t_ns, v.row, v.kind) for v in audit_refresh_safety(bare)]
-    assert len(expected) == 42
-    got = [(v.t_ns, v.row, v.kind) for v in schedule([bare], 1).audit_refresh()]
-    assert got == expected
-
-
-def test_strict_schedule_audit_indexes_the_programs_own_ops():
-    bare = compile_program(ripple_text(8), CompilerConfig(insert_refreshes=False),
-                           model_cfg=TIGHT)
-    other = compile_program("out = a & b;", model_cfg=TIGHT)
-    s = schedule([other, bare], 2, mode="strict")
-    stream = s.streams[1]  # the bare adder, alone on sub-array 1
-    violations = s.audit_refresh()
-    assert len(violations) >= 42
-    assert len({v.op_index for v in violations}) > 1
-    for v in violations:
-        scheduled = stream[v.op_index].op
-        assert scheduled.kind is bare.ops[v.op_index].kind
-        assert v.row in scheduled.rows
-        assert v.t_ns >= scheduled.t_start_ns
-        assert v.message.startswith("sub-array 1, program 1: ")
 
 
 # -- simulation -------------------------------------------------------
