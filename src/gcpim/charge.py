@@ -52,15 +52,29 @@ RETIRED_KEYS = {
 }
 
 
+# JSON value types a field of each declared type takes; booleans are
+# Python ints, so only a bool field takes them
+_ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 def known_keys(section: str, cls, body: dict) -> dict:
     """``body`` without the retired keys of ``section``.
 
-    Raises ConfigError for any other key that is not a field of ``cls``.
+    Raises ConfigError for any other key that is not a field of ``cls``,
+    and for a value that does not match its field's declared type.
     """
     retired = RETIRED_KEYS.get(section, frozenset())
-    bad = set(body) - {f.name for f in dataclasses.fields(cls)} - retired
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    bad = set(body) - set(declared) - retired
     if bad:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+    for key, value in body.items():
+        kind = declared.get(key)
+        if kind is not None and (
+            not isinstance(value, _ACCEPTED_TYPES[kind])
+            or (isinstance(value, bool) and kind != "bool")
+        ):
+            raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
     return {k: v for k, v in body.items() if k not in retired}
 
 

@@ -79,12 +79,16 @@ def _write_output_csv(path, names, outputs, width) -> None:
             writer.writerow([int(outputs[n][c]) for n in names])
 
 
-def _write_trace_csv(path, samples) -> None:
+def _write_trace_csv(path, trace_rows) -> None:
+    """One line per cell of each ``(time_ns, row, voltages)`` record,
+    stably sorted by time, then signal name."""
+    samples = [(t, f"sn_r{row}_c{c}", v) for t, row, values in trace_rows
+               for c, v in enumerate(values.tolist())]
+    samples.sort(key=lambda s: s[:2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_ns", "signal", "value"])
-        for s in sorted(samples, key=lambda s: (s.time_ns, s.signal)):
-            writer.writerow([s.time_ns, s.signal, repr(s.value)])
+        writer.writerows((t, signal, repr(v)) for t, signal, v in samples)
 
 
 def _print_report(report: SuccessReport, floor: float) -> int:
@@ -209,8 +213,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.period is not None and args.period < 1:
-        raise ConfigError(f"--period must be >= 1 ns, got {args.period}")
     total_energy = 0.0
     makespan = 0
     refresh_time = 0
@@ -228,6 +230,11 @@ def cmd_report(args) -> int:
         makespan = max(makespan, span)
         refresh_time += refresh
         n_ops += len(rows)
+    # a period must hold the refresh work, or availability turns negative
+    floor = max(1, refresh_time)
+    if args.period is not None and args.period < floor:
+        raise ConfigError(f"--period must be >= {floor} ns (the ledgers hold "
+                          f"{refresh_time} ns of refresh), got {args.period}")
     period = args.period if args.period is not None else makespan
     availability = 1.0 - refresh_time / period if period > 0 else 1.0
     summary = {

@@ -169,48 +169,55 @@ class PimProgram:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PimProgram":
-        if data.get("format") != PROGRAM_FORMAT:
-            raise ValueError("not a compiled program file")
-        if data.get("version") != PROGRAM_VERSION:
-            raise ValueError(f"unsupported program version {data.get('version')}")
-        timing = TimingEnergyConfig(**known_keys(
-            "timing_energy", TimingEnergyConfig, data["timing_energy"]))
-        netlist = NorNetlist.from_json_dict(data["netlist"])
-        ra = data["row_assignment"]
-        assignment = RowAssignment(
-            row_of={int(k): v for k, v in ra["row_of"].items()},
-            input_rows=dict(ra["input_rows"]),
-            const_rows={int(k): v for k, v in ra["const_rows"].items()},
-            output_rows=dict(ra["output_rows"]),
-            peak_live=int(ra["peak_live"]),
-            rows_available=int(ra["rows_available"]),
-        )
-        ops, logic_nodes, read_outputs = [], [], []
-        for entry in data["ops"]:
-            ops.append(
-                MicroOp(
-                    kind=OpKind(entry["op"]),
-                    rows=tuple(entry["rows"]),
-                    out_row=entry.get("out_row"),
-                    bits=tuple(entry["bits"]) if "bits" in entry else None,
-                    source=entry.get("source"),
-                    t_start_ns=int(entry["t_start_ns"]),
-                )
+        """Raises ValueError saying what is wrong for a missing key or a
+        wrong-typed value (ConfigError for the timing keys)."""
+        try:
+            if data.get("format") != PROGRAM_FORMAT:
+                raise ValueError("not a compiled program file")
+            if data.get("version") != PROGRAM_VERSION:
+                raise ValueError(f"unsupported program version {data.get('version')}")
+            timing = TimingEnergyConfig(**known_keys(
+                "timing_energy", TimingEnergyConfig, data["timing_energy"]))
+            netlist = NorNetlist.from_json_dict(data["netlist"])
+            ra = data["row_assignment"]
+            assignment = RowAssignment(
+                row_of={int(k): v for k, v in ra["row_of"].items()},
+                input_rows=dict(ra["input_rows"]),
+                const_rows={int(k): v for k, v in ra["const_rows"].items()},
+                output_rows=dict(ra["output_rows"]),
+                peak_live=int(ra["peak_live"]),
+                rows_available=int(ra["rows_available"]),
             )
-            logic_nodes.append(entry.get("node"))
-            read_outputs.append(entry.get("output"))
-        return PimProgram(
-            ops=tuple(ops),
-            netlist=netlist,
-            assignment=assignment,
-            timing=timing,
-            drt_logic_ns=int(data["drt_logic_ns"]),
-            drt_read_ns=int(data["drt_read_ns"]),
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            logic_nodes=tuple(logic_nodes),
-            read_outputs=tuple(read_outputs),
-        )
+            ops, logic_nodes, read_outputs = [], [], []
+            for entry in data["ops"]:
+                ops.append(
+                    MicroOp(
+                        kind=OpKind(entry["op"]),
+                        rows=tuple(entry["rows"]),
+                        out_row=entry.get("out_row"),
+                        bits=tuple(entry["bits"]) if "bits" in entry else None,
+                        source=entry.get("source"),
+                        t_start_ns=int(entry["t_start_ns"]),
+                    )
+                )
+                logic_nodes.append(entry.get("node"))
+                read_outputs.append(entry.get("output"))
+            return PimProgram(
+                ops=tuple(ops),
+                netlist=netlist,
+                assignment=assignment,
+                timing=timing,
+                drt_logic_ns=int(data["drt_logic_ns"]),
+                drt_read_ns=int(data["drt_read_ns"]),
+                rows=int(data["rows"]),
+                cols=int(data["cols"]),
+                logic_nodes=tuple(logic_nodes),
+                read_outputs=tuple(read_outputs),
+            )
+        except KeyError as exc:
+            raise ValueError(f"program file lacks the {exc} key") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"program file holds a wrong-typed value: {exc}") from exc
 
     @staticmethod
     def from_json(path) -> "PimProgram":

@@ -26,7 +26,7 @@ from gcpim.montecarlo import (
     _fast_decay_mask,
     sample_params,
 )
-from gcpim.subarray import EventLedger, OpKind, SubArray, TraceSample, ledger_entry
+from gcpim.subarray import EventLedger, OpKind, SubArray
 from gcpim.compiler.program import PimProgram, audit_refresh_safety, audit_row_soundness
 
 __all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
@@ -59,7 +59,7 @@ class SimulationResult:
     duration_ns: int
     energy_fj: float
     ledger: EventLedger | None = None
-    trace: list[TraceSample] | None = None
+    trace: list[tuple[int, int, np.ndarray]] | None = None  # SubArray.trace_rows
     report: SuccessReport | None = None
 
 
@@ -163,17 +163,6 @@ def run_program_on_array(
     return outputs
 
 
-def _program_ledger(program: PimProgram) -> EventLedger:
-    """The ledger every array run of the program records: op timing and
-    energy depend on the ops and the active columns, not on the cells."""
-    ledger = EventLedger()
-    for op in program.ops:
-        rows = op.rows if op.out_row is None else (*op.rows, op.out_row)
-        ledger.append(ledger_entry(program.timing, op.t_start_ns, op.kind,
-                                   rows, len(op.rows), program.cols))
-    return ledger
-
-
 def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
                   streams):
     """Run MC trials side by side on one array.
@@ -268,6 +257,9 @@ def simulate_program(
             duration_ns=program.duration_ns, energy_fj=program.energy_fj,
         )
 
+    # op timing and energy depend on the ops and the active columns, not
+    # on the cells: nominal and every MC trial share this ledger
+    ledger = EventLedger.from_ops(program.ops, program.timing, program.cols)
     if mode == "nominal":
         sa = SubArray(model, program.timing, rows=program.rows,
                       cols=program.cols, trace=trace)
@@ -275,10 +267,8 @@ def simulate_program(
         return SimulationResult(
             mode=mode, width=width,
             outputs={name: bits[:width] for name, bits in outputs.items()},
-            duration_ns=sa.ledger.makespan_ns(),
-            energy_fj=sa.ledger.total_energy_fj(),
-            ledger=sa.ledger,
-            trace=sa.trace_samples,
+            duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),
+            ledger=ledger, trace=sa.trace_rows,
         )
 
     # Monte Carlo over whole-program executions
@@ -317,7 +307,6 @@ def simulate_program(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,
     )
-    ledger = _program_ledger(program)
     return SimulationResult(
         mode=mode, width=width, outputs=ideal_out,
         duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),

@@ -1,12 +1,17 @@
 """Sub-array simulator: writes, nondestructive reads, refresh, and the
-two-phase stateful logic pulse, with time and energy recorded in a ledger.
+two-phase stateful logic pulse, plus the micro-op and event-ledger types.
 
-The sub-array is 64x64 by default.  Cell state is kept lazily: each cell
+The sub-array is 64x64 by default and keeps only cell state.  Each cell
 stores its voltage as of its own ``last_update`` timestamp and is decayed
 on demand when an operation touches it, which is exact for the
 single-pole decay law.  Per-cell variation (tau multiplier, drive offset)
 and per-column sense thresholds are plain numpy grids so one operation
 evaluates all 64 columns at once.
+
+Op time and energy depend on the op list and the active columns, never
+on the cells, so a run's ledger is built from its timestamped ops with
+``EventLedger.from_ops``.  With tracing on, the array records one
+``(time_ns, row, voltages)`` entry per sampled row.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ __all__ = [
     "OpKind",
     "SubArray",
     "TimingEnergyConfig",
-    "TraceSample",
-    "ledger_entry",
 ]
 
 
@@ -161,28 +164,6 @@ class LedgerEntry:
         return "+".join(str(r) for r in self.rows)
 
 
-def ledger_entry(
-    timing: TimingEnergyConfig,
-    t: int,
-    kind: OpKind,
-    rows: tuple[int, ...],
-    n_inputs: int,
-    cols: int,
-) -> LedgerEntry:
-    """The record of one op started at ``t`` on ``cols`` active columns.
-
-    ``rows`` lists a LOGIC op's input rows followed by its output row.
-    """
-    return LedgerEntry(
-        start_ns=t,
-        duration_ns=timing.duration_ns(kind),
-        op=kind.value,
-        rows=rows,
-        active_columns=cols,
-        energy_fj=timing.energy_fj(kind, n_inputs, cols),
-    )
-
-
 LEDGER_CSV_HEADER = ["start_ns", "duration_ns", "op", "rows", "energy_fj"]
 
 
@@ -191,6 +172,23 @@ class EventLedger:
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
+
+    @classmethod
+    def from_ops(cls, ops: Sequence[MicroOp], timing: TimingEnergyConfig,
+                 cols: int) -> "EventLedger":
+        """The ledger of a run of the timestamped ``ops`` on ``cols`` active
+        columns.  A LOGIC entry lists its input rows, then its output row."""
+        ledger = cls()
+        for op in ops:
+            ledger.append(LedgerEntry(
+                start_ns=op.t_start_ns,
+                duration_ns=timing.duration_ns(op.kind),
+                op=op.kind.value,
+                rows=op.rows if op.out_row is None else (*op.rows, op.out_row),
+                active_columns=cols,
+                energy_fj=timing.energy_fj(op.kind, len(op.rows), cols),
+            ))
+        return ledger
 
     def append(self, entry: LedgerEntry) -> None:
         if self.entries and entry.start_ns < self.entries[-1].start_ns:
@@ -245,19 +243,14 @@ class EventLedger:
         return rows
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    time_ns: int
-    signal: str
-    value: float
-
-
 class SubArray:
     """One 64x64 tile of gain cells plus its per-column sense amplifiers.
 
     Operations are strictly sequential within a tile: callers supply each
-    op's start time and those times must be non-decreasing.  Distinct tiles
-    share no state and may be simulated concurrently.
+    op's start time and those times must be non-decreasing (the tile does
+    not check; ``EventLedger.from_ops`` rejects an op list that goes back
+    in time).  Distinct tiles share no state and may be simulated
+    concurrently.
     """
 
     def __init__(
@@ -292,8 +285,9 @@ class SubArray:
                 )
         if np.any(self.tau_scale <= 0):
             raise ConfigError("tau_scale grid must be strictly positive")
-        self.ledger = EventLedger()
-        self.trace_samples: list[TraceSample] | None = [] if trace else None
+        # (time_ns, row, copy of the row's voltages) per sampled row
+        self.trace_rows: list[tuple[int, int, np.ndarray]] | None = (
+            [] if trace else None)
 
     def _grid(self, values, fill: float) -> np.ndarray:
         if values is None:
@@ -324,16 +318,9 @@ class SubArray:
             -dt / (self.model.tau_ns * self.tau_scale[row])
         )
 
-    def _record(self, t: int, kind: OpKind, rows: tuple[int, ...], n_inputs: int = 1) -> None:
-        self.ledger.append(ledger_entry(self.timing, t, kind, rows, n_inputs, self.cols))
-
     def _sample_row(self, t: int, row: int, values: np.ndarray) -> None:
-        if self.trace_samples is None:
-            return
-        for c in range(self.cols):
-            self.trace_samples.append(
-                TraceSample(time_ns=t, signal=f"sn_r{row}_c{c}", value=float(values[c]))
-            )
+        if self.trace_rows is not None:
+            self.trace_rows.append((t, row, values.copy()))
 
     # -- operations ---------------------------------------------------
 
@@ -347,7 +334,6 @@ class SubArray:
         t_done = t_now + self.timing.t_write_ns
         self.voltage[row] = np.where(bits != 0, self.model.vdd, 0.0)
         self.last_update[row] = t_done
-        self._record(t_now, OpKind.WRITE, (row,))
         self._sample_row(t_done, row, self.voltage[row])
 
     def read_row(self, row: int, t_now: int) -> np.ndarray:
@@ -362,7 +348,6 @@ class SubArray:
         bits = np.greater_equal(level, self.sa_threshold).astype(np.uint8)
         self.voltage[row] = level
         self.last_update[row] = np.maximum(self.last_update[row], t_now)
-        self._record(t_now, OpKind.READ, (row,))
         self._sample_row(t_now, row, level)
         return bits
 
@@ -370,7 +355,7 @@ class SubArray:
         """Sense the row, then rewrite the sensed bits at full level.
 
         Takes ``t_read_ns + t_write_ns`` = 4 ns, so a full 64-row sweep
-        costs 256 ns.  Recorded as a single REFRESH ledger entry.
+        costs 256 ns.
         """
         self._check_row(row)
         level = self._row_voltage_at(row, t_now)
@@ -378,7 +363,6 @@ class SubArray:
         t_done = t_now + self.timing.t_refresh_ns
         self.voltage[row] = np.where(bits != 0, self.model.vdd, 0.0)
         self.last_update[row] = t_done
-        self._record(t_now, OpKind.REFRESH, (row,))
         self._sample_row(t_now, row, level)
         self._sample_row(t_done, row, self.voltage[row])
         return bits
@@ -407,7 +391,7 @@ class SubArray:
         t_eval = t_now + self.timing.t_init_ns
         t_done = t_now + self.timing.t_logic_ns
 
-        if self.trace_samples is not None:
+        if self.trace_rows is not None:
             self._sample_row(t_now, out_row, self._row_voltage_at(out_row, t_now))
             self._sample_row(t_eval, out_row, np.full(self.cols, self.model.vdd))
 
@@ -420,18 +404,4 @@ class SubArray:
 
         self.voltage[out_row] = out_level
         self.last_update[out_row] = t_done
-        self._record(t_now, OpKind.LOGIC, (*in_rows, out_row), n_inputs=len(in_rows))
         self._sample_row(t_done, out_row, self.voltage[out_row])
-
-    # -- trace export -------------------------------------------------
-
-    def dump_trace(self, t_start_ns: int, t_end_ns: int) -> list[TraceSample]:
-        """Samples recorded within [t_start_ns, t_end_ns], sorted by time
-        then signal name.  Empty when tracing was off or the window is empty.
-        """
-        if self.trace_samples is None:
-            return []
-        window = [
-            s for s in self.trace_samples if t_start_ns <= s.time_ns <= t_end_ns
-        ]
-        return sorted(window, key=lambda s: (s.time_ns, s.signal))

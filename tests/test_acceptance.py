@@ -24,7 +24,7 @@ from gcpim.compiler import (
 )
 from gcpim.compiler.program import audit_refresh_safety
 from gcpim.montecarlo import VariationConfig, run_gate_campaign
-from gcpim.subarray import SubArray, TimingEnergyConfig
+from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig
 
 MODEL = ModelConfig()
 TIM = TimingEnergyConfig()
@@ -99,7 +99,13 @@ def test_03_refresh_overhead(capsys):
         arr = SubArray(MODEL)
         duration = arr.refresh_all(0)
         assert duration == 256
-        assert sum(1 for e in arr.ledger.entries if e.op == "REFRESH") == 64
+        # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
+        for row in range(64):
+            assert (arr.last_update[row] == 4 * (row + 1)).all(), row
+        refreshes = [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row)
+                     for row in range(64)]
+        ledger = EventLedger.from_ops(refreshes, TIM, 64)
+        assert len(ledger) == 64 and ledger.makespan_ns() == 256
         availability = 1.0 - duration / MODEL.drt_logic_ns
         assert abs(availability - 0.9488) < 1e-4
 

@@ -4,6 +4,7 @@ Every CLI assertion calls main() directly so exit codes and file
 side effects are checked without spawning interpreters.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from gcpim.charge import ConfigError
 from gcpim.cli import main
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
+from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
 
 
 # -- configuration ----------------------------------------------------
@@ -57,6 +59,26 @@ def test_unknown_key_rejected(tmp_path):
     p.write_text('{"version": 1, "model": {"vdd_typo": 0.9}}')
     with pytest.raises(ConfigError, match="vdd_typo"):
         RunConfig.from_json(p)
+
+
+def test_values_must_match_their_field_types(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    # int fields take no strings, floats or booleans: exit 2, no traceback
+    for value in ("x", 10.5, True):
+        p.write_text(json.dumps({"version": 1, "run": {"trials": value}}))
+        capsys.readouterr()
+        assert main(["mc", "--gate", "NOT", "--arity", "1", "--config", str(p),
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "run.trials must be int" in capsys.readouterr().err
+    # float fields take integers too; bool and str fields only their own type
+    p.write_text('{"version": 1, "model": {"vdd": 1, "v_sa_read": 0.5}}')
+    assert RunConfig.from_json(p).model.vdd == 1
+    for section, body in (("compiler", {"insert_refreshes": 1}),
+                          ("run", {"mode": 1}), ("model", {"vdd": "0.9"}),
+                          ("variation", {"seed": False})):
+        p.write_text(json.dumps({"version": 1, section: body}))
+        with pytest.raises(ConfigError, match="must be"):
+            RunConfig.from_json(p)
 
 
 def test_version_is_mandatory_and_checked(tmp_path):
@@ -144,8 +166,15 @@ def test_compile_then_run_nominal(adder, tmp_path, capsys):
     got = (rundir / "outputs.csv").read_text().splitlines()
     assert got[0] == "sum,cout"
     assert got[1:] == ["0,0", "1,0", "0,1", "1,1"]
-    assert (rundir / "ledger.csv").exists()
     assert (rundir / "trace.csv").read_text().startswith("time_ns,signal,value")
+    # the ledger comes from the op list and the trace from one record per
+    # sampled row; both files keep their bytes
+    digests = {name: hashlib.sha256((rundir / name).read_bytes()).hexdigest()
+               for name in ("trace.csv", "ledger.csv")}
+    assert digests == {
+        "trace.csv": "2fa481e1d86b50671d73a879f7d64cd96e3b26097ac71d1ea9285eba0cd0f051",
+        "ledger.csv": "c44f5c7c06852c468012cc73dd5755de3ccb088a686afe7bf04151f32f7f4b93",
+    }
 
 
 def test_run_is_byte_deterministic(adder, tmp_path):
@@ -276,6 +305,16 @@ def test_report_period_must_be_positive(adder, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "--period must be >= 1" in err
 
+    # a period must also hold the ledgers' refresh work: 3 refreshes, 12 ns
+    refreshing = tmp_path / "refresh.csv"
+    EventLedger.from_ops(
+        [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row) for row in range(3)],
+        TimingEnergyConfig(), 64).to_csv(refreshing)
+    assert main(["report", str(refreshing), "--period", "10"]) == 2
+    assert "--period must be >= 12 ns" in capsys.readouterr().err
+    assert main(["report", str(refreshing), "--period", "12"]) == 0
+    assert "availability over 12 ns: 0.00%" in capsys.readouterr().out
+
 
 def test_cli_exit_codes(adder, tmp_path, capsys):
     src, inputs = adder
@@ -294,6 +333,23 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     notjson.write_text("not json")
     assert main(["run", str(notjson), "--inputs", str(inputs)]) == 5
     capsys.readouterr()
+
+    # a program file that lacks a section or holds a wrong-typed field is
+    # malformed (5) and says so; no traceback
+    good = tmp_path / "good.json"
+    assert main(["compile", str(src), "-o", str(good)]) == 0
+    lacking = json.loads(good.read_text())
+    del lacking["netlist"]
+    wrong = json.loads(good.read_text())
+    wrong["ops"][0]["rows"] = "x"
+    for data, message in ((lacking, "lacks the 'netlist' key"),
+                          (wrong, "wrong-typed value")):
+        bad_prog = tmp_path / "bad_prog.json"
+        bad_prog.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", str(bad_prog), "--inputs", str(inputs),
+                     "--out", str(tmp_path / "bad_out")]) == 5
+        assert message in capsys.readouterr().err
 
 
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):

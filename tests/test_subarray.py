@@ -169,23 +169,29 @@ def test_refresh_too_late_loses_the_bit():
 def test_refresh_all_duration():
     sa = SubArray(CFG)
     assert sa.refresh_all(t_now=0) == 256
-    kinds = [e.op for e in sa.ledger.entries]
-    assert kinds == [OpKind.REFRESH.value] * 64
+    # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
+    np.testing.assert_array_equal(
+        sa.last_update, np.repeat(4 * np.arange(1, 65), 64).reshape(64, 64))
+    refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
+    ledger = EventLedger.from_ops(refreshes, TIM, 64)
+    assert [e.op for e in ledger] == [OpKind.REFRESH.value] * 64
+    assert ledger.makespan_ns() == 256
 
 
 def test_op_energies_against_hand_totals():
-    sa = SubArray(CFG)
-    sa.write_row(0, bits("1"), t_now=0)
-    sa.write_row(1, bits("0"), t_now=1)
-    sa.exec_logic([0], 3, t_now=2)        # NOT
-    sa.exec_logic([0, 1], 4, t_now=5)     # NOR
-    sa.refresh_row(0, t_now=8)
-    sa.read_row(4, t_now=12)
-    energies = [e.energy_fj for e in sa.ledger.entries]
+    ledger = EventLedger.from_ops([
+        MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
+        MicroOp(OpKind.WRITE, (1,), bits=tuple(bits("0")), t_start_ns=1),
+        MicroOp(OpKind.LOGIC, (0,), out_row=3, t_start_ns=2),      # NOT
+        MicroOp(OpKind.LOGIC, (0, 1), out_row=4, t_start_ns=5),    # NOR
+        MicroOp(OpKind.REFRESH, (0,), t_start_ns=8),
+        MicroOp(OpKind.READ, (4,), t_start_ns=12),
+    ], TIM, 64)
+    energies = [e.energy_fj for e in ledger.entries]
     assert energies == pytest.approx(
         [E_WRITE_ROW, E_WRITE_ROW, E_NOT_ROW, E_NOR_ROW, E_REFRESH_ROW, E_READ_ROW]
     )
-    assert sa.ledger.total_energy_fj() == pytest.approx(
+    assert ledger.total_energy_fj() == pytest.approx(
         2 * E_WRITE_ROW + E_NOT_ROW + E_NOR_ROW + E_REFRESH_ROW + E_READ_ROW
     )
 
@@ -214,17 +220,18 @@ def test_ledger_requires_time_order():
 
 
 def test_ledger_csv_roundtrip(tmp_path):
-    sa = SubArray(CFG)
-    sa.write_row(0, bits("1"), t_now=0)
-    sa.exec_logic([0], 2, t_now=1)
-    sa.read_row(2, t_now=4)
+    ledger = EventLedger.from_ops([
+        MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
+        MicroOp(OpKind.LOGIC, (0,), out_row=2, t_start_ns=1),
+        MicroOp(OpKind.READ, (2,), t_start_ns=4),
+    ], TIM, 64)
     path = tmp_path / "ledger.csv"
-    sa.ledger.to_csv(path)
+    ledger.to_csv(path)
     rows = EventLedger.read_csv_rows(path)
     assert [r["op"] for r in rows] == ["WRITE", "LOGIC", "READ"]
     assert rows[1]["rows"] == "0>2"
     assert sum(r["energy_fj"] for r in rows) == pytest.approx(
-        sa.ledger.total_energy_fj()
+        ledger.total_energy_fj()
     )
     # rejects CSVs that are not ledgers
     other = tmp_path / "other.csv"
@@ -239,17 +246,20 @@ def test_trace_records_precharge_and_settle():
     sa = SubArray(CFG, trace=True)
     sa.write_row(0, bits("1"), t_now=0)
     sa.exec_logic([0], 2, t_now=1)
-    samples = {(s.time_ns, s.signal): s.value for s in sa.dump_trace(0, 10)}
+    sa.write_row(2, bits("1"), t_now=4)  # a record keeps its own copy
+    assert all(values.shape == (64,) for _, _, values in sa.trace_rows)
+    samples = {(t, row): values for t, row, values in sa.trace_rows}
     # output cell: precharged to the rail at the end of phase 1, then
     # discharged to the residual by the end of phase 2
-    assert samples[(2, "sn_r2_c0")] == CFG.vdd
-    assert samples[(4, "sn_r2_c0")] == pytest.approx(0.04504938559555649, rel=1e-12)
+    assert samples[(2, 2)][0] == CFG.vdd
+    assert samples[(4, 2)][0] == pytest.approx(0.04504938559555649, rel=1e-12)
+    assert samples[(5, 2)][0] == CFG.vdd
 
 
 def test_trace_off_is_empty():
     sa = SubArray(CFG)
     sa.write_row(0, bits("1"), t_now=0)
-    assert sa.dump_trace(0, 100) == []
+    assert sa.trace_rows is None
 
 
 def test_per_column_threshold_is_respected():
