@@ -37,7 +37,6 @@ from gcpim.montecarlo import (
     SuccessReport,
     VariationConfig,
     calibrate_variation,
-    failure_attribution,
     run_gate_campaign,
     run_gate_trials,
     sample_params,
@@ -78,7 +77,6 @@ __all__ = [
     "compile_program",
     "decay",
     "exhaustive_vectors",
-    "failure_attribution",
     "load_config",
     "lower_to_nor",
     "parse_program",

@@ -28,7 +28,7 @@ from gcpim.compiler import (
     simulate_program,
 )
 from gcpim.compiler.program import PimProgram
-from gcpim.config import RunConfig, load_config
+from gcpim.config import load_config
 from gcpim.montecarlo import (
     CalibrationError,
     SuccessReport,
@@ -230,13 +230,16 @@ def cmd_report(args) -> int:
         makespan = max(makespan, span)
         refresh_time += refresh
         n_ops += len(rows)
-    # a period must hold the refresh work, or availability turns negative
+    # a period must hold the refresh work, or availability turns negative;
+    # the default period, the longest makespan, must hold it too
     floor = max(1, refresh_time)
-    if args.period is not None and args.period < floor:
-        raise ConfigError(f"--period must be >= {floor} ns (the ledgers hold "
-                          f"{refresh_time} ns of refresh), got {args.period}")
     period = args.period if args.period is not None else makespan
-    availability = 1.0 - refresh_time / period if period > 0 else 1.0
+    if period < floor:
+        given = (f"got {args.period}" if args.period is not None
+                 else f"the default, the longest makespan, is {makespan} ns")
+        raise ConfigError(f"--period must be >= {floor} ns (the ledgers hold "
+                          f"{refresh_time} ns of refresh), {given}")
+    availability = 1.0 - refresh_time / period
     summary = {
         "files": per_file,
         "ops": n_ops,

@@ -4,9 +4,12 @@ Input vectors are laid out one per column, so a single pass evaluates up
 to 64 vectors bitwise-parallel.  Nominal mode must agree with ideal mode
 exactly.  Monte Carlo mode gives every trial its own variation draw (all
 columns of a trial share it) and scores each column against the ideal
-outputs.  Trials run in blocks, side by side on the columns of one
-array: columns never interact, so each trial computes exactly what it
-would on an array of its own.
+outputs.  Trials run in blocks of about ``BLOCK_CELLS`` cells, side by
+side on the columns of one array (``montecarlo.block_array``, shared with
+gate campaigns): columns never interact, so each trial computes exactly
+what it would on an array of its own.  Each trial still draws one full
+``program.rows x program.cols`` grid from stream ``trial_stream_base +
+trial`` and keeps only the cells the block uses.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import numpy as np
 
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
+    BLOCK_CELLS,
     CombinationResult,
     SuccessReport,
     VariationConfig,
     _adverse_threshold_mask,
     _classify_failures,
     _fast_decay_mask,
+    block_array,
     sample_params,
 )
 from gcpim.subarray import EventLedger, OpKind, SubArray
@@ -33,12 +38,6 @@ __all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
            "exhaustive_vectors", "run_program_on_array", "simulate_program"]
 
 MODES = ("ideal", "nominal", "mc")
-
-# Cells in one Monte Carlo block array (rows touched x trials x vectors);
-# a block holds at least one trial.  Peak memory grows by about 48 bytes
-# per cell: this budget runs the full adder 128 trials at a time and
-# ripple-8 on 64 vectors 4 at a time for well under 1 MB.
-BLOCK_CELLS = 8192
 
 
 class UnsoundProgramError(ValueError):
@@ -131,63 +130,42 @@ def run_program_on_array(
         padded = np.zeros(program.cols, dtype=np.uint8)
         padded[:len(v)] = v
         inputs[name] = padded[columns]
-    outputs: dict[str, np.ndarray] = {}
-    for i, op in enumerate(program.ops):
-        t = op.t_start_ns
-        if op.kind is OpKind.WRITE:
-            if op.source is not None:
-                kind, _, arg = op.source.partition(":")
-                if kind == "input":
-                    bits = inputs[arg]
-                elif kind == "const":
-                    bits = np.full(len(columns), int(arg), dtype=np.uint8)
-                else:
-                    raise ConfigError(f"unknown write source {op.source!r}")
-            else:
-                if len(op.bits) != program.cols:
-                    raise ConfigError(
-                        f"literal write carries {len(op.bits)} bits "
-                        f"for {program.cols} columns"
-                    )
-                bits = np.asarray(op.bits, dtype=np.uint8)[columns]
-            subarray.write_row(op.rows[0], bits, t)
-        elif op.kind is OpKind.READ:
-            bits = subarray.read_row(op.rows[0], t)
-            name = program.read_outputs[i] if program.read_outputs else None
-            if name is not None:
-                outputs[name] = bits
-        elif op.kind is OpKind.REFRESH:
-            subarray.refresh_row(op.rows[0], t)
-        else:
-            subarray.exec_logic(op.rows, op.out_row, t)
-    return outputs
+
+    def write_bits(op):
+        if op.source is None:
+            if len(op.bits) != program.cols:
+                raise ConfigError(
+                    f"literal write carries {len(op.bits)} bits "
+                    f"for {program.cols} columns"
+                )
+            return np.asarray(op.bits, dtype=np.uint8)[columns]
+        kind, _, arg = op.source.partition(":")
+        if kind == "input":
+            return inputs[arg]
+        if kind == "const":
+            return np.full(len(columns), int(arg), dtype=np.uint8)
+        raise ConfigError(f"unknown write source {op.source!r}")
+
+    reads = subarray.run(program.ops, write_bits)
+    names = [program.read_outputs[i] if program.read_outputs else None
+             for i, op in enumerate(program.ops) if op.kind is OpKind.READ]
+    return {name: bits for name, bits in zip(names, reads) if name is not None}
 
 
 def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
                   streams):
-    """Run MC trials side by side on one array.
+    """Run MC trials side by side on one block array.
 
-    Trial ``i`` draws from stream ``streams[i]``, keeps the first
-    ``n_rows`` rows and ``width`` columns of that full-grid draw, and owns
-    array columns ``[i*width, (i+1)*width)``.  Returns the (trials, width)
-    masks: success, a fast-decaying '1' input, and a sense threshold
-    adverse to the first wrong output.
+    Trial ``i`` draws from stream ``streams[i]`` and owns array columns
+    ``[i*width, (i+1)*width)``.  Returns the (trials, width) masks:
+    success, a fast-decaying '1' input, and a sense threshold adverse to
+    the first wrong output.
     """
     n = len(streams)
-    tau = np.empty((n_rows, n, width))
-    drive = np.empty((n_rows, n, width))
-    threshold = np.empty((n, width))
-    for i, stream in enumerate(streams):
-        sv = sample_params(var_cfg, rng_stream=stream, rows=program.rows,
+    draws = (sample_params(var_cfg, rng_stream=stream, rows=program.rows,
                            cols=program.cols, model_cfg=model)
-        tau[:, i] = sv.tau_scale[:n_rows, :width]
-        drive[:, i] = sv.drive_offset[:n_rows, :width]
-        threshold[i] = sv.sa_threshold[:width]
-    sa = SubArray(
-        model, program.timing, rows=n_rows, cols=n * width,
-        tau_scale=tau.reshape(n_rows, -1), drive_offset=drive.reshape(n_rows, -1),
-        sa_threshold=threshold.reshape(-1),
-    )
+             for stream in streams)
+    sa = block_array(model, program.timing, draws, n_rows, width)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
     # a failing column is attributed by its first wrong output
     ok = np.ones((n, width), dtype=bool)
@@ -198,8 +176,10 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
         ok &= ~bad
     input_rows = [program.assignment.input_rows[name] for name in program.inputs]
     input_bits = np.array([vectors[name] for name in program.inputs])
+    tau = sa.tau_scale.reshape(n_rows, n, width)
     fast = _fast_decay_mask(tau[input_rows], input_bits.reshape(-1, 1, width))
-    adverse = _adverse_threshold_mask(threshold, model.v_sa_read, first_bad_expected)
+    adverse = _adverse_threshold_mask(sa.sa_threshold.reshape(n, width),
+                                      model.v_sa_read, first_bad_expected)
     return ok, fast, adverse
 
 

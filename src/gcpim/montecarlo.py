@@ -12,20 +12,24 @@ Trials are batched onto sub-array columns: batch ``b`` covers trial
 indices ``[64b, 64b + 64)`` and draws all its randomness from stream
 ``b``, so every trial's draw is a pure function of (seed, trial index)
 and results do not depend on execution order or batch scheduling.
+Batches run side by side on the columns of one block array of about
+``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
+too; columns never interact, so grouping changes no result.  Each path
+keeps its own draw contract: gates draw one ``(k+1) x 64`` grid per
+batch, programs one full grid per trial.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from gcpim.charge import ConfigError, ModelConfig
-from gcpim.subarray import SubArray, TimingEnergyConfig
+from gcpim.subarray import MicroOp, OpKind, SubArray, TimingEnergyConfig
 
 __all__ = [
     "BASE_SIGMA_RATIOS",
@@ -34,10 +38,10 @@ __all__ = [
     "FailureBreakdown",
     "SampledVariation",
     "SuccessReport",
-    "TrialRecords",
     "VariationConfig",
+    "block_array",
     "calibrate_variation",
-    "failure_attribution",
+    "gate_trial_masks",
     "run_gate_campaign",
     "run_gate_trials",
     "sample_params",
@@ -55,6 +59,12 @@ DEFAULT_SEED = 314159265
 
 _BATCH_COLS = 64
 _STREAM_STRIDE = 2**32
+
+# Cells in one Monte Carlo block array; a block holds at least one trial
+# (programs) or one 64-trial batch (gates).  Peak memory grows by about 64
+# bytes per cell: this budget runs NOR2 gates 42 batches at a time and
+# the ripple-8 adder on 64 vectors 4 trials at a time for well under 1 MB.
+BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -181,27 +191,6 @@ class CombinationResult:
         }
 
 
-@dataclass
-class TrialRecords:
-    """Raw per-trial samples kept for failure attribution and diagnostics.
-
-    Arrays are indexed by trial; input-cell arrays have one column per
-    gate input.
-    """
-
-    gate: str
-    input_bits: tuple[int, ...]
-    v_sa_nominal: float
-    input_tau_scale: np.ndarray
-    input_drive_offset: np.ndarray
-    output_tau_scale: np.ndarray
-    sa_threshold: np.ndarray
-    success: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.success)
-
-
 @dataclass(eq=False)
 class SuccessReport:
     """Per-input-combination yield for one gate at one operand age."""
@@ -210,7 +199,6 @@ class SuccessReport:
     n_inputs: int
     input_age_ns: int
     combinations: dict[str, CombinationResult] = field(default_factory=dict)
-    records: dict[str, TrialRecords] = field(default_factory=dict)
 
     def worst_case(self) -> tuple[str, float]:
         bits = min(self.combinations, key=lambda k: self.combinations[k].success_rate)
@@ -297,7 +285,25 @@ def _fast_decay_mask(tau_scale_inputs: np.ndarray, input_bits) -> np.ndarray:
     return ((tau_scale_inputs < 1.0) & bits).any(axis=0)
 
 
-def run_gate_trials(
+def block_array(model: ModelConfig, timing: TimingEnergyConfig,
+                draws: Iterable[SampledVariation], n_rows: int,
+                width: int | None = None) -> SubArray:
+    """One array holding the draws side by side: draw ``i`` contributes
+    its first ``n_rows`` rows and ``width`` columns (all of them when
+    ``width`` is None), placed right of draw ``i-1``.  Only those cells
+    are copied, so a generator of full-size draws never holds more than
+    one at a time."""
+    tau, drive, threshold = [], [], []
+    for sv in draws:
+        tau.append(sv.tau_scale[:n_rows, :width].copy())
+        drive.append(sv.drive_offset[:n_rows, :width].copy())
+        threshold.append(sv.sa_threshold[:width].copy())
+    return SubArray(model, timing, rows=n_rows, cols=sum(map(len, threshold)),
+                    tau_scale=np.hstack(tau), drive_offset=np.hstack(drive),
+                    sa_threshold=np.concatenate(threshold))
+
+
+def gate_trial_masks(
     gate: str,
     input_bits: Sequence[int],
     n_trials: int,
@@ -307,13 +313,14 @@ def run_gate_trials(
     timing_cfg: TimingEnergyConfig | None = None,
     *,
     stream_base: int = 0,
-    keep_records: bool = False,
-) -> SuccessReport:
-    """Estimate the success rate of one gate on one input combination.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the trials of one gate on one input combination.
 
     Every trial writes the operand rows, lets them age so the oldest
     operand is ``input_age_ns`` old at the evaluation phase, fires the
-    gate, senses the output, and scores it against the truth table.
+    gate and senses the output.  Returns per-trial masks: success, some
+    '1' input cell decaying faster than nominal, and a sense threshold
+    shifted toward the failing side.
     """
     name, bits = _check_gate(gate, input_bits)
     if n_trials < 1:
@@ -330,75 +337,60 @@ def run_gate_trials(
     # only when the remaining writes have not finished yet)
     t_first_valid = timing.t_write_ns
     t_logic = max(k * timing.t_write_ns, t_first_valid + input_age_ns - timing.t_init_ns)
-    t_read = t_logic + timing.t_logic_ns
-    out_row = k
+    ops = [MicroOp(OpKind.WRITE, (i,), source=f"const:{b}", t_start_ns=i * timing.t_write_ns)
+           for i, b in enumerate(bits)]
+    ops += [MicroOp(OpKind.LOGIC, tuple(range(k)), out_row=k, t_start_ns=t_logic),
+            MicroOp(OpKind.READ, (k,), t_start_ns=t_logic + timing.t_logic_ns)]
 
-    successes = 0
-    breakdown_counts = np.zeros(4, dtype=np.int64)
-    rec_tau, rec_drive, rec_out_tau, rec_thr, rec_ok = [], [], [], [], []
-
-    done = 0
-    batch = 0
-    while done < n_trials:
-        cols = min(_BATCH_COLS, n_trials - done)
-        sv = sample_params(
-            var_cfg, rng_stream=stream_base + batch, rows=k + 1, cols=cols, model_cfg=model
+    n_batches = -(-n_trials // _BATCH_COLS)
+    per_block = max(1, BLOCK_CELLS // ((k + 1) * _BATCH_COLS))
+    blocks = []
+    for first in range(0, n_batches, per_block):
+        draws = (
+            sample_params(var_cfg, rng_stream=stream_base + b, rows=k + 1,
+                          cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS),
+                          model_cfg=model)
+            for b in range(first, min(first + per_block, n_batches))
         )
-        sa = SubArray(
-            model,
-            timing,
-            rows=k + 1,
-            cols=cols,
-            tau_scale=sv.tau_scale,
-            drive_offset=sv.drive_offset,
-            sa_threshold=sv.sa_threshold,
-        )
-        for i, b in enumerate(bits):
-            sa.write_row(i, np.full(cols, b, dtype=np.uint8), t_now=i * timing.t_write_ns)
-        sa.exec_logic(range(k), out_row, t_logic)
-        out = sa.read_row(out_row, t_read)
+        sa = block_array(model, timing, draws, k + 1)
+        (out,) = sa.run(ops, lambda op: np.full(
+            sa.cols, int(op.source.partition(":")[2]), dtype=np.uint8))
+        blocks.append((out == expected,
+                       _fast_decay_mask(sa.tau_scale[:k], bits),
+                       _adverse_threshold_mask(sa.sa_threshold, model.v_sa_read, expected)))
+    return tuple(np.concatenate(masks) for masks in zip(*blocks))
 
-        ok = out == expected
-        successes += int(np.sum(ok))
-        fast = _fast_decay_mask(sv.tau_scale[:k], bits)
-        adverse = _adverse_threshold_mask(sv.sa_threshold, model.v_sa_read, expected)
-        b4 = _classify_failures(~ok, fast, adverse)
-        breakdown_counts += (b4.decay_only, b4.threshold_only, b4.both, b4.other)
 
-        if keep_records:
-            rec_tau.append(sv.tau_scale[:k].T.copy())
-            rec_drive.append(sv.drive_offset[:k].T.copy())
-            rec_out_tau.append(sv.tau_scale[out_row].copy())
-            rec_thr.append(sv.sa_threshold.copy())
-            rec_ok.append(ok.copy())
-
-        done += cols
-        batch += 1
-
+def run_gate_trials(
+    gate: str,
+    input_bits: Sequence[int],
+    n_trials: int,
+    input_age_ns: int,
+    var_cfg: VariationConfig,
+    model_cfg: ModelConfig | None = None,
+    timing_cfg: TimingEnergyConfig | None = None,
+    *,
+    stream_base: int = 0,
+) -> SuccessReport:
+    """Estimate the success rate of one gate on one input combination
+    (see ``gate_trial_masks``), scored against the truth table."""
+    name, bits = _check_gate(gate, input_bits)
+    ok, fast, adverse = gate_trial_masks(
+        name, bits, n_trials, input_age_ns, var_cfg, model_cfg, timing_cfg,
+        stream_base=stream_base,
+    )
     combo = CombinationResult(
         input_bits=bits,
         trials=n_trials,
-        successes=successes,
-        breakdown=FailureBreakdown(*(int(c) for c in breakdown_counts)),
+        successes=int(ok.sum()),
+        breakdown=_classify_failures(~ok, fast, adverse),
     )
-    report = SuccessReport(
+    return SuccessReport(
         gate=name,
-        n_inputs=k,
+        n_inputs=len(bits),
         input_age_ns=int(input_age_ns),
         combinations={combo.bits_str: combo},
     )
-    if keep_records:
-        report.records[combo.bits_str] = TrialRecords(
-            gate=name,
-            input_bits=bits,
-            v_sa_nominal=model.v_sa_read,
-            input_tau_scale=np.concatenate(rec_tau, axis=0),
-            input_drive_offset=np.concatenate(rec_drive, axis=0),
-            output_tau_scale=np.concatenate(rec_out_tau),
-            sa_threshold=np.concatenate(rec_thr),
-            success=np.concatenate(rec_ok),
-        )
-    return report
 
 
 def run_gate_campaign(
@@ -409,8 +401,6 @@ def run_gate_campaign(
     var_cfg: VariationConfig,
     model_cfg: ModelConfig | None = None,
     timing_cfg: TimingEnergyConfig | None = None,
-    *,
-    keep_records: bool = False,
 ) -> SuccessReport:
     """Run every input combination of a gate; one report, 2^n entries.
 
@@ -418,6 +408,8 @@ def run_gate_campaign(
     for a combination match a standalone run_gate_trials call with
     stream_base = combination_index * 2^32.
     """
+    if n_inputs < 1:
+        raise ConfigError(f"gate arity must be >= 1, got {n_inputs}")
     if gate.upper() == "NOT" and n_inputs != 1:
         raise ConfigError("NOT takes exactly one input")
     report = SuccessReport(gate=gate.upper(), n_inputs=n_inputs, input_age_ns=int(input_age_ns))
@@ -425,24 +417,10 @@ def run_gate_campaign(
         bits = tuple((c >> (n_inputs - 1 - i)) & 1 for i in range(n_inputs))
         one = run_gate_trials(
             gate, bits, n_trials, input_age_ns, var_cfg, model_cfg, timing_cfg,
-            stream_base=c * _STREAM_STRIDE, keep_records=keep_records,
+            stream_base=c * _STREAM_STRIDE,
         )
         report.combinations.update(one.combinations)
-        report.records.update(one.records)
     return report
-
-
-def failure_attribution(records: TrialRecords) -> FailureBreakdown:
-    """Classify recorded failures by the adverse factors present.
-
-    Uses only the sampled parameters, independently of the counters kept
-    while the trials ran, so it doubles as a consistency check.
-    """
-    expected = _expected_bit(records.gate, records.input_bits)
-    fail = ~records.success.astype(bool)
-    fast = _fast_decay_mask(records.input_tau_scale.T, records.input_bits)
-    adverse = _adverse_threshold_mask(records.sa_threshold, records.v_sa_nominal, expected)
-    return _classify_failures(fail, fast, adverse)
 
 
 class CalibrationError(RuntimeError):

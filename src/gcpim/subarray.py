@@ -8,6 +8,8 @@ single-pole decay law.  Per-cell variation (tau multiplier, drive offset)
 and per-column sense thresholds are plain numpy grids so one operation
 evaluates all 64 columns at once.
 
+``SubArray.run`` executes a list of timestamped micro-ops; nominal runs,
+program Monte Carlo and gate campaigns all drive the array through it.
 Op time and energy depend on the op list and the active columns, never
 on the cells, so a run's ledger is built from its timestamped ops with
 ``EventLedger.from_ops``.  With tracing on, the array records one
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -374,6 +376,23 @@ class SubArray:
             self.refresh_row(row, t)
             t += self.timing.t_refresh_ns
         return t - t_now
+
+    def run(self, ops: Iterable[MicroOp],
+            write_bits: Callable[[MicroOp], np.ndarray]) -> list[np.ndarray]:
+        """Execute timestamped ops in order; each WRITE stores
+        ``write_bits(op)``.  Returns each READ's sensed bits, in op order."""
+        reads = []
+        for op in ops:
+            t = op.t_start_ns
+            if op.kind is OpKind.WRITE:
+                self.write_row(op.rows[0], write_bits(op), t)
+            elif op.kind is OpKind.READ:
+                reads.append(self.read_row(op.rows[0], t))
+            elif op.kind is OpKind.REFRESH:
+                self.refresh_row(op.rows[0], t)
+            else:
+                self.exec_logic(op.rows, op.out_row, t)
+        return reads
 
     def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int) -> None:
         """Two-phase stateful gate: NOT for one input row, NOR for several.

@@ -315,6 +315,13 @@ def test_report_period_must_be_positive(adder, tmp_path, capsys):
     assert main(["report", str(refreshing), "--period", "12"]) == 0
     assert "availability over 12 ns: 0.00%" in capsys.readouterr().out
 
+    # so must the default period, the longest makespan (12 ns here): two
+    # copies hold 24 ns of refresh, one copy fits exactly
+    assert main(["report", str(refreshing), str(refreshing)]) == 2
+    assert "--period must be >= 24 ns" in capsys.readouterr().err
+    assert main(["report", str(refreshing)]) == 0
+    assert "availability over 12 ns: 0.00%" in capsys.readouterr().out
+
 
 def test_cli_exit_codes(adder, tmp_path, capsys):
     src, inputs = adder
@@ -333,6 +340,11 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     notjson.write_text("not json")
     assert main(["run", str(notjson), "--inputs", str(inputs)]) == 5
     capsys.readouterr()
+
+    # a gate arity below 1 is a usage error, not a traceback
+    assert main(["mc", "--gate", "NOR", "--arity", "-1",
+                 "--out", str(tmp_path / "m")]) == 2
+    assert "gate arity must be >= 1" in capsys.readouterr().err
 
     # a program file that lacks a section or holds a wrong-typed field is
     # malformed (5) and says so; no traceback

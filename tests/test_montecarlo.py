@@ -14,17 +14,18 @@ from scipy import stats
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
     BASE_SIGMA_RATIOS,
+    BLOCK_CELLS,
     DEFAULT_SEED,
     CalibrationError,
     FailureBreakdown,
     VariationConfig,
     calibrate_variation,
-    failure_attribution,
+    gate_trial_masks,
     run_gate_campaign,
     run_gate_trials,
     sample_params,
 )
-from gcpim.subarray import SubArray
+from gcpim.subarray import SubArray, TimingEnergyConfig
 
 CFG = ModelConfig()
 VAR = VariationConfig()
@@ -101,19 +102,15 @@ def test_zero_variation_always_succeeds():
 
 def test_trials_are_prefix_stable():
     # growing the trial count re-runs the same leading batches
-    short = run_gate_trials("NOT", (1,), 64, 5000, VAR, CFG, keep_records=True)
-    long = run_gate_trials("NOT", (1,), 192, 5000, VAR, CFG, keep_records=True)
-    s = short.records["1"].success
-    l = long.records["1"].success
+    s, _, _ = gate_trial_masks("NOT", (1,), 64, 5000, VAR, CFG)
+    l, _, _ = gate_trial_masks("NOT", (1,), 192, 5000, VAR, CFG)
     np.testing.assert_array_equal(s, l[: s.size])
 
 
 def test_age_degrades_each_trial_monotonically():
     # common random numbers: a trial that fails young cannot pass old
-    young = run_gate_trials("NOT", (1,), 2048, 1000, VAR, CFG, keep_records=True)
-    old = run_gate_trials("NOT", (1,), 2048, 5000, VAR, CFG, keep_records=True)
-    sy = young.records["1"].success.astype(bool)
-    so = old.records["1"].success.astype(bool)
+    sy, _, _ = gate_trial_masks("NOT", (1,), 2048, 1000, VAR, CFG)
+    so, _, _ = gate_trial_masks("NOT", (1,), 2048, 5000, VAR, CFG)
     assert not np.any(so & ~sy)
     assert so.sum() <= sy.sum()
 
@@ -157,11 +154,57 @@ def test_campaign_covers_every_combination():
 
 
 def test_attribution_matches_inline_counters():
-    rep = run_gate_trials("NOT", (1,), 4096, 5000, VAR, CFG, keep_records=True)
+    # the buckets recomputed from the raw draws, apart from the engine:
+    # batch b holds trials [64b, 64b + 64) and draws from stream b.  NOT
+    # of a stored '1' must sense 0, so a low threshold is the adverse one
+    rep = run_gate_trials("NOT", (1,), 4096, 5000, VAR, CFG)
     combo = rep.combinations["1"]
-    recomputed = failure_attribution(rep.records["1"])
-    assert recomputed.to_dict() == combo.breakdown.to_dict()
+    ok, _, _ = gate_trial_masks("NOT", (1,), 4096, 5000, VAR, CFG)
+    assert combo.successes == ok.sum()
+    draws = [sample_params(VAR, rng_stream=b, rows=2, cols=64) for b in range(64)]
+    fast = np.concatenate([sv.tau_scale[0] < 1.0 for sv in draws])
+    adverse = np.concatenate([sv.sa_threshold < CFG.v_sa_read for sv in draws])
+    fail = ~ok
+    recomputed = {
+        "decay_only": int(np.sum(fail & fast & ~adverse)),
+        "threshold_only": int(np.sum(fail & ~fast & adverse)),
+        "both": int(np.sum(fail & fast & adverse)),
+        "other": int(np.sum(fail & ~fast & ~adverse)),
+    }
+    assert recomputed == combo.breakdown.to_dict()
     assert combo.successes + combo.breakdown.total == combo.trials
+
+
+@pytest.mark.parametrize("gate,bits_", [("NOR", (0, 1, 0)), ("NOT", (1,))])
+def test_block_grouping_matches_per_batch_reference(gate, bits_):
+    # one full block of 64-trial batches plus a 37-trial tail, against one
+    # (k+1) x cols array per batch driven op by op
+    var = VAR.scaled(2.0)
+    tim = TimingEnergyConfig()
+    k = len(bits_)
+    n_trials = BLOCK_CELLS // ((k + 1) * 64) * 64 + 37
+    expected = int(not any(bits_))
+    t_logic = max(k * tim.t_write_ns, tim.t_write_ns + 5000 - tim.t_init_ns)
+    ok_ref, fast_ref, adverse_ref = [], [], []
+    for b in range(-(-n_trials // 64)):
+        cols = min(64, n_trials - 64 * b)
+        sv = sample_params(var, rng_stream=7 + b, rows=k + 1, cols=cols)
+        sa = SubArray(CFG, tim, rows=k + 1, cols=cols, tau_scale=sv.tau_scale,
+                      drive_offset=sv.drive_offset, sa_threshold=sv.sa_threshold)
+        for i, bit in enumerate(bits_):
+            sa.write_row(i, np.full(cols, bit, dtype=np.uint8), t_now=i * tim.t_write_ns)
+        sa.exec_logic(range(k), k, t_logic)
+        ok_ref.append(sa.read_row(k, t_logic + tim.t_logic_ns) == expected)
+        fast_ref.append(((sv.tau_scale[:k] < 1.0)
+                         & np.array(bits_, dtype=bool)[:, None]).any(axis=0))
+        adverse_ref.append(sv.sa_threshold < CFG.v_sa_read if expected == 0
+                           else sv.sa_threshold > CFG.v_sa_read)
+    ok, fast, adverse = gate_trial_masks(gate, bits_, n_trials, 5000, var, CFG,
+                                         stream_base=7)
+    np.testing.assert_array_equal(ok, np.concatenate(ok_ref))
+    np.testing.assert_array_equal(fast, np.concatenate(fast_ref))
+    np.testing.assert_array_equal(adverse, np.concatenate(adverse_ref))
+    assert 0 < np.sum(~ok) < n_trials
 
 
 def test_attribution_direction_forced_failure():
