@@ -139,16 +139,8 @@ class ModelConfig:
 
     def calibrated(self) -> "ModelConfig":
         """Return a copy with ``tau_ns`` re-derived from the voltage levels."""
-        tau = calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns)
-        return ModelConfig(
-            vdd=self.vdd,
-            v_sa_read=self.v_sa_read,
-            v_t_drive=self.v_t_drive,
-            v_residual_floor=self.v_residual_floor,
-            drt_read_ns=self.drt_read_ns,
-            drt_logic_ns=self.drt_logic_ns,
-            tau_ns=tau,
-        )
+        return dataclasses.replace(
+            self, tau_ns=calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 A compiled program is a straight-line, back-to-back sequence of micro-ops
 for one sub-array: constant writes, operand writes, one LOGIC op per
 netlist gate in topological order, and one READ per program output.
+Each LOGIC op carries the netlist ``node`` it computes and each READ the
+``output`` it senses, so the op list alone is the program.
 Refresh insertion then walks the timed sequence and splices REFRESH ops
 in front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
@@ -80,8 +82,6 @@ class PimProgram:
     drt_read_ns: int
     rows: int
     cols: int
-    logic_nodes: tuple = ()   # per op: netlist node id for LOGIC ops, else None
-    read_outputs: tuple = ()  # per op: output name for output READ ops, else None
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -126,19 +126,14 @@ class PimProgram:
 
     def to_json_dict(self) -> dict:
         ops = []
-        for i, op in enumerate(self.ops):
+        for op in self.ops:
             entry: dict = {"op": op.kind.value, "rows": list(op.rows),
                            "t_start_ns": op.t_start_ns}
-            if op.out_row is not None:
-                entry["out_row"] = op.out_row
             if op.bits is not None:
                 entry["bits"] = list(op.bits)
-            if op.source is not None:
-                entry["source"] = op.source
-            if self.logic_nodes and self.logic_nodes[i] is not None:
-                entry["node"] = self.logic_nodes[i]
-            if self.read_outputs and self.read_outputs[i] is not None:
-                entry["output"] = self.read_outputs[i]
+            for key in ("out_row", "source", "node", "output"):
+                if getattr(op, key) is not None:
+                    entry[key] = getattr(op, key)
             ops.append(entry)
         a = self.assignment
         return {
@@ -188,22 +183,21 @@ class PimProgram:
                 peak_live=int(ra["peak_live"]),
                 rows_available=int(ra["rows_available"]),
             )
-            ops, logic_nodes, read_outputs = [], [], []
-            for entry in data["ops"]:
-                ops.append(
-                    MicroOp(
-                        kind=OpKind(entry["op"]),
-                        rows=tuple(entry["rows"]),
-                        out_row=entry.get("out_row"),
-                        bits=tuple(entry["bits"]) if "bits" in entry else None,
-                        source=entry.get("source"),
-                        t_start_ns=int(entry["t_start_ns"]),
-                    )
+            ops = tuple(
+                MicroOp(
+                    kind=OpKind(entry["op"]),
+                    rows=tuple(entry["rows"]),
+                    out_row=entry.get("out_row"),
+                    bits=tuple(entry["bits"]) if "bits" in entry else None,
+                    source=entry.get("source"),
+                    t_start_ns=int(entry["t_start_ns"]),
+                    node=entry.get("node"),
+                    output=entry.get("output"),
                 )
-                logic_nodes.append(entry.get("node"))
-                read_outputs.append(entry.get("output"))
+                for entry in data["ops"]
+            )
             return PimProgram(
-                ops=tuple(ops),
+                ops=ops,
                 netlist=netlist,
                 assignment=assignment,
                 timing=timing,
@@ -211,8 +205,6 @@ class PimProgram:
                 drt_read_ns=int(data["drt_read_ns"]),
                 rows=int(data["rows"]),
                 cols=int(data["cols"]),
-                logic_nodes=tuple(logic_nodes),
-                read_outputs=tuple(read_outputs),
             )
         except KeyError as exc:
             raise ValueError(f"program file lacks the {exc} key") from exc
@@ -227,39 +219,28 @@ class PimProgram:
 
 def emit_ops(
     netlist: NorNetlist, assignment: RowAssignment, timing: TimingEnergyConfig
-) -> tuple[list[MicroOp], list, list]:
-    """Untimed op sequence: constants, operands, gates, output reads."""
-    ops: list[MicroOp] = []
-    logic_nodes: list = []
-    read_outputs: list = []
-
-    def push(op: MicroOp, node=None, output=None) -> None:
-        ops.append(op)
-        logic_nodes.append(node)
-        read_outputs.append(output)
-
-    for value in sorted(assignment.const_rows):
-        push(MicroOp(OpKind.WRITE, (assignment.const_rows[value],),
-                     source=f"const:{value}"))
-    for name in netlist.inputs:
-        push(MicroOp(OpKind.WRITE, (assignment.input_rows[name],),
-                     source=f"input:{name}"))
-    for nid in netlist.gate_ids():
-        node = netlist.nodes[nid]
-        in_rows = tuple(assignment.row_of[a] for a in node.args)
-        push(MicroOp(OpKind.LOGIC, in_rows, out_row=assignment.row_of[nid]),
-             node=nid)
-    for name, nid in netlist.outputs:
-        push(MicroOp(OpKind.READ, (assignment.row_of[nid],)), output=name)
-    return ops, logic_nodes, read_outputs
-
-
-def with_timestamps(
-    ops: list[MicroOp], timing: TimingEnergyConfig, t_start: int = 0
 ) -> list[MicroOp]:
-    """Back-to-back schedule: each op starts when the previous one ends."""
+    """Untimed op sequence: constants, operands, gates, output reads."""
+    ops = [MicroOp(OpKind.WRITE, (assignment.const_rows[value],),
+                   source=f"const:{value}")
+           for value in sorted(assignment.const_rows)]
+    ops += [MicroOp(OpKind.WRITE, (assignment.input_rows[name],),
+                    source=f"input:{name}")
+            for name in netlist.inputs]
+    for nid in netlist.gate_ids():
+        in_rows = tuple(assignment.row_of[a] for a in netlist.nodes[nid].args)
+        ops.append(MicroOp(OpKind.LOGIC, in_rows, out_row=assignment.row_of[nid],
+                           node=nid))
+    ops += [MicroOp(OpKind.READ, (assignment.row_of[nid],), output=name)
+            for name, nid in netlist.outputs]
+    return ops
+
+
+def with_timestamps(ops: list[MicroOp], timing: TimingEnergyConfig) -> list[MicroOp]:
+    """Back-to-back schedule from t=0: each op starts when the previous
+    one ends."""
     out = []
-    t = t_start
+    t = 0
     for op in ops:
         out.append(replace(op, t_start_ns=t))
         t += timing.duration_ns(op.kind)
@@ -304,15 +285,16 @@ def retention_ages(ops, timing: TimingEnergyConfig):
         commit(op, op.t_start_ns)
 
 
-def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "PimProgram":
-    """Splice in the refreshes needed to honor the retention budgets.
+def insert_refresh(program: "PimProgram") -> "PimProgram":
+    """Splice in the refreshes needed to honor the program's retention
+    budgets.
 
     Every consumed value must be at most drt_logic_ns old at its
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
     Timestamps are recomputed; the result is a new program.
     """
-    budget = program.drt_logic_ns if drt_logic_ns is None else drt_logic_ns
+    budget = program.drt_logic_ns
     drt_read = program.drt_read_ns
     timing = program.timing
 
@@ -341,8 +323,6 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
         return d >= len(defs) or uses[j] < defs[d]
 
     new_ops: list[MicroOp] = []
-    new_nodes: list = []
-    new_reads: list = []
     t = 0
     ages = _RowAges(timing)
     t_valid = ages.t_valid
@@ -357,8 +337,6 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
                 f"refresh would sense garbage (limit {drt_read}ns)"
             )
         new_ops.append(op)
-        new_nodes.append(None)
-        new_reads.append(None)
         ages.commit(op, t)
         t += timing.t_refresh_ns
 
@@ -380,37 +358,30 @@ def insert_refresh(program: "PimProgram", drt_logic_ns: int | None = None) -> "P
                 break
             emit_refresh(candidates[0])
         new_ops.append(replace(op, t_start_ns=t))
-        new_nodes.append(program.logic_nodes[i] if program.logic_nodes else None)
-        new_reads.append(program.read_outputs[i] if program.read_outputs else None)
         ages.commit(op, t)
         t += dur
 
-    return replace(
-        program,
-        ops=tuple(new_ops),
-        logic_nodes=tuple(new_nodes),
-        read_outputs=tuple(new_reads),
-    )
+    return replace(program, ops=tuple(new_ops))
 
 
 @dataclass(frozen=True)
 class AuditViolation:
     op_index: int
     t_ns: int
-    row: int
+    row: int | None
     kind: str
     message: str
 
 
-def audit_refresh_safety(program: PimProgram, drt_logic_ns: int | None = None,
-                         drt_read_ns: int | None = None) -> list[AuditViolation]:
+def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
     """Every stale or unwritten sense in the retention_ages replay.
 
-    Checks both budgets: consumed values must be within the logic window,
-    and refreshes must sense values still within the read window.
+    Checks both of the program's budgets: consumed values must be within
+    the logic window, and refreshes must sense values still within the
+    read window.
     """
-    budget = program.drt_logic_ns if drt_logic_ns is None else drt_logic_ns
-    drt_read = program.drt_read_ns if drt_read_ns is None else drt_read_ns
+    budget = program.drt_logic_ns
+    drt_read = program.drt_read_ns
     violations: list[AuditViolation] = []
     for i, op, row, t, age in retention_ages(program.ops, program.timing):
         refresh = op.kind is OpKind.REFRESH
@@ -432,50 +403,57 @@ def audit_refresh_safety(program: PimProgram, drt_logic_ns: int | None = None,
 
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Symbolic replay of row contents: every consumed row must hold
-    exactly the netlist value the op was compiled against."""
+    exactly the netlist value the op was compiled against, and every
+    program output must be read.  Rows outside the array and names the
+    netlist lacks (gate node, output, input, constant) are violations
+    too, so a malformed file is caught before any array is built."""
     netlist = program.netlist
-    input_ids = {
-        n.name: i for i, n in enumerate(netlist.nodes) if n.op == "input"
-    }
-    const_ids = {
-        n.value: i for i, n in enumerate(netlist.nodes) if n.op == "const"
-    }
-    contents: dict[int, int] = {}  # row -> node id
+    sources = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
+               for i, n in enumerate(netlist.nodes) if n.op != "nor"}
+    gates = set(netlist.gate_ids())
+    output_map = netlist.output_map
+    unread = set(output_map)
+    contents: dict[int, int | None] = {}  # row -> node id, None if anonymous
     violations: list[AuditViolation] = []
 
-    def check(i: int, op: MicroOp, row: int, expected: int) -> None:
-        found = contents.get(row)
-        if found != expected:
-            violations.append(AuditViolation(
-                i, op.t_start_ns, row, "clobbered",
-                f"row {row} holds node {found}, expected node {expected}"))
+    def flag(i: int, op: MicroOp, row, kind: str, message: str) -> None:
+        violations.append(AuditViolation(i, op.t_start_ns, row, kind, message))
 
     for i, op in enumerate(program.ops):
+        for row in (*op.rows, op.out_row):
+            if row is not None and not 0 <= row < program.rows:
+                flag(i, op, row, "outside-array",
+                     f"row {row} is outside the {program.rows}-row array")
         if op.kind is OpKind.WRITE:
-            row = op.rows[0]
-            if op.source and op.source.startswith("input:"):
-                contents[row] = input_ids[op.source.split(":", 1)[1]]
-            elif op.source and op.source.startswith("const:"):
-                contents[row] = const_ids[int(op.source.split(":", 1)[1])]
-            else:
-                contents.pop(row, None)  # literal data: no netlist identity
+            if op.source is not None and op.source not in sources:
+                flag(i, op, op.rows[0], "unknown-name",
+                     f"write of unknown source {op.source!r}")
+            contents[op.rows[0]] = sources.get(op.source)
         elif op.kind is OpKind.LOGIC:
-            nid = program.logic_nodes[i] if program.logic_nodes else None
-            if nid is not None:
+            nid = op.node
+            if nid is not None and nid not in gates:
+                flag(i, op, op.out_row, "unknown-name",
+                     f"LOGIC computes node {nid!r}, not a gate of the netlist")
+            elif nid is not None:
                 expected_args = set(netlist.nodes[nid].args)
                 found_args = {contents.get(r) for r in op.rows}
                 if found_args != expected_args:
-                    violations.append(AuditViolation(
-                        i, op.t_start_ns, op.out_row, "clobbered",
-                        f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
-                        f"expected nodes {sorted(expected_args)}"))
-                contents[op.out_row] = nid
-            else:
-                contents.pop(op.out_row, None)
-        elif op.kind is OpKind.READ:
-            name = program.read_outputs[i] if program.read_outputs else None
-            if name is not None:
-                check(i, op, op.rows[0], netlist.output_map[name])
+                    flag(i, op, op.out_row, "clobbered",
+                         f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
+                         f"expected nodes {sorted(expected_args)}")
+            contents[op.out_row] = nid
+        elif op.kind is OpKind.READ and op.output is not None:
+            row, expected = op.rows[0], output_map.get(op.output)
+            if expected is None:
+                flag(i, op, row, "unknown-name",
+                     f"READ senses output {op.output!r}, not an output of the netlist")
+            elif contents.get(row) != expected:
+                flag(i, op, row, "clobbered",
+                     f"row {row} holds node {contents.get(row)}, expected node {expected}")
+            unread.discard(op.output)
+    for name in sorted(unread):
+        violations.append(AuditViolation(len(program.ops), program.duration_ns, None,
+                                         "unread-output", f"output {name!r} is never read"))
     return violations
 
 
@@ -509,7 +487,7 @@ def compile_program(
             f"assignment uses row {max(used_rows)} outside the {cfg.rows}-row array"
         )
 
-    ops, logic_nodes, read_outputs = emit_ops(netlist, assignment, timing)
+    ops = emit_ops(netlist, assignment, timing)
     program = PimProgram(
         ops=tuple(with_timestamps(ops, timing)),
         netlist=netlist,
@@ -519,8 +497,6 @@ def compile_program(
         drt_read_ns=model.drt_read_ns,
         rows=cfg.rows,
         cols=cfg.cols,
-        logic_nodes=tuple(logic_nodes),
-        read_outputs=tuple(read_outputs),
     )
     if cfg.insert_refreshes:
         program = insert_refresh(program)

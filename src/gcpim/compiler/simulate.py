@@ -7,9 +7,15 @@ columns of a trial share it) and scores each column against the ideal
 outputs.  Trials run in blocks of about ``BLOCK_CELLS`` cells, side by
 side on the columns of one array (``montecarlo.block_array``, shared with
 gate campaigns): columns never interact, so each trial computes exactly
-what it would on an array of its own.  Each trial still draws one full
-``program.rows x program.cols`` grid from stream ``trial_stream_base +
-trial`` and keeps only the cells the block uses.
+what it would on an array of its own.  Trial ``i`` still draws one full
+``program.rows x program.cols`` grid from stream ``i`` and keeps only the
+cells the block uses.
+
+Every mode first runs the soundness audit, which replays the ops'
+``node``/``output`` names against the netlist; nominal and MC runs also
+run the retention audit.  A program that fails either is never executed:
+run an unrefreshed program's ops with ``run_program_on_array`` to see
+what the array computes.
 """
 
 from __future__ import annotations
@@ -147,8 +153,7 @@ def run_program_on_array(
         raise ConfigError(f"unknown write source {op.source!r}")
 
     reads = subarray.run(program.ops, write_bits)
-    names = [program.read_outputs[i] if program.read_outputs else None
-             for i, op in enumerate(program.ops) if op.kind is OpKind.READ]
+    names = [op.output for op in program.ops if op.kind is OpKind.READ]
     return {name: bits for name, bits in zip(names, reads) if name is not None}
 
 
@@ -191,9 +196,7 @@ def simulate_program(
     var_cfg: VariationConfig | None = None,
     *,
     n_trials: int = 1000,
-    trial_stream_base: int = 0,
     trace: bool = False,
-    enforce_freshness: bool = True,
 ) -> SimulationResult:
     """Run a compiled program over the given input vectors.
 
@@ -211,14 +214,11 @@ def simulate_program(
     model = model_cfg or ModelConfig()
     vectors, width = _normalize_vectors(program, input_vectors)
 
-    clobbered = audit_row_soundness(program)
-    if clobbered:
-        raise UnsoundProgramError(
-            f"program is unsound: {clobbered[0].message} "
-            f"(+{len(clobbered) - 1} more)" if len(clobbered) > 1
-            else f"program is unsound: {clobbered[0].message}"
-        )
-    if enforce_freshness and mode != "ideal":
+    unsound = audit_row_soundness(program)
+    if unsound:
+        more = f" (+{len(unsound) - 1} more)" if len(unsound) > 1 else ""
+        raise UnsoundProgramError(f"program is unsound: {unsound[0].message}{more}")
+    if mode != "ideal":
         stale = audit_refresh_safety(program)
         if stale:
             raise RetentionViolationError(
@@ -265,7 +265,7 @@ def simulate_program(
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
     per_block = max(1, BLOCK_CELLS // (n_rows * width))
-    streams = range(trial_stream_base, trial_stream_base + n_trials)
+    streams = range(n_trials)
     blocks = [
         _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
                       streams[first:first + per_block])

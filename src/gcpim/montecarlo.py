@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,12 +90,9 @@ class VariationConfig:
             raise ConfigError("seed must fit in 64 bits")
 
     def scaled(self, factor: float) -> "VariationConfig":
-        return VariationConfig(
-            sigma_tau=self.sigma_tau * factor,
-            sigma_sa=self.sigma_sa * factor,
-            sigma_drive=self.sigma_drive * factor,
-            seed=self.seed,
-        )
+        return replace(self, sigma_tau=self.sigma_tau * factor,
+                       sigma_sa=self.sigma_sa * factor,
+                       sigma_drive=self.sigma_drive * factor)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,10 @@ class MicroOp:
     ``rows`` is the written/read/refreshed row for WRITE/READ/REFRESH, or the
     input rows for LOGIC (``out_row`` then names the destination).  WRITE
     carries either literal ``bits`` or a ``source`` binding ("input:<name>",
-    "const:0", "const:1") resolved when the program runs.
+    "const:0", "const:1") resolved when the program runs.  A compiled op
+    also says what it means to the netlist: a LOGIC op the ``node`` it
+    computes, a READ the program ``output`` it senses.  Ops without them
+    are anonymous; the soundness audit does not track their values.
     """
 
     kind: OpKind
@@ -66,6 +69,8 @@ class MicroOp:
     bits: tuple[int, ...] | None = None
     source: str | None = None
     t_start_ns: int = 0
+    node: int | None = None
+    output: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.rows) == 0:
@@ -92,6 +97,10 @@ class MicroOp:
                 raise ValueError("WRITE needs exactly one of bits or source")
         elif self.bits is not None or self.source is not None:
             raise ValueError(f"{self.kind.value} op carries no data")
+        if self.node is not None and self.kind is not OpKind.LOGIC:
+            raise ValueError(f"{self.kind.value} op computes no node")
+        if self.output is not None and self.kind is not OpKind.READ:
+            raise ValueError(f"{self.kind.value} op senses no output")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ side effects are checked without spawning interpreters.
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError
 from gcpim.cli import main
+from gcpim.compiler import compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
 from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
 
@@ -362,6 +367,82 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
         assert main(["run", str(bad_prog), "--inputs", str(inputs),
                      "--out", str(tmp_path / "bad_out")]) == 5
         assert message in capsys.readouterr().err
+
+    # a name the netlist lacks, or a row past the array, is malformed (5);
+    # the soundness audit names it before any array is built
+    anded = tmp_path / "and.txt"
+    anded.write_text("out = a & b;\n")
+    compiled = tmp_path / "and.json"
+    assert main(["compile", str(anded), "-o", str(compiled)]) == 0
+    and_inputs = tmp_path / "ab.csv"
+    and_inputs.write_text("a,b\n0,1\n1,1\n")
+
+    def first(data, kind):
+        return next(op for op in data["ops"] if op["op"] == kind)
+
+    def shifted(data):  # rows 64-68 of a 64-row program
+        for op in data["ops"]:
+            op["rows"] = [r + 64 for r in op["rows"]]
+            if "out_row" in op:
+                op["out_row"] += 64
+
+    for edit, message, modes in (
+        (lambda d: first(d, "LOGIC").update(node=999), "node 999", ["nominal"]),
+        (lambda d: first(d, "LOGIC").update(node=-1), "node -1", ["nominal"]),
+        (lambda d: first(d, "READ").update(output="zz"), "output 'zz'", ["nominal"]),
+        (lambda d: first(d, "READ").pop("output"), "output 'out' is never read",
+         ["nominal"]),
+        (lambda d: first(d, "WRITE").update(source="input:zz"), "'input:zz'",
+         ["nominal"]),
+        (lambda d: first(d, "WRITE").update(source="const:7"), "'const:7'",
+         ["nominal"]),
+        (shifted, "row 64 is outside the 64-row array", ["nominal", "mc"]),
+    ):
+        data = json.loads(compiled.read_text())
+        edit(data)
+        bad_prog.write_text(json.dumps(data))
+        for mode in modes:
+            capsys.readouterr()
+            assert main(["run", str(bad_prog), "--inputs", str(and_inputs),
+                         "--mode", mode, "--trials", "4",
+                         "--out", str(tmp_path / "bad_out")]) == 5, (message, mode)
+            err = capsys.readouterr().err
+            assert "gcpim: malformed program:" in err and message in err
+
+
+# the README's exit-code table
+README_EXIT_CODES = {0, 1, 2, 3, 4, 5}
+
+# a constant write, three input writes, gates and two named reads
+EDITED_PROGRAM = compile_program("s = a ^ cin;\nc = (a & b) | (cin & 1);").to_json_dict()
+
+OP_FIELD_VALUES = {
+    "node": st.none() | st.integers(-3, 40),
+    "output": st.none() | st.sampled_from(["s", "c", "zz"]) | st.text(max_size=4),
+    "source": st.none() | st.text(max_size=8) | st.sampled_from(
+        ["input:a", "input:zz", "const:0", "const:1", "const:7", "const:x"]),
+    "rows": st.none() | st.lists(st.integers(-2, 80), max_size=3),
+    "out_row": st.none() | st.integers(-2, 80),
+    "t_start_ns": st.none() | st.integers(-20, 10**6),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=st.integers(0, len(EDITED_PROGRAM["ops"]) - 1),
+       edit=st.sampled_from(sorted(OP_FIELD_VALUES)).flatmap(
+           lambda key: st.tuples(st.just(key), OP_FIELD_VALUES[key])))
+def test_an_edited_op_field_gives_a_documented_exit_code(index, edit):
+    # any one op field replaced by a value of a plausible type: `run`
+    # either runs or fails with a documented code, never a traceback
+    key, value = edit
+    data = json.loads(json.dumps(EDITED_PROGRAM))
+    data["ops"][index][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        prog, inputs = Path(tmp) / "prog.json", Path(tmp) / "in.csv"
+        prog.write_text(json.dumps(data))
+        inputs.write_text("a,cin,b\n0,1,1\n1,1,0\n")
+        assert main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
+                     "--out", str(Path(tmp) / "out")]) in README_EXIT_CODES
 
 
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):

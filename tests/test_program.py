@@ -101,8 +101,8 @@ def test_with_timestamps_offsets():
     ops = [MicroOp(OpKind.WRITE, (0,), bits=(1,) * 64),
            MicroOp(OpKind.LOGIC, (0,), out_row=1),
            MicroOp(OpKind.READ, (1,))]
-    stamped = with_timestamps(ops, TIM, t_start=100)
-    assert [o.t_start_ns for o in stamped] == [100, 101, 104]
+    stamped = with_timestamps(ops, TIM)
+    assert [o.t_start_ns for o in stamped] == [0, 1, 4]
 
 
 def test_program_json_roundtrip_is_byte_stable(tmp_path):
@@ -112,6 +112,7 @@ def test_program_json_roundtrip_is_byte_stable(tmp_path):
     prog.to_json(p1)
     PimProgram.from_json(p1).to_json(p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert PimProgram.from_json(p1).ops == prog.ops
 
 
 def test_program_json_rejects_other_files(tmp_path):
@@ -157,17 +158,17 @@ def test_refresh_insertion_is_idempotent():
     prog = compile_program(aged_and_text(), model_cfg=SHORT)
     again = insert_refresh(prog)
     assert again.ops == prog.ops
-    assert again.read_outputs == prog.read_outputs
 
 
 def test_refresh_respects_budget_override():
     base = compile_program(
         aged_and_text(), CompilerConfig(insert_refreshes=False)
     )
-    assert audit_refresh_safety(base, drt_logic_ns=50) != []
-    tightened = insert_refresh(base, drt_logic_ns=50)
+    base = dataclasses.replace(base, drt_logic_ns=50)
+    assert audit_refresh_safety(base) != []
+    tightened = insert_refresh(base)
     assert tightened.n_refresh > 0
-    assert audit_refresh_safety(tightened, drt_logic_ns=50) == []
+    assert audit_refresh_safety(tightened) == []
 
 
 def test_row_reuse_does_not_trigger_bogus_refreshes():
@@ -194,9 +195,7 @@ def test_audit_catches_clobbered_read():
 def test_audit_catches_unwritten_consumption():
     ops = (MicroOp(OpKind.LOGIC, (0,), out_row=1, t_start_ns=0),)
     prog = compile_program("out = ~a;")
-    broken = dataclasses.replace(
-        prog, ops=ops, logic_nodes=(None,), read_outputs=(None,)
-    )
+    broken = dataclasses.replace(prog, ops=ops)
     bad = audit_refresh_safety(broken)
     assert [v.kind for v in bad] == ["unwritten"]
 
@@ -207,8 +206,7 @@ def test_audit_flags_a_refresh_that_senses_an_expired_row():
     def refreshed_at_age(age: int) -> PimProgram:
         ops = (MicroOp(OpKind.WRITE, (0,), source="input:a", t_start_ns=0),
                MicroOp(OpKind.REFRESH, (0,), t_start_ns=TIM.t_write_ns + age))
-        return dataclasses.replace(prog, ops=ops, logic_nodes=(None, None),
-                                   read_outputs=(None, None))
+        return dataclasses.replace(prog, ops=ops)
 
     assert audit_refresh_safety(refreshed_at_age(prog.drt_read_ns)) == []
     bad = audit_refresh_safety(refreshed_at_age(prog.drt_read_ns + 1))
@@ -218,8 +216,7 @@ def test_audit_flags_a_refresh_that_senses_an_expired_row():
 def test_audit_flags_a_refresh_of_a_never_written_row():
     prog = compile_program("out = ~a;")
     ops = (MicroOp(OpKind.REFRESH, (3,), t_start_ns=0),)
-    broken = dataclasses.replace(prog, ops=ops, logic_nodes=(None,),
-                                 read_outputs=(None,))
+    broken = dataclasses.replace(prog, ops=ops)
     bad = audit_refresh_safety(broken)
     assert [(v.op_index, v.row, v.kind) for v in bad] == [(0, 3, "unwritten")]
 
@@ -273,11 +270,10 @@ def test_unrefreshed_program_fails_physically():
     vecs = exhaustive_vectors(prog.inputs)
     with pytest.raises(ValueError):
         simulate_program(prog, vecs, mode="nominal", model_cfg=SHORT)
-    nom = simulate_program(
-        prog, vecs, mode="nominal", model_cfg=SHORT, enforce_freshness=False
-    )
+    sa = SubArray(SHORT, prog.timing, rows=prog.rows, cols=prog.cols)
+    nom = run_program_on_array(prog, sa, vecs, np.arange(prog.cols))
     ideal = simulate_program(prog, vecs, mode="ideal")
-    assert not np.array_equal(nom.outputs["out"], ideal.outputs["out"])
+    assert not np.array_equal(nom["out"][:len(vecs["a"])], ideal.outputs["out"])
 
 
 def test_program_mc_failure_attribution_is_pinned():
@@ -448,18 +444,16 @@ def test_batched_mc_matches_per_trial_reference_with_literal_bits():
              MicroOp(OpKind.LOGIC, (40,), out_row=41),
              MicroOp(OpKind.READ, (41,))]
     prog = dataclasses.replace(
-        base,
-        ops=tuple(with_timestamps(extra + list(base.ops), TIM)),
-        logic_nodes=(None,) * 3 + base.logic_nodes,
-        read_outputs=(None,) * 3 + base.read_outputs,
-    )
+        base, ops=tuple(with_timestamps(extra + list(base.ops), TIM)))
     assert rows_touched(prog) == 42
     vecs = exhaustive_vectors(prog.inputs)
     assert_batched_mc_matches_reference(prog, vecs, VariationConfig().scaled(5.0), 60)
 
     # each array column is written the literal bit of the program column
     # it runs
-    named = dataclasses.replace(prog, read_outputs=(None, None, "lit") + base.read_outputs)
+    named = dataclasses.replace(
+        prog, ops=(*prog.ops[:2], dataclasses.replace(prog.ops[2], output="lit"),
+                   *prog.ops[3:]))
     columns = np.tile(np.arange(4), 3)
     sa = SubArray(ModelConfig(), TIM, rows=42, cols=len(columns))
     out = run_program_on_array(named, sa, {n: np.array(v) for n, v in vecs.items()},
