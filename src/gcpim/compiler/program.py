@@ -5,19 +5,22 @@ for one sub-array: constant writes, operand writes, one LOGIC op per
 netlist gate in topological order, and one READ per program output.
 Each LOGIC op carries the netlist ``node`` it computes and each READ the
 ``output`` it senses, so the op list alone is the program.
-Refresh insertion then walks the timed sequence and splices REFRESH ops
-in front of any op that would otherwise consume a value older than the
+Refresh insertion then times the sequence back to back and splices REFRESH
+ops in front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
 value would outlive the read retention window and become unrefreshable.
 Insertion is greedy latest-possible: a refresh lands immediately before
-the op that needs it, never earlier than required.  Insertion and the
+the op that needs it, never earlier than required, found with a heap of
+read deadlines in O((ops + refreshes) * log rows).  Insertion and the
 audits share one retention-age rule (``retention_ages``).
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 from gcpim.charge import ConfigError, ModelConfig, known_keys
@@ -253,11 +256,12 @@ class _RowAges:
     an op writes (WRITE, REFRESH, LOGIC output) is fresh from the end of
     its pulse; ``t_valid`` maps each written row to that instant."""
 
-    def __init__(self, timing: TimingEnergyConfig) -> None:
+    def __init__(self, timing: TimingEnergyConfig, heap: list | None = None) -> None:
         self.sense_offset = {k: timing.t_init_ns if k is OpKind.LOGIC else 0
                              for k in OpKind}
         self.duration = {k: timing.duration_ns(k) for k in OpKind}
         self.t_valid: dict[int, int] = {}
+        self.heap = heap  # gets (t_valid, row) per write, if given
 
     def sensed(self, op: MicroOp, t_start: int) -> list[tuple[int, int, int | None]]:
         """(row, t_sense, age) per row the op senses when started at
@@ -271,7 +275,9 @@ class _RowAges:
     def commit(self, op: MicroOp, t_start: int) -> None:
         if op.kind is not OpKind.READ:
             row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
-            self.t_valid[row] = t_start + self.duration[op.kind]
+            written = self.t_valid[row] = t_start + self.duration[op.kind]
+            if self.heap is not None:
+                heapq.heappush(self.heap, (written, row))
 
 
 def retention_ages(ops, timing: TimingEnergyConfig):
@@ -292,18 +298,23 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     Every consumed value must be at most drt_logic_ns old at its
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
-    Timestamps are recomputed; the result is a new program.
+    Timestamps are recomputed from t=0; the result is a new program.
+
+    Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
+    an op, entries due by its end are popped (dropped if the row was
+    rewritten since or the value has no later consumer), and the due and
+    stale rows are refreshed lowest row first: O((ops + refreshes) * log rows).
     """
     budget = program.drt_logic_ns
     drt_read = program.drt_read_ns
     timing = program.timing
 
-    # original-order consumption and redefinition indices per row, for
-    # "does the value now in this row have a later consumer" queries
-    # while the walk splices new ops in.  Uses past the row's next
-    # redefinition belong to a different value and must not count.
-    future_use: dict[int, list[int]] = {}
-    redefs: dict[int, list[int]] = {}
+    # original-order consumption and redefinition indices per row, each
+    # list ending in inf, for "does the value now in this row have a later
+    # consumer" queries while the walk splices new ops in.  Uses past the
+    # row's next redefinition belong to a different value and do not count.
+    future_use: dict[int, list] = {}
+    redefs: dict[int, list] = {}
     for i, op in enumerate(program.ops):
         if op.kind in (OpKind.READ, OpKind.LOGIC):
             for r in op.rows:
@@ -312,19 +323,17 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             redefs.setdefault(op.rows[0], []).append(i)
         elif op.kind is OpKind.LOGIC:
             redefs.setdefault(op.out_row, []).append(i)
+    for indices in (*future_use.values(), *redefs.values()):
+        indices.append(math.inf)
 
     def needed_after(row: int, i: int) -> bool:
-        uses = future_use.get(row, ())
-        j = bisect.bisect_right(uses, i)
-        if j >= len(uses):
-            return False
-        defs = redefs.get(row, ())
-        d = bisect.bisect_right(defs, i)
-        return d >= len(defs) or uses[j] < defs[d]
+        uses, defs = future_use.get(row, [math.inf]), redefs[row]
+        return uses[bisect.bisect_right(uses, i)] < defs[bisect.bisect_right(defs, i)]
 
     new_ops: list[MicroOp] = []
     t = 0
-    ages = _RowAges(timing)
+    deadlines: list[tuple[int, int]] = []  # (t_valid, row) per row write
+    ages = _RowAges(timing, deadlines)
     t_valid = ages.t_valid
 
     def emit_refresh(row: int) -> None:
@@ -346,18 +355,24 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             # refreshes, they are re-derived below
             continue
         dur = ages.duration[op.kind]
+        # needed_after(row, i) answers for the value op i writes: recheck the old
+        row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
+        if op.kind is not OpKind.READ and row in t_valid:
+            heapq.heappush(deadlines, (t_valid[row], row))
+        due: set[int] = set()
         while True:
-            stale = [r for r, _, age in ages.sensed(op, t)
-                     if age is not None and age > budget]
-            expiring = [
-                r for r in sorted(t_valid)
-                if needed_after(r, i) and t + dur > t_valid[r] + drt_read
-            ]
-            candidates = sorted(set(stale) | set(expiring))
-            if not candidates:
+            while deadlines and deadlines[0][0] + drt_read < t + dur:
+                written, row = heapq.heappop(deadlines)
+                if t_valid[row] == written and needed_after(row, i):
+                    due.add(row)
+            due.update(r for r, _, age in ages.sensed(op, t)
+                       if age is not None and age > budget)
+            if not due:
                 break
-            emit_refresh(candidates[0])
-        new_ops.append(replace(op, t_start_ns=t))
+            emit_refresh(row := min(due))
+            due.discard(row)
+        new_ops.append(MicroOp(op.kind, op.rows, op.out_row, op.bits, op.source, t,
+                               op.node, op.output))
         ages.commit(op, t)
         t += dur
 
@@ -404,9 +419,9 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Symbolic replay of row contents: every consumed row must hold
     exactly the netlist value the op was compiled against, and every
-    program output must be read.  Rows outside the array and names the
-    netlist lacks (gate node, output, input, constant) are violations
-    too, so a malformed file is caught before any array is built."""
+    program output must be read.  Rows outside the array, names the
+    netlist lacks and literal writes of other than ``cols`` bits are
+    violations too, so a malformed file is caught before any array is built."""
     netlist = program.netlist
     sources = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
                for i, n in enumerate(netlist.nodes) if n.op != "nor"}
@@ -428,6 +443,9 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
             if op.source is not None and op.source not in sources:
                 flag(i, op, op.rows[0], "unknown-name",
                      f"write of unknown source {op.source!r}")
+            elif op.bits is not None and len(op.bits) != program.cols:
+                flag(i, op, op.rows[0], "bit-count", f"literal write carries "
+                     f"{len(op.bits)} bits for {program.cols} columns")
             contents[op.rows[0]] = sources.get(op.source)
         elif op.kind is OpKind.LOGIC:
             nid = op.node
@@ -463,7 +481,7 @@ def compile_program(
     model_cfg: ModelConfig | None = None,
     timing_cfg: TimingEnergyConfig | None = None,
 ) -> PimProgram:
-    """Full pipeline: parse, lower, allocate, emit, timestamp, refresh.
+    """Full pipeline: parse, lower, allocate, emit, then refresh and time.
 
     ``source`` is program text, a parsed Program, or a NorNetlist.
     """
@@ -488,8 +506,8 @@ def compile_program(
         )
 
     ops = emit_ops(netlist, assignment, timing)
-    program = PimProgram(
-        ops=tuple(with_timestamps(ops, timing)),
+    program = PimProgram(  # insert_refresh times the ops itself
+        ops=tuple(ops if cfg.insert_refreshes else with_timestamps(ops, timing)),
         netlist=netlist,
         assignment=assignment,
         timing=timing,

@@ -138,12 +138,7 @@ def run_program_on_array(
         inputs[name] = padded[columns]
 
     def write_bits(op):
-        if op.source is None:
-            if len(op.bits) != program.cols:
-                raise ConfigError(
-                    f"literal write carries {len(op.bits)} bits "
-                    f"for {program.cols} columns"
-                )
+        if op.source is None:  # audit_row_soundness checks the bit count
             return np.asarray(op.bits, dtype=np.uint8)[columns]
         kind, _, arg = op.source.partition(":")
         if kind == "input":

@@ -73,25 +73,7 @@ class MicroOp:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        if len(self.rows) == 0:
-            raise ValueError(f"{self.kind.value} op needs at least one row")
-        if any(r < 0 for r in self.rows):
-            raise ValueError(f"negative row in {self.rows}")
-        if self.kind is OpKind.LOGIC:
-            if self.out_row is None:
-                raise ValueError("LOGIC op needs an output row")
-            if self.out_row in self.rows:
-                raise ValueError(
-                    f"in-place logic is undefined: output row {self.out_row} "
-                    f"is also an input"
-                )
-            if len(set(self.rows)) != len(self.rows):
-                raise ValueError(f"duplicate input rows in {self.rows}")
-        else:
-            if len(self.rows) != 1:
-                raise ValueError(f"{self.kind.value} op takes exactly one row")
-            if self.out_row is not None:
-                raise ValueError(f"{self.kind.value} op has no output row")
+        _check_rows(self.kind, self.rows, self.out_row)
         if self.kind is OpKind.WRITE:
             if (self.bits is None) == (self.source is None):
                 raise ValueError("WRITE needs exactly one of bits or source")
@@ -101,6 +83,27 @@ class MicroOp:
             raise ValueError(f"{self.kind.value} op computes no node")
         if self.output is not None and self.kind is not OpKind.READ:
             raise ValueError(f"{self.kind.value} op senses no output")
+
+
+def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> None:
+    """The structural rules on an op's rows (disjoint LOGIC rows etc)."""
+    if len(rows) == 0:
+        raise ValueError(f"{kind.value} op needs at least one row")
+    if any(r < 0 for r in rows):
+        raise ValueError(f"negative row in {rows}")
+    if kind is OpKind.LOGIC:
+        if out_row is None:
+            raise ValueError("LOGIC op needs an output row")
+        if out_row in rows:
+            raise ValueError(f"in-place logic is undefined: output row {out_row} "
+                             "is also an input")
+        if len(set(rows)) != len(rows):
+            raise ValueError(f"duplicate input rows in {rows}")
+    else:
+        if len(rows) != 1:
+            raise ValueError(f"{kind.value} op takes exactly one row")
+        if out_row is not None:
+            raise ValueError(f"{kind.value} op has no output row")
 
 
 @dataclass(frozen=True)
@@ -412,8 +415,7 @@ class SubArray:
         output cell low.  Input cells only age; they are never disturbed.
         """
         in_rows = tuple(in_rows)
-        # constructing the op runs the structural checks (disjoint rows etc)
-        MicroOp(kind=OpKind.LOGIC, rows=in_rows, out_row=out_row, t_start_ns=t_now)
+        _check_rows(OpKind.LOGIC, in_rows, out_row)
         for r in (*in_rows, out_row):
             self._check_row(r)
         t_eval = t_now + self.timing.t_init_ns

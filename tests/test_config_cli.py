@@ -368,8 +368,9 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
                      "--out", str(tmp_path / "bad_out")]) == 5
         assert message in capsys.readouterr().err
 
-    # a name the netlist lacks, or a row past the array, is malformed (5);
-    # the soundness audit names it before any array is built
+    # a name the netlist lacks, a row past the array or a literal write of
+    # the wrong width is malformed (5); the soundness audit names it before
+    # any array is built
     anded = tmp_path / "and.txt"
     anded.write_text("out = a & b;\n")
     compiled = tmp_path / "and.json"
@@ -397,6 +398,9 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
         (lambda d: first(d, "WRITE").update(source="const:7"), "'const:7'",
          ["nominal"]),
         (shifted, "row 64 is outside the 64-row array", ["nominal", "mc"]),
+        (lambda d: d["ops"].insert(0, {"op": "WRITE", "rows": [10], "bits": [1, 0, 1],
+                                       "t_start_ns": 0}),
+         "literal write carries 3 bits for 64 columns", ["nominal", "mc"]),
     ):
         data = json.loads(compiled.read_text())
         edit(data)

@@ -6,10 +6,13 @@ insertion produces physically wrong results, while the default pipeline
 stays correct.
 """
 
+import bisect
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.compiler import (
@@ -23,6 +26,8 @@ from gcpim.compiler import (
     simulate_program,
 )
 from gcpim.compiler.program import (
+    RefreshScheduleError,
+    _RowAges,
     audit_refresh_safety,
     audit_row_soundness,
     with_timestamps,
@@ -177,6 +182,136 @@ def test_row_reuse_does_not_trigger_bogus_refreshes():
     # default windows even though early values are long dead
     prog = compile_program(chain_text(80))
     assert prog.n_refresh == 0
+    assert audit_refresh_safety(prog) == []
+    assert audit_row_soundness(prog) == []
+
+
+def scan_insert_refresh(program):
+    """Oracle: the scan-based insertion that the deadline heap replaced,
+    which re-checks every row ever written before each op."""
+    budget = program.drt_logic_ns
+    drt_read = program.drt_read_ns
+    timing = program.timing
+
+    future_use: dict[int, list[int]] = {}
+    redefs: dict[int, list[int]] = {}
+    for i, op in enumerate(program.ops):
+        if op.kind in (OpKind.READ, OpKind.LOGIC):
+            for r in op.rows:
+                future_use.setdefault(r, []).append(i)
+        if op.kind is OpKind.WRITE:
+            redefs.setdefault(op.rows[0], []).append(i)
+        elif op.kind is OpKind.LOGIC:
+            redefs.setdefault(op.out_row, []).append(i)
+
+    def needed_after(row: int, i: int) -> bool:
+        uses = future_use.get(row, ())
+        j = bisect.bisect_right(uses, i)
+        if j >= len(uses):
+            return False
+        defs = redefs.get(row, ())
+        d = bisect.bisect_right(defs, i)
+        return d >= len(defs) or uses[j] < defs[d]
+
+    new_ops: list[MicroOp] = []
+    t = 0
+    ages = _RowAges(timing)
+    t_valid = ages.t_valid
+
+    def emit_refresh(row: int) -> None:
+        nonlocal t
+        op = MicroOp(OpKind.REFRESH, (row,), t_start_ns=t)
+        [(_, _, age)] = ages.sensed(op, t)
+        if age > drt_read:
+            raise RefreshScheduleError(
+                f"row {row} is {age}ns old at t={t}ns; its "
+                f"refresh would sense garbage (limit {drt_read}ns)"
+            )
+        new_ops.append(op)
+        ages.commit(op, t)
+        t += timing.t_refresh_ns
+
+    for i, op in enumerate(program.ops):
+        if op.kind is OpKind.REFRESH:
+            continue
+        dur = ages.duration[op.kind]
+        while True:
+            stale = [r for r, _, age in ages.sensed(op, t)
+                     if age is not None and age > budget]
+            expiring = [
+                r for r in sorted(t_valid)
+                if needed_after(r, i) and t + dur > t_valid[r] + drt_read
+            ]
+            candidates = sorted(set(stale) | set(expiring))
+            if not candidates:
+                break
+            emit_refresh(candidates[0])
+        new_ops.append(dataclasses.replace(op, t_start_ns=t))
+        ages.commit(op, t)
+        t += dur
+
+    return dataclasses.replace(program, ops=tuple(new_ops))
+
+
+def xor_chain_source(terms) -> str:
+    lines = [f"x1 = {terms[0]} ^ {terms[1]};"]
+    lines += [f"x{k} = x{k - 1} ^ {terms[k]};" for k in range(2, len(terms))]
+    return "\n".join(lines)
+
+
+_expressions = st.recursive(
+    st.sampled_from(["a", "b", "c", "d", "e", "1"]),
+    lambda inner: inner.map(lambda e: f"~{e}") | st.tuples(
+        inner, st.sampled_from("&|^"), inner).map(lambda t: "({} {} {})".format(*t)),
+    max_leaves=30)
+
+
+@st.composite
+def _compile_cases(draw):
+    rows = draw(st.sampled_from([64, 256]))
+    kind = draw(st.sampled_from(["xor", "ripple", "random"]))
+    if kind == "xor":
+        names = [f"i{k}" for k in range(draw(st.integers(2, 40)))]
+        source = xor_chain_source(
+            draw(st.lists(st.sampled_from(names), min_size=2, max_size=400)))
+    elif kind == "ripple":  # ripple-16 peaks at 54 live rows, ripple-32 at 102
+        source = ripple_text(draw(st.integers(1, 16 if rows == 64 else 32)))
+    else:
+        source = "\n".join(f"o{k} = {e};" for k, e in enumerate(
+            draw(st.lists(_expressions, min_size=1, max_size=4))))
+    drt_read = draw(st.integers(40, 20_000))
+    # LOGIC with 4 stale inputs refreshes them 4 ns apart; below 13 ns the
+    # first would be stale again before the gate senses it
+    drt_logic = draw(st.integers(16, drt_read))
+    return (source, rows, draw(st.integers(2, 4)),
+            ModelConfig(drt_read_ns=drt_read, drt_logic_ns=drt_logic))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_compile_cases())
+@example(case=(  # row 12 is dead until op 38 rewrites it, yet the scan fails
+    # there on its expired old value: needed_after speaks for the new one
+    "o0 = (((b | d) ^ (c | d)) ^ ((c | e) ^ (a & h)));\n"
+    "o1 = ((h ^ b) ^ (e & (~a ^ (c & g))));",
+    64, 3, ModelConfig(drt_read_ns=79, drt_logic_ns=27)))
+@example(case=(  # rows 5 and 6 come due together, 6 with the earlier deadline
+    ripple_text(3), 64, 2, ModelConfig(drt_read_ns=113, drt_logic_ns=26)))
+def test_heap_insertion_matches_the_scan_oracle(case):
+    # same ops as the scan, or the same RefreshScheduleError message
+    source, rows, arity, model = case
+    cfg = CompilerConfig(rows=rows, rows_available=rows - 2, max_nor_arity=arity)
+    bare = compile_program(source, dataclasses.replace(cfg, insert_refreshes=False),
+                           model)
+    try:
+        expected = scan_insert_refresh(bare).ops
+    except RefreshScheduleError as exc:
+        expected = str(exc)
+    try:
+        prog = compile_program(source, cfg, model)
+    except RefreshScheduleError as exc:
+        assert str(exc) == expected
+        return
+    assert prog.ops == expected
     assert audit_refresh_safety(prog) == []
     assert audit_row_soundness(prog) == []
 
