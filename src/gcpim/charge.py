@@ -49,6 +49,7 @@ class ConfigError(ValueError):
 RETIRED_KEYS = {
     "run": frozenset({"n_subarrays", "schedule", "refresh_period_ns"}),
     "timing_energy": frozenset({"e_dual_sense_fj"}),
+    "compiler": frozenset({"rows_available"}),
 }
 
 

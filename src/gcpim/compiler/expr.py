@@ -42,33 +42,20 @@ class Expr:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
 
-    def canon(self):
-        """Position-free structural form, convenient for comparisons."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str = ""
-
-    def canon(self):
-        return ("var", self.name)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: int = 0
 
-    def canon(self):
-        return ("const", self.value)
-
 
 @dataclass(frozen=True)
 class Not(Expr):
     a: Expr = None
-
-    def canon(self):
-        return ("not", self.a.canon())
 
 
 @dataclass(frozen=True)
@@ -76,17 +63,11 @@ class And(Expr):
     a: Expr = None
     b: Expr = None
 
-    def canon(self):
-        return ("and", self.a.canon(), self.b.canon())
-
 
 @dataclass(frozen=True)
 class Or(Expr):
     a: Expr = None
     b: Expr = None
-
-    def canon(self):
-        return ("or", self.a.canon(), self.b.canon())
 
 
 @dataclass(frozen=True)
@@ -94,24 +75,15 @@ class Xor(Expr):
     a: Expr = None
     b: Expr = None
 
-    def canon(self):
-        return ("xor", self.a.canon(), self.b.canon())
-
 
 @dataclass(frozen=True)
 class Nor(Expr):
     args: tuple[Expr, ...] = ()
 
-    def canon(self):
-        return ("nor", *(a.canon() for a in self.args))
-
 
 @dataclass(frozen=True)
 class Nand(Expr):
     args: tuple[Expr, ...] = ()
-
-    def canon(self):
-        return ("nand", *(a.canon() for a in self.args))
 
 
 @dataclass(frozen=True)

@@ -275,21 +275,8 @@ def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
     return builder.finish(outputs, program.inputs)
 
 
-def lower_to_nor(expr_or_text, max_nor_arity: int = 2) -> NorNetlist:
-    """Lower a single expression (AST or source text) to a NOR DAG.
-
-    Free variables become inputs in first-use order; the single output is
-    named "out".
-    """
-    if isinstance(expr_or_text, str):
-        program = parse_program(
-            expr_or_text if "=" in expr_or_text else f"out = {expr_or_text};"
-        )
-        return lower_program(program, max_nor_arity)
-    expr = expr_or_text
-    builder = NetlistBuilder(max_nor_arity)
-    out = _lower_expr(builder, expr, {})
-    inputs = tuple(
-        n.name for n in builder.nodes if n.op == "input"
-    )
-    return builder.finish({"out": out}, inputs)
+def lower_to_nor(text: str, max_nor_arity: int = 2) -> NorNetlist:
+    """Lower program text, or a single expression (its output named
+    "out"), to a NOR DAG."""
+    program = parse_program(text if "=" in text else f"out = {text};")
+    return lower_program(program, max_nor_arity)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from gcpim.charge import ConfigError, ModelConfig, known_keys
 from gcpim.subarray import MicroOp, OpKind, TimingEnergyConfig
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
-from gcpim.compiler.expr import Program, parse_program
+from gcpim.compiler.expr import parse_program
 from gcpim.compiler.netlist import NorNetlist, lower_program
 
 __all__ = [
@@ -48,28 +48,27 @@ PROGRAM_VERSION = 1
 
 class RefreshScheduleError(RuntimeError):
     """A required refresh could not be placed while its row was still
-    readable.  Greedy latest-possible placement hits this at tight
-    windows with refresh bandwidth to spare, e.g. ripple-8 at
+    readable, or an op's stale inputs cannot all be refreshed inside the
+    logic window.  Greedy latest-possible placement hits the first at
+    tight windows with refresh bandwidth to spare, e.g. ripple-8 at
     drt_read_ns/drt_logic_ns = 400/100 or ripple-32 (256 rows) at
     1000/300: inputs written back to back expire together."""
 
 
 @dataclass(frozen=True)
 class CompilerConfig:
+    """Array shape and lowering knobs.  The last two rows hold the
+    constants, the first ``rows - 2`` the program's values."""
+
     rows: int = 64
     cols: int = 64
-    rows_available: int = 62
     max_nor_arity: int = 2
     insert_refreshes: bool = True
 
     def __post_init__(self) -> None:
         if self.rows < 4 or self.cols < 1:
             raise ConfigError(f"implausible array shape {self.rows}x{self.cols}")
-        if not (1 <= self.rows_available <= self.rows - 2):
-            raise ConfigError(
-                "rows_available must leave the two reserved constant rows"
-            )
-        if not (2 <= self.max_nor_arity <= self.rows_available - 1):
+        if not (2 <= self.max_nor_arity <= self.rows - 3):
             raise ConfigError("max_nor_arity out of range for the row budget")
 
 
@@ -220,9 +219,7 @@ class PimProgram:
             return PimProgram.from_json_dict(json.load(fh))
 
 
-def emit_ops(
-    netlist: NorNetlist, assignment: RowAssignment, timing: TimingEnergyConfig
-) -> list[MicroOp]:
+def emit_ops(netlist: NorNetlist, assignment: RowAssignment) -> list[MicroOp]:
     """Untimed op sequence: constants, operands, gates, output reads."""
     ops = [MicroOp(OpKind.WRITE, (assignment.const_rows[value],),
                    source=f"const:{value}")
@@ -304,6 +301,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     an op, entries due by its end are popped (dropped if the row was
     rewritten since or the value has no later consumer), and the due and
     stale rows are refreshed lowest row first: O((ops + refreshes) * log rows).
+    Raises RefreshScheduleError when a refresh would sense an expired
+    value, or when an op's inputs can never all be fresh at once.
     """
     budget = program.drt_logic_ns
     drt_read = program.drt_read_ns
@@ -359,6 +358,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
         if op.kind is not OpKind.READ and row in t_valid:
             heapq.heappush(deadlines, (t_valid[row], row))
+        t_op = t
         due: set[int] = set()
         while True:
             while deadlines and deadlines[0][0] + drt_read < t + dur:
@@ -369,6 +369,16 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                        if age is not None and age > budget)
             if not due:
                 break
+            # once no value written before t_op is fresh enough, every
+            # input needs a refresh, and refreshes t_refresh_ns apart
+            # cannot fit them all in the window: this loop would not end
+            offset = ages.sense_offset[op.kind]
+            span = timing.t_refresh_ns * (len(set(op.rows)) - 1) + offset
+            if t + offset - budget > t_op and span > budget:
+                raise RefreshScheduleError(
+                    f"op {i} senses rows {sorted(set(op.rows))} at t={t}ns; refreshing "
+                    f"them takes {span}ns, more than the {budget}ns logic window"
+                )
             emit_refresh(row := min(due))
             due.discard(row)
         new_ops.append(MicroOp(op.kind, op.rows, op.out_row, op.bits, op.source, t,
@@ -476,36 +486,20 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
 
 
 def compile_program(
-    source,
+    source: str,
     compiler_cfg: CompilerConfig | None = None,
     model_cfg: ModelConfig | None = None,
     timing_cfg: TimingEnergyConfig | None = None,
 ) -> PimProgram:
-    """Full pipeline: parse, lower, allocate, emit, then refresh and time.
-
-    ``source`` is program text, a parsed Program, or a NorNetlist.
-    """
+    """Full pipeline on program text: parse, lower, allocate, emit, then
+    refresh and time."""
     cfg = compiler_cfg or CompilerConfig()
     model = model_cfg or ModelConfig()
     timing = timing_cfg or TimingEnergyConfig()
 
-    if isinstance(source, str):
-        source = parse_program(source)
-    if isinstance(source, Program):
-        netlist = lower_program(source, cfg.max_nor_arity)
-    elif isinstance(source, NorNetlist):
-        netlist = source
-    else:
-        raise TypeError(f"cannot compile {type(source).__name__}")
-
-    assignment = allocate_rows(netlist, cfg.rows_available)
-    used_rows = set(assignment.row_of.values())
-    if used_rows and max(used_rows) >= cfg.rows:
-        raise ConfigError(
-            f"assignment uses row {max(used_rows)} outside the {cfg.rows}-row array"
-        )
-
-    ops = emit_ops(netlist, assignment, timing)
+    netlist = lower_program(parse_program(source), cfg.max_nor_arity)
+    assignment = allocate_rows(netlist, cfg.rows - 2)
+    ops = emit_ops(netlist, assignment)
     program = PimProgram(  # insert_refresh times the ops itself
         ops=tuple(ops if cfg.insert_refreshes else with_timestamps(ops, timing)),
         netlist=netlist,

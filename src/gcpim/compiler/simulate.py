@@ -9,7 +9,9 @@ side on the columns of one array (``montecarlo.block_array``, shared with
 gate campaigns): columns never interact, so each trial computes exactly
 what it would on an array of its own.  Trial ``i`` still draws one full
 ``program.rows x program.cols`` grid from stream ``i`` and keeps only the
-cells the block uses.
+cells the block uses.  Gate campaigns score the same way:
+``score_block`` masks each block's columns and
+``CombinationResult.from_masks`` counts each input combination.
 
 Every mode first runs the soundness audit, which replays the ops'
 ``node``/``output`` names against the netlist; nominal and MC runs also
@@ -31,11 +33,9 @@ from gcpim.montecarlo import (
     CombinationResult,
     SuccessReport,
     VariationConfig,
-    _adverse_threshold_mask,
-    _classify_failures,
-    _fast_decay_mask,
     block_array,
     sample_params,
+    score_block,
 )
 from gcpim.subarray import EventLedger, OpKind, SubArray
 from gcpim.compiler.program import PimProgram, audit_refresh_safety, audit_row_soundness
@@ -157,9 +157,8 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
     """Run MC trials side by side on one block array.
 
     Trial ``i`` draws from stream ``streams[i]`` and owns array columns
-    ``[i*width, (i+1)*width)``.  Returns the (trials, width) masks:
-    success, a fast-decaying '1' input, and a sense threshold adverse to
-    the first wrong output.
+    ``[i*width, (i+1)*width)``.  Returns the ``score_block`` masks shaped
+    (trials, width).
     """
     n = len(streams)
     draws = (sample_params(var_cfg, rng_stream=stream, rows=program.rows,
@@ -167,20 +166,12 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
              for stream in streams)
     sa = block_array(model, program.timing, draws, n_rows, width)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
-    # a failing column is attributed by its first wrong output
-    ok = np.ones((n, width), dtype=bool)
-    first_bad_expected = np.zeros((n, width), dtype=np.uint8)
-    for name, want in ideal_out.items():
-        bad = outputs[name].reshape(n, width) != want
-        first_bad_expected = np.where(bad & ok, want, first_bad_expected)
-        ok &= ~bad
-    input_rows = [program.assignment.input_rows[name] for name in program.inputs]
-    input_bits = np.array([vectors[name] for name in program.inputs])
-    tau = sa.tau_scale.reshape(n_rows, n, width)
-    fast = _fast_decay_mask(tau[input_rows], input_bits.reshape(-1, 1, width))
-    adverse = _adverse_threshold_mask(sa.sa_threshold.reshape(n, width),
-                                      model.v_sa_read, first_bad_expected)
-    return ok, fast, adverse
+    masks = score_block(
+        sa, [outputs[name] for name in ideal_out],
+        [np.tile(want, n) for want in ideal_out.values()],
+        [program.assignment.input_rows[name] for name in program.inputs],
+        np.tile([vectors[name] for name in program.inputs], n))
+    return tuple(mask.reshape(n, width) for mask in masks)
 
 
 def simulate_program(
@@ -271,13 +262,8 @@ def simulate_program(
     combos: dict[str, CombinationResult] = {}
     for key in dict.fromkeys(combo_key):  # stable order, unique
         cols_for = [c for c in range(width) if combo_key[c] == key]
-        combos[key] = CombinationResult(
-            input_bits=tuple(int(ch) for ch in key),
-            trials=n_trials * len(cols_for),
-            successes=int(ok[:, cols_for].sum()),
-            breakdown=_classify_failures(
-                ~ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for]),
-        )
+        combos[key] = CombinationResult.from_masks(
+            map(int, key), ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for])
     report = SuccessReport(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,

@@ -16,7 +16,9 @@ Batches run side by side on the columns of one block array of about
 ``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
 too; columns never interact, so grouping changes no result.  Each path
 keeps its own draw contract: gates draw one ``(k+1) x 64`` grid per
-batch, programs one full grid per trial.
+batch, programs one full grid per trial.  Both score a block with
+``score_block`` and count one input combination's trials with
+``CombinationResult.from_masks``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "run_gate_campaign",
     "run_gate_trials",
     "sample_params",
+    "score_block",
 ]
 
 # Sigma ratios used by the calibration root-find, chosen so the three
@@ -171,6 +174,24 @@ class CombinationResult:
         if self.breakdown.total != self.trials - self.successes:
             raise ValueError("failure breakdown does not sum to the failure count")
 
+    @classmethod
+    def from_masks(cls, input_bits: Sequence[int], ok: np.ndarray, fast: np.ndarray,
+                   adverse: np.ndarray) -> "CombinationResult":
+        """One combination's result from its ``score_block`` masks, one
+        entry per trial."""
+        fail = ~ok
+        return cls(
+            input_bits=tuple(input_bits),
+            trials=ok.size,
+            successes=int(ok.sum()),
+            breakdown=FailureBreakdown(
+                decay_only=int(np.sum(fail & fast & ~adverse)),
+                threshold_only=int(np.sum(fail & ~fast & adverse)),
+                both=int(np.sum(fail & fast & adverse)),
+                other=int(np.sum(fail & ~fast & ~adverse)),
+            ),
+        )
+
     @property
     def success_rate(self) -> float:
         return self.successes / self.trials
@@ -230,12 +251,6 @@ class SuccessReport:
                 )
 
 
-def _expected_bit(gate: str, input_bits: Sequence[int]) -> int:
-    if gate == "NOT":
-        return 1 - input_bits[0]
-    return int(not any(input_bits))
-
-
 def _check_gate(gate: str, input_bits: Sequence[int]) -> tuple[str, tuple[int, ...]]:
     name = gate.upper()
     if name not in ("NOT", "NOR"):
@@ -248,38 +263,6 @@ def _check_gate(gate: str, input_bits: Sequence[int]) -> tuple[str, tuple[int, .
     if name == "NOR" and not (1 <= len(bits) <= 63):
         raise ConfigError(f"NOR arity {len(bits)} outside [1, 63]")
     return name, bits
-
-
-def _classify_failures(
-    fail: np.ndarray, fast_decay: np.ndarray, adverse_threshold: np.ndarray
-) -> FailureBreakdown:
-    return FailureBreakdown(
-        decay_only=int(np.sum(fail & fast_decay & ~adverse_threshold)),
-        threshold_only=int(np.sum(fail & ~fast_decay & adverse_threshold)),
-        both=int(np.sum(fail & fast_decay & adverse_threshold)),
-        other=int(np.sum(fail & ~fast_decay & ~adverse_threshold)),
-    )
-
-
-def _adverse_threshold_mask(
-    sa_threshold: np.ndarray, nominal: float, expected
-) -> np.ndarray:
-    # sensing a '0' fails low-threshold-first, sensing a '1' high-first;
-    # expected is one bit or one bit per threshold
-    return np.where(np.asarray(expected) == 0,
-                    sa_threshold < nominal, sa_threshold > nominal)
-
-
-def _fast_decay_mask(tau_scale_inputs: np.ndarray, input_bits) -> np.ndarray:
-    """True where some input cell that holds '1' decays faster than nominal.
-
-    tau_scale_inputs has shape (n_inputs, ...); input_bits is one bit per
-    input, or per-input bits that broadcast against tau_scale_inputs.
-    """
-    bits = np.asarray(input_bits, dtype=bool)
-    if bits.ndim == 1:
-        bits = bits[:, None]
-    return ((tau_scale_inputs < 1.0) & bits).any(axis=0)
 
 
 def block_array(model: ModelConfig, timing: TimingEnergyConfig,
@@ -298,6 +281,30 @@ def block_array(model: ModelConfig, timing: TimingEnergyConfig,
     return SubArray(model, timing, rows=n_rows, cols=sum(map(len, threshold)),
                     tau_scale=np.hstack(tau), drive_offset=np.hstack(drive),
                     sa_threshold=np.concatenate(threshold))
+
+
+def score_block(sa: SubArray, reads: Sequence[np.ndarray], wants: Sequence[np.ndarray],
+                input_rows: Sequence[int],
+                input_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score one block array's READ results, one entry per column.
+
+    ``reads[j]`` and ``wants[j]`` are the sensed and wanted bits of output
+    ``j``; ``input_bits[i]`` is what input row ``input_rows[i]`` holds.
+    Returns the masks: every output right, some input cell holding '1'
+    decaying faster than nominal, and a sense threshold shifted toward the
+    failing side of the first wrong output (of the first output in a
+    column with none wrong): below the model's read threshold when a '0'
+    must be sensed, above it when a '1' must.
+    """
+    ok = reads[0] == wants[0]
+    side = wants[0]
+    for got, want in zip(reads[1:], wants[1:]):
+        side = np.where(ok & (got != want), want, side)
+        ok &= got == want
+    fast = ((sa.tau_scale[input_rows] < 1.0) & np.asarray(input_bits, dtype=bool)).any(axis=0)
+    threshold, nominal = sa.sa_threshold, sa.model.v_sa_read
+    adverse = np.where(side == 0, threshold < nominal, threshold > nominal)
+    return ok, fast, adverse
 
 
 def gate_trial_masks(
@@ -319,7 +326,7 @@ def gate_trial_masks(
     '1' input cell decaying faster than nominal, and a sense threshold
     shifted toward the failing side.
     """
-    name, bits = _check_gate(gate, input_bits)
+    _, bits = _check_gate(gate, input_bits)
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if input_age_ns < 0:
@@ -328,7 +335,7 @@ def gate_trial_masks(
     timing = timing_cfg or TimingEnergyConfig()
 
     k = len(bits)
-    expected = _expected_bit(name, bits)
+    expected = int(not any(bits))  # NOT is the one-input NOR
     # oldest operand is written first; the gate fires so that its age at
     # the start of the evaluation phase equals input_age_ns (clamped up
     # only when the remaining writes have not finished yet)
@@ -350,11 +357,11 @@ def gate_trial_masks(
             for b in range(first, min(first + per_block, n_batches))
         )
         sa = block_array(model, timing, draws, k + 1)
-        (out,) = sa.run(ops, lambda op: np.full(
+        reads = sa.run(ops, lambda op: np.full(
             sa.cols, int(op.source.partition(":")[2]), dtype=np.uint8))
-        blocks.append((out == expected,
-                       _fast_decay_mask(sa.tau_scale[:k], bits),
-                       _adverse_threshold_mask(sa.sa_threshold, model.v_sa_read, expected)))
+        blocks.append(score_block(
+            sa, reads, [np.full(sa.cols, expected)], range(k),
+            np.repeat(np.array(bits, dtype=bool)[:, None], sa.cols, axis=1)))
     return tuple(np.concatenate(masks) for masks in zip(*blocks))
 
 
@@ -376,12 +383,7 @@ def run_gate_trials(
         name, bits, n_trials, input_age_ns, var_cfg, model_cfg, timing_cfg,
         stream_base=stream_base,
     )
-    combo = CombinationResult(
-        input_bits=bits,
-        trials=n_trials,
-        successes=int(ok.sum()),
-        breakdown=_classify_failures(~ok, fast, adverse),
-    )
+    combo = CombinationResult.from_masks(bits, ok, fast, adverse)
     return SuccessReport(
         gate=name,
         n_inputs=len(bits),

@@ -35,50 +35,50 @@ from gcpim.compiler.netlist import NorNetlist, Node, lower_program
 
 def test_precedence_or_loosest():
     e = parse_expr("a | b & c")
-    assert e.canon() == Or(Var("a"), And(Var("b"), Var("c"))).canon()
+    assert e == Or(Var("a"), And(Var("b"), Var("c")))
 
 
 def test_precedence_xor_between():
     e = parse_expr("a ^ b & c | d")
     ref = Or(Xor(Var("a"), And(Var("b"), Var("c"))), Var("d"))
-    assert e.canon() == ref.canon()
+    assert e == ref
 
 
 def test_unary_binds_tightest():
     e = parse_expr("~a ^ b")
-    assert e.canon() == Xor(Not(Var("a")), Var("b")).canon()
+    assert e == Xor(Not(Var("a")), Var("b"))
 
 
 def test_parentheses_override():
     e = parse_expr("(a | b) & c")
-    assert e.canon() == And(Or(Var("a"), Var("b")), Var("c")).canon()
+    assert e == And(Or(Var("a"), Var("b")), Var("c"))
 
 
 def test_negated_or_chain_folds_to_wide_nor():
-    assert parse_expr("~(a | b)").canon() == Nor((Var("a"), Var("b"))).canon()
-    assert parse_expr("~(a | b | c)").canon() == Nor(
+    assert parse_expr("~(a | b)") == Nor((Var("a"), Var("b")))
+    assert parse_expr("~(a | b | c)") == Nor(
         (Var("a"), Var("b"), Var("c"))
-    ).canon()
+    )
 
 
 def test_negated_and_chain_folds_to_nand():
-    assert parse_expr("~(a & b & c)").canon() == Nand(
+    assert parse_expr("~(a & b & c)") == Nand(
         (Var("a"), Var("b"), Var("c"))
-    ).canon()
+    )
 
 
 def test_double_negation_is_kept_structural():
     # no Boolean simplification at parse time
-    assert parse_expr("~~a").canon() == Not(Not(Var("a"))).canon()
+    assert parse_expr("~~a") == Not(Not(Var("a")))
 
 
 def test_constants_parse():
-    assert parse_expr("0").canon() == Const(0).canon()
-    assert parse_expr("a | 1").canon() == Or(Var("a"), Const(1)).canon()
+    assert parse_expr("0") == Const(0)
+    assert parse_expr("a | 1") == Or(Var("a"), Const(1))
 
 
 def test_statement_forms():
-    assert parse_expr("out = a & b;").canon() == parse_expr("a & b").canon()
+    assert parse_expr("out = a & b;") == parse_expr("a & b")
 
 
 def test_comments_and_whitespace():

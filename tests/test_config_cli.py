@@ -1,11 +1,17 @@
 """Configuration schema and command-line behavior, exercised in process.
 
 Every CLI assertion calls main() directly so exit codes and file
-side effects are checked without spawning interpreters.
+side effects are checked without spawning interpreters, except the one
+that guards against a compile that never ends: it spawns one, under a
+timeout.
 """
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +36,8 @@ def test_default_config_spells_out_every_section():
     assert d["model"]["drt_read_ns"] == 15000
     assert d["timing_energy"]["e_write_fj"] == 5.7
     assert d["variation"]["sigma_tau"] == 0.2
-    assert d["compiler"]["rows_available"] == 62
+    assert d["compiler"] == {"rows": 64, "cols": 64, "max_nor_arity": 2,
+                             "insert_refreshes": True}
     assert d["run"]["success_floor"] == 0.99
 
 
@@ -110,13 +117,15 @@ def test_config_with_retired_keys_loads_and_drops_them(tmp_path):
     old = RunConfig().to_json_dict()
     old["run"].update(n_subarrays=1, schedule="relaxed", refresh_period_ns=5000)
     old["timing_energy"]["e_dual_sense_fj"] = 13.34
+    old["compiler"]["rows_available"] = 62
     p = tmp_path / "old.json"
     p.write_text(json.dumps(old))
     cfg = RunConfig.from_json(p)
     assert cfg == RunConfig()
     cfg.to_json(tmp_path / "new.json")
     text = (tmp_path / "new.json").read_text()
-    for key in ("n_subarrays", "schedule", "refresh_period_ns", "e_dual_sense_fj"):
+    for key in ("n_subarrays", "schedule", "refresh_period_ns", "e_dual_sense_fj",
+                "rows_available"):
         assert key not in text
 
 
@@ -532,3 +541,27 @@ def test_compile_no_refresh_flag(tmp_path, capsys):
     assert without["stats"]["n_refresh"] == 0
     assert with_default["format"] == without["format"]
     capsys.readouterr()
+
+
+def test_compile_of_gate_inputs_that_cannot_all_be_fresh_exits_3(tmp_path):
+    # refreshing the four inputs 4 ns apart takes 13 ns before the gate
+    # senses them, more than the 12 ns logic window: no schedule exists
+    src = tmp_path / "wide.txt"
+    src.write_text("t0 = ~a;\n" + "".join(f"t{i} = ~t{i - 1};\n" for i in range(1, 30))
+                   + "out = ~(a | b | c | d | t29);\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "compiler": {"max_nor_arity": 4},
+                               "model": {"drt_read_ns": 1000, "drt_logic_ns": 12}}))
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "gcpim.cli", "compile", str(src), "--config", str(cfg),
+         "-o", str(tmp_path / "wide.json")],
+        env=env, capture_output=True, text=True, timeout=30, preexec_fn=cap_memory)
+    assert done.returncode == 3, done.stderr
+    assert "more than the 12ns logic window" in done.stderr

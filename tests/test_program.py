@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.compiler import (
+    CapacityError,
     CompilerConfig,
     PimProgram,
     UnsoundProgramError,
@@ -129,9 +130,19 @@ def test_program_json_rejects_other_files(tmp_path):
 
 def test_compiler_config_validation():
     with pytest.raises(ConfigError):
-        CompilerConfig(rows=64, rows_available=63)  # no room for constants
+        CompilerConfig(rows=64, max_nor_arity=62)  # no row left for the output
     with pytest.raises(ConfigError):
         CompilerConfig(max_nor_arity=1)
+
+
+def test_value_rows_follow_the_row_count():
+    # 70 inputs stay live at once: too many for 64 rows, not for 256
+    wide = "out = " + " | ".join(f"x{i}" for i in range(70)) + ";"
+    with pytest.raises(CapacityError):
+        compile_program(wide)
+    prog = compile_program(wide, CompilerConfig(rows=256))
+    assert prog.assignment.rows_available == 254
+    assert prog.assignment.peak_live > 62
 
 
 # -- refresh insertion ------------------------------------------------
@@ -299,7 +310,7 @@ def _compile_cases(draw):
 def test_heap_insertion_matches_the_scan_oracle(case):
     # same ops as the scan, or the same RefreshScheduleError message
     source, rows, arity, model = case
-    cfg = CompilerConfig(rows=rows, rows_available=rows - 2, max_nor_arity=arity)
+    cfg = CompilerConfig(rows=rows, max_nor_arity=arity)
     bare = compile_program(source, dataclasses.replace(cfg, insert_refreshes=False),
                            model)
     try:

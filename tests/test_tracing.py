@@ -1,0 +1,39 @@
+"""The benchmark's span tracer still finds every name it wraps.
+
+``bench/tracing.py`` patches functions where gcpim looks them up.  A
+rename or a changed lookup would otherwise surface only when the traced
+benchmark runs; here the tracer is loaded from its source (nothing is
+written under ``bench/``), entered and exited around one compile.
+"""
+
+import types
+from pathlib import Path
+
+from gcpim.compiler import compile_program
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_the_benchmark_tracer_wraps_and_restores_every_target():
+    tracing = load_tracing()
+    targets = ([(owner, attr) for _, owner, attr, _ in tracing.SPANS]
+               + [(owner, attr) for _, owner, attr in tracing.COUNTERS])
+    before = [owner.__dict__[attr] for owner, attr in targets]
+    with tracing.Tracer() as tracer:
+        assert all(owner.__dict__[attr] is not raw
+                   for (owner, attr), raw in zip(targets, before))
+        compile_program("s = a ^ b;\nc = a & b;")
+    assert all(owner.__dict__[attr] is raw for (owner, attr), raw in zip(targets, before))
+    metrics = tracer.layer_metrics()
+    assert tracer.nesting_problems() == []
+    assert metrics["expr.statements"] == 2
+    for stage in ("netlist.lower_s", "allocate.allocate_s", "program.emit_s",
+                  "program.insert_refresh_s"):
+        assert metrics[stage] > 0, stage
