@@ -14,15 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from gcpim.charge import CellParams, ModelConfig, decay, residual_after_discharge
+from gcpim.charge import ModelConfig, decay, overdrive, residual_from_overdrive
 
 
 def sweep(model: ModelConfig, ages_ns: np.ndarray) -> list[dict]:
-    nominal = CellParams()
     rows = []
     for age in ages_ns:
-        level = float(decay(model.vdd, float(age), nominal, model))
-        residual = float(residual_after_discharge([level], [nominal], model))
+        level = float(decay(model.vdd, age, 1.0, model))
+        residual = float(residual_from_overdrive(overdrive(level, 0.0, model), model))
         rows.append(
             {
                 "age_ns": int(age),

@@ -8,13 +8,10 @@ Monte Carlo campaigns over process variation to estimate gate success rates.
 """
 
 from gcpim.charge import (
-    CellParams,
-    CellState,
     ConfigError,
     ModelConfig,
     calibrate_tau,
     decay,
-    residual_after_discharge,
     sense,
 )
 from gcpim.compiler import (
@@ -53,8 +50,6 @@ from gcpim.subarray import (
 __all__ = [
     "CalibrationError",
     "CapacityError",
-    "CellParams",
-    "CellState",
     "CompilerConfig",
     "ConfigError",
     "EventLedger",
@@ -80,7 +75,6 @@ __all__ = [
     "load_config",
     "lower_to_nor",
     "parse_program",
-    "residual_after_discharge",
     "run_gate_campaign",
     "run_gate_trials",
     "sample_params",

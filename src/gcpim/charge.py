@@ -1,17 +1,19 @@
 """Behavioral charge model for a 3T NMOS gain-cell storage node.
 
-Three physical behaviors are captured, each as a pure function so the
-array simulator and the Monte Carlo engine can share them:
+Three physical behaviors are captured by four pure kernels, which the
+array simulator (``SubArray``) calls for every cell level it computes:
 
-* exponential decay of the storage-node (SN) voltage toward 0 V, which sets
-  the data retention time,
-* the sense-amplifier threshold decision that turns an SN voltage into a bit,
-* the conditional-discharge transfer function of the two-phase logic pulse:
-  input cells whose SN voltage exceeds the drive threshold open a pull-down
-  path that drags a pre-charged output cell low.
+* ``decay``: exponential decay of the storage-node (SN) voltage toward
+  0 V, which sets the data retention time,
+* ``sense``: the sense-amplifier threshold decision that turns an SN
+  voltage into a bit,
+* ``overdrive`` and ``residual_from_overdrive``: the conditional-discharge
+  transfer function of the two-phase logic pulse.  Input cells whose SN
+  voltage exceeds the drive threshold open a pull-down path that drags a
+  pre-charged output cell low.
 
-All functions accept scalars or numpy arrays and broadcast elementwise, so a
-whole 64-wide row evaluates in one call.
+Voltages and per-cell parameters may be scalars or numpy arrays and
+broadcast elementwise, so a whole row evaluates in one call.
 """
 
 from __future__ import annotations
@@ -23,19 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CellParams",
-    "CellState",
     "ConfigError",
     "ModelConfig",
-    "NOMINAL_CELL",
     "RETIRED_KEYS",
     "calibrate_tau",
     "decay",
-    "decay_with_scale",
     "known_keys",
     "overdrive",
     "residual_from_overdrive",
-    "residual_after_discharge",
     "sense",
 ]
 
@@ -144,52 +141,17 @@ class ModelConfig:
             self, tau_ns=calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns))
 
 
-@dataclass(frozen=True)
-class CellParams:
-    """Per-cell variation knobs sampled by the Monte Carlo engine.
-
-    ``tau_scale`` multiplies the decay constant (values below 1 decay
-    faster); ``drive_offset`` shifts the voltage at which the cell's read
-    transistor starts pulling the shared bitline down.
-    """
-
-    tau_scale: float = 1.0
-    drive_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.tau_scale <= 0:
-            raise ConfigError(f"tau_scale must be positive, got {self.tau_scale}")
-
-
-NOMINAL_CELL = CellParams()
-
-
-@dataclass
-class CellState:
-    """Storage-node voltage as of ``last_update`` (ns since sim start)."""
-
-    voltage: float = 0.0
-    last_update: int = 0
-
-
-def decay_with_scale(voltage, dt, tau_scale, cfg: ModelConfig):
-    """Elementwise decay with an explicit (possibly per-cell) tau multiplier."""
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    out = np.asarray(voltage, dtype=float) * np.exp(
-        -dt / (cfg.tau_ns * np.asarray(tau_scale, dtype=float))
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def decay(voltage, dt, params: CellParams, cfg: ModelConfig):
+def decay(voltage, dt, tau_scale, cfg: ModelConfig):
     """Storage-node voltage after ``dt`` nanoseconds of leakage.
 
     Single-pole exponential toward 0 V: a stored '0' is the stable state,
     a stored '1' leaks away with time constant ``tau_ns * tau_scale``.
+    ``dt`` is one elapsed time; ``voltage`` and ``tau_scale`` may be
+    per-cell arrays.
     """
-    return decay_with_scale(voltage, dt, params.tau_scale, cfg)
+    if dt < 0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
+    return voltage * np.exp(-dt / (cfg.tau_ns * tau_scale))
 
 
 def sense(voltage, sa_threshold):
@@ -224,30 +186,3 @@ def residual_from_overdrive(total_overdrive, cfg: ModelConfig):
     pull = np.minimum(1.0, d / full_drive)
     out = np.where(d > 0.0, cfg.vdd - (cfg.vdd - cfg.v_residual_floor) * pull, cfg.vdd)
     return float(out) if out.ndim == 0 else out
-
-
-def residual_after_discharge(
-    input_voltages, input_params, cfg: ModelConfig
-):
-    """Output-SN voltage after the logic pulse's evaluation phase.
-
-    ``input_voltages`` holds one SN voltage per asserted input row and
-    ``input_params`` the matching per-cell parameters.  Parallel pull-down
-    paths combine additively in overdrive, so more (or stronger) '1' inputs
-    can only pull the output lower.
-    """
-    voltages = list(input_voltages)
-    params = list(input_params)
-    if not voltages:
-        raise ValueError("residual_after_discharge needs at least one input")
-    if len(params) != len(voltages):
-        raise ValueError(
-            f"got {len(voltages)} voltages but {len(params)} parameter sets"
-        )
-    for v in voltages:
-        if not (0.0 <= v <= cfg.vdd):
-            raise ValueError(f"input voltage {v} outside [0, vdd={cfg.vdd}]")
-    total = 0.0
-    for v, p in zip(voltages, params):
-        total += float(overdrive(v, p.drive_offset, cfg))
-    return float(residual_from_overdrive(total, cfg))

@@ -399,7 +399,8 @@ class AuditViolation:
 
 
 def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
-    """Every stale or unwritten sense in the retention_ages replay.
+    """Every op that starts before the previous one ends, then every stale
+    or unwritten sense in the retention_ages replay.
 
     Checks both of the program's budgets: consumed values must be within
     the logic window, and refreshes must sense values still within the
@@ -407,7 +408,13 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
     """
     budget = program.drt_logic_ns
     drt_read = program.drt_read_ns
-    violations: list[AuditViolation] = []
+    ops, duration = program.ops, program.timing.duration_ns
+    violations = [
+        AuditViolation(i, op.t_start_ns, None, "overlap",
+                       f"op {i} starts at {op.t_start_ns}ns, before op {i - 1} "
+                       f"ends at {prev.t_start_ns + duration(prev.kind)}ns")
+        for i, (prev, op) in enumerate(zip(ops, ops[1:]), 1)
+        if op.t_start_ns < prev.t_start_ns + duration(prev.kind)]
     for i, op, row, t, age in retention_ages(program.ops, program.timing):
         refresh = op.kind is OpKind.REFRESH
         if age is None:

@@ -166,11 +166,15 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
              for stream in streams)
     sa = block_array(model, program.timing, draws, n_rows, width)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
+    # the rows the WRITE ops store inputs in, which the soundness audit checks
+    input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
+                    if op.kind is OpKind.WRITE and op.source is not None
+                    and op.source.startswith("input:")]
     masks = score_block(
         sa, [outputs[name] for name in ideal_out],
         [np.tile(want, n) for want in ideal_out.values()],
-        [program.assignment.input_rows[name] for name in program.inputs],
-        np.tile([vectors[name] for name in program.inputs], n))
+        [row for row, _ in input_writes],
+        np.tile([vectors[name] for _, name in input_writes], n))
     return tuple(mask.reshape(n, width) for mask in masks)
 
 
@@ -208,8 +212,8 @@ def simulate_program(
         stale = audit_refresh_safety(program)
         if stale:
             raise RetentionViolationError(
-                f"program violates retention budgets: {stale[0].message} "
-                f"({len(stale)} violations); compile it with refresh insertion"
+                f"program fails the retention audit: {stale[0].message} "
+                f"({len(stale)} violations); recompile it with refresh insertion"
             )
 
     ideal_out = {

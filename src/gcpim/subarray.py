@@ -1,12 +1,14 @@
 """Sub-array simulator: writes, nondestructive reads, refresh, and the
 two-phase stateful logic pulse, plus the micro-op and event-ledger types.
 
-The sub-array is 64x64 by default and keeps only cell state.  Each cell
-stores its voltage as of its own ``last_update`` timestamp and is decayed
-on demand when an operation touches it, which is exact for the
-single-pole decay law.  Per-cell variation (tau multiplier, drive offset)
-and per-column sense thresholds are plain numpy grids so one operation
-evaluates all 64 columns at once.
+The sub-array is 64x64 by default and keeps only cell state.  Every op
+writes a whole row at one instant, so each row stores its cells'
+voltages as of one ``last_update`` timestamp and is decayed on demand,
+through ``charge.decay``, when an operation touches it; that is exact
+for the single-pole decay law.  Reads sense through ``charge.sense``.
+Per-cell variation (tau multiplier, drive offset) and per-column sense
+thresholds are plain numpy grids so one operation evaluates a whole row
+at once.
 
 ``SubArray.run`` executes a list of timestamped micro-ops; nominal runs,
 program Monte Carlo and gate campaigns all drive the array through it.
@@ -26,11 +28,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from gcpim.charge import (
-    CellState,
     ConfigError,
     ModelConfig,
+    decay,
     overdrive,
     residual_from_overdrive,
+    sense,
 )
 
 __all__ = [
@@ -258,13 +261,15 @@ class EventLedger:
 
 
 class SubArray:
-    """One 64x64 tile of gain cells plus its per-column sense amplifiers.
+    """A tile of gain cells plus its per-column sense amplifiers: 64x64
+    by default, any shape for a block array of side-by-side trials.
 
     Operations are strictly sequential within a tile: callers supply each
-    op's start time and those times must be non-decreasing (the tile does
-    not check; ``EventLedger.from_ops`` rejects an op list that goes back
-    in time).  Distinct tiles share no state and may be simulated
-    concurrently.
+    op's start time, and an op must not start before the previous one
+    ends.  The retention audit rejects a program whose ops overlap; on the
+    tile, sensing a row before its last write has ended raises
+    ValueError from ``charge.decay``.  Distinct tiles share no state and
+    may be simulated concurrently.
     """
 
     def __init__(
@@ -286,7 +291,7 @@ class SubArray:
         self.rows = rows
         self.cols = cols
         self.voltage = np.zeros((rows, cols))
-        self.last_update = np.zeros((rows, cols), dtype=np.int64)
+        self.last_update = np.zeros(rows, dtype=np.int64)
         self.tau_scale = self._grid(tau_scale, 1.0)
         self.drive_offset = self._grid(drive_offset, 0.0)
         if sa_threshold is None:
@@ -315,22 +320,14 @@ class SubArray:
 
     # -- state access -------------------------------------------------
 
-    def cell_state(self, row: int, col: int) -> CellState:
-        return CellState(
-            voltage=float(self.voltage[row, col]),
-            last_update=int(self.last_update[row, col]),
-        )
-
     def _check_row(self, row: int) -> None:
         if not (0 <= row < self.rows):
             raise IndexError(f"row {row} out of range [0, {self.rows})")
 
     def _row_voltage_at(self, row: int, t: int) -> np.ndarray:
         """Row voltages decayed to time ``t`` (no state change)."""
-        dt = np.maximum(t - self.last_update[row], 0)
-        return self.voltage[row] * np.exp(
-            -dt / (self.model.tau_ns * self.tau_scale[row])
-        )
+        return decay(self.voltage[row], t - self.last_update[row],
+                     self.tau_scale[row], self.model)
 
     def _sample_row(self, t: int, row: int, values: np.ndarray) -> None:
         if self.trace_rows is not None:
@@ -355,13 +352,14 @@ class SubArray:
 
         Nondestructive: cell charge is untouched apart from the decay that
         time itself causes; the elapsed decay is folded into the stored
-        state so cell_state() reflects the sensed level.
+        state, so ``voltage[row]`` holds the sensed level as of
+        ``last_update[row] == t_now``.
         """
         self._check_row(row)
         level = self._row_voltage_at(row, t_now)
-        bits = np.greater_equal(level, self.sa_threshold).astype(np.uint8)
+        bits = sense(level, self.sa_threshold)
         self.voltage[row] = level
-        self.last_update[row] = np.maximum(self.last_update[row], t_now)
+        self.last_update[row] = t_now
         self._sample_row(t_now, row, level)
         return bits
 
@@ -373,7 +371,7 @@ class SubArray:
         """
         self._check_row(row)
         level = self._row_voltage_at(row, t_now)
-        bits = np.greater_equal(level, self.sa_threshold).astype(np.uint8)
+        bits = sense(level, self.sa_threshold)
         t_done = t_now + self.timing.t_refresh_ns
         self.voltage[row] = np.where(bits != 0, self.model.vdd, 0.0)
         self.last_update[row] = t_done

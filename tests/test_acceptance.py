@@ -102,7 +102,7 @@ def test_03_refresh_overhead(capsys):
         assert duration == 256
         # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
         for row in range(64):
-            assert (arr.last_update[row] == 4 * (row + 1)).all(), row
+            assert arr.last_update[row] == 4 * (row + 1), row
         refreshes = [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row)
                      for row in range(64)]
         ledger = EventLedger.from_ops(refreshes, TIM, 64)
@@ -151,7 +151,7 @@ def test_06_residual_stays_below_threshold(capsys):
             arr = SubArray(MODEL)
             arr.write_row(0, np.ones(64, dtype=np.uint8), 0)
             arr.exec_logic([0], 2, age)  # input sampled at age+1, dt = age
-            levels.append(arr.cell_state(2, 0).voltage)
+            levels.append(arr.voltage[2, 0])
             assert int(arr.read_row(2, age + 3)[0]) == 0  # still a clean '0'
         for before, after in zip(levels, levels[1:]):
             assert after + 1e-15 >= before
@@ -162,7 +162,7 @@ def test_06_residual_stays_below_threshold(capsys):
         arr = SubArray(MODEL)
         arr.write_row(0, np.zeros(64, dtype=np.uint8), 0)
         arr.exec_logic([0], 2, MODEL.drt_logic_ns)
-        assert arr.cell_state(2, 0).voltage == MODEL.vdd
+        assert arr.voltage[2, 0] == MODEL.vdd
         assert int(arr.read_row(2, MODEL.drt_logic_ns + 3)[0]) == 1
 
 

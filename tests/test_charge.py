@@ -5,7 +5,10 @@ direct evaluation of the closed-form expressions, not by calling the
 code under test, and are frozen here as literals.
 """
 
+import hashlib
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +18,15 @@ from scipy.optimize import brentq
 
 from gcpim.charge import (
     DEFAULT_TAU_NS,
-    CellParams,
     ConfigError,
     ModelConfig,
-    NOMINAL_CELL,
     calibrate_tau,
     decay,
-    decay_with_scale,
     overdrive,
-    residual_after_discharge,
     residual_from_overdrive,
     sense,
 )
+from gcpim.subarray import SubArray
 
 CFG = ModelConfig()
 
@@ -38,6 +38,9 @@ RESIDUAL_AGED_5US = 0.26548256285449345
 MARGIN_AGED_5US = 0.18451743714550656
 # stored '1' one nanosecond old (the freshest a logic operand can be)
 RESIDUAL_FRESH = 0.04504938559555649
+# scripts/retention_sweep.py's default 121-point CSV
+SWEEP_SHA256 = "75c92a6ef9e18010a1a24409152f7b8b52e6b842fbddd0520de6afe55847a4d3"
+SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "retention_sweep.py"
 
 
 def test_tau_matches_root_find():
@@ -50,7 +53,7 @@ def test_tau_matches_root_find():
 
 def test_tau_rederives_for_other_rails():
     cfg = ModelConfig(vdd=1.0, v_sa_read=0.5, drt_read_ns=10000).calibrated()
-    assert decay(1.0, 10000, NOMINAL_CELL, cfg) == pytest.approx(0.5, rel=1e-12)
+    assert decay(1.0, 10000, 1.0, cfg) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_tau_rejects_degenerate_levels():
@@ -61,19 +64,19 @@ def test_tau_rejects_degenerate_levels():
 
 
 def test_decay_reference_points():
-    assert decay(CFG.vdd, 5000, NOMINAL_CELL, CFG) == pytest.approx(
+    assert decay(CFG.vdd, 5000, 1.0, CFG) == pytest.approx(
         V_AGED_5US, rel=1e-12
     )
     # the calibration point: half the rail at the read retention limit
-    assert decay(CFG.vdd, 15000, NOMINAL_CELL, CFG) == pytest.approx(
+    assert decay(CFG.vdd, 15000, 1.0, CFG) == pytest.approx(
         0.45, rel=1e-12
     )
-    assert decay(0.0, 10**6, NOMINAL_CELL, CFG) == 0.0
+    assert decay(0.0, 10**6, 1.0, CFG) == 0.0
 
 
 def test_decay_rejects_negative_dt():
     with pytest.raises(ValueError):
-        decay(0.9, -1, NOMINAL_CELL, CFG)
+        decay(0.9, -1, 1.0, CFG)
 
 
 @given(
@@ -84,8 +87,8 @@ def test_decay_rejects_negative_dt():
 @settings(max_examples=200, deadline=None)
 def test_decay_composes(v, a, b):
     # two decays in sequence equal one decay over the summed interval
-    once = decay(v, a + b, NOMINAL_CELL, CFG)
-    twice = decay(decay(v, a, NOMINAL_CELL, CFG), b, NOMINAL_CELL, CFG)
+    once = decay(v, a + b, 1.0, CFG)
+    twice = decay(decay(v, a, 1.0, CFG), b, 1.0, CFG)
     assert twice == pytest.approx(once, rel=1e-12, abs=1e-15)
 
 
@@ -97,8 +100,8 @@ def test_decay_composes(v, a, b):
 @settings(max_examples=200, deadline=None)
 def test_decay_scale_equals_time_dilation(v, dt, scale):
     # multiplying tau by s is the same as dividing elapsed time by s
-    scaled = decay_with_scale(v, dt, scale, CFG)
-    dilated = decay_with_scale(v, dt / scale, 1.0, CFG)
+    scaled = decay(v, dt, scale, CFG)
+    dilated = decay(v, dt / scale, 1.0, CFG)
     assert scaled == pytest.approx(dilated, rel=1e-12, abs=1e-15)
 
 
@@ -118,23 +121,30 @@ def test_overdrive_clamps_at_zero():
     assert overdrive(0.2, 0.05, CFG) == 0.0
 
 
+def residual(voltages):
+    """Output level of a NOR whose nominal input cells hold ``voltages``:
+    parallel pull-down paths add in overdrive."""
+    return residual_from_overdrive(
+        sum(float(overdrive(v, 0.0, CFG)) for v in voltages), CFG)
+
+
 def test_residual_quiet_inputs_keep_precharge():
     # inputs below the drive threshold leave the output at the rail
-    assert residual_after_discharge([0.0], [NOMINAL_CELL], CFG) == CFG.vdd
-    assert residual_after_discharge([0.17, 0.0], [NOMINAL_CELL] * 2, CFG) == CFG.vdd
+    assert residual([0.0]) == CFG.vdd
+    assert residual([0.17, 0.0]) == CFG.vdd
 
 
 def test_residual_single_full_input_hits_floor():
-    got = residual_after_discharge([CFG.vdd], [NOMINAL_CELL], CFG)
+    got = residual([CFG.vdd])
     assert got == pytest.approx(CFG.v_residual_floor, rel=1e-12)
 
 
 def test_residual_reference_points():
-    aged = residual_after_discharge([V_AGED_5US], [NOMINAL_CELL], CFG)
+    aged = residual([V_AGED_5US])
     assert aged == pytest.approx(RESIDUAL_AGED_5US, rel=1e-12)
     assert CFG.v_sa_read - aged == pytest.approx(MARGIN_AGED_5US, rel=1e-12)
-    fresh_v = decay(CFG.vdd, 1, NOMINAL_CELL, CFG)
-    fresh = residual_after_discharge([fresh_v], [NOMINAL_CELL], CFG)
+    fresh_v = decay(CFG.vdd, 1, 1.0, CFG)
+    fresh = residual([fresh_v])
     assert fresh == pytest.approx(RESIDUAL_FRESH, rel=1e-12)
 
 
@@ -145,8 +155,8 @@ def test_residual_reference_points():
 @settings(max_examples=200, deadline=None)
 def test_residual_monotone_in_input_level(v1, v2):
     lo, hi = sorted((v1, v2))
-    r_lo = residual_after_discharge([lo], [NOMINAL_CELL], CFG)
-    r_hi = residual_after_discharge([hi], [NOMINAL_CELL], CFG)
+    r_lo = residual([lo])
+    r_hi = residual([hi])
     assert r_hi <= r_lo + 1e-15
 
 
@@ -157,16 +167,15 @@ def test_residual_monotone_in_input_level(v1, v2):
 @settings(max_examples=200, deadline=None)
 def test_residual_monotone_in_fan_in(voltages, extra):
     # adding one more input can only pull the output lower (wired-NOR)
-    params = [NOMINAL_CELL] * len(voltages)
-    base = residual_after_discharge(voltages, params, CFG)
-    more = residual_after_discharge(voltages + [extra], params + [NOMINAL_CELL], CFG)
+    base = residual(voltages)
+    more = residual(voltages + [extra])
     assert more <= base + 1e-15
     assert CFG.v_residual_floor <= more <= CFG.vdd
 
 
 def test_residual_saturates_not_overshoots():
     # many strong inputs cannot pull below the floor
-    got = residual_after_discharge([0.9] * 8, [NOMINAL_CELL] * 8, CFG)
+    got = residual([0.9] * 8)
     assert got == pytest.approx(CFG.v_residual_floor, rel=1e-12)
 
 
@@ -175,15 +184,6 @@ def test_residual_vectorized_matches_scalar():
     got = residual_from_overdrive(d, CFG)
     ref = np.array([residual_from_overdrive(float(x), CFG) for x in d])
     np.testing.assert_allclose(got, ref, rtol=1e-15)
-
-
-def test_residual_input_validation():
-    with pytest.raises(ValueError):
-        residual_after_discharge([], [], CFG)
-    with pytest.raises(ValueError):
-        residual_after_discharge([0.5], [], CFG)
-    with pytest.raises(ValueError):
-        residual_after_discharge([1.5], [NOMINAL_CELL], CFG)
 
 
 def test_config_rejects_bad_orderings():
@@ -200,5 +200,23 @@ def test_config_rejects_bad_orderings():
 
 
 def test_cell_params_reject_nonpositive_tau_scale():
-    with pytest.raises(ConfigError):
-        CellParams(tau_scale=0.0)
+    # per-cell retention scales live on the subarray's grid; a single
+    # nonpositive cell makes the decay exponent meaningless
+    scale = np.ones((4, 4))
+    scale[2, 1] = 0.0
+    with pytest.raises(ConfigError, match="strictly positive"):
+        SubArray(CFG, rows=4, cols=4, tau_scale=scale)
+    scale[2, 1] = -1.0
+    with pytest.raises(ConfigError, match="strictly positive"):
+        SubArray(CFG, rows=4, cols=4, tau_scale=scale)
+
+
+def test_retention_sweep_csv_is_byte_stable(tmp_path, capsys):
+    # the sweep's CSV depends only on the charge kernels; the script is
+    # loaded from its source, the way the tests load bench/tracing.py
+    sweep = types.ModuleType("retention_sweep")
+    exec(compile(SWEEP.read_text(), str(SWEEP), "exec"), sweep.__dict__)
+    out = tmp_path / "sweep.csv"
+    assert sweep.main(["--out", str(out)]) == 0
+    assert "121 points" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256

@@ -235,6 +235,30 @@ def test_mc_program_mode(adder, tmp_path):
     assert rc in (0, 1)  # rate depends on draws; files must exist either way
 
 
+def test_mc_attribution_takes_input_rows_from_the_writes(tmp_path):
+    # a failure is tagged by the input cells its WRITE ops fill, so an
+    # edited row_assignment map changes no byte of the report
+    src = tmp_path / "half.txt"
+    src.write_text("s = a ^ b;\nc = a & b;\n")
+    compiled = tmp_path / "half.json"
+    assert main(["compile", str(src), "-o", str(compiled)]) == 0
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"version": 1, "variation": {
+        "sigma_tau": 0.6, "sigma_sa": 0.12, "sigma_drive": 0.1}}))
+    reports = []
+    for input_rows in (None, {"a": 1, "b": 0}, {"a": 5, "b": 6}):
+        data = json.loads(compiled.read_text())
+        if input_rows is not None:
+            data["row_assignment"]["input_rows"] = input_rows
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        out = tmp_path / f"mc{len(reports)}"
+        assert main(["mc", "--program", str(edited), "--trials", "500", "--seed", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        reports.append((out / "report.json").read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_seed_changes_the_mc_draws(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["mc", "--gate", "NOT", "--arity", "1", "--trials", "3000",
@@ -421,6 +445,23 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
                          "--out", str(tmp_path / "bad_out")]) == 5, (message, mode)
             err = capsys.readouterr().err
             assert "gcpim: malformed program:" in err and message in err
+
+    # both READs of a half adder moved onto its last gate (op 9, 23-26 ns):
+    # the tile is sequential, so ops that overlap are a timing error (3)
+    half = tmp_path / "half.txt"
+    half.write_text("s = a ^ b;\nc = a & b;\n")
+    assert main(["compile", str(half), "-o", str(compiled)]) == 0
+    data = json.loads(compiled.read_text())
+    assert [op["op"] for op in data["ops"][9:]] == ["LOGIC", "READ", "READ"]
+    assert data["ops"][9]["t_start_ns"] == 23
+    data["ops"][10]["t_start_ns"] = data["ops"][11]["t_start_ns"] = 23
+    bad_prog.write_text(json.dumps(data))
+    for mode in ("nominal", "mc"):
+        capsys.readouterr()
+        assert main(["run", str(bad_prog), "--inputs", str(and_inputs),
+                     "--mode", mode, "--trials", "4",
+                     "--out", str(tmp_path / "bad_out")]) == 3, mode
+        assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
 
 
 # the README's exit-code table

@@ -50,18 +50,17 @@ def test_write_then_immediate_read_roundtrip():
 def test_written_levels_are_full_rail():
     sa = SubArray(CFG)
     sa.write_row(0, bits("10"), t_now=0)
-    assert sa.cell_state(0, 0).voltage == CFG.vdd
-    assert sa.cell_state(0, 1).voltage == 0.0
-    assert sa.cell_state(0, 0).last_update == 1  # end of the write pulse
+    assert sa.voltage[0, 0] == CFG.vdd
+    assert sa.voltage[0, 1] == 0.0
+    assert sa.last_update[0] == 1  # end of the write pulse
 
 
 def test_read_folds_decay_into_state():
     sa = SubArray(CFG)
     sa.write_row(0, bits("1"), t_now=0)
     sa.read_row(0, t_now=5001)
-    st_ = sa.cell_state(0, 0)
-    assert st_.last_update == 5001
-    assert st_.voltage == pytest.approx(
+    assert sa.last_update[0] == 5001
+    assert sa.voltage[0, 0] == pytest.approx(
         CFG.vdd * math.exp(-5000 / CFG.tau_ns), rel=1e-12
     )
 
@@ -121,13 +120,13 @@ def test_logic_output_levels_fresh_input():
     sa = SubArray(CFG)
     sa.write_row(0, bits("1"), t_now=0)
     sa.exec_logic([0], 3, t_now=1)
-    assert sa.cell_state(3, 0).voltage == pytest.approx(
+    assert sa.voltage[3, 0] == pytest.approx(
         0.04504938559555649, rel=1e-12
     )
     # quiet input: output stays precharged at the rail
     sa.write_row(1, bits("0"), t_now=4)
     sa.exec_logic([1], 4, t_now=5)
-    assert sa.cell_state(4, 0).voltage == CFG.vdd
+    assert sa.voltage[4, 0] == CFG.vdd
 
 
 def test_logic_inputs_are_undisturbed():
@@ -135,9 +134,8 @@ def test_logic_inputs_are_undisturbed():
     sa.write_row(0, bits("1"), t_now=0)
     sa.exec_logic([0], 3, t_now=1)
     # input cell keeps decaying from its write instant; no extra kick
-    st_ = sa.cell_state(0, 0)
-    assert st_.last_update == 1
-    assert st_.voltage == CFG.vdd  # stored level still referenced to t=1
+    assert sa.last_update[0] == 1
+    assert sa.voltage[0, 0] == CFG.vdd  # stored level still referenced to t=1
 
 
 def test_logic_rejects_overlapping_rows():
@@ -153,8 +151,8 @@ def test_refresh_restores_full_level():
     sa.write_row(0, bits("10"), t_now=0)
     got = sa.refresh_row(0, t_now=10000)
     np.testing.assert_array_equal(got, bits("10"))
-    assert sa.cell_state(0, 0).voltage == CFG.vdd
-    assert sa.cell_state(0, 0).last_update == 10004
+    assert sa.voltage[0, 0] == CFG.vdd
+    assert sa.last_update[0] == 10004
     # a refreshed '1' survives another full read window
     assert sa.read_row(0, t_now=10004 + 14999)[0] == 1
 
@@ -170,8 +168,7 @@ def test_refresh_all_duration():
     sa = SubArray(CFG)
     assert sa.refresh_all(t_now=0) == 256
     # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
-    np.testing.assert_array_equal(
-        sa.last_update, np.repeat(4 * np.arange(1, 65), 64).reshape(64, 64))
+    np.testing.assert_array_equal(sa.last_update, 4 * np.arange(1, 65))
     refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
     ledger = EventLedger.from_ops(refreshes, TIM, 64)
     assert [e.op for e in ledger] == [OpKind.REFRESH.value] * 64
