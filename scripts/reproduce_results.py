@@ -17,7 +17,7 @@ import numpy as np
 from gcpim.charge import ModelConfig
 from gcpim.compiler import compile_program, exhaustive_vectors, simulate_program
 from gcpim.montecarlo import VariationConfig, calibrate_variation, run_gate_campaign
-from gcpim.subarray import SubArray, TimingEnergyConfig
+from gcpim.subarray import MicroOp, OpKind, SubArray, TimingEnergyConfig
 
 MACROS = {
     "NOT": "out = ~a;",
@@ -66,7 +66,9 @@ def main(argv=None) -> int:
 
     print("\n== refresh overhead ==")
     arr = SubArray(model)
-    sweep = arr.refresh_all(0)
+    arr.run([MicroOp(OpKind.REFRESH, (row,), t_start_ns=row * timing.t_refresh_ns)
+             for row in range(arr.rows)], write_bits=None)  # REFRESH writes no bits
+    sweep = int(arr.last_update.max())
     avail = 1.0 - sweep / model.drt_logic_ns
     print(f"64-row refresh sweep      : {sweep} ns")
     print(f"availability at {model.drt_logic_ns} ns : {100 * avail:.2f}%")
@@ -78,7 +80,7 @@ def main(argv=None) -> int:
         res = simulate_program(prog, exhaustive_vectors(prog.inputs), mode="nominal")
         assert res.duration_ns == prog.duration_ns
         print(
-            f"{name:<11}{prog.netlist.n_gates:>6}{prog.assignment.peak_live:>6}"
+            f"{name:<11}{prog.netlist.n_gates:>6}{prog.peak_rows:>6}"
             f"{prog.duration_ns:>6}{prog.energy_fj:>10.1f}"
         )
 

@@ -122,14 +122,14 @@ def cmd_compile(args) -> int:
     prog = compile_program(text, ccfg, cfg.model, cfg.timing_energy)
     out = args.out or os.path.splitext(args.source)[0] + ".compiled.json"
     prog.to_json(out)
-    s = prog.stats()
+    n = prog.netlist
     print(f"wrote {out}")
     print(f"inputs:  {', '.join(prog.inputs) or '(none)'}")
     print(f"outputs: {', '.join(prog.output_names)}")
-    print(f"gates:   {s['n_gates']} ({s['n_not']} NOT, {s['n_nor']} NOR), "
-          f"peak rows {s['peak_live_rows']}/{s['rows_available']}")
-    print(f"ops:     {s['n_ops']} ({s['n_refresh']} refresh), "
-          f"{s['duration_ns']} ns, {s['energy_fj']:.1f} fJ")
+    print(f"gates:   {n.n_gates} ({n.n_not} NOT, {n.n_nor} NOR), "
+          f"peak rows {prog.peak_rows}/{prog.rows - 2}")
+    print(f"ops:     {len(prog.ops)} ({prog.n_refresh} refresh), "
+          f"{prog.duration_ns} ns, {prog.energy_fj:.1f} fJ")
     return EXIT_OK
 
 

@@ -31,9 +31,7 @@ class RowAssignment:
     row_of: dict[int, int]          # node id -> row (rows are reused over time)
     input_rows: dict[str, int]
     const_rows: dict[int, int]      # constant value -> reserved row
-    output_rows: dict[str, int]
     peak_live: int
-    rows_available: int
 
 
 def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignment:
@@ -102,12 +100,5 @@ def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignmen
                 free.append(row_of[a])
                 free.sort(reverse=True)
 
-    output_rows = {name: row_of[nid] for name, nid in netlist.outputs}
-    return RowAssignment(
-        row_of=row_of,
-        input_rows=input_rows,
-        const_rows=const_rows,
-        output_rows=output_rows,
-        peak_live=peak,
-        rows_available=rows_available,
-    )
+    return RowAssignment(row_of=row_of, input_rows=input_rows,
+                         const_rows=const_rows, peak_live=peak)

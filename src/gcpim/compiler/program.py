@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 PROGRAM_FORMAT = "gcpim-program"
-PROGRAM_VERSION = 1
+PROGRAM_VERSION = 2
 
 
 class RefreshScheduleError(RuntimeError):
@@ -78,7 +78,6 @@ class PimProgram:
 
     ops: tuple[MicroOp, ...]
     netlist: NorNetlist
-    assignment: RowAssignment
     timing: TimingEnergyConfig
     drt_logic_ns: int
     drt_read_ns: int
@@ -111,18 +110,14 @@ class PimProgram:
             for op in self.ops
         )
 
-    def stats(self) -> dict:
-        return {
-            "n_gates": self.netlist.n_gates,
-            "n_not": self.netlist.n_not,
-            "n_nor": self.netlist.n_nor,
-            "n_ops": len(self.ops),
-            "n_refresh": self.n_refresh,
-            "peak_live_rows": self.assignment.peak_live,
-            "rows_available": self.assignment.rows_available,
-            "duration_ns": self.duration_ns,
-            "energy_fj": self.energy_fj,
-        }
+    @property
+    def peak_rows(self) -> int:
+        """1 + the highest value row (below the two constant rows) any op
+        touches.  The allocator takes the lowest free row, so this is its
+        peak liveness."""
+        values = self.rows - 2
+        return 1 + max((r for op in self.ops for r in (*op.rows, op.out_row)
+                        if r is not None and r < values), default=-1)
 
     # -- serialization -------------------------------------------------
 
@@ -137,7 +132,6 @@ class PimProgram:
                 if getattr(op, key) is not None:
                     entry[key] = getattr(op, key)
             ops.append(entry)
-        a = self.assignment
         return {
             "format": PROGRAM_FORMAT,
             "version": PROGRAM_VERSION,
@@ -147,61 +141,34 @@ class PimProgram:
             "drt_read_ns": self.drt_read_ns,
             "timing_energy": asdict(self.timing),
             "netlist": self.netlist.to_json_dict(),
-            "row_assignment": {
-                "row_of": {str(nid): row for nid, row in sorted(a.row_of.items())},
-                "input_rows": dict(a.input_rows),
-                "const_rows": {str(v): row for v, row in sorted(a.const_rows.items())},
-                "output_rows": dict(a.output_rows),
-                "peak_live": a.peak_live,
-                "rows_available": a.rows_available,
-            },
             "ops": ops,
-            "stats": self.stats(),
         }
 
     def to_json(self, path) -> None:
+        """One JSON object: everything but the ops on the first line, then
+        ``"ops"`` last with one compact op per line, so files diff op by op."""
+        data = self.to_json_dict()
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        ops = ",\n".join(map(encode, data.pop("ops")))
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(f'{encode(data)[:-1]},"ops":[\n{ops}\n]}}\n')
 
     @staticmethod
     def from_json_dict(data: dict) -> "PimProgram":
-        """Raises ValueError saying what is wrong for a missing key or a
-        wrong-typed value (ConfigError for the timing keys)."""
+        """Reads versions 1 and 2 alike: version 1's ``row_assignment``
+        and ``stats`` were derived data and are ignored.  Raises
+        ValueError saying what is wrong for a missing key or a wrong-typed
+        value (ConfigError for the timing keys)."""
         try:
             if data.get("format") != PROGRAM_FORMAT:
                 raise ValueError("not a compiled program file")
-            if data.get("version") != PROGRAM_VERSION:
+            if data.get("version") not in (1, PROGRAM_VERSION):
                 raise ValueError(f"unsupported program version {data.get('version')}")
             timing = TimingEnergyConfig(**known_keys(
                 "timing_energy", TimingEnergyConfig, data["timing_energy"]))
-            netlist = NorNetlist.from_json_dict(data["netlist"])
-            ra = data["row_assignment"]
-            assignment = RowAssignment(
-                row_of={int(k): v for k, v in ra["row_of"].items()},
-                input_rows=dict(ra["input_rows"]),
-                const_rows={int(k): v for k, v in ra["const_rows"].items()},
-                output_rows=dict(ra["output_rows"]),
-                peak_live=int(ra["peak_live"]),
-                rows_available=int(ra["rows_available"]),
-            )
-            ops = tuple(
-                MicroOp(
-                    kind=OpKind(entry["op"]),
-                    rows=tuple(entry["rows"]),
-                    out_row=entry.get("out_row"),
-                    bits=tuple(entry["bits"]) if "bits" in entry else None,
-                    source=entry.get("source"),
-                    t_start_ns=int(entry["t_start_ns"]),
-                    node=entry.get("node"),
-                    output=entry.get("output"),
-                )
-                for entry in data["ops"]
-            )
             return PimProgram(
-                ops=ops,
-                netlist=netlist,
-                assignment=assignment,
+                ops=tuple(map(_op_from_json, data["ops"])),
+                netlist=NorNetlist.from_json_dict(data["netlist"]),
                 timing=timing,
                 drt_logic_ns=int(data["drt_logic_ns"]),
                 drt_read_ns=int(data["drt_read_ns"]),
@@ -217,6 +184,26 @@ class PimProgram:
     def from_json(path) -> "PimProgram":
         with open(path) as fh:
             return PimProgram.from_json_dict(json.load(fh))
+
+
+def _op_from_json(entry: dict) -> MicroOp:
+    """An op entry with every field type-checked (``type(True)`` is bool,
+    not int), so a wrong-typed value is refused on load instead of
+    crashing an audit.  An absent optional field reads as None."""
+    get = entry.get
+    rows, t_start, bits = entry["rows"], entry["t_start_ns"], get("bits")
+    out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
+    if not (type(rows) is list and all(type(r) is int for r in rows)
+            and type(t_start) is int
+            and (out_row is None or type(out_row) is int)
+            and (node is None or type(node) is int)
+            and (bits is None or type(bits) is list
+                 and all(type(b) is int and b in (0, 1) for b in bits))
+            and (source is None or type(source) is str)
+            and (output is None or type(output) is str)):
+        raise TypeError(f"op {entry}")
+    return MicroOp(OpKind(entry["op"]), tuple(rows), out_row,
+                   None if bits is None else tuple(bits), source, t_start, node, output)
 
 
 def emit_ops(netlist: NorNetlist, assignment: RowAssignment) -> list[MicroOp]:
@@ -505,12 +492,10 @@ def compile_program(
     timing = timing_cfg or TimingEnergyConfig()
 
     netlist = lower_program(parse_program(source), cfg.max_nor_arity)
-    assignment = allocate_rows(netlist, cfg.rows - 2)
-    ops = emit_ops(netlist, assignment)
+    ops = emit_ops(netlist, allocate_rows(netlist, cfg.rows - 2))
     program = PimProgram(  # insert_refresh times the ops itself
         ops=tuple(ops if cfg.insert_refreshes else with_timestamps(ops, timing)),
         netlist=netlist,
-        assignment=assignment,
         timing=timing,
         drt_logic_ns=model.drt_logic_ns,
         drt_read_ns=model.drt_read_ns,

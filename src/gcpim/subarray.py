@@ -379,14 +379,6 @@ class SubArray:
         self._sample_row(t_done, row, self.voltage[row])
         return bits
 
-    def refresh_all(self, t_now: int) -> int:
-        """Refresh every row back to back; returns the total duration."""
-        t = t_now
-        for row in range(self.rows):
-            self.refresh_row(row, t)
-            t += self.timing.t_refresh_ns
-        return t - t_now
-
     def run(self, ops: Iterable[MicroOp],
             write_bits: Callable[[MicroOp], np.ndarray]) -> list[np.ndarray]:
         """Execute timestamped ops in order; each WRITE stores

@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError
 from gcpim.cli import main
-from gcpim.compiler import compile_program
+from gcpim.compiler import PimProgram, compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
 from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
+
+# a full adder as written by the version-1 program writer
+FULL_ADDER_V1 = Path(__file__).resolve().parent / "fixtures" / "full_adder_v1.json"
 
 
 # -- configuration ----------------------------------------------------
@@ -237,17 +240,14 @@ def test_mc_program_mode(adder, tmp_path):
 
 def test_mc_attribution_takes_input_rows_from_the_writes(tmp_path):
     # a failure is tagged by the input cells its WRITE ops fill, so an
-    # edited row_assignment map changes no byte of the report
-    src = tmp_path / "half.txt"
-    src.write_text("s = a ^ b;\nc = a & b;\n")
-    compiled = tmp_path / "half.json"
-    assert main(["compile", str(src), "-o", str(compiled)]) == 0
+    # edited row_assignment map in a version-1 file changes no byte of
+    # the report
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"version": 1, "variation": {
         "sigma_tau": 0.6, "sigma_sa": 0.12, "sigma_drive": 0.1}}))
     reports = []
-    for input_rows in (None, {"a": 1, "b": 0}, {"a": 5, "b": 6}):
-        data = json.loads(compiled.read_text())
+    for input_rows in (None, {"a": 1, "b": 0, "cin": 2}, {"a": 5, "b": 6, "cin": 7}):
+        data = json.loads(FULL_ADDER_V1.read_text())
         if input_rows is not None:
             data["row_assignment"]["input_rows"] = input_rows
         edited = tmp_path / "edited.json"
@@ -257,6 +257,38 @@ def test_mc_attribution_takes_input_rows_from_the_writes(tmp_path):
                      "--config", str(cfg), "--out", str(out)]) == 1
         reports.append((out / "report.json").read_bytes())
     assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_version_1_program_runs_as_a_fresh_compile(adder, tmp_path):
+    # the checked-in full adder was written as version 1, with its
+    # row_assignment and stats: it loads to the ops a fresh compile emits
+    # and runs to the same bytes
+    src, inputs = adder
+    fresh = tmp_path / "fresh.json"
+    assert main(["compile", str(src), "-o", str(fresh)]) == 0
+    v1 = json.loads(FULL_ADDER_V1.read_text())
+    assert v1["version"] == 1 and "row_assignment" in v1 and "stats" in v1
+    assert json.loads(fresh.read_text())["version"] == 2
+    assert PimProgram.from_json(FULL_ADDER_V1).ops == compile_program(src.read_text()).ops
+    outs = []
+    for prog in (FULL_ADDER_V1, fresh):
+        out = tmp_path / f"run{len(outs)}"
+        assert main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
+                     "--out", str(out)]) == 0
+        outs.append([(out / name).read_bytes() for name in ("outputs.csv", "ledger.csv")])
+    assert outs[0] == outs[1]
+
+
+def test_program_file_has_one_line_per_op(adder, tmp_path):
+    src, _ = adder
+    compiled = tmp_path / "adder.json"
+    assert main(["compile", str(src), "-o", str(compiled)]) == 0
+    header, *op_lines, closing = compiled.read_text().splitlines()
+    prog = PimProgram.from_json(compiled)
+    assert header.endswith('"ops":[') and closing == "]}"
+    assert [json.loads(line.rstrip(",")) for line in op_lines] == \
+        prog.to_json_dict()["ops"]
+    assert "row_assignment" not in header and "stats" not in header
 
 
 def test_seed_changes_the_mc_draws(tmp_path):
@@ -392,8 +424,14 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     del lacking["netlist"]
     wrong = json.loads(good.read_text())
     wrong["ops"][0]["rows"] = "x"
+    fractional = json.loads(good.read_text())
+    fractional["ops"][0]["rows"] = [1.5]
+    future = json.loads(good.read_text())
+    future["version"] = 3
     for data, message in ((lacking, "lacks the 'netlist' key"),
-                          (wrong, "wrong-typed value")):
+                          (wrong, "wrong-typed value"),
+                          (fractional, "'rows': [1.5]"),
+                          (future, "unsupported program version 3")):
         bad_prog = tmp_path / "bad_prog.json"
         bad_prog.write_text(json.dumps(data))
         capsys.readouterr()
@@ -451,6 +489,17 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     half = tmp_path / "half.txt"
     half.write_text("s = a ^ b;\nc = a & b;\n")
     assert main(["compile", str(half), "-o", str(compiled)]) == 0
+    # an op row given as a string is refused on load (5), not compared
+    # with ints by an audit (a TypeError traceback, exit 1)
+    data = json.loads(compiled.read_text())
+    assert data["ops"][5]["op"] == "LOGIC"
+    data["ops"][5]["out_row"] = str(data["ops"][5]["out_row"])
+    bad_prog.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", str(bad_prog), "--inputs", str(and_inputs),
+                 "--out", str(tmp_path / "bad_out")]) == 5
+    err = capsys.readouterr().err
+    assert "wrong-typed value" in err and "'out_row': '" in err
     data = json.loads(compiled.read_text())
     assert [op["op"] for op in data["ops"][9:]] == ["LOGIC", "READ", "READ"]
     assert data["ops"][9]["t_start_ns"] == 23
@@ -470,14 +519,22 @@ README_EXIT_CODES = {0, 1, 2, 3, 4, 5}
 # a constant write, three input writes, gates and two named reads
 EDITED_PROGRAM = compile_program("s = a ^ cin;\nc = (a & b) | (cin & 1);").to_json_dict()
 
+# JSON values of the wrong type for an int field (a numeric string, a
+# float, integral or not, or a boolean) and for a string field
+NOT_INT = st.sampled_from(["3", "x", ""]) | st.floats(-3, 80, allow_nan=False) | st.booleans()
+NOT_STR = st.integers(-3, 80) | st.floats(-3, 80, allow_nan=False) | st.booleans()
+
 OP_FIELD_VALUES = {
-    "node": st.none() | st.integers(-3, 40),
-    "output": st.none() | st.sampled_from(["s", "c", "zz"]) | st.text(max_size=4),
+    "node": st.none() | st.integers(-3, 40) | NOT_INT,
+    "output": st.none() | st.sampled_from(["s", "c", "zz"]) | st.text(max_size=4) | NOT_STR,
     "source": st.none() | st.text(max_size=8) | st.sampled_from(
-        ["input:a", "input:zz", "const:0", "const:1", "const:7", "const:x"]),
-    "rows": st.none() | st.lists(st.integers(-2, 80), max_size=3),
-    "out_row": st.none() | st.integers(-2, 80),
-    "t_start_ns": st.none() | st.integers(-20, 10**6),
+        ["input:a", "input:zz", "const:0", "const:1", "const:7", "const:x"]) | NOT_STR,
+    "rows": st.none() | st.lists(st.integers(-2, 80), max_size=3)
+    | st.lists(st.integers(-2, 80) | NOT_INT, min_size=1, max_size=3) | NOT_INT,
+    "out_row": st.none() | st.integers(-2, 80) | NOT_INT,
+    "t_start_ns": st.none() | st.integers(-20, 10**6) | NOT_INT,
+    "bits": st.none() | st.lists(st.integers(0, 1) | NOT_INT, min_size=64, max_size=64)
+    | st.lists(st.integers(-1, 2), max_size=3) | NOT_INT,
 }
 
 
@@ -579,7 +636,7 @@ def test_compile_no_refresh_flag(tmp_path, capsys):
     without = json.loads((tmp_path / "nr.json").read_text())
     # default windows are generous: identical here, but the flag must
     # still produce a loadable program with zero refreshes
-    assert without["stats"]["n_refresh"] == 0
+    assert not [op for op in without["ops"] if op["op"] == "REFRESH"]
     assert with_default["format"] == without["format"]
     capsys.readouterr()
 

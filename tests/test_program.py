@@ -20,6 +20,7 @@ from gcpim.compiler import (
     CompilerConfig,
     PimProgram,
     UnsoundProgramError,
+    allocate_rows,
     compile_program,
     exhaustive_vectors,
     insert_refresh,
@@ -141,8 +142,8 @@ def test_value_rows_follow_the_row_count():
     with pytest.raises(CapacityError):
         compile_program(wide)
     prog = compile_program(wide, CompilerConfig(rows=256))
-    assert prog.assignment.rows_available == 254
-    assert prog.assignment.peak_live > 62
+    assert prog.rows - 2 == 254
+    assert prog.peak_rows > 62
 
 
 # -- refresh insertion ------------------------------------------------
@@ -325,6 +326,35 @@ def test_heap_insertion_matches_the_scan_oracle(case):
     assert prog.ops == expected
     assert audit_refresh_safety(prog) == []
     assert audit_row_soundness(prog) == []
+
+
+def _assert_peak_rows_is_the_allocator_peak(source, rows, arity=2):
+    cfg = CompilerConfig(rows=rows, max_nor_arity=arity, insert_refreshes=False)
+    prog = compile_program(source, cfg)
+    assert prog.peak_rows == allocate_rows(prog.netlist, rows - 2).peak_live
+
+
+@pytest.mark.parametrize("rows", [64, 256])
+def test_peak_rows_is_the_allocator_peak_on_ripple_adders(rows):
+    for n in range(1, 17 if rows == 64 else 33):  # ripple-32 needs 102 rows
+        _assert_peak_rows_is_the_allocator_peak(ripple_text(n), rows)
+
+
+def test_peak_rows_is_the_allocator_peak_on_the_xor_chain_and_constants():
+    # 1,100 links over shuffles of 40 inputs, as in the benchmark corpus
+    rng = np.random.default_rng(0)
+    names = [f"i{k}" for k in np.concatenate([rng.permutation(40) for _ in range(28)])]
+    _assert_peak_rows_is_the_allocator_peak(xor_chain_source(names[:1101]), 64)
+    for source in ("o = 0;", "o = 1;", "o = ~a;", "o = a & 1;", "o = a | 0;"):
+        _assert_peak_rows_is_the_allocator_peak(source, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs=st.lists(_expressions, min_size=1, max_size=4),
+       rows=st.sampled_from([64, 256]), arity=st.integers(2, 4))
+def test_peak_rows_is_the_allocator_peak_on_random_expressions(exprs, rows, arity):
+    source = "\n".join(f"o{k} = {e};" for k, e in enumerate(exprs))
+    _assert_peak_rows_is_the_allocator_peak(source, rows, arity)
 
 
 def test_audit_catches_clobbered_read():
@@ -522,6 +552,11 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
     width = len(vectors[prog.inputs[0]])
     ideal = simulate_program(prog, vecs, mode="ideal").outputs
     tags = {(True, False): 1, (False, True): 2, (True, True): 3, (False, False): 4}
+    # the row each input's WRITE fills
+    input_rows = {op.source[len("input:"):]: op.rows[0] for op in prog.ops
+                  if op.kind is OpKind.WRITE and op.source is not None
+                  and op.source.startswith("input:")}
+    assert sorted(input_rows) == sorted(prog.inputs)
     counts: dict[str, list[int]] = {}
     for trial in range(n_trials):
         sv = sample_params(var_cfg, rng_stream=trial, rows=prog.rows,
@@ -537,9 +572,8 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
             if not wrong:
                 tally[0] += 1
                 continue
-            fast = any(vectors[n][c] == 1
-                       and sv.tau_scale[prog.assignment.input_rows[n], c] < 1.0
-                       for n in prog.inputs)
+            fast = any(vectors[n][c] == 1 and sv.tau_scale[row, c] < 1.0
+                       for n, row in input_rows.items())
             threshold = sv.sa_threshold[c]
             if ideal[wrong[0]][c] == 0:
                 adverse = threshold < model.v_sa_read

@@ -166,10 +166,11 @@ def test_refresh_too_late_loses_the_bit():
 
 def test_refresh_all_duration():
     sa = SubArray(CFG)
-    assert sa.refresh_all(t_now=0) == 256
+    refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
+    assert sa.run(refreshes, write_bits=None) == []
     # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
     np.testing.assert_array_equal(sa.last_update, 4 * np.arange(1, 65))
-    refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
+    assert sa.last_update.max() == 256
     ledger = EventLedger.from_ops(refreshes, TIM, 64)
     assert [e.op for e in ledger] == [OpKind.REFRESH.value] * 64
     assert ledger.makespan_ns() == 256
