@@ -50,8 +50,10 @@ class NorNetlist:
 
     def __post_init__(self) -> None:
         for i, node in enumerate(self.nodes):
-            if any(a >= i for a in node.args):
-                raise ValueError(f"node {i} references a later node: {node}")
+            if any(not 0 <= a < i for a in node.args):
+                raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")
+        if any(not 0 <= nid < len(self.nodes) for _, nid in self.outputs):
+            raise ValueError(f"outputs {list(self.outputs)} name a node outside the netlist")
         reachable = self.reachable_ids()
         if len(reachable) != len(self.nodes):
             orphans = sorted(set(range(len(self.nodes))) - reachable)
@@ -147,19 +149,25 @@ class NorNetlist:
 
     @staticmethod
     def from_json_dict(data: dict) -> "NorNetlist":
+        """Fields are type-checked, not coerced: a wrong type raises TypeError."""
         nodes = []
         for n in data["nodes"]:
-            if n["op"] == "input":
-                nodes.append(Node("input", name=n["name"]))
-            elif n["op"] == "const":
-                nodes.append(Node("const", value=int(n["value"])))
+            op, args, name, value = n["op"], n.get("args"), n.get("name"), n.get("value")
+            if op == "input" and type(name) is str:
+                nodes.append(Node("input", name=name))
+            elif op == "const" and type(value) is int and value in (0, 1):
+                nodes.append(Node("const", value=value))
+            elif op == "nor" and type(args) is list and all(type(a) is int for a in args):
+                nodes.append(Node("nor", args=tuple(args)))
             else:
-                nodes.append(Node("nor", args=tuple(int(a) for a in n["args"])))
-        return NorNetlist(
-            nodes=tuple(nodes),
-            inputs=tuple(data["inputs"]),
-            outputs=tuple((name, int(nid)) for name, nid in data["outputs"]),
-        )
+                raise TypeError(f"node {n}")
+        inputs, outputs = data["inputs"], data["outputs"]
+        if not (type(inputs) is list and all(type(name) is str for name in inputs)
+                and type(outputs) is list
+                and all(type(o) is list and list(map(type, o)) == [str, int] for o in outputs)):
+            raise TypeError(f"inputs {inputs} or outputs {outputs}")
+        return NorNetlist(nodes=tuple(nodes), inputs=tuple(inputs),
+                          outputs=tuple(map(tuple, outputs)))
 
 
 class NetlistBuilder:

@@ -9,6 +9,8 @@ Refresh insertion then times the sequence back to back and splices REFRESH
 ops in front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
 value would outlive the read retention window and become unrefreshable.
+A value is live only while a later op consumes it: once its last consumer
+has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
 the op that needs it, never earlier than required, found with a heap of
 read deadlines in O((ops + refreshes) * log rows).  Insertion and the
@@ -17,10 +19,8 @@ audits share one retention-age rule (``retention_ages``).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 from gcpim.charge import ConfigError, ModelConfig, known_keys
@@ -166,15 +166,13 @@ class PimProgram:
                 raise ValueError(f"unsupported program version {data.get('version')}")
             timing = TimingEnergyConfig(**known_keys(
                 "timing_energy", TimingEnergyConfig, data["timing_energy"]))
-            return PimProgram(
-                ops=tuple(map(_op_from_json, data["ops"])),
-                netlist=NorNetlist.from_json_dict(data["netlist"]),
-                timing=timing,
-                drt_logic_ns=int(data["drt_logic_ns"]),
-                drt_read_ns=int(data["drt_read_ns"]),
-                rows=int(data["rows"]),
-                cols=int(data["cols"]),
-            )
+            header = {key: data[key] for key in ("rows", "cols", "drt_logic_ns",
+                                                 "drt_read_ns")}
+            if not all(type(value) is int for value in header.values()):
+                raise TypeError(f"header {header}")
+            return PimProgram(ops=tuple(map(_op_from_json, data["ops"])),
+                              netlist=NorNetlist.from_json_dict(data["netlist"]),
+                              timing=timing, **header)
         except KeyError as exc:
             raise ValueError(f"program file lacks the {exc} key") from exc
         except (TypeError, AttributeError) as exc:
@@ -285,9 +283,11 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     Timestamps are recomputed from t=0; the result is a new program.
 
     Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
-    an op, entries due by its end are popped (dropped if the row was
-    rewritten since or the value has no later consumer), and the due and
-    stale rows are refreshed lowest row first: O((ops + refreshes) * log rows).
+    op i, entries due by its end are popped, dropped if the row was
+    rewritten since or the value's last consumer (found in one backward
+    pass) is not after op i: a value is refreshed only while a later op
+    consumes it.  The due and stale rows are refreshed lowest row first:
+    O((ops + refreshes) * log rows).
     Raises RefreshScheduleError when a refresh would sense an expired
     value, or when an op's inputs can never all be fresh at once.
     """
@@ -295,32 +295,23 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     drt_read = program.drt_read_ns
     timing = program.timing
 
-    # original-order consumption and redefinition indices per row, each
-    # list ending in inf, for "does the value now in this row have a later
-    # consumer" queries while the walk splices new ops in.  Uses past the
-    # row's next redefinition belong to a different value and do not count.
-    future_use: dict[int, list] = {}
-    redefs: dict[int, list] = {}
-    for i, op in enumerate(program.ops):
+    # last_use[i]: index of the last op that consumes the value op i
+    # writes, -1 if none does; one backward pass over the original ops
+    ops = program.ops
+    last_use = [-1] * len(ops)
+    consumer: dict[int, int] = {}  # row -> last consumer of its next value
+    for i, op in reversed(list(enumerate(ops))):
+        if op.kind in (OpKind.WRITE, OpKind.LOGIC):
+            last_use[i] = consumer.pop(op.out_row if op.kind is OpKind.LOGIC else op.rows[0], -1)
         if op.kind in (OpKind.READ, OpKind.LOGIC):
             for r in op.rows:
-                future_use.setdefault(r, []).append(i)
-        if op.kind is OpKind.WRITE:
-            redefs.setdefault(op.rows[0], []).append(i)
-        elif op.kind is OpKind.LOGIC:
-            redefs.setdefault(op.out_row, []).append(i)
-    for indices in (*future_use.values(), *redefs.values()):
-        indices.append(math.inf)
-
-    def needed_after(row: int, i: int) -> bool:
-        uses, defs = future_use.get(row, [math.inf]), redefs[row]
-        return uses[bisect.bisect_right(uses, i)] < defs[bisect.bisect_right(defs, i)]
+                consumer.setdefault(r, i)
 
     new_ops: list[MicroOp] = []
     t = 0
     deadlines: list[tuple[int, int]] = []  # (t_valid, row) per row write
     ages = _RowAges(timing, deadlines)
-    t_valid = ages.t_valid
+    dies: dict[int, int] = {}  # row -> last_use of the value it holds
 
     def emit_refresh(row: int) -> None:
         nonlocal t
@@ -335,22 +326,18 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         ages.commit(op, t)
         t += timing.t_refresh_ns
 
-    for i, op in enumerate(program.ops):
+    for i, op in enumerate(ops):
         if op.kind is OpKind.REFRESH:
             # re-inserting over an already-refreshed program: drop old
             # refreshes, they are re-derived below
             continue
         dur = ages.duration[op.kind]
-        # needed_after(row, i) answers for the value op i writes: recheck the old
-        row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
-        if op.kind is not OpKind.READ and row in t_valid:
-            heapq.heappush(deadlines, (t_valid[row], row))
         t_op = t
         due: set[int] = set()
         while True:
             while deadlines and deadlines[0][0] + drt_read < t + dur:
                 written, row = heapq.heappop(deadlines)
-                if t_valid[row] == written and needed_after(row, i):
+                if ages.t_valid[row] == written and dies[row] > i:
                     due.add(row)
             due.update(r for r, _, age in ages.sensed(op, t)
                        if age is not None and age > budget)
@@ -371,6 +358,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         new_ops.append(MicroOp(op.kind, op.rows, op.out_row, op.bits, op.source, t,
                                op.node, op.output))
         ages.commit(op, t)
+        if op.kind is not OpKind.READ:
+            dies[op.out_row if op.kind is OpKind.LOGIC else op.rows[0]] = last_use[i]
         t += dur
 
     return replace(program, ops=tuple(new_ops))

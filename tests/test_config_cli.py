@@ -417,21 +417,38 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     assert "gate arity must be >= 1" in capsys.readouterr().err
 
     # a program file that lacks a section or holds a wrong-typed field is
-    # malformed (5) and says so; no traceback
+    # malformed (5) and says so; no traceback.  Header and netlist fields
+    # are type-checked like op fields, not coerced with int()
     good = tmp_path / "good.json"
     assert main(["compile", str(src), "-o", str(good)]) == 0
-    lacking = json.loads(good.read_text())
-    del lacking["netlist"]
-    wrong = json.loads(good.read_text())
-    wrong["ops"][0]["rows"] = "x"
-    fractional = json.loads(good.read_text())
-    fractional["ops"][0]["rows"] = [1.5]
-    future = json.loads(good.read_text())
-    future["version"] = 3
-    for data, message in ((lacking, "lacks the 'netlist' key"),
-                          (wrong, "wrong-typed value"),
-                          (fractional, "'rows': [1.5]"),
-                          (future, "unsupported program version 3")):
+
+    def nor(data):
+        return next(n for n in data["netlist"]["nodes"] if n["op"] == "nor")
+
+    for edit, message in (
+        (lambda d: d.pop("netlist"), "lacks the 'netlist' key"),
+        (lambda d: d["ops"][0].update(rows="x"), "wrong-typed value"),
+        (lambda d: d["ops"][0].update(rows=[1.5]), "'rows': [1.5]"),
+        (lambda d: d.update(version=3), "unsupported program version 3"),
+        (lambda d: d.update(rows=64.9), "'rows': 64.9"),
+        (lambda d: d.update(rows=True), "'rows': True"),
+        (lambda d: d.update(cols=63.5), "'cols': 63.5"),
+        (lambda d: d.update(drt_logic_ns="50"), "'drt_logic_ns': '50'"),
+        (lambda d: nor(d).update(args=["0", 1]), "'args': ['0', 1]"),
+        (lambda d: nor(d).update(op="and"), "'op': 'and'"),
+        (lambda d: d["netlist"]["nodes"].append({"op": "const", "value": 2}),
+         "'value': 2"),
+        (lambda d: d["netlist"].update(
+            outputs=[[name, float(nid)] for name, nid in d["netlist"]["outputs"]]),
+         "wrong-typed value"),
+        (lambda d: d["netlist"].update(inputs=[7, *d["netlist"]["inputs"][1:]]),
+         "inputs [7, "),
+        (lambda d: d["netlist"]["outputs"].append(["zz", 999]),
+         "name a node outside the netlist"),
+        (lambda d: nor(d).update(args=[-5, 1]), "references a node outside"),
+    ):
+        data = json.loads(good.read_text())
+        edit(data)
         bad_prog = tmp_path / "bad_prog.json"
         bad_prog.write_text(json.dumps(data))
         capsys.readouterr()

@@ -8,6 +8,7 @@ stays correct.
 
 import bisect
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -198,6 +199,42 @@ def test_row_reuse_does_not_trigger_bogus_refreshes():
     assert audit_row_soundness(prog) == []
 
 
+# a value whose last consumer has fired is dead even while its row waits
+# to be rewritten, and is not refreshed: the first program schedules at
+# 40/32 only so (dead row 9 would be refreshed 41 ns old), and the second
+# needs 4 refreshes at 43/28, not 6
+REWRITE_40_32 = "o0 = (~d | ~(g ^ ~f));\no1 = ~(c ^ ((f & f) | ~a));"
+MODEL_40_32 = ModelConfig(drt_read_ns=40, drt_logic_ns=32)
+REWRITE_43_28 = ("o0 = (((b & (d | a)) | ((c | h) ^ ~d)) & c);\n"
+                 "o1 = ~(~c & (~e | ~d));")
+MODEL_43_28 = ModelConfig(drt_read_ns=43, drt_logic_ns=28)
+# a program that has no dead value to skip keeps its bytes: ripple-16 at
+# 1000/300, 34 refreshes and 372 ops
+RIPPLE16_1000_300_SHA256 = (
+    "f799cf4991036ea3afaab41d3c1c3b8d3058edf2384b6cb2e7a72fb3610b6c6a")
+
+
+@pytest.mark.parametrize("source, model, n_refresh, n_ops", [
+    (REWRITE_40_32, MODEL_40_32, 3, 30),
+    (REWRITE_43_28, MODEL_43_28, 4, 37),
+])
+def test_dead_values_are_not_refreshed_before_their_row_is_rewritten(
+        source, model, n_refresh, n_ops):
+    prog = compile_program(source, model_cfg=model)
+    assert (prog.n_refresh, len(prog.ops)) == (n_refresh, n_ops)
+    assert audit_refresh_safety(prog) == []
+    assert audit_row_soundness(prog) == []
+
+
+def test_programs_without_dead_refreshes_keep_their_bytes(tmp_path):
+    prog = compile_program(ripple_text(16),
+                           model_cfg=ModelConfig(drt_read_ns=1000, drt_logic_ns=300))
+    assert (prog.n_refresh, len(prog.ops)) == (34, 372)
+    prog.to_json(tmp_path / "ripple16.json")
+    digest = hashlib.sha256((tmp_path / "ripple16.json").read_bytes()).hexdigest()
+    assert digest == RIPPLE16_1000_300_SHA256
+
+
 def scan_insert_refresh(program):
     """Oracle: the scan-based insertion that the deadline heap replaced,
     which re-checks every row ever written before each op."""
@@ -222,7 +259,7 @@ def scan_insert_refresh(program):
         if j >= len(uses):
             return False
         defs = redefs.get(row, ())
-        d = bisect.bisect_right(defs, i)
+        d = bisect.bisect_left(defs, i)  # the value held before op i: op i may end it
         return d >= len(defs) or uses[j] < defs[d]
 
     new_ops: list[MicroOp] = []
@@ -301,11 +338,13 @@ def _compile_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_compile_cases())
-@example(case=(  # row 12 is dead until op 38 rewrites it, yet the scan fails
-    # there on its expired old value: needed_after speaks for the new one
+@example(case=(  # row 12 is dead until op 38 rewrites it and is not refreshed
+    # there; row 8, still live, expires anyway ("80ns old at t=187ns")
     "o0 = (((b | d) ^ (c | d)) ^ ((c | e) ^ (a & h)));\n"
     "o1 = ((h ^ b) ^ (e & (~a ^ (c & g))));",
     64, 3, ModelConfig(drt_read_ns=79, drt_logic_ns=27)))
+@example(case=(REWRITE_40_32, 64, 2, MODEL_40_32))  # dead row 9 is not refreshed
+@example(case=(REWRITE_43_28, 64, 2, MODEL_43_28))  # 4 refreshes, not 6
 @example(case=(  # rows 5 and 6 come due together, 6 with the earlier deadline
     ripple_text(3), 64, 2, ModelConfig(drt_read_ns=113, drt_logic_ns=26)))
 def test_heap_insertion_matches_the_scan_oracle(case):
@@ -411,11 +450,15 @@ def test_nominal_matches_ideal_for_a_corpus():
         "out = (a & b) | (~c & d);",
         "x = a ^ b;\ny = x & c;\nout = y | ~a;",
     ]
-    for src in sources:
-        prog = compile_program(src)
+    # and the 40/32 windows (default tau, as `gcpim run` with a 40/32
+    # config): 3 refreshes, none of a dead value
+    cases = [(src, ModelConfig()) for src in sources]
+    cases.append((REWRITE_40_32, MODEL_40_32))
+    for src, model in cases:
+        prog = compile_program(src, model_cfg=model)
         vecs = exhaustive_vectors(prog.inputs)
         ideal = simulate_program(prog, vecs, mode="ideal")
-        nom = simulate_program(prog, vecs, mode="nominal")
+        nom = simulate_program(prog, vecs, mode="nominal", model_cfg=model)
         for name in ideal.outputs:
             np.testing.assert_array_equal(
                 nom.outputs[name], ideal.outputs[name], err_msg=src
