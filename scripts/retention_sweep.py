@@ -14,14 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from gcpim.charge import ModelConfig, decay, overdrive, residual_from_overdrive
+from gcpim.charge import (ModelConfig, decay, drive_threshold, overdrive,
+                          residual_from_overdrive, time_constant)
 
 
 def sweep(model: ModelConfig, ages_ns: np.ndarray) -> list[dict]:
     rows = []
+    tau, v_drive = time_constant(1.0, model), drive_threshold(0.0, model)
     for age in ages_ns:
-        level = float(decay(model.vdd, age, 1.0, model))
-        residual = float(residual_from_overdrive(overdrive(level, 0.0, model), model))
+        level = float(decay(model.vdd, age, tau))
+        residual = float(residual_from_overdrive(overdrive(level, v_drive), model))
         rows.append(
             {
                 "age_ns": int(age),

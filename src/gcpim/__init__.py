@@ -13,6 +13,7 @@ from gcpim.charge import (
     calibrate_tau,
     decay,
     sense,
+    time_constant,
 )
 from gcpim.compiler import (
     CapacityError,
@@ -79,6 +80,7 @@ __all__ = [
     "run_gate_trials",
     "sample_params",
     "sense",
+    "time_constant",
     "simulate_program",
 ]
 

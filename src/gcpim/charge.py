@@ -12,8 +12,12 @@ array simulator (``SubArray``) calls for every cell level it computes:
   voltage exceeds the drive threshold open a pull-down path that drags a
   pre-charged output cell low.
 
-Voltages and per-cell parameters may be scalars or numpy arrays and
-broadcast elementwise, so a whole row evaluates in one call.
+The kernels take each cell's parameters in physical units: its decay
+time constant (``time_constant``) and its drive threshold
+(``drive_threshold``), both derived once from the model and the cell's
+sampled variation.  Voltages and per-cell parameters may be scalars or
+numpy arrays and broadcast elementwise, so a whole row evaluates in one
+call.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ __all__ = [
     "RETIRED_KEYS",
     "calibrate_tau",
     "decay",
+    "drive_threshold",
     "known_keys",
     "overdrive",
     "residual_from_overdrive",
     "sense",
+    "time_constant",
 ]
 
 
@@ -141,17 +147,29 @@ class ModelConfig:
             self, tau_ns=calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns))
 
 
-def decay(voltage, dt, tau_scale, cfg: ModelConfig):
+def time_constant(tau_scale, cfg: ModelConfig):
+    """Decay time constant (ns) of cells whose rate multiplier is
+    ``tau_scale``."""
+    return cfg.tau_ns * tau_scale
+
+
+def drive_threshold(drive_offset, cfg: ModelConfig):
+    """SN voltage above which an input cell with discharge-path offset
+    ``drive_offset`` conducts."""
+    return cfg.v_t_drive + drive_offset
+
+
+def decay(voltage, dt, tau):
     """Storage-node voltage after ``dt`` nanoseconds of leakage.
 
     Single-pole exponential toward 0 V: a stored '0' is the stable state,
-    a stored '1' leaks away with time constant ``tau_ns * tau_scale``.
-    ``dt`` is one elapsed time; ``voltage`` and ``tau_scale`` may be
-    per-cell arrays.
+    a stored '1' leaks away with time constant ``tau`` (see
+    ``time_constant``).  ``dt`` is one elapsed time; ``voltage`` and
+    ``tau`` may be per-cell arrays.
     """
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    return voltage * np.exp(-dt / (cfg.tau_ns * tau_scale))
+    return voltage * np.exp(-dt / tau)
 
 
 def sense(voltage, sa_threshold):
@@ -164,25 +182,25 @@ def sense(voltage, sa_threshold):
     return int(out) if out.ndim == 0 else out.astype(np.uint8)
 
 
-def overdrive(voltage, drive_offset, cfg: ModelConfig):
+def overdrive(voltage, threshold):
     """Effective pull-down drive of one input cell, clamped at zero.
 
-    An input only conducts once its SN voltage exceeds the drive threshold
-    ``v_t_drive + drive_offset``; below that it contributes nothing.
+    An input only conducts once its SN voltage exceeds its drive
+    ``threshold`` (see ``drive_threshold``); below that it contributes
+    nothing.
     """
-    return np.maximum(0.0, np.asarray(voltage, dtype=float) - (cfg.v_t_drive + drive_offset))
+    return np.maximum(0.0, voltage - threshold)
 
 
 def residual_from_overdrive(total_overdrive, cfg: ModelConfig):
     """Output-SN voltage after the evaluation phase, given summed input drive.
 
-    Zero total drive leaves the pre-charged output at ``vdd``.  Otherwise the
-    output is pulled down proportionally to the drive, saturating at
-    ``v_residual_floor`` (the level reached by a single full-strength input;
-    the swing never quite reaches 0 V).
+    Zero (or negative) total drive leaves the pre-charged output at
+    ``vdd``.  Otherwise the output is pulled down proportionally to the
+    drive, saturating at ``v_residual_floor`` (the level reached by a
+    single full-strength input; the swing never quite reaches 0 V).
     """
     d = np.asarray(total_overdrive, dtype=float)
-    full_drive = cfg.vdd - cfg.v_t_drive
-    pull = np.minimum(1.0, d / full_drive)
-    out = np.where(d > 0.0, cfg.vdd - (cfg.vdd - cfg.v_residual_floor) * pull, cfg.vdd)
+    pull = np.minimum(1.0, np.maximum(d, 0.0) / (cfg.vdd - cfg.v_t_drive))
+    out = cfg.vdd - (cfg.vdd - cfg.v_residual_floor) * pull
     return float(out) if out.ndim == 0 else out

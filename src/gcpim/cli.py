@@ -16,13 +16,15 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from gcpim.charge import ConfigError, calibrate_tau
 from gcpim.compiler import (
     CapacityError,
+    MalformedProgramError,
     ParseError,
     RefreshScheduleError,
     RetentionViolationError,
-    UnsoundProgramError,
     compile_program,
     exhaustive_vectors,
     simulate_program,
@@ -81,14 +83,26 @@ def _write_output_csv(path, names, outputs, width) -> None:
 
 def _write_trace_csv(path, trace_rows) -> None:
     """One line per cell of each ``(time_ns, row, voltages)`` record,
-    stably sorted by time, then signal name."""
-    samples = [(t, f"sn_r{row}_c{c}", v) for t, row, values in trace_rows
-               for c, v in enumerate(values.tolist())]
-    samples.sort(key=lambda s: s[:2])
+    stably sorted by time, then signal name (as strings, so ``sn_r10_c0``
+    precedes ``sn_r1_c0``), then record order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns", "signal", "value"])
-        writer.writerows((t, signal, repr(v)) for t, signal, v in samples)
+        fh.write("time_ns,signal,value\r\n")
+        if trace_rows:
+            fh.writelines(_trace_lines(*zip(*trace_rows)))
+
+
+def _trace_lines(times, rows, values) -> list[str]:
+    values = np.vstack(values)
+    cols = values.shape[1]
+    used_rows, row_of = np.unique(np.asarray(rows, dtype=np.int64), return_inverse=True)
+    names = [f"sn_r{r}_c{c}" for r in used_rows.tolist() for c in range(cols)]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    signal = (row_of[:, None] * cols + np.arange(cols)).ravel()
+    time = np.repeat(np.asarray(times, dtype=np.int64), cols)
+    order = np.lexsort((np.arange(signal.size), rank[signal], time))
+    return [f"{t},{names[s]},{v!r}\r\n" for t, s, v in
+            zip(time[order].tolist(), signal[order].tolist(), values.ravel()[order].tolist())]
 
 
 def _print_report(report: SuccessReport, floor: float) -> int:
@@ -343,7 +357,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"gcpim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnsoundProgramError as exc:
+    except MalformedProgramError as exc:
         print(f"gcpim: malformed program: {exc}", file=sys.stderr)
         return EXIT_IO
     except FileNotFoundError as exc:

@@ -25,6 +25,7 @@ from gcpim.compiler.netlist import NetlistBuilder, NorNetlist, lower_program, lo
 from gcpim.compiler.allocate import CapacityError, RowAssignment, allocate_rows
 from gcpim.compiler.program import (
     CompilerConfig,
+    MalformedProgramError,
     PimProgram,
     RefreshScheduleError,
     audit_refresh_safety,
@@ -43,8 +44,8 @@ from gcpim.compiler.simulate import (
 
 __all__ = [
     "And", "CapacityError", "CompilerConfig", "Const", "Expr", "Nand",
-    "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or", "ParseError",
-    "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
+    "MalformedProgramError", "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or",
+    "ParseError", "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
     "RowAssignment", "SimulationResult", "UnsoundProgramError", "Var", "Xor",
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",
     "compile_program", "eval_expr", "exhaustive_vectors", "insert_refresh",

@@ -54,6 +54,10 @@ class NorNetlist:
                 raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")
         if any(not 0 <= nid < len(self.nodes) for _, nid in self.outputs):
             raise ValueError(f"outputs {list(self.outputs)} name a node outside the netlist")
+        named = sorted(n.name for n in self.nodes if n.op == "input")
+        if len(set(self.inputs)) != len(self.inputs) or sorted(self.inputs) != named:
+            raise ValueError(f"inputs {list(self.inputs)} do not name the input nodes "
+                             f"{named} once each")
         reachable = self.reachable_ids()
         if len(reachable) != len(self.nodes):
             orphans = sorted(set(range(len(self.nodes))) - reachable)

@@ -32,6 +32,7 @@ from gcpim.compiler.netlist import NorNetlist, lower_program
 __all__ = [
     "AuditViolation",
     "CompilerConfig",
+    "MalformedProgramError",
     "PimProgram",
     "RefreshScheduleError",
     "audit_refresh_safety",
@@ -44,6 +45,10 @@ __all__ = [
 
 PROGRAM_FORMAT = "gcpim-program"
 PROGRAM_VERSION = 2
+
+
+class MalformedProgramError(ValueError):
+    """A program file that does not describe a sound program."""
 
 
 class RefreshScheduleError(RuntimeError):
@@ -157,8 +162,9 @@ class PimProgram:
     def from_json_dict(data: dict) -> "PimProgram":
         """Reads versions 1 and 2 alike: version 1's ``row_assignment``
         and ``stats`` were derived data and are ignored.  Raises
-        ValueError saying what is wrong for a missing key or a wrong-typed
-        value (ConfigError for the timing keys)."""
+        MalformedProgramError saying what is wrong for a missing key, a
+        wrong-typed value or an op or netlist that breaks its own rules
+        (ConfigError for the timing keys)."""
         try:
             if data.get("format") != PROGRAM_FORMAT:
                 raise ValueError("not a compiled program file")
@@ -173,10 +179,15 @@ class PimProgram:
             return PimProgram(ops=tuple(map(_op_from_json, data["ops"])),
                               netlist=NorNetlist.from_json_dict(data["netlist"]),
                               timing=timing, **header)
+        except ConfigError:
+            raise
         except KeyError as exc:
-            raise ValueError(f"program file lacks the {exc} key") from exc
+            raise MalformedProgramError(f"program file lacks the {exc} key") from exc
         except (TypeError, AttributeError) as exc:
-            raise ValueError(f"program file holds a wrong-typed value: {exc}") from exc
+            raise MalformedProgramError(
+                f"program file holds a wrong-typed value: {exc}") from exc
+        except ValueError as exc:
+            raise MalformedProgramError(str(exc)) from exc
 
     @staticmethod
     def from_json(path) -> "PimProgram":

@@ -7,9 +7,10 @@ columns of a trial share it) and scores each column against the ideal
 outputs.  Trials run in blocks of about ``BLOCK_CELLS`` cells, side by
 side on the columns of one array (``montecarlo.block_array``, shared with
 gate campaigns): columns never interact, so each trial computes exactly
-what it would on an array of its own.  Trial ``i`` still draws one full
-``program.rows x program.cols`` grid from stream ``i`` and keeps only the
-cells the block uses.  Gate campaigns score the same way:
+what it would on an array of its own.  Trial ``i`` draws from stream
+``i`` at the stream positions of one full ``program.rows x program.cols``
+grid, but only the corner of cells the block uses is transformed
+(``sample_params(..., keep=...)``).  Gate campaigns score the same way:
 ``score_block`` masks each block's columns and
 ``CombinationResult.from_masks`` counts each input combination.
 
@@ -38,7 +39,8 @@ from gcpim.montecarlo import (
     score_block,
 )
 from gcpim.subarray import EventLedger, OpKind, SubArray
-from gcpim.compiler.program import PimProgram, audit_refresh_safety, audit_row_soundness
+from gcpim.compiler.program import (MalformedProgramError, PimProgram, audit_refresh_safety,
+                                    audit_row_soundness)
 
 __all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
            "exhaustive_vectors", "run_program_on_array", "simulate_program"]
@@ -46,7 +48,7 @@ __all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
 MODES = ("ideal", "nominal", "mc")
 
 
-class UnsoundProgramError(ValueError):
+class UnsoundProgramError(MalformedProgramError):
     """An op consumes a row that does not hold the netlist value it was
     compiled against: the program file is malformed."""
 
@@ -162,9 +164,9 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
     """
     n = len(streams)
     draws = (sample_params(var_cfg, rng_stream=stream, rows=program.rows,
-                           cols=program.cols, model_cfg=model)
+                           cols=program.cols, model_cfg=model, keep=(n_rows, width))
              for stream in streams)
-    sa = block_array(model, program.timing, draws, n_rows, width)
+    sa = block_array(model, program.timing, draws)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
     # the rows the WRITE ops store inputs in, which the soundness audit checks
     input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops

@@ -16,7 +16,9 @@ Batches run side by side on the columns of one block array of about
 ``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
 too; columns never interact, so grouping changes no result.  Each path
 keeps its own draw contract: gates draw one ``(k+1) x 64`` grid per
-batch, programs one full grid per trial.  Both score a block with
+batch; a program trial's stream is positioned as if it drew one full
+grid, but only the corner its block array keeps is transformed
+(``sample_params(..., keep=...)``).  Both score a block with
 ``score_block`` and count one input combination's trials with
 ``CombinationResult.from_masks``.
 """
@@ -114,22 +116,37 @@ def sample_params(
     rows: int = 64,
     cols: int = 64,
     model_cfg: ModelConfig | None = None,
+    keep: tuple[int, int] | None = None,
 ) -> SampledVariation:
     """Draw one grid of variation parameters.
 
     Deterministic given (var_cfg.seed, rng_stream) and the grid shape;
     every cell and column is an independent draw.  Zero sigmas reproduce
-    nominal parameters exactly.
+    nominal parameters exactly.  ``keep=(n_rows, width)`` returns only
+    the grid's top-left ``n_rows x width`` corner and the first ``width``
+    thresholds, equal to the same corner of the full draw: the stream
+    advances past the other cells with raw normal draws, which consume
+    exactly the bits their transformed draws would.
     """
     model = model_cfg or ModelConfig()
     if rows <= 0 or cols <= 0:
         raise ConfigError(f"bad grid shape {rows}x{cols}")
+    n_rows, width = (rows, cols) if keep is None else keep
+    if not (0 < n_rows <= rows and 0 < width <= cols):
+        raise ConfigError(f"cannot keep {n_rows}x{width} of a {rows}x{cols} grid")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(var_cfg.seed, rng_stream)))
+    skipped = (rows - n_rows) * cols
     # draw order is part of the determinism contract: tau, drive, threshold
-    tau_scale = rng.lognormal(mean=0.0, sigma=var_cfg.sigma_tau, size=(rows, cols))
-    drive_offset = rng.normal(loc=0.0, scale=var_cfg.sigma_drive, size=(rows, cols))
-    sa_threshold = rng.normal(loc=model.v_sa_read, scale=var_cfg.sigma_sa, size=cols)
-    return SampledVariation(tau_scale, drive_offset, sa_threshold)
+    tau_scale = rng.lognormal(mean=0.0, sigma=var_cfg.sigma_tau, size=(n_rows, cols))
+    if skipped:
+        rng.standard_normal(skipped)
+    drive_offset = rng.normal(loc=0.0, scale=var_cfg.sigma_drive, size=(n_rows, cols))
+    if skipped:
+        rng.standard_normal(skipped)
+    sa_threshold = rng.normal(loc=model.v_sa_read, scale=var_cfg.sigma_sa, size=width)
+    # a copy, so a kept corner does not hold the rest of its rows alive
+    return SampledVariation(np.ascontiguousarray(tau_scale[:, :width]),
+                            np.ascontiguousarray(drive_offset[:, :width]), sa_threshold)
 
 
 @dataclass(frozen=True)
@@ -266,19 +283,12 @@ def _check_gate(gate: str, input_bits: Sequence[int]) -> tuple[str, tuple[int, .
 
 
 def block_array(model: ModelConfig, timing: TimingEnergyConfig,
-                draws: Iterable[SampledVariation], n_rows: int,
-                width: int | None = None) -> SubArray:
-    """One array holding the draws side by side: draw ``i`` contributes
-    its first ``n_rows`` rows and ``width`` columns (all of them when
-    ``width`` is None), placed right of draw ``i-1``.  Only those cells
-    are copied, so a generator of full-size draws never holds more than
-    one at a time."""
-    tau, drive, threshold = [], [], []
-    for sv in draws:
-        tau.append(sv.tau_scale[:n_rows, :width].copy())
-        drive.append(sv.drive_offset[:n_rows, :width].copy())
-        threshold.append(sv.sa_threshold[:width].copy())
-    return SubArray(model, timing, rows=n_rows, cols=sum(map(len, threshold)),
+                draws: Iterable[SampledVariation]) -> SubArray:
+    """One array holding the draws side by side, draw ``i`` right of draw
+    ``i-1``; every draw has the array's row count."""
+    tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
+                                  for sv in draws))
+    return SubArray(model, timing, rows=len(tau[0]), cols=sum(map(len, threshold)),
                     tau_scale=np.hstack(tau), drive_offset=np.hstack(drive),
                     sa_threshold=np.concatenate(threshold))
 
@@ -301,7 +311,10 @@ def score_block(sa: SubArray, reads: Sequence[np.ndarray], wants: Sequence[np.nd
     for got, want in zip(reads[1:], wants[1:]):
         side = np.where(ok & (got != want), want, side)
         ok &= got == want
-    fast = ((sa.tau_scale[input_rows] < 1.0) & np.asarray(input_bits, dtype=bool)).any(axis=0)
+    # faster than nominal: tau_ns * s < tau_ns exactly when s < 1, since a
+    # product with s < 1 never rounds up to tau_ns
+    fast = ((sa.tau[input_rows] < sa.model.tau_ns)
+            & np.asarray(input_bits, dtype=bool)).any(axis=0)
     threshold, nominal = sa.sa_threshold, sa.model.v_sa_read
     adverse = np.where(side == 0, threshold < nominal, threshold > nominal)
     return ok, fast, adverse
@@ -356,7 +369,7 @@ def gate_trial_masks(
                           model_cfg=model)
             for b in range(first, min(first + per_block, n_batches))
         )
-        sa = block_array(model, timing, draws, k + 1)
+        sa = block_array(model, timing, draws)
         reads = sa.run(ops, lambda op: np.full(
             sa.cols, int(op.source.partition(":")[2]), dtype=np.uint8))
         blocks.append(score_block(

@@ -8,7 +8,9 @@ through ``charge.decay``, when an operation touches it; that is exact
 for the single-pole decay law.  Reads sense through ``charge.sense``.
 Per-cell variation (tau multiplier, drive offset) and per-column sense
 thresholds are plain numpy grids so one operation evaluates a whole row
-at once.
+at once; the array keeps the first two only as the per-cell time
+constants (``tau``) and drive thresholds (``v_drive``) it derives from
+them once, when it is built.
 
 ``SubArray.run`` executes a list of timestamped micro-ops; nominal runs,
 program Monte Carlo and gate campaigns all drive the array through it.
@@ -31,9 +33,11 @@ from gcpim.charge import (
     ConfigError,
     ModelConfig,
     decay,
+    drive_threshold,
     overdrive,
     residual_from_overdrive,
     sense,
+    time_constant,
 )
 
 __all__ = [
@@ -292,8 +296,8 @@ class SubArray:
         self.cols = cols
         self.voltage = np.zeros((rows, cols))
         self.last_update = np.zeros(rows, dtype=np.int64)
-        self.tau_scale = self._grid(tau_scale, 1.0)
-        self.drive_offset = self._grid(drive_offset, 0.0)
+        tau_scale = self._grid(tau_scale, 1.0)
+        self.v_drive = drive_threshold(self._grid(drive_offset, 0.0), model)
         if sa_threshold is None:
             self.sa_threshold = np.full(cols, model.v_sa_read)
         else:
@@ -302,16 +306,19 @@ class SubArray:
                 raise ConfigError(
                     f"sa_threshold must have one entry per column ({cols})"
                 )
-        if np.any(self.tau_scale <= 0):
+        if np.any(tau_scale <= 0):
             raise ConfigError("tau_scale grid must be strictly positive")
+        self.tau = time_constant(tau_scale, model)
         # (time_ns, row, copy of the row's voltages) per sampled row
         self.trace_rows: list[tuple[int, int, np.ndarray]] | None = (
             [] if trace else None)
 
     def _grid(self, values, fill: float) -> np.ndarray:
+        """A per-cell input grid; the array keeps only what it derives
+        from it, so the caller's array is not copied."""
         if values is None:
             return np.full((self.rows, self.cols), fill)
-        arr = np.asarray(values, dtype=float).copy()
+        arr = np.asarray(values, dtype=float)
         if arr.shape != (self.rows, self.cols):
             raise ConfigError(
                 f"grid shape {arr.shape} does not match {self.rows}x{self.cols}"
@@ -326,8 +333,7 @@ class SubArray:
 
     def _row_voltage_at(self, row: int, t: int) -> np.ndarray:
         """Row voltages decayed to time ``t`` (no state change)."""
-        return decay(self.voltage[row], t - self.last_update[row],
-                     self.tau_scale[row], self.model)
+        return decay(self.voltage[row], t - self.last_update[row], self.tau[row])
 
     def _sample_row(self, t: int, row: int, values: np.ndarray) -> None:
         if self.trace_rows is not None:
@@ -393,21 +399,28 @@ class SubArray:
             elif op.kind is OpKind.REFRESH:
                 self.refresh_row(op.rows[0], t)
             else:
-                self.exec_logic(op.rows, op.out_row, t)
+                self.exec_logic(op.rows, op.out_row, t, checked=True)
         return reads
 
-    def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int) -> None:
+    def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int, *,
+                   checked: bool = False) -> None:
         """Two-phase stateful gate: NOT for one input row, NOR for several.
 
         Phase 1 (1 ns) precharges every output-row cell to '1'.  Phase 2
         (2 ns) asserts the input rows' read word lines; any input cell still
         holding enough charge opens a discharge path and pulls its column's
         output cell low.  Input cells only age; they are never disturbed.
+
+        ``checked`` says the rows come from a ``MicroOp``, whose
+        construction already enforced the structural rules; only the
+        array bounds are left to check.
         """
-        in_rows = tuple(in_rows)
-        _check_rows(OpKind.LOGIC, in_rows, out_row)
-        for r in (*in_rows, out_row):
-            self._check_row(r)
+        if not checked:
+            in_rows = tuple(in_rows)
+            _check_rows(OpKind.LOGIC, in_rows, out_row)
+        if not (0 <= out_row < self.rows and max(in_rows) < self.rows):
+            for r in (*in_rows, out_row):
+                self._check_row(r)
         t_eval = t_now + self.timing.t_init_ns
         t_done = t_now + self.timing.t_logic_ns
 
@@ -415,13 +428,15 @@ class SubArray:
             self._sample_row(t_now, out_row, self._row_voltage_at(out_row, t_now))
             self._sample_row(t_eval, out_row, np.full(self.cols, self.model.vdd))
 
-        total = np.zeros(self.cols)
+        # the drives add in row order; the first one starts the sum, which
+        # is bit for bit the same as adding it to zeros
+        total = None
         for r in in_rows:
             level = self._row_voltage_at(r, t_eval)
-            total += overdrive(level, self.drive_offset[r], self.model)
+            drive = overdrive(level, self.v_drive[r])
+            total = drive if total is None else total + drive
             self._sample_row(t_eval, r, level)
-        out_level = residual_from_overdrive(total, self.model)
 
-        self.voltage[out_row] = out_level
+        self.voltage[out_row] = residual_from_overdrive(total, self.model)
         self.last_update[out_row] = t_done
         self._sample_row(t_done, out_row, self.voltage[out_row])

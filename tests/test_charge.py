@@ -22,9 +22,11 @@ from gcpim.charge import (
     ModelConfig,
     calibrate_tau,
     decay,
+    drive_threshold,
     overdrive,
     residual_from_overdrive,
     sense,
+    time_constant,
 )
 from gcpim.subarray import SubArray
 
@@ -53,7 +55,7 @@ def test_tau_matches_root_find():
 
 def test_tau_rederives_for_other_rails():
     cfg = ModelConfig(vdd=1.0, v_sa_read=0.5, drt_read_ns=10000).calibrated()
-    assert decay(1.0, 10000, 1.0, cfg) == pytest.approx(0.5, rel=1e-12)
+    assert decay(1.0, 10000, cfg.tau_ns) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_tau_rejects_degenerate_levels():
@@ -64,19 +66,19 @@ def test_tau_rejects_degenerate_levels():
 
 
 def test_decay_reference_points():
-    assert decay(CFG.vdd, 5000, 1.0, CFG) == pytest.approx(
+    assert decay(CFG.vdd, 5000, CFG.tau_ns) == pytest.approx(
         V_AGED_5US, rel=1e-12
     )
     # the calibration point: half the rail at the read retention limit
-    assert decay(CFG.vdd, 15000, 1.0, CFG) == pytest.approx(
+    assert decay(CFG.vdd, 15000, CFG.tau_ns) == pytest.approx(
         0.45, rel=1e-12
     )
-    assert decay(0.0, 10**6, 1.0, CFG) == 0.0
+    assert decay(0.0, 10**6, CFG.tau_ns) == 0.0
 
 
 def test_decay_rejects_negative_dt():
     with pytest.raises(ValueError):
-        decay(0.9, -1, 1.0, CFG)
+        decay(0.9, -1, CFG.tau_ns)
 
 
 @given(
@@ -87,8 +89,8 @@ def test_decay_rejects_negative_dt():
 @settings(max_examples=200, deadline=None)
 def test_decay_composes(v, a, b):
     # two decays in sequence equal one decay over the summed interval
-    once = decay(v, a + b, 1.0, CFG)
-    twice = decay(decay(v, a, 1.0, CFG), b, 1.0, CFG)
+    once = decay(v, a + b, CFG.tau_ns)
+    twice = decay(decay(v, a, CFG.tau_ns), b, CFG.tau_ns)
     assert twice == pytest.approx(once, rel=1e-12, abs=1e-15)
 
 
@@ -100,9 +102,22 @@ def test_decay_composes(v, a, b):
 @settings(max_examples=200, deadline=None)
 def test_decay_scale_equals_time_dilation(v, dt, scale):
     # multiplying tau by s is the same as dividing elapsed time by s
-    scaled = decay(v, dt, scale, CFG)
-    dilated = decay(v, dt / scale, 1.0, CFG)
+    scaled = decay(v, dt, time_constant(scale, CFG))
+    dilated = decay(v, dt / scale, CFG.tau_ns)
     assert scaled == pytest.approx(dilated, rel=1e-12, abs=1e-15)
+
+
+@given(
+    tau_ns=st.floats(1.0, 1e7),
+    scale=st.sampled_from([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    | st.floats(0.5, 2.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_time_constant_is_below_nominal_exactly_when_the_multiplier_is(tau_ns, scale):
+    # Monte Carlo scoring tags a cell "faster than nominal" from its time
+    # constant; that must agree with its sampled multiplier being below 1
+    cfg = ModelConfig(tau_ns=tau_ns)
+    assert (time_constant(scale, cfg) < cfg.tau_ns) == (scale < 1.0)
 
 
 def test_sense_tie_reads_high():
@@ -114,18 +129,19 @@ def test_sense_tie_reads_high():
 
 
 def test_overdrive_clamps_at_zero():
-    assert overdrive(0.0, 0.0, CFG) == 0.0
-    assert overdrive(0.18, 0.0, CFG) == 0.0
-    assert overdrive(0.9, 0.0, CFG) == pytest.approx(0.72, rel=1e-12)
+    nominal = drive_threshold(0.0, CFG)
+    assert overdrive(0.0, nominal) == 0.0
+    assert overdrive(0.18, nominal) == 0.0
+    assert overdrive(0.9, nominal) == pytest.approx(0.72, rel=1e-12)
     # a positive offset raises the conduction knee
-    assert overdrive(0.2, 0.05, CFG) == 0.0
+    assert overdrive(0.2, drive_threshold(0.05, CFG)) == 0.0
 
 
 def residual(voltages):
     """Output level of a NOR whose nominal input cells hold ``voltages``:
     parallel pull-down paths add in overdrive."""
     return residual_from_overdrive(
-        sum(float(overdrive(v, 0.0, CFG)) for v in voltages), CFG)
+        sum(float(overdrive(v, drive_threshold(0.0, CFG))) for v in voltages), CFG)
 
 
 def test_residual_quiet_inputs_keep_precharge():
@@ -143,7 +159,7 @@ def test_residual_reference_points():
     aged = residual([V_AGED_5US])
     assert aged == pytest.approx(RESIDUAL_AGED_5US, rel=1e-12)
     assert CFG.v_sa_read - aged == pytest.approx(MARGIN_AGED_5US, rel=1e-12)
-    fresh_v = decay(CFG.vdd, 1, 1.0, CFG)
+    fresh_v = decay(CFG.vdd, 1, CFG.tau_ns)
     fresh = residual([fresh_v])
     assert fresh == pytest.approx(RESIDUAL_FRESH, rel=1e-12)
 
@@ -177,6 +193,17 @@ def test_residual_saturates_not_overshoots():
     # many strong inputs cannot pull below the floor
     got = residual([0.9] * 8)
     assert got == pytest.approx(CFG.v_residual_floor, rel=1e-12)
+
+
+def test_residual_without_drive_is_the_rail():
+    # no drive, including a negative zero or a negative sum, leaves the
+    # pre-charged output at vdd, with a positive sign
+    for d in (0.0, -0.0, -1e-300, -0.3):
+        got = residual_from_overdrive(d, CFG)
+        assert got == CFG.vdd and math.copysign(1.0, got) == 1.0
+    got = residual_from_overdrive(np.array([0.0, -0.0, -0.3, 0.72]), CFG)
+    assert got[:3].tolist() == [CFG.vdd] * 3
+    assert got[3] == pytest.approx(CFG.v_residual_floor, rel=1e-12)
 
 
 def test_residual_vectorized_matches_scalar():

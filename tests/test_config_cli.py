@@ -15,12 +15,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError
-from gcpim.cli import main
+from gcpim.cli import _write_trace_csv, main
 from gcpim.compiler import PimProgram, compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
 from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
@@ -192,6 +193,23 @@ def test_compile_then_run_nominal(adder, tmp_path, capsys):
         "trace.csv": "2fa481e1d86b50671d73a879f7d64cd96e3b26097ac71d1ea9285eba0cd0f051",
         "ledger.csv": "c44f5c7c06852c468012cc73dd5755de3ccb088a686afe7bf04151f32f7f4b93",
     }
+
+
+def test_trace_csv_sorts_by_time_then_signal_string_then_record(tmp_path):
+    # (time_ns, row, voltages) records with equal times, a row >= 10 (whose
+    # name sorts before row 1's as a string) and repeated (time, row) pairs
+    records = [(5, 10, np.array([0.1, 0.2])), (5, 1, np.array([0.3, 0.4])),
+               (3, 2, np.array([0.5, 0.6])), (5, 10, np.array([0.7, 0.8])),
+               (3, 2, np.array([0.9, 1e-05]))]
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, records)
+    assert path.read_bytes().decode() == (
+        "time_ns,signal,value\r\n"
+        "3,sn_r2_c0,0.5\r\n3,sn_r2_c0,0.9\r\n3,sn_r2_c1,0.6\r\n3,sn_r2_c1,1e-05\r\n"
+        "5,sn_r10_c0,0.1\r\n5,sn_r10_c0,0.7\r\n5,sn_r10_c1,0.2\r\n5,sn_r10_c1,0.8\r\n"
+        "5,sn_r1_c0,0.3\r\n5,sn_r1_c1,0.4\r\n")
+    _write_trace_csv(path, [])
+    assert path.read_bytes() == b"time_ns,signal,value\r\n"
 
 
 def test_run_is_byte_deterministic(adder, tmp_path):
@@ -528,6 +546,27 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
                      "--mode", mode, "--trials", "4",
                      "--out", str(tmp_path / "bad_out")]) == 3, mode
         assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
+
+
+def test_netlist_inputs_must_name_the_input_nodes_once(tmp_path, capsys):
+    # a half adder whose netlist lists input "a" twice and "b" never used
+    # to load and then fail its run as a usage error (exit 2)
+    half = tmp_path / "half.txt"
+    half.write_text("s = a ^ b;\nc = a & b;\n")
+    compiled = tmp_path / "half.json"
+    assert main(["compile", str(half), "-o", str(compiled)]) == 0
+    inputs = tmp_path / "ab.csv"
+    inputs.write_text("a,b\n0,1\n1,1\n")
+    bad = tmp_path / "bad.json"
+    for names in (["a", "a"], ["a"], ["a", "b", "c"], ["b", "a", "b"]):
+        data = json.loads(compiled.read_text())
+        data["netlist"]["inputs"] = names
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", str(bad), "--inputs", str(inputs),
+                     "--out", str(tmp_path / "out")]) == 5, names
+        err = capsys.readouterr().err
+        assert "malformed program" in err and "do not name the input nodes" in err
 
 
 # the README's exit-code table

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gcpim.charge import ConfigError, ModelConfig
@@ -70,6 +72,32 @@ def test_sample_params_seed_changes_draws():
     a = sample_params(VAR, rng_stream=0)
     b = sample_params(VariationConfig(seed=1), rng_stream=0)
     assert not np.array_equal(a.tau_scale, b.tau_scale)
+
+
+@given(
+    rows=st.integers(1, 70),
+    cols=st.integers(1, 70),
+    keep=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    stream=st.integers(0, 2**40),
+    seed=st.integers(0, 2**64 - 1),
+    scale=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_kept_corner_equals_the_corner_of_the_full_draw(rows, cols, keep, stream,
+                                                          seed, scale):
+    n_rows, width = max(1, round(keep[0] * rows)), max(1, round(keep[1] * cols))
+    var = VariationConfig(seed=seed).scaled(scale)
+    full = sample_params(var, stream, rows=rows, cols=cols)
+    part = sample_params(var, stream, rows=rows, cols=cols, keep=(n_rows, width))
+    assert part.tau_scale.tobytes() == full.tau_scale[:n_rows, :width].tobytes()
+    assert part.drive_offset.tobytes() == full.drive_offset[:n_rows, :width].tobytes()
+    assert part.sa_threshold.tobytes() == full.sa_threshold[:width].tobytes()
+
+
+def test_sample_params_rejects_a_corner_outside_the_grid():
+    for keep in ((0, 4), (4, 0), (9, 4), (4, 9)):
+        with pytest.raises(ConfigError, match="cannot keep"):
+            sample_params(VAR, rows=8, cols=8, keep=keep)
 
 
 def test_sample_params_distributions():

@@ -138,6 +138,74 @@ def test_logic_inputs_are_undisturbed():
     assert sa.voltage[0, 0] == CFG.vdd  # stored level still referenced to t=1
 
 
+def reference_logic(sa: SubArray, tau_scale: np.ndarray, drive_offset: np.ndarray,
+                    in_rows, t_eval: int) -> np.ndarray:
+    """The output row as the per-row kernels composed the gate before the
+    one-step kernel: decay each input row, clamp its drive, add the drives
+    from zero in row order, then the ``np.where`` residual."""
+    m = sa.model
+    total = np.zeros(sa.cols)
+    for r in in_rows:
+        dt = t_eval - sa.last_update[r]
+        level = sa.voltage[r] * np.exp(-dt / (m.tau_ns * tau_scale[r]))
+        total += np.maximum(0.0, np.asarray(level, dtype=float)
+                            - (m.v_t_drive + drive_offset[r]))
+    pull = np.minimum(1.0, total / (m.vdd - m.v_t_drive))
+    return np.where(total > 0.0, m.vdd - (m.vdd - m.v_residual_floor) * pull, m.vdd)
+
+
+@given(
+    arity=st.integers(1, 8),
+    cols=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(
+        [CFG, ModelConfig(vdd=1.0, v_sa_read=0.5, v_t_drive=0.3,
+                          v_residual_floor=0.1, drt_read_ns=800, drt_logic_ns=300).calibrated()]),
+    via_run=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_logic_kernel_matches_the_per_row_composition_bit_for_bit(
+        arity, cols, seed, model, via_run):
+    rng = np.random.default_rng(seed)
+    rows = arity + 1 + int(rng.integers(0, 4))
+    tau_scale = rng.lognormal(0.0, rng.uniform(0.0, 0.5), (rows, cols))
+    drive_offset = rng.normal(0.0, rng.uniform(0.0, 0.1), (rows, cols))
+    sa = SubArray(model, rows=rows, cols=cols, tau_scale=tau_scale,
+                  drive_offset=drive_offset)
+    # stored levels anywhere from 0 V to the rail, some exactly at either
+    sa.voltage[:] = rng.choice([0.0, model.vdd, *rng.uniform(0, model.vdd, 6)], (rows, cols))
+    t_now = int(rng.integers(0, 40000))
+    sa.last_update[:] = rng.integers(0, t_now + 2, rows)  # ages 0 .. t_now + 1
+    picked = rng.permutation(rows)
+    in_rows, out_row = tuple(int(r) for r in picked[:arity]), int(picked[arity])
+    want = reference_logic(sa, tau_scale, drive_offset, in_rows, t_now + TIM.t_init_ns)
+    if via_run:
+        sa.run([MicroOp(OpKind.LOGIC, in_rows, out_row=out_row, t_start_ns=t_now)], None)
+    else:
+        sa.exec_logic(list(in_rows), out_row, t_now)
+    assert sa.voltage[out_row].tobytes() == want.tobytes()
+    assert sa.last_update[out_row] == t_now + TIM.t_logic_ns
+
+
+def test_logic_checks_rows_on_both_paths():
+    sa = SubArray(CFG, rows=8, cols=4)
+    for in_rows, out_row, error, message in (
+            ([0, 8], 1, IndexError, "row 8 out of range [0, 8)"),
+            ([0], 8, IndexError, "row 8 out of range [0, 8)"),
+            ([0], -1, IndexError, "row -1 out of range [0, 8)"),
+            ([], 1, ValueError, "LOGIC op needs at least one row"),
+            ([-1], 1, ValueError, "negative row in (-1,)")):
+        with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")
+                           .replace("[", r"\[")):
+            sa.exec_logic(in_rows, out_row, 0)
+    # a MicroOp is checked when built; the array then checks only bounds
+    op = MicroOp(OpKind.LOGIC, (0, 8), out_row=1)
+    with pytest.raises(IndexError, match=r"row 8 out of range \[0, 8\)"):
+        sa.run([op], None)
+    with pytest.raises(IndexError, match=r"row -1 out of range \[0, 8\)"):
+        sa.run([MicroOp(OpKind.LOGIC, (0,), out_row=-1)], None)
+
+
 def test_logic_rejects_overlapping_rows():
     sa = SubArray(CFG)
     with pytest.raises(ValueError):

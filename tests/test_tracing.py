@@ -3,12 +3,15 @@
 ``bench/tracing.py`` patches functions where gcpim looks them up.  A
 rename or a changed lookup would otherwise surface only when the traced
 benchmark runs; here the tracer is loaded from its source (nothing is
-written under ``bench/``), entered and exited around one compile.
+written under ``bench/``), entered and exited around one compile, and
+around a nominal run and a small program Monte Carlo, whose per-layer
+counts read zero if the array kernels stop calling the patched names.
 """
 
 import types
 from pathlib import Path
 
+from gcpim.cli import main
 from gcpim.compiler import compile_program
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -37,3 +40,23 @@ def test_the_benchmark_tracer_wraps_and_restores_every_target():
     for stage in ("netlist.lower_s", "allocate.allocate_s", "program.emit_s",
                   "program.insert_refresh_s"):
         assert metrics[stage] > 0, stage
+
+
+def test_the_run_path_goes_through_every_patched_kernel(tmp_path):
+    tracing = load_tracing()
+    source = tmp_path / "half.txt"
+    source.write_text("s = a ^ b;\nc = a & b;\n")
+    program = tmp_path / "half.json"
+    inputs = tmp_path / "ab.csv"
+    inputs.write_text("a,b\n0,0\n0,1\n1,0\n1,1\n")
+    assert main(["compile", str(source), "-o", str(program)]) == 0
+    for command in (["run", str(program), "--inputs", str(inputs), "--mode", "nominal"],
+                    ["mc", "--program", str(program), "--trials", "8"]):
+        with tracing.Tracer() as tracer:
+            assert main([*command, "--out", str(tmp_path / "out")]) == 0, command
+        metrics = tracer.layer_metrics()
+        assert tracer.nesting_problems() == []
+        for name in ("subarray.logic_calls", "charge.overdrive_calls",
+                     "charge.residual_calls"):
+            assert metrics[name] > 0, (command[0], name)
+    assert metrics["montecarlo.sample_params_calls"] == 8
