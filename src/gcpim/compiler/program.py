@@ -163,8 +163,8 @@ class PimProgram:
         """Reads versions 1 and 2 alike: version 1's ``row_assignment``
         and ``stats`` were derived data and are ignored.  Raises
         MalformedProgramError saying what is wrong for a missing key, a
-        wrong-typed value or an op or netlist that breaks its own rules
-        (ConfigError for the timing keys)."""
+        wrong-typed value or an op, netlist or timing section that breaks
+        its own rules."""
         try:
             if data.get("format") != PROGRAM_FORMAT:
                 raise ValueError("not a compiled program file")
@@ -179,8 +179,6 @@ class PimProgram:
             return PimProgram(ops=tuple(map(_op_from_json, data["ops"])),
                               netlist=NorNetlist.from_json_dict(data["netlist"]),
                               timing=timing, **header)
-        except ConfigError:
-            raise
         except KeyError as exc:
             raise MalformedProgramError(f"program file lacks the {exc} key") from exc
         except (TypeError, AttributeError) as exc:

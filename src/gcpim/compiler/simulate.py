@@ -8,11 +8,13 @@ outputs.  Trials run in blocks of about ``BLOCK_CELLS`` cells, side by
 side on the columns of one array (``montecarlo.block_array``, shared with
 gate campaigns): columns never interact, so each trial computes exactly
 what it would on an array of its own.  Trial ``i`` draws from stream
-``i`` at the stream positions of one full ``program.rows x program.cols``
-grid, but only the corner of cells the block uses is transformed
-(``sample_params(..., keep=...)``).  Gate campaigns score the same way:
-``score_block`` masks each block's columns and
-``CombinationResult.from_masks`` counts each input combination.
+``i``, numpy's ``default_rng(SeedSequence((seed, i)))``, at the stream
+positions of one full ``program.rows x program.cols`` grid, but only the
+corner of cells the block uses is transformed
+(``sample_params(..., keep=...)``).  A run seeds its trials' streams
+together, a chunk at a time (``montecarlo.stream_generators``).  Gate
+campaigns score the same way: ``score_block`` masks each block's columns
+and ``CombinationResult.from_masks`` counts each input combination.
 
 Every mode first runs the soundness audit, which replays the ops'
 ``node``/``output`` names against the netlist; nominal and MC runs also
@@ -24,7 +26,8 @@ what the array computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from gcpim.montecarlo import (
     block_array,
     sample_params,
     score_block,
+    stream_generators,
 )
 from gcpim.subarray import EventLedger, OpKind, SubArray
 from gcpim.compiler.program import (MalformedProgramError, PimProgram, audit_refresh_safety,
@@ -155,17 +159,16 @@ def run_program_on_array(
 
 
 def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
-                  streams):
-    """Run MC trials side by side on one block array.
+                  rngs: Iterator[np.random.Generator], n: int):
+    """Run ``n`` MC trials side by side on one block array.
 
-    Trial ``i`` draws from stream ``streams[i]`` and owns array columns
-    ``[i*width, (i+1)*width)``.  Returns the ``score_block`` masks shaped
-    (trials, width).
+    Trial ``i`` draws from the ``i``-th of the next ``n`` generators and
+    owns array columns ``[i*width, (i+1)*width)``.  Returns the
+    ``score_block`` masks shaped (trials, width).
     """
-    n = len(streams)
-    draws = (sample_params(var_cfg, rng_stream=stream, rows=program.rows,
-                           cols=program.cols, model_cfg=model, keep=(n_rows, width))
-             for stream in streams)
+    draws = (sample_params(var_cfg, rng, rows=program.rows, cols=program.cols,
+                           model_cfg=model, keep=(n_rows, width))
+             for rng in islice(rngs, n))
     sa = block_array(model, program.timing, draws)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
     # the rows the WRITE ops store inputs in, which the soundness audit checks
@@ -217,21 +220,10 @@ def simulate_program(
                 f"program fails the retention audit: {stale[0].message} "
                 f"({len(stale)} violations); recompile it with refresh insertion"
             )
+        # op timing and energy depend on the ops and the active columns,
+        # not on the cells: nominal and every MC trial share this ledger
+        ledger = EventLedger.from_ops(program.ops, program.timing, program.cols)
 
-    ideal_out = {
-        name: np.broadcast_to(np.asarray(v, dtype=np.uint8), (width,)).copy()
-        for name, v in program.netlist.evaluate(vectors).items()
-    }
-
-    if mode == "ideal":
-        return SimulationResult(
-            mode=mode, width=width, outputs=ideal_out,
-            duration_ns=program.duration_ns, energy_fj=program.energy_fj,
-        )
-
-    # op timing and energy depend on the ops and the active columns, not
-    # on the cells: nominal and every MC trial share this ledger
-    ledger = EventLedger.from_ops(program.ops, program.timing, program.cols)
     if mode == "nominal":
         sa = SubArray(model, program.timing, rows=program.rows,
                       cols=program.cols, trace=trace)
@@ -241,6 +233,17 @@ def simulate_program(
             outputs={name: bits[:width] for name, bits in outputs.items()},
             duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),
             ledger=ledger, trace=sa.trace_rows,
+        )
+
+    # the netlist's outputs: ideal mode's result and MC's reference
+    ideal_out = {
+        name: np.broadcast_to(np.asarray(v, dtype=np.uint8), (width,)).copy()
+        for name, v in program.netlist.evaluate(vectors).items()
+    }
+    if mode == "ideal":
+        return SimulationResult(
+            mode=mode, width=width, outputs=ideal_out,
+            duration_ns=program.duration_ns, energy_fj=program.energy_fj,
         )
 
     # Monte Carlo over whole-program executions
@@ -257,10 +260,10 @@ def simulate_program(
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
     per_block = max(1, BLOCK_CELLS // (n_rows * width))
-    streams = range(n_trials)
+    rngs = stream_generators(var_cfg.seed, range(n_trials))
     blocks = [
         _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
-                      streams[first:first + per_block])
+                      rngs, min(per_block, n_trials - first))
         for first in range(0, n_trials, per_block)
     ]
     ok, fast, adverse = (np.concatenate(masks) for masks in zip(*blocks))

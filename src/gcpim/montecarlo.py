@@ -12,6 +12,9 @@ Trials are batched onto sub-array columns: batch ``b`` covers trial
 indices ``[64b, 64b + 64)`` and draws all its randomness from stream
 ``b``, so every trial's draw is a pure function of (seed, trial index)
 and results do not depend on execution order or batch scheduling.
+Stream ``s`` is numpy's ``default_rng(SeedSequence((seed, s)))``; a run
+seeds all its streams together (``stream_generators``), which computes
+numpy's seeding hash for a chunk of streams in one vectorised pass.
 Batches run side by side on the columns of one block array of about
 ``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
 too; columns never interact, so grouping changes no result.  Each path
@@ -27,8 +30,10 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ __all__ = [
     "run_gate_trials",
     "sample_params",
     "score_block",
+    "stream_generators",
 ]
 
 # Sigma ratios used by the calibration root-find, chosen so the three
@@ -100,6 +106,114 @@ class VariationConfig:
                        sigma_drive=self.sigma_drive * factor)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): 32-bit words,
+# a pool of 4, and the constants of its two hash streams and its mix
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# streams seeded per vectorised pass, so memory does not grow with the run
+_SEED_CHUNK = 1024
+
+
+def _n_words(value: int) -> int:
+    """How many 32-bit words numpy's SeedSequence splits ``value`` into."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants ``steps`` successive hash steps xor and multiply by,
+    as columns: step ``i`` xors ``init * mult**i`` and multiplies by the
+    next power."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return (np.array(consts[:-1], dtype=np.uint64)[:, None],
+            np.array(consts[1:], dtype=np.uint64)[:, None])
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # uint64 products of 32-bit values are exact; the difference wraps
+    # mod 2**64, which keeps its low 32 bits right
+    value = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return value ^ value >> 16
+
+
+def _pcg64_seeds(words: np.ndarray) -> list[list[int]]:
+    """The 4 uint64 words ``SeedSequence.generate_state(4, np.uint64)``
+    gives for each column of ``words`` (one entropy word per row, every
+    column the same length): the PCG64 seed high and low, then the
+    increment high and low."""
+    extra = max(0, len(words) - _POOL_WORDS)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_WORDS + 4 * extra)
+    pool = np.zeros((_POOL_WORDS, words.shape[1]), dtype=np.uint64)
+    pool[:len(words)] = words[:_POOL_WORDS]  # a short entropy hashes zeros
+    pool = _hash(pool, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
+    # every pool word into every other one; a source never changes while
+    # it feeds the other three, so they take it in one step
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        k = _POOL_WORDS + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mult[k:k + 3]))
+    for j, word in enumerate(words[_POOL_WORDS:]):
+        k = 4 * _POOL_WORDS + 4 * j
+        pool = _mix(pool, _hash(word, xor[k:k + 4], mult[k:k + 4]))
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+    state = _hash(np.tile(pool, (2, 1)), xor, mult)
+    return (state[0::2] | state[1::2] << 32).tolist()  # little-endian pairs
+
+
+def stream_generators(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator per stream, each at the state
+    ``np.random.default_rng(np.random.SeedSequence((seed, stream)))``
+    starts from.
+
+    numpy's seeding hash runs for up to ``_SEED_CHUNK`` streams at a time
+    on uint64 arrays, one pass per entropy word count; the seed then
+    becomes a PCG64 state as ``pcg64_set_seed`` makes it.  Every yield is
+    the same ``Generator``, moved to the next stream: draw from it before
+    asking for the next one.
+    """
+    seed = operator.index(seed)
+    n_seed = _n_words(seed)
+    seed_words = np.array([seed >> 32 * j & _MASK32 for j in range(n_seed)],
+                          dtype=np.uint64)[:, None]
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    streams = iter(streams)
+    while chunk := [operator.index(s) for s in islice(streams, _SEED_CHUNK)]:
+        groups: dict[int, list[int]] = {}
+        for i, stream in enumerate(chunk):
+            groups.setdefault(_n_words(stream), []).append(i)
+        states: list = [None] * len(chunk)
+        for n_words, members in groups.items():
+            words = np.empty((n_seed + n_words, len(members)), dtype=np.uint64)
+            words[:n_seed] = seed_words
+            for j in range(n_words):
+                words[n_seed + j] = [chunk[i] >> 32 * j & _MASK32 for i in members]
+            for i, seed_hi, seed_lo, inc_hi, inc_lo in zip(members, *_pcg64_seeds(words)):
+                # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then
+                # two LCG steps with the seed added after the first
+                inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+                state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc
+                states[i] = state & _MASK128, inc
+        for state, inc in states:
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 @dataclass(frozen=True)
 class SampledVariation:
     """One draw of per-cell and per-column parameters (struct of arrays)."""
@@ -111,7 +225,7 @@ class SampledVariation:
 
 def sample_params(
     var_cfg: VariationConfig,
-    rng_stream: int = 0,
+    rng_stream: int | np.random.Generator = 0,
     *,
     rows: int = 64,
     cols: int = 64,
@@ -121,8 +235,10 @@ def sample_params(
     """Draw one grid of variation parameters.
 
     Deterministic given (var_cfg.seed, rng_stream) and the grid shape;
-    every cell and column is an independent draw.  Zero sigmas reproduce
-    nominal parameters exactly.  ``keep=(n_rows, width)`` returns only
+    every cell and column is an independent draw.  ``rng_stream`` is a
+    stream number, or that stream's generator from ``stream_generators``
+    (which a run uses to seed all its streams at once).  Zero sigmas
+    reproduce nominal parameters exactly.  ``keep=(n_rows, width)`` returns only
     the grid's top-left ``n_rows x width`` corner and the first ``width``
     thresholds, equal to the same corner of the full draw: the stream
     advances past the other cells with raw normal draws, which consume
@@ -134,7 +250,8 @@ def sample_params(
     n_rows, width = (rows, cols) if keep is None else keep
     if not (0 < n_rows <= rows and 0 < width <= cols):
         raise ConfigError(f"cannot keep {n_rows}x{width} of a {rows}x{cols} grid")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(var_cfg.seed, rng_stream)))
+    rng = (rng_stream if isinstance(rng_stream, np.random.Generator)
+           else next(stream_generators(var_cfg.seed, (rng_stream,))))
     skipped = (rows - n_rows) * cols
     # draw order is part of the determinism contract: tau, drive, threshold
     tau_scale = rng.lognormal(mean=0.0, sigma=var_cfg.sigma_tau, size=(n_rows, cols))
@@ -361,13 +478,15 @@ def gate_trial_masks(
 
     n_batches = -(-n_trials // _BATCH_COLS)
     per_block = max(1, BLOCK_CELLS // ((k + 1) * _BATCH_COLS))
+    rngs = stream_generators(var_cfg.seed, range(stream_base, stream_base + n_batches))
     blocks = []
     for first in range(0, n_batches, per_block):
+        # zip takes the batch first, so a block stops without moving rngs on
         draws = (
-            sample_params(var_cfg, rng_stream=stream_base + b, rows=k + 1,
+            sample_params(var_cfg, rng, rows=k + 1,
                           cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS),
                           model_cfg=model)
-            for b in range(first, min(first + per_block, n_batches))
+            for b, rng in zip(range(first, min(first + per_block, n_batches)), rngs)
         )
         sa = block_array(model, timing, draws)
         reads = sa.run(ops, lambda op: np.full(

@@ -98,6 +98,8 @@ def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> Non
         raise ValueError(f"{kind.value} op needs at least one row")
     if any(r < 0 for r in rows):
         raise ValueError(f"negative row in {rows}")
+    if out_row is not None and out_row < 0:
+        raise ValueError(f"negative row {out_row} as the output")
     if kind is OpKind.LOGIC:
         if out_row is None:
             raise ValueError("LOGIC op needs an output row")

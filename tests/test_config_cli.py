@@ -365,8 +365,27 @@ def test_program_with_retired_timing_key_runs_unchanged(adder, tmp_path, capsys)
     old.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["run", str(old), "--inputs", str(inputs),
-                 "--out", str(tmp_path / "typo")]) == 2
+                 "--out", str(tmp_path / "typo")]) == 5
     assert "e_dual_sense'" in capsys.readouterr().err
+
+
+def test_a_malformed_timing_section_is_a_malformed_program(adder, tmp_path, capsys):
+    src, inputs = adder
+    fresh = tmp_path / "fresh.json"
+    assert main(["compile", str(src), "-o", str(fresh)]) == 0
+    for key, value, message in (("e_write_fj", "x", "timing_energy.e_write_fj must be"),
+                                ("t_write_ns", 0, "t_write_ns must be positive"),
+                                ("bogus", 1, "unknown keys in section 'timing_energy'")):
+        data = json.loads(fresh.read_text())
+        data["timing_energy"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", str(bad), "--inputs", str(inputs),
+                     "--out", str(tmp_path / "bad")]) == 5, key
+        err = capsys.readouterr().err
+        assert err.startswith("gcpim: malformed program:"), err
+        assert message in err, err
 
 
 def test_zero_trials_are_rejected(adder, tmp_path, capsys):

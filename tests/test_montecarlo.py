@@ -26,7 +26,9 @@ from gcpim.montecarlo import (
     run_gate_campaign,
     run_gate_trials,
     sample_params,
+    stream_generators,
 )
+from gcpim.montecarlo import _SEED_CHUNK
 from gcpim.subarray import SubArray, TimingEnergyConfig
 
 CFG = ModelConfig()
@@ -98,6 +100,85 @@ def test_sample_params_rejects_a_corner_outside_the_grid():
     for keep in ((0, 4), (4, 0), (9, 4), (4, 9)):
         with pytest.raises(ConfigError, match="cannot keep"):
             sample_params(VAR, rows=8, cols=8, keep=keep)
+
+
+# a seed or stream of 1, 2, 3 and 5 numpy entropy words; with a 2-word
+# seed, every word count from 2 to 7 is hashed
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**160 - 1)
+
+
+def numpy_rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+
+
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1)),
+    streams=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**160 - 1)),
+                     min_size=1, max_size=12),
+    split=st.integers(0, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_stream_generators_start_where_numpy_seeding_does(seed, streams, split):
+    # one call over streams of every word count, placed so that the drawn
+    # ones straddle the boundary between two seeding chunks
+    split = min(split, len(streams))
+    filler = list(range(7, 7 + _SEED_CHUNK - split))
+    all_streams = filler + streams + list(WORD_EDGES)
+    n = 0
+    for stream, rng in zip(all_streams, stream_generators(seed, all_streams)):
+        assert rng.bit_generator.state == numpy_rng(seed, stream).bit_generator.state, \
+            (seed, stream)
+        n += 1
+    assert n == len(all_streams)
+
+
+def test_stream_generators_draw_what_numpy_draws():
+    seeds = (0, 2**32, DEFAULT_SEED, 2**64 - 1)
+    streams = (*WORD_EDGES, 3, 2**96 + 5)
+    for seed in seeds:
+        for stream, rng in zip(streams, stream_generators(seed, streams)):
+            ref = numpy_rng(seed, stream)
+            for draw in (lambda g: g.lognormal(0.0, 0.2, 5), lambda g: g.normal(0.45, 0.04, 3),
+                         lambda g: g.standard_normal(7)):
+                assert draw(rng).tobytes() == draw(ref).tobytes(), (seed, stream)
+
+
+def test_stream_generators_reject_negative_entropy():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(stream_generators(-1, [0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        next(stream_generators(0, [1, -2]))
+
+
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    keep=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    first=st.one_of(st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**64 - 2])),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_sample_params_from_a_run_s_generators_equals_the_standalone_draw(
+        rows, cols, keep, first, seed):
+    n_rows, width = max(1, round(keep[0] * rows)), max(1, round(keep[1] * cols))
+    var = VariationConfig(seed=seed)
+    streams = range(first, first + 3)
+    for corner in (None, (n_rows, width)):
+        for stream, rng in zip(streams, stream_generators(seed, streams)):
+            fed = sample_params(var, rng, rows=rows, cols=cols, keep=corner)
+            alone = sample_params(var, stream, rows=rows, cols=cols, keep=corner)
+            for field in ("tau_scale", "drive_offset", "sa_threshold"):
+                assert getattr(fed, field).tobytes() == getattr(alone, field).tobytes()
+    # the standalone draw is numpy's, seeded with SeedSequence((seed, stream))
+    ref = numpy_rng(seed, first)
+    alone = sample_params(var, first, rows=rows, cols=cols)
+    assert alone.tau_scale.tobytes() == ref.lognormal(0.0, var.sigma_tau,
+                                                      (rows, cols)).tobytes()
+    assert alone.drive_offset.tobytes() == ref.normal(0.0, var.sigma_drive,
+                                                      (rows, cols)).tobytes()
+    assert alone.sa_threshold.tobytes() == ref.normal(CFG.v_sa_read, var.sigma_sa,
+                                                      cols).tobytes()
 
 
 def test_sample_params_distributions():

@@ -35,6 +35,7 @@ from gcpim.compiler.program import (
     audit_row_soundness,
     with_timestamps,
 )
+from gcpim.compiler.netlist import NorNetlist
 from gcpim.compiler.simulate import BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
 from gcpim.subarray import MicroOp, OpKind, SubArray, TimingEnergyConfig
@@ -463,6 +464,25 @@ def test_nominal_matches_ideal_for_a_corpus():
             np.testing.assert_array_equal(
                 nom.outputs[name], ideal.outputs[name], err_msg=src
             )
+
+
+def test_only_ideal_and_mc_runs_evaluate_the_netlist(monkeypatch):
+    # a nominal run computes its outputs on the array; only ideal mode
+    # (its result) and MC (its reference) need the netlist's
+    prog = compile_program("s = a ^ b;\nc = a & b;")
+    vecs = exhaustive_vectors(prog.inputs)
+    evaluate = NorNetlist.evaluate
+    calls = []
+
+    def counted(self, vectors):
+        calls.append(1)
+        return evaluate(self, vectors)
+
+    monkeypatch.setattr(NorNetlist, "evaluate", counted)
+    for mode, want in (("nominal", 0), ("ideal", 1), ("mc", 1)):
+        calls.clear()
+        simulate_program(prog, vecs, mode=mode, var_cfg=VariationConfig(), n_trials=2)
+        assert len(calls) == want, mode
 
 
 def test_nominal_ledger_matches_static_cost():

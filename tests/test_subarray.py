@@ -192,7 +192,7 @@ def test_logic_checks_rows_on_both_paths():
     for in_rows, out_row, error, message in (
             ([0, 8], 1, IndexError, "row 8 out of range [0, 8)"),
             ([0], 8, IndexError, "row 8 out of range [0, 8)"),
-            ([0], -1, IndexError, "row -1 out of range [0, 8)"),
+            ([0], -1, ValueError, "negative row -1 as the output"),
             ([], 1, ValueError, "LOGIC op needs at least one row"),
             ([-1], 1, ValueError, "negative row in (-1,)")):
         with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")
@@ -202,8 +202,10 @@ def test_logic_checks_rows_on_both_paths():
     op = MicroOp(OpKind.LOGIC, (0, 8), out_row=1)
     with pytest.raises(IndexError, match=r"row 8 out of range \[0, 8\)"):
         sa.run([op], None)
-    with pytest.raises(IndexError, match=r"row -1 out of range \[0, 8\)"):
-        sa.run([MicroOp(OpKind.LOGIC, (0,), out_row=-1)], None)
+    for in_rows, out_row, message in (((0,), -1, "negative row -1 as the output"),
+                                      ((-1,), 1, r"negative row in \(-1,\)")):
+        with pytest.raises(ValueError, match=message):
+            MicroOp(OpKind.LOGIC, in_rows, out_row=out_row)
 
 
 def test_logic_rejects_overlapping_rows():
