@@ -50,7 +50,7 @@ class NorNetlist:
 
     def __post_init__(self) -> None:
         for i, node in enumerate(self.nodes):
-            if any(not 0 <= a < i for a in node.args):
+            if node.args and not 0 <= min(node.args) <= max(node.args) < i:
                 raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")
         if any(not 0 <= nid < len(self.nodes) for _, nid in self.outputs):
             raise ValueError(f"outputs {list(self.outputs)} name a node outside the netlist")
@@ -157,12 +157,12 @@ class NorNetlist:
         nodes = []
         for n in data["nodes"]:
             op, args, name, value = n["op"], n.get("args"), n.get("name"), n.get("value")
-            if op == "input" and type(name) is str:
+            if op == "nor" and type(args) is list and set(map(type, args)) <= {int}:
+                nodes.append(Node("nor", tuple(args)))
+            elif op == "input" and type(name) is str:
                 nodes.append(Node("input", name=name))
             elif op == "const" and type(value) is int and value in (0, 1):
                 nodes.append(Node("const", value=value))
-            elif op == "nor" and type(args) is list and all(type(a) is int for a in args):
-                nodes.append(Node("nor", args=tuple(args)))
             else:
                 raise TypeError(f"node {n}")
         inputs, outputs = data["inputs"], data["outputs"]
@@ -208,7 +208,7 @@ class NetlistBuilder:
             raise ValueError(
                 f"NOR arity {len(canonical)} exceeds the cap {self.max_nor_arity}"
             )
-        if any(not (0 <= a < len(self.nodes)) for a in canonical):
+        if canonical[0] < 0 or canonical[-1] >= len(self.nodes):  # sorted ends
             raise ValueError(f"unknown argument node in {canonical}")
         return self._add(("nor", canonical), Node("nor", args=canonical))
 

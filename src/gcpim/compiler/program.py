@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from gcpim.charge import ConfigError, ModelConfig, known_keys
 from gcpim.subarray import MicroOp, OpKind, TimingEnergyConfig
@@ -137,6 +138,9 @@ class PimProgram:
                 if getattr(op, key) is not None:
                     entry[key] = getattr(op, key)
             ops.append(entry)
+        return {**self._header_dict(), "ops": ops}
+
+    def _header_dict(self) -> dict:
         return {
             "format": PROGRAM_FORMAT,
             "version": PROGRAM_VERSION,
@@ -146,17 +150,15 @@ class PimProgram:
             "drt_read_ns": self.drt_read_ns,
             "timing_energy": asdict(self.timing),
             "netlist": self.netlist.to_json_dict(),
-            "ops": ops,
         }
 
     def to_json(self, path) -> None:
         """One JSON object: everything but the ops on the first line, then
         ``"ops"`` last with one compact op per line, so files diff op by op."""
-        data = self.to_json_dict()
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        ops = ",\n".join(map(encode, data.pop("ops")))
+        ops = ",\n".join(map(_op_line, self.ops))
         with open(path, "w") as fh:
-            fh.write(f'{encode(data)[:-1]},"ops":[\n{ops}\n]}}\n')
+            fh.write(f'{encode(self._header_dict())[:-1]},"ops":[\n{ops}\n]}}\n')
 
     @staticmethod
     def from_json_dict(data: dict) -> "PimProgram":
@@ -193,10 +195,39 @@ class PimProgram:
             return PimProgram.from_json_dict(json.load(fh))
 
 
+_OP_NAME = {kind: f'"op":{json.dumps(kind.value)}' for kind in OpKind}
+
+
+def _op_line(op: MicroOp) -> str:
+    """The op's ``to_json_dict`` entry as the sorted compact encoder writes
+    it, for fields of ints and strings, as compiled and loaded ops hold."""
+    line = "{"
+    if op.bits is not None:
+        line += f'"bits":[{",".join(map(str, op.bits))}],'
+    if op.node is not None:
+        line += f'"node":{op.node},'
+    line += _OP_NAME[op.kind]
+    if op.out_row is not None:
+        line += f',"out_row":{op.out_row}'
+    if op.output is not None:
+        line += f',"output":{encode_basestring_ascii(op.output)}'
+    line += f',"rows":[{",".join(map(str, op.rows))}]'
+    if op.source is not None:
+        line += f',"source":{encode_basestring_ascii(op.source)}'
+    return f'{line},"t_start_ns":{op.t_start_ns}}}'
+
+
 def _op_from_json(entry: dict) -> MicroOp:
     """An op entry with every field type-checked (``type(True)`` is bool,
     not int), so a wrong-typed value is refused on load instead of
     crashing an audit.  An absent optional field reads as None."""
+    # a plain LOGIC entry, most of any program, passes one type test
+    rows = entry.get("rows")
+    if (len(entry) == 5 and entry.get("op") == "LOGIC" and type(rows) is list
+            and {type(entry.get("out_row")), type(entry.get("node")),
+                 type(entry.get("t_start_ns")), *map(type, rows)} == {int}):
+        return MicroOp(OpKind.LOGIC, tuple(rows), entry["out_row"],
+                       t_start_ns=entry["t_start_ns"], node=entry["node"])
     get = entry.get
     rows, t_start, bits = entry["rows"], entry["t_start_ns"], get("bits")
     out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
@@ -221,10 +252,10 @@ def emit_ops(netlist: NorNetlist, assignment: RowAssignment) -> list[MicroOp]:
     ops += [MicroOp(OpKind.WRITE, (assignment.input_rows[name],),
                     source=f"input:{name}")
             for name in netlist.inputs]
-    for nid in netlist.gate_ids():
-        in_rows = tuple(assignment.row_of[a] for a in netlist.nodes[nid].args)
-        ops.append(MicroOp(OpKind.LOGIC, in_rows, out_row=assignment.row_of[nid],
-                           node=nid))
+    row_of = assignment.row_of
+    ops += [MicroOp(OpKind.LOGIC, tuple(map(row_of.__getitem__, netlist.nodes[nid].args)),
+                    row_of[nid], node=nid)
+            for nid in netlist.gate_ids()]
     ops += [MicroOp(OpKind.READ, (assignment.row_of[nid],), output=name)
             for name, nid in netlist.outputs]
     return ops
@@ -348,8 +379,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 written, row = heapq.heappop(deadlines)
                 if ages.t_valid[row] == written and dies[row] > i:
                     due.add(row)
-            due.update(r for r, _, age in ages.sensed(op, t)
-                       if age is not None and age > budget)
+            due.update([r for r, _, age in ages.sensed(op, t)
+                        if age is not None and age > budget])
             if not due:
                 break
             # once no value written before t_op is fresh enough, every

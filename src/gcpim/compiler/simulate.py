@@ -89,11 +89,12 @@ def _normalize_vectors(program: PimProgram, input_vectors: dict) -> tuple[dict, 
     vectors = {}
     width = None
     for name in program.inputs:
-        v = np.asarray(input_vectors[name], dtype=np.uint8)
+        v = np.asarray(input_vectors[name])
         if v.ndim != 1:
             raise ConfigError(f"input {name!r} must be a flat bit vector")
-        if np.any(v > 1):
+        if not np.all((v == 0) | (v == 1)):  # before the cast can wrap or truncate
             raise ConfigError(f"input {name!r} has non-bit values")
+        v = v.astype(np.uint8)
         if width is None:
             width = len(v)
         elif len(v) != width:

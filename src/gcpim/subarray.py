@@ -23,6 +23,7 @@ on the cells, so a run's ledger is built from its timestamped ops with
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -80,16 +81,34 @@ class MicroOp:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        _check_rows(self.kind, self.rows, self.out_row)
-        if self.kind is OpKind.WRITE:
-            if (self.bits is None) == (self.source is None):
+        # one test lets a well-formed op through; any other op takes the
+        # checks below, which word what is wrong with it
+        kind, rows, out_row = self.kind, self.rows, self.out_row
+        bits, source, node, output = self.bits, self.source, self.node, self.output
+        try:
+            if kind is OpKind.LOGIC:
+                fine = (out_row is not None and bits is None and source is None
+                        and output is None and 0 < len(rows) == len(set(rows))
+                        and min(rows) >= 0 <= out_row and out_row not in rows)
+            else:
+                fine = (out_row is None and node is None and len(rows) == 1 and rows[0] >= 0
+                        and ((bits is None) != (source is None) and output is None
+                             if kind is OpKind.WRITE else bits is None and source is None
+                             and (output is None or kind is OpKind.READ)))
+        except TypeError:  # odd types: the checks below raise their own error
+            fine = False
+        if fine:
+            return
+        _check_rows(kind, rows, out_row)
+        if kind is OpKind.WRITE:
+            if (bits is None) == (source is None):
                 raise ValueError("WRITE needs exactly one of bits or source")
-        elif self.bits is not None or self.source is not None:
-            raise ValueError(f"{self.kind.value} op carries no data")
-        if self.node is not None and self.kind is not OpKind.LOGIC:
-            raise ValueError(f"{self.kind.value} op computes no node")
-        if self.output is not None and self.kind is not OpKind.READ:
-            raise ValueError(f"{self.kind.value} op senses no output")
+        elif bits is not None or source is not None:
+            raise ValueError(f"{kind.value} op carries no data")
+        if node is not None and kind is not OpKind.LOGIC:
+            raise ValueError(f"{kind.value} op computes no node")
+        if output is not None and kind is not OpKind.READ:
+            raise ValueError(f"{kind.value} op senses no output")
 
 
 def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> None:
@@ -137,6 +156,16 @@ class TimingEnergyConfig:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")
+        # per-op lookups, built once: duration by kind, and energy per
+        # active column by kind and whether the op has a single row
+        object.__setattr__(self, "_duration", {
+            OpKind.WRITE: self.t_write_ns, OpKind.READ: self.t_read_ns,
+            OpKind.REFRESH: self.t_refresh_ns, OpKind.LOGIC: self.t_logic_ns})
+        per_col = {OpKind.WRITE: self.e_write_fj, OpKind.READ: self.e_read_fj,
+                   OpKind.REFRESH: self.e_read_fj + self.e_write_fj}
+        object.__setattr__(self, "_per_col", {
+            (kind, one): per_col.get(kind, self.e_not_fj if one else self.e_nor_fj)
+            for kind in OpKind for one in (True, False)})
 
     @property
     def t_logic_ns(self) -> int:
@@ -147,24 +176,11 @@ class TimingEnergyConfig:
         return self.t_read_ns + self.t_write_ns
 
     def duration_ns(self, kind: OpKind) -> int:
-        return {
-            OpKind.WRITE: self.t_write_ns,
-            OpKind.READ: self.t_read_ns,
-            OpKind.REFRESH: self.t_refresh_ns,
-            OpKind.LOGIC: self.t_logic_ns,
-        }[kind]
+        return self._duration[kind]
 
     def energy_fj(self, kind: OpKind, n_inputs: int, active_columns: int) -> float:
         """Ledger energy for one op; logic energy depends on gate arity."""
-        if kind is OpKind.WRITE:
-            per_col = self.e_write_fj
-        elif kind is OpKind.READ:
-            per_col = self.e_read_fj
-        elif kind is OpKind.REFRESH:
-            per_col = self.e_read_fj + self.e_write_fj
-        else:
-            per_col = self.e_not_fj if n_inputs == 1 else self.e_nor_fj
-        return per_col * active_columns
+        return self._per_col[kind, n_inputs == 1] * active_columns
 
 
 @dataclass(frozen=True)
@@ -181,10 +197,9 @@ class LedgerEntry:
         return self.start_ns + self.duration_ns
 
     def rows_label(self) -> str:
-        if self.op == OpKind.LOGIC.value:
-            *ins, out = self.rows
-            return "+".join(str(r) for r in ins) + ">" + str(out)
-        return "+".join(str(r) for r in self.rows)
+        if self.op == "LOGIC":
+            return "+".join(map(str, self.rows[:-1])) + ">" + str(self.rows[-1])
+        return "+".join(map(str, self.rows))
 
 
 LEDGER_CSV_HEADER = ["start_ns", "duration_ns", "op", "rows", "energy_fj"]
@@ -202,15 +217,15 @@ class EventLedger:
         """The ledger of a run of the timestamped ``ops`` on ``cols`` active
         columns.  A LOGIC entry lists its input rows, then its output row."""
         ledger = cls()
+        append, duration = ledger.append, timing.duration_ns
+        name = {kind: kind.value for kind in OpKind}
+        energy = {key: per_col * cols for key, per_col in timing._per_col.items()}
         for op in ops:
-            ledger.append(LedgerEntry(
-                start_ns=op.t_start_ns,
-                duration_ns=timing.duration_ns(op.kind),
-                op=op.kind.value,
-                rows=op.rows if op.out_row is None else (*op.rows, op.out_row),
-                active_columns=cols,
-                energy_fj=timing.energy_fj(op.kind, len(op.rows), cols),
-            ))
+            kind, rows = op.kind, op.rows
+            append(LedgerEntry(
+                op.t_start_ns, duration(kind), name[kind],
+                rows if op.out_row is None else (*rows, op.out_row),
+                cols, energy[kind, len(rows) == 1]))
         return ledger
 
     def append(self, entry: LedgerEntry) -> None:
@@ -235,34 +250,36 @@ class EventLedger:
         return max((e.end_ns for e in self.entries), default=0)
 
     def to_csv(self, path) -> None:
+        energy: dict[float, str] = {}  # repr per distinct energy, of which there are few
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(LEDGER_CSV_HEADER)
-            for e in self.entries:
-                writer.writerow(
-                    [e.start_ns, e.duration_ns, e.op, e.rows_label(), repr(e.energy_fj)]
-                )
+            writer.writerows(
+                [e.start_ns, e.duration_ns, e.op, e.rows_label(),
+                 energy.get(e.energy_fj) or energy.setdefault(e.energy_fj, repr(e.energy_fj))]
+                for e in self.entries)
 
     @staticmethod
     def read_csv_rows(path) -> list[dict]:
-        """Parse a ledger CSV back into dicts (used by the report command)."""
+        """Parse a ledger CSV back into dicts (used by the report command),
+        skipping blank lines.  A row without five cells, non-negative
+        integer times and a finite energy raises ValueError at path:line."""
+        rows = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != LEDGER_CSV_HEADER:
-                raise ValueError(
-                    f"{path}: not a ledger CSV (header {reader.fieldnames})"
-                )
-            rows = []
-            for line in reader:
-                rows.append(
-                    {
-                        "start_ns": int(line["start_ns"]),
-                        "duration_ns": int(line["duration_ns"]),
-                        "op": line["op"],
-                        "rows": line["rows"],
-                        "energy_fj": float(line["energy_fj"]),
-                    }
-                )
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != LEDGER_CSV_HEADER:
+                raise ValueError(f"{path}: not a ledger CSV (header {header})")
+            for line in filter(None, reader):
+                try:
+                    start, duration, op, label, energy = line
+                    start, duration, energy = int(start), int(duration), float(energy)
+                    if min(start, duration) < 0 or not math.isfinite(energy):
+                        raise ValueError(f"negative time or non-finite energy in {line}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                rows.append({"start_ns": start, "duration_ns": duration, "op": op,
+                             "rows": label, "energy_fj": energy})
         return rows
 
 
@@ -335,7 +352,7 @@ class SubArray:
 
     def _row_voltage_at(self, row: int, t: int) -> np.ndarray:
         """Row voltages decayed to time ``t`` (no state change)."""
-        return decay(self.voltage[row], t - self.last_update[row], self.tau[row])
+        return decay(self.voltage[row], t - self.last_update.item(row), self.tau[row])
 
     def _sample_row(self, t: int, row: int, values: np.ndarray) -> None:
         if self.trace_rows is not None:
@@ -425,8 +442,9 @@ class SubArray:
                 self._check_row(r)
         t_eval = t_now + self.timing.t_init_ns
         t_done = t_now + self.timing.t_logic_ns
+        tracing = self.trace_rows is not None
 
-        if self.trace_rows is not None:
+        if tracing:
             self._sample_row(t_now, out_row, self._row_voltage_at(out_row, t_now))
             self._sample_row(t_eval, out_row, np.full(self.cols, self.model.vdd))
 
@@ -437,8 +455,10 @@ class SubArray:
             level = self._row_voltage_at(r, t_eval)
             drive = overdrive(level, self.v_drive[r])
             total = drive if total is None else total + drive
-            self._sample_row(t_eval, r, level)
+            if tracing:
+                self._sample_row(t_eval, r, level)
 
         self.voltage[out_row] = residual_from_overdrive(total, self.model)
         self.last_update[out_row] = t_done
-        self._sample_row(t_done, out_row, self.voltage[out_row])
+        if tracing:
+            self._sample_row(t_done, out_row, self.voltage[out_row])

@@ -430,6 +430,21 @@ def test_report_period_must_be_positive(adder, tmp_path, capsys):
     assert "availability over 12 ns: 0.00%" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("0,1,WRITE,3,nan", "non-finite energy"),
+    ("0,-5,REFRESH,3,1.0", "negative time"),
+    ("x,1,WRITE,3,364.8", "invalid literal for int() with base 10: 'x'"),
+    ("0,1,WRITE,3", "not enough values to unpack"),
+])
+def test_report_rejects_a_malformed_ledger_row_at_its_line(tmp_path, capsys, row, problem):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text("start_ns,duration_ns,op,rows,energy_fj\r\n"
+                      "0,1,WRITE,3,364.8\r\n\r\n" + row + "\r\n")
+    assert main(["report", str(ledger)]) == 5
+    err = capsys.readouterr().err
+    assert f"{ledger}:4: " in err and problem in err  # the blank line counts
+
+
 def test_cli_exit_codes(adder, tmp_path, capsys):
     src, inputs = adder
     bad = tmp_path / "bad.txt"

@@ -9,6 +9,7 @@ stays correct.
 import bisect
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -122,6 +123,45 @@ def test_program_json_roundtrip_is_byte_stable(tmp_path):
     PimProgram.from_json(p1).to_json(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert PimProgram.from_json(p1).ops == prog.ops
+
+
+_ints = st.integers(-2**40, 2**70)
+_rows = st.integers(0, 2**40)
+_maybe_text = st.none() | st.text(max_size=6)
+
+
+@st.composite
+def _literal_ops(draw):
+    """A well-formed op of any kind, with drawn literal field values."""
+    kind = draw(st.sampled_from(OpKind))
+    t = draw(_ints)
+    if kind is OpKind.LOGIC:
+        rows = draw(st.lists(_rows, min_size=1, max_size=4, unique=True))
+        out_row = draw(_rows.filter(lambda r: r not in rows))
+        return MicroOp(kind, tuple(rows), out_row, t_start_ns=t,
+                       node=draw(st.none() | _ints))
+    row = (draw(_rows),)
+    if kind is OpKind.WRITE:
+        if draw(st.booleans()):
+            return MicroOp(kind, row, bits=tuple(draw(st.lists(st.integers(0, 1)))),
+                           t_start_ns=t)
+        return MicroOp(kind, row, source=draw(st.text(max_size=6)), t_start_ns=t)
+    if kind is OpKind.READ:
+        return MicroOp(kind, row, t_start_ns=t, output=draw(_maybe_text))
+    return MicroOp(kind, row, t_start_ns=t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(_literal_ops(), min_size=1, max_size=12))
+def test_op_lines_are_what_the_sorted_compact_encoder_writes(tmp_path_factory, ops):
+    prog = dataclasses.replace(compile_program("o = ~a;"), ops=tuple(ops))
+    path = tmp_path_factory.mktemp("ops") / "p.json"
+    prog.to_json(path)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = path.read_text().split("\n")[1:-2]  # between the header and "]}"
+    assert [line.removesuffix(",") for line in lines] == [
+        encode(entry) for entry in prog.to_json_dict()["ops"]]
+    assert PimProgram.from_json(path).ops == prog.ops
 
 
 def test_program_json_rejects_other_files(tmp_path):
@@ -543,6 +583,13 @@ def test_vector_validation():
         simulate_program(prog, {"a": [], "b": []}, mode="ideal")
     with pytest.raises(ConfigError):
         simulate_program(prog, {"a": [2], "b": [0]}, mode="ideal")
+    # checked before the uint8 cast, which would truncate 0.7 and wrap -1
+    for bad in ([0.7, 1], [-1, 1], [1.0, float("nan")]):
+        for mode in ("ideal", "nominal"):
+            with pytest.raises(ConfigError, match="input 'a' has non-bit values"):
+                simulate_program(prog, {"a": bad, "b": [1, 1]}, mode=mode)
+    assert simulate_program(prog, {"a": [1.0, True], "b": [1, 0]},
+                            mode="nominal").outputs["out"].tolist() == [1, 0]
     wide = {"a": [0] * 65, "b": [1] * 65}
     with pytest.raises(ConfigError):
         simulate_program(prog, wide, mode="nominal")  # 65 vectors, 64 columns

@@ -349,6 +349,81 @@ def test_microop_validation():
         MicroOp(kind=OpKind.READ, rows=())
 
 
+def oracle_check_rows(kind, rows, out_row):
+    """Oracle: the row rules every MicroOp and direct ``exec_logic`` call
+    ran before construction let a well-formed op through one test."""
+    if len(rows) == 0:
+        raise ValueError(f"{kind.value} op needs at least one row")
+    if any(r < 0 for r in rows):
+        raise ValueError(f"negative row in {rows}")
+    if out_row is not None and out_row < 0:
+        raise ValueError(f"negative row {out_row} as the output")
+    if kind is OpKind.LOGIC:
+        if out_row is None:
+            raise ValueError("LOGIC op needs an output row")
+        if out_row in rows:
+            raise ValueError(f"in-place logic is undefined: output row {out_row} "
+                             "is also an input")
+        if len(set(rows)) != len(rows):
+            raise ValueError(f"duplicate input rows in {rows}")
+    else:
+        if len(rows) != 1:
+            raise ValueError(f"{kind.value} op takes exactly one row")
+        if out_row is not None:
+            raise ValueError(f"{kind.value} op has no output row")
+
+
+def oracle_op_checks(kind, rows, out_row, bits, source, node, output):
+    """Oracle: every check MicroOp construction ran, in the same order."""
+    oracle_check_rows(kind, rows, out_row)
+    if kind is OpKind.WRITE:
+        if (bits is None) == (source is None):
+            raise ValueError("WRITE needs exactly one of bits or source")
+    elif bits is not None or source is not None:
+        raise ValueError(f"{kind.value} op carries no data")
+    if node is not None and kind is not OpKind.LOGIC:
+        raise ValueError(f"{kind.value} op computes no node")
+    if output is not None and kind is not OpKind.READ:
+        raise ValueError(f"{kind.value} op senses no output")
+
+
+def outcome(fn, *args):
+    """None if ``fn(*args)`` returns, else the exception's type and text."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the comparison is over every error
+        return type(exc), str(exc)
+    return None
+
+
+def _maybe(values):
+    return st.none() | values
+
+
+@given(kind=st.sampled_from(OpKind),
+       rows=st.lists(st.integers(-2, 6), max_size=4).map(tuple),
+       out_row=_maybe(st.integers(-2, 6)),
+       bits=_maybe(st.lists(st.integers(0, 1), max_size=3).map(tuple)),
+       source=_maybe(st.sampled_from(["const:1", "input:a"])),
+       node=_maybe(st.integers(0, 9)),
+       output=_maybe(st.sampled_from(["s", "c"])))
+@settings(max_examples=500, deadline=None)
+def test_microop_construction_checks_what_the_oracle_checks(kind, rows, out_row, bits,
+                                                           source, node, output):
+    fields = (kind, rows, out_row, bits, source, node, output)
+    expected = outcome(oracle_op_checks, *fields)
+    assert outcome(lambda: MicroOp(kind, rows, out_row, bits, source, 7, node,
+                                   output)) == expected
+    if expected is None:
+        op = MicroOp(kind, rows, out_row, bits, source, 7, node, output)
+        assert (op.kind, op.rows, op.out_row, op.bits, op.source, op.t_start_ns,
+                op.node, op.output) == (kind, rows, out_row, bits, source, 7, node, output)
+    # the direct gate path checks the rows alone; all of them fit the array
+    sa = SubArray(CFG, rows=8, cols=2)
+    assert (outcome(sa.exec_logic, list(rows), out_row, 0)
+            == outcome(oracle_check_rows, OpKind.LOGIC, rows, out_row))
+
+
 def test_dimension_validation():
     with pytest.raises(ConfigError):
         SubArray(CFG, rows=0)
