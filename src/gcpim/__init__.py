@@ -41,7 +41,6 @@ from gcpim.montecarlo import (
 )
 from gcpim.subarray import (
     EventLedger,
-    LedgerEntry,
     MicroOp,
     OpKind,
     SubArray,
@@ -54,7 +53,6 @@ __all__ = [
     "CompilerConfig",
     "ConfigError",
     "EventLedger",
-    "LedgerEntry",
     "MicroOp",
     "ModelConfig",
     "OpKind",

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+TOO_DEEP = "expression nests too deeply"
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {message}")
@@ -218,7 +221,10 @@ class _Parser:
     def statement(self) -> Statement:
         name_tok = self.expect("name")
         self.expect("=")
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            raise ParseError(TOO_DEEP, name_tok.line, name_tok.col) from None
         self.expect(";")
         return Statement(name_tok.text, e, name_tok.line, name_tok.col)
 
@@ -238,16 +244,18 @@ def _fold_negation(inner: Expr, line: int, col: int) -> Expr:
 
 
 def _walk_vars(expr: Expr) -> Iterator[Var]:
-    if isinstance(expr, Var):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from _walk_vars(expr.a)
-    elif isinstance(expr, (And, Or, Xor)):
-        yield from _walk_vars(expr.a)
-        yield from _walk_vars(expr.b)
-    elif isinstance(expr, (Nor, Nand)):
-        for a in expr.args:
-            yield from _walk_vars(a)
+    """The expression's variables, left to right, at any nesting depth."""
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, Var):
+            yield expr
+        elif isinstance(expr, Not):
+            stack.append(expr.a)
+        elif isinstance(expr, (And, Or, Xor)):
+            stack += expr.b, expr.a
+        elif isinstance(expr, (Nor, Nand)):
+            stack += reversed(expr.args)
 
 
 def parse_program(text: str) -> Program:

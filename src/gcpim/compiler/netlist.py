@@ -26,7 +26,8 @@ import numpy as np
 
 from gcpim.charge import ConfigError
 from gcpim.compiler.expr import (
-    And, Const, Expr, Nand, Nor, Not, Or, Program, Var, Xor, parse_program,
+    TOO_DEEP, And, Const, Expr, Nand, Nor, Not, Or, ParseError, Program, Var, Xor,
+    parse_program,
 )
 
 __all__ = ["NetlistBuilder", "Node", "NorNetlist", "lower_program", "lower_to_nor"]
@@ -282,7 +283,10 @@ def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
         builder.input(name)
     env: dict[str, int] = {}
     for st in program.statements:
-        env[st.name] = _lower_expr(builder, st.expr, env)
+        try:
+            env[st.name] = _lower_expr(builder, st.expr, env)
+        except RecursionError:
+            raise ParseError(TOO_DEEP, st.line, st.col) from None
     outputs = {name: env[name] for name in program.outputs}
     return builder.finish(outputs, program.inputs)
 

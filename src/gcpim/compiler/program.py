@@ -1,14 +1,16 @@
 """Scheduled micro-op programs: emission, refresh insertion, audits, JSON.
 
-A compiled program is a straight-line, back-to-back sequence of micro-ops
-for one sub-array: constant writes, operand writes, one LOGIC op per
-netlist gate in topological order, and one READ per program output.
-Each LOGIC op carries the netlist ``node`` it computes and each READ the
-``output`` it senses, so the op list alone is the program.
-Refresh insertion then times the sequence back to back and splices REFRESH
-ops in front of any op that would otherwise consume a value older than the
+A compiled program is a straight-line sequence of micro-ops for one
+sub-array: constant writes, operand writes, one LOGIC op per netlist gate
+in topological order, and one READ per program output.  Each LOGIC op
+carries the netlist ``node`` it computes and each READ the ``output`` it
+senses, so the op list alone is the program.  ``emit_ops`` builds each op
+once, timed back to back from t=0, and the program, its JSON file and a
+run's ledger hold that op.  Refresh insertion splices REFRESH ops in
+front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
-value would outlive the read retention window and become unrefreshable.
+value would outlive the read retention window and become unrefreshable;
+it rebuilds only the ops whose start moved.
 A value is live only while a later op consumes it: once its last consumer
 has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
@@ -192,7 +194,11 @@ class PimProgram:
     @staticmethod
     def from_json(path) -> "PimProgram":
         with open(path) as fh:
-            return PimProgram.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise MalformedProgramError(f"{path}: JSON nests too deeply") from None
+        return PimProgram.from_json_dict(data)
 
 
 _OP_NAME = {kind: f'"op":{json.dumps(kind.value)}' for kind in OpKind}
@@ -217,17 +223,13 @@ def _op_line(op: MicroOp) -> str:
     return f'{line},"t_start_ns":{op.t_start_ns}}}'
 
 
+_OP_KIND = {kind.value: kind for kind in OpKind}
+
+
 def _op_from_json(entry: dict) -> MicroOp:
     """An op entry with every field type-checked (``type(True)`` is bool,
     not int), so a wrong-typed value is refused on load instead of
     crashing an audit.  An absent optional field reads as None."""
-    # a plain LOGIC entry, most of any program, passes one type test
-    rows = entry.get("rows")
-    if (len(entry) == 5 and entry.get("op") == "LOGIC" and type(rows) is list
-            and {type(entry.get("out_row")), type(entry.get("node")),
-                 type(entry.get("t_start_ns")), *map(type, rows)} == {int}):
-        return MicroOp(OpKind.LOGIC, tuple(rows), entry["out_row"],
-                       t_start_ns=entry["t_start_ns"], node=entry["node"])
     get = entry.get
     rows, t_start, bits = entry["rows"], entry["t_start_ns"], get("bits")
     out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
@@ -240,36 +242,29 @@ def _op_from_json(entry: dict) -> MicroOp:
             and (source is None or type(source) is str)
             and (output is None or type(output) is str)):
         raise TypeError(f"op {entry}")
-    return MicroOp(OpKind(entry["op"]), tuple(rows), out_row,
+    kind = _OP_KIND.get(entry["op"])
+    if kind is None:
+        raise ValueError(f"unknown op {entry['op']!r}")
+    return MicroOp(kind, tuple(rows), out_row,
                    None if bits is None else tuple(bits), source, t_start, node, output)
 
 
-def emit_ops(netlist: NorNetlist, assignment: RowAssignment) -> list[MicroOp]:
-    """Untimed op sequence: constants, operands, gates, output reads."""
-    ops = [MicroOp(OpKind.WRITE, (assignment.const_rows[value],),
-                   source=f"const:{value}")
-           for value in sorted(assignment.const_rows)]
-    ops += [MicroOp(OpKind.WRITE, (assignment.input_rows[name],),
-                    source=f"input:{name}")
-            for name in netlist.inputs]
-    row_of = assignment.row_of
+def emit_ops(netlist: NorNetlist, assignment: RowAssignment,
+             timing: TimingEnergyConfig) -> list[MicroOp]:
+    """Constants, operands, gates, output reads, back to back from t=0."""
+    t_write, t_logic, t_read = timing.t_write_ns, timing.t_logic_ns, timing.t_read_ns
+    writes = [(assignment.const_rows[v], f"const:{v}") for v in sorted(assignment.const_rows)]
+    writes += [(assignment.input_rows[name], f"input:{name}") for name in netlist.inputs]
+    ops = [MicroOp(OpKind.WRITE, (row,), source=source, t_start_ns=i * t_write)
+           for i, (row, source) in enumerate(writes)]
+    t, row_of, gates = len(ops) * t_write, assignment.row_of, netlist.gate_ids()
     ops += [MicroOp(OpKind.LOGIC, tuple(map(row_of.__getitem__, netlist.nodes[nid].args)),
-                    row_of[nid], node=nid)
-            for nid in netlist.gate_ids()]
-    ops += [MicroOp(OpKind.READ, (assignment.row_of[nid],), output=name)
-            for name, nid in netlist.outputs]
+                    row_of[nid], t_start_ns=t + i * t_logic, node=nid)
+            for i, nid in enumerate(gates)]
+    t += len(gates) * t_logic
+    ops += [MicroOp(OpKind.READ, (row_of[nid],), t_start_ns=t + i * t_read, output=name)
+            for i, (name, nid) in enumerate(netlist.outputs)]
     return ops
-
-
-def with_timestamps(ops: list[MicroOp], timing: TimingEnergyConfig) -> list[MicroOp]:
-    """Back-to-back schedule from t=0: each op starts when the previous
-    one ends."""
-    out = []
-    t = 0
-    for op in ops:
-        out.append(replace(op, t_start_ns=t))
-        t += timing.duration_ns(op.kind)
-    return out
 
 
 class _RowAges:
@@ -320,7 +315,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     Every consumed value must be at most drt_logic_ns old at its
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
-    Timestamps are recomputed from t=0; the result is a new program.
+    Timestamps are recomputed from t=0; the result is a new program that
+    keeps every op whose start did not move.
 
     Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
     op i, entries due by its end are popped, dropped if the row was
@@ -395,8 +391,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 )
             emit_refresh(row := min(due))
             due.discard(row)
-        new_ops.append(MicroOp(op.kind, op.rows, op.out_row, op.bits, op.source, t,
-                               op.node, op.output))
+        new_ops.append(op if op.t_start_ns == t else MicroOp(
+            op.kind, op.rows, op.out_row, op.bits, op.source, t, op.node, op.output))
         ages.commit(op, t)
         if op.kind is not OpKind.READ:
             dies[op.out_row if op.kind is OpKind.LOGIC else op.rows[0]] = last_use[i]
@@ -515,15 +511,14 @@ def compile_program(
     timing_cfg: TimingEnergyConfig | None = None,
 ) -> PimProgram:
     """Full pipeline on program text: parse, lower, allocate, emit, then
-    refresh and time."""
+    insert refreshes unless ``compiler_cfg`` turns that off."""
     cfg = compiler_cfg or CompilerConfig()
     model = model_cfg or ModelConfig()
     timing = timing_cfg or TimingEnergyConfig()
 
     netlist = lower_program(parse_program(source), cfg.max_nor_arity)
-    ops = emit_ops(netlist, allocate_rows(netlist, cfg.rows - 2))
-    program = PimProgram(  # insert_refresh times the ops itself
-        ops=tuple(ops if cfg.insert_refreshes else with_timestamps(ops, timing)),
+    program = PimProgram(
+        ops=tuple(emit_ops(netlist, allocate_rows(netlist, cfg.rows - 2), timing)),
         netlist=netlist,
         timing=timing,
         drt_logic_ns=model.drt_logic_ns,

@@ -20,7 +20,9 @@ Every mode first runs the soundness audit, which replays the ops'
 ``node``/``output`` names against the netlist; nominal and MC runs also
 run the retention audit.  A program that fails either is never executed:
 run an unrefreshed program's ops with ``run_program_on_array`` to see
-what the array computes.
+what the array computes.  Ops carry their compiled start times, so every
+mode reports the program's own ``duration_ns`` and ``energy_fj``, and a
+run's ledger holds the program's ops.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def simulate_program(
             )
         # op timing and energy depend on the ops and the active columns,
         # not on the cells: nominal and every MC trial share this ledger
-        ledger = EventLedger.from_ops(program.ops, program.timing, program.cols)
+        ledger = EventLedger(program.timing, program.cols, program.ops)
 
     if mode == "nominal":
         sa = SubArray(model, program.timing, rows=program.rows,
@@ -232,7 +234,7 @@ def simulate_program(
         return SimulationResult(
             mode=mode, width=width,
             outputs={name: bits[:width] for name, bits in outputs.items()},
-            duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),
+            duration_ns=program.duration_ns, energy_fj=program.energy_fj,
             ledger=ledger, trace=sa.trace_rows,
         )
 
@@ -280,6 +282,6 @@ def simulate_program(
     )
     return SimulationResult(
         mode=mode, width=width, outputs=ideal_out,
-        duration_ns=ledger.makespan_ns(), energy_fj=ledger.total_energy_fj(),
+        duration_ns=program.duration_ns, energy_fj=program.energy_fj,
         ledger=ledger, report=report,
     )

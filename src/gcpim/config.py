@@ -100,7 +100,7 @@ class RunConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         return RunConfig.from_json_dict(data)
 

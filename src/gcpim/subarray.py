@@ -14,10 +14,11 @@ them once, when it is built.
 
 ``SubArray.run`` executes a list of timestamped micro-ops; nominal runs,
 program Monte Carlo and gate campaigns all drive the array through it.
-Op time and energy depend on the op list and the active columns, never
-on the cells, so a run's ledger is built from its timestamped ops with
-``EventLedger.from_ops``.  With tracing on, the array records one
-``(time_ns, row, voltages)`` entry per sampled row.
+Ops are timed when the compiler emits them, and an op's time and energy
+follow from its kind and row count, never from the cells, so a run's
+``EventLedger`` holds the run's ops and derives ``ledger.csv`` from them.
+With tracing on, the array records one ``(time_ns, row, voltages)``
+entry per sampled row.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from gcpim.charge import (
 
 __all__ = [
     "EventLedger",
-    "LedgerEntry",
     "MicroOp",
     "OpKind",
     "SubArray",
@@ -81,33 +81,16 @@ class MicroOp:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        # one test lets a well-formed op through; any other op takes the
-        # checks below, which word what is wrong with it
-        kind, rows, out_row = self.kind, self.rows, self.out_row
-        bits, source, node, output = self.bits, self.source, self.node, self.output
-        try:
-            if kind is OpKind.LOGIC:
-                fine = (out_row is not None and bits is None and source is None
-                        and output is None and 0 < len(rows) == len(set(rows))
-                        and min(rows) >= 0 <= out_row and out_row not in rows)
-            else:
-                fine = (out_row is None and node is None and len(rows) == 1 and rows[0] >= 0
-                        and ((bits is None) != (source is None) and output is None
-                             if kind is OpKind.WRITE else bits is None and source is None
-                             and (output is None or kind is OpKind.READ)))
-        except TypeError:  # odd types: the checks below raise their own error
-            fine = False
-        if fine:
-            return
-        _check_rows(kind, rows, out_row)
+        kind, bits, source = self.kind, self.bits, self.source
+        _check_rows(kind, self.rows, self.out_row)
         if kind is OpKind.WRITE:
             if (bits is None) == (source is None):
                 raise ValueError("WRITE needs exactly one of bits or source")
         elif bits is not None or source is not None:
             raise ValueError(f"{kind.value} op carries no data")
-        if node is not None and kind is not OpKind.LOGIC:
+        if self.node is not None and kind is not OpKind.LOGIC:
             raise ValueError(f"{kind.value} op computes no node")
-        if output is not None and kind is not OpKind.READ:
+        if self.output is not None and kind is not OpKind.READ:
             raise ValueError(f"{kind.value} op senses no output")
 
 
@@ -115,7 +98,7 @@ def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> Non
     """The structural rules on an op's rows (disjoint LOGIC rows etc)."""
     if len(rows) == 0:
         raise ValueError(f"{kind.value} op needs at least one row")
-    if any(r < 0 for r in rows):
+    if min(rows) < 0:
         raise ValueError(f"negative row in {rows}")
     if out_row is not None and out_row < 0:
         raise ValueError(f"negative row {out_row} as the output")
@@ -183,81 +166,44 @@ class TimingEnergyConfig:
         return self._per_col[kind, n_inputs == 1] * active_columns
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    start_ns: int
-    duration_ns: int
-    op: str
-    rows: tuple[int, ...]
-    active_columns: int
-    energy_fj: float
-
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.duration_ns
-
-    def rows_label(self) -> str:
-        if self.op == "LOGIC":
-            return "+".join(map(str, self.rows[:-1])) + ">" + str(self.rows[-1])
-        return "+".join(map(str, self.rows))
-
-
 LEDGER_CSV_HEADER = ["start_ns", "duration_ns", "op", "rows", "energy_fj"]
 
 
 class EventLedger:
-    """Append-only, time-ordered record of executed operations."""
+    """The ops a run executed on ``cols`` active columns, in start-time
+    order.  Each ledger row derives from its op and the timing."""
 
-    def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
-
-    @classmethod
-    def from_ops(cls, ops: Sequence[MicroOp], timing: TimingEnergyConfig,
-                 cols: int) -> "EventLedger":
-        """The ledger of a run of the timestamped ``ops`` on ``cols`` active
-        columns.  A LOGIC entry lists its input rows, then its output row."""
-        ledger = cls()
-        append, duration = ledger.append, timing.duration_ns
-        name = {kind: kind.value for kind in OpKind}
-        energy = {key: per_col * cols for key, per_col in timing._per_col.items()}
+    def __init__(self, timing: TimingEnergyConfig, cols: int,
+                 ops: Iterable[MicroOp] = ()) -> None:
+        self.timing = timing
+        self.cols = cols
+        self.ops: list[MicroOp] = []
         for op in ops:
-            kind, rows = op.kind, op.rows
-            append(LedgerEntry(
-                op.t_start_ns, duration(kind), name[kind],
-                rows if op.out_row is None else (*rows, op.out_row),
-                cols, energy[kind, len(rows) == 1]))
-        return ledger
+            self.append(op)
 
-    def append(self, entry: LedgerEntry) -> None:
-        if self.entries and entry.start_ns < self.entries[-1].start_ns:
+    def append(self, op: MicroOp) -> None:
+        if self.ops and op.t_start_ns < self.ops[-1].t_start_ns:
             raise ValueError(
                 f"ledger entries must be appended in start-time order: "
-                f"{entry.start_ns} after {self.entries[-1].start_ns}"
+                f"{op.t_start_ns} after {self.ops[-1].t_start_ns}"
             )
-        self.entries.append(entry)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def total_energy_fj(self) -> float:
-        return sum(e.energy_fj for e in self.entries)
-
-    def makespan_ns(self) -> int:
-        """End of the last operation, measured from simulation time 0."""
-        return max((e.end_ns for e in self.entries), default=0)
+        self.ops.append(op)
 
     def to_csv(self, path) -> None:
-        energy: dict[float, str] = {}  # repr per distinct energy, of which there are few
+        """One row per op; a LOGIC op lists its input rows, then ``>`` and
+        its output row."""
+        duration, name = self.timing._duration, {kind: kind.value for kind in OpKind}
+        energy = {key: repr(per_col * self.cols)  # one string per kind and arity
+                  for key, per_col in self.timing._per_col.items()}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(LEDGER_CSV_HEADER)
             writer.writerows(
-                [e.start_ns, e.duration_ns, e.op, e.rows_label(),
-                 energy.get(e.energy_fj) or energy.setdefault(e.energy_fj, repr(e.energy_fj))]
-                for e in self.entries)
+                [op.t_start_ns, duration[op.kind], name[op.kind],
+                 "+".join(map(str, op.rows)) + ("" if op.out_row is None
+                                                else f">{op.out_row}"),
+                 energy[op.kind, len(op.rows) == 1]]
+                for op in self.ops)
 
     @staticmethod
     def read_csv_rows(path) -> list[dict]:

@@ -95,7 +95,7 @@ def test_02_retention_boundary(capsys):
         assert bit_at(MODEL.drt_read_ns) == 1  # still alive at the deadline
 
 
-def test_03_refresh_overhead(capsys):
+def test_03_refresh_overhead(capsys, tmp_path):
     with scored(capsys, "03 full-array refresh takes 256 ns; 94.88% availability at 5 us"):
         arr = SubArray(MODEL)
         refreshes = [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row)
@@ -106,13 +106,15 @@ def test_03_refresh_overhead(capsys):
         # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
         for row in range(64):
             assert arr.last_update[row] == 4 * (row + 1), row
-        ledger = EventLedger.from_ops(refreshes, TIM, 64)
-        assert len(ledger) == 64 and ledger.makespan_ns() == 256
+        EventLedger(TIM, 64, refreshes).to_csv(tmp_path / "ledger.csv")
+        rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
+        assert len(rows) == 64
+        assert max(r["start_ns"] + r["duration_ns"] for r in rows) == 256
         availability = 1.0 - duration / MODEL.drt_logic_ns
         assert abs(availability - 0.9488) < 1e-4
 
 
-def test_04_energy_ledger(capsys):
+def test_04_energy_ledger(capsys, tmp_path):
     with scored(capsys, "04 op energies 5.7/13.3/13.4/13.5 fJ; AND macro 14 ns, 4160 fJ"):
         assert TIM.e_write_fj == 5.7
         assert TIM.e_read_fj == 13.3
@@ -126,7 +128,9 @@ def test_04_energy_ledger(capsys):
         res = simulate_program(
             prog, exhaustive_vectors(prog.inputs), mode="nominal"
         )
-        ledger_total = sum(e.energy_fj for e in res.ledger.entries)
+        res.ledger.to_csv(tmp_path / "ledger.csv")
+        rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
+        ledger_total = sum(r["energy_fj"] for r in rows)
         assert ledger_total == pytest.approx(4160.0, abs=1e-9)
 
 

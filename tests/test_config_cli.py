@@ -414,9 +414,10 @@ def test_report_period_must_be_positive(adder, tmp_path, capsys):
 
     # a period must also hold the ledgers' refresh work: 3 refreshes, 12 ns
     refreshing = tmp_path / "refresh.csv"
-    EventLedger.from_ops(
+    EventLedger(
+        TimingEnergyConfig(), 64,
         [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row) for row in range(3)],
-        TimingEnergyConfig(), 64).to_csv(refreshing)
+    ).to_csv(refreshing)
     assert main(["report", str(refreshing), "--period", "10"]) == 2
     assert "--period must be >= 12 ns" in capsys.readouterr().err
     assert main(["report", str(refreshing), "--period", "12"]) == 0
@@ -480,6 +481,8 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
     for edit, message in (
         (lambda d: d.pop("netlist"), "lacks the 'netlist' key"),
         (lambda d: d["ops"][0].update(rows="x"), "wrong-typed value"),
+        (lambda d: d["ops"][0].update(op="NAND"), "unknown op 'NAND'"),
+        (lambda d: d["ops"][0].update(op=["WRITE"]), "wrong-typed value"),
         (lambda d: d["ops"][0].update(rows=[1.5]), "'rows': [1.5]"),
         (lambda d: d.update(version=3), "unsupported program version 3"),
         (lambda d: d.update(rows=64.9), "'rows': 64.9"),
@@ -580,6 +583,38 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
                      "--mode", mode, "--trials", "4",
                      "--out", str(tmp_path / "bad_out")]) == 3, mode
         assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
+
+
+# a statement (on line 2) or a file nested deeper than the recursive
+# parser, the lowerer or the JSON reader descends
+DEEP_INPUTS = {
+    "xor-terms": ("compile", "o = " + " ^ ".join(f"x{i}" for i in range(1200)) + ";", 2,
+                  "gcpim: syntax error: 2:1: expression nests too deeply"),
+    "nots": ("compile", "o = " + "~" * 1200 + "a;", 2,
+             "gcpim: syntax error: 2:1: expression nests too deeply"),
+    "parentheses": ("compile", "o = " + "(" * 1200 + "a" + ")" * 1200 + " & b;", 2,
+                    "gcpim: syntax error: 2:1: expression nests too deeply"),
+    "program-file": ("run", "[" * 100_000, 5, "gcpim: malformed program:"),
+    "config-file": ("--config", "[" * 100_000, 2, "gcpim: error:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_INPUTS))
+def test_deep_nesting_exits_with_a_documented_code(tmp_path, capsys, case):
+    command, text, code, message = DEEP_INPUTS[case]
+    deep = tmp_path / "deep"
+    deep.write_text(f"# nested\n{text}\n" if command == "compile" else text)
+    half = tmp_path / "half.txt"
+    half.write_text("s = a ^ b;\nc = a & b;\n")
+    inputs = tmp_path / "ab.csv"
+    inputs.write_text("a,b\n0,1\n")
+    out = str(tmp_path / "out.json")
+    argv = {"compile": ["compile", str(deep), "-o", out],
+            "run": ["run", str(deep), "--inputs", str(inputs), "--out", str(tmp_path / "r")],
+            "--config": ["compile", str(half), "-o", out, "--config", str(deep)]}[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_netlist_inputs_must_name_the_input_nodes_once(tmp_path, capsys):

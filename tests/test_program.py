@@ -10,6 +10,7 @@ import bisect
 import dataclasses
 import hashlib
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from gcpim.compiler import (
     compile_program,
     exhaustive_vectors,
     insert_refresh,
+    lower_program,
+    parse_program,
     run_program_on_array,
     simulate_program,
 )
@@ -34,12 +37,12 @@ from gcpim.compiler.program import (
     _RowAges,
     audit_refresh_safety,
     audit_row_soundness,
-    with_timestamps,
+    emit_ops,
 )
 from gcpim.compiler.netlist import NorNetlist
 from gcpim.compiler.simulate import BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
-from gcpim.subarray import MicroOp, OpKind, SubArray, TimingEnergyConfig
+from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig
 
 TIM = TimingEnergyConfig()
 
@@ -107,12 +110,52 @@ def test_constants_are_written_first():
     assert prog.ops[0].rows == (63,)
 
 
-def test_with_timestamps_offsets():
-    ops = [MicroOp(OpKind.WRITE, (0,), bits=(1,) * 64),
-           MicroOp(OpKind.LOGIC, (0,), out_row=1),
-           MicroOp(OpKind.READ, (1,))]
-    stamped = with_timestamps(ops, TIM)
-    assert [o.t_start_ns for o in stamped] == [0, 1, 4]
+def test_emit_ops_times_ops_back_to_back_from_0():
+    netlist = lower_program(parse_program("s = a ^ b;\nc = a & ~1;"))
+    slow = TimingEnergyConfig(t_write_ns=2, t_read_ns=5, t_init_ns=3, t_eval_ns=4)
+    for timing in (TIM, slow):
+        ops = emit_ops(netlist, allocate_rows(netlist, 62), timing)
+        assert {op.kind for op in ops} == {OpKind.WRITE, OpKind.LOGIC, OpKind.READ}
+        t = 0
+        for op in ops:
+            assert op.t_start_ns == t
+            t += timing.duration_ns(op.kind)
+
+
+def emitted_ops(monkeypatch) -> list:
+    """Patches ``emit_ops`` where ``compile_program`` calls it; the list
+    collects each op list it returns."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(emit_ops(*args))
+        return calls[-1]
+
+    monkeypatch.setattr("gcpim.compiler.program.emit_ops", recorded)
+    return calls
+
+
+def test_a_program_without_refresh_holds_the_emitted_ops(monkeypatch):
+    calls = emitted_ops(monkeypatch)
+    bare = compile_program(ripple_text(4), CompilerConfig(insert_refreshes=False))
+    refreshed = compile_program(ripple_text(4))
+    assert refreshed.n_refresh == 0 and len(calls) == 2
+    for prog, emitted in zip((bare, refreshed), calls):
+        assert len(prog.ops) == len(emitted)
+        assert all(op is op_emitted for op, op_emitted in zip(prog.ops, emitted))
+    again = insert_refresh(bare)
+    assert len(again.ops) == len(calls[0])
+    assert all(op is op_emitted for op, op_emitted in zip(again.ops, calls[0]))
+
+
+def test_refresh_insertion_rebuilds_only_the_ops_it_moves(monkeypatch):
+    calls = emitted_ops(monkeypatch)
+    prog = compile_program(aged_and_text(), model_cfg=SHORT)
+    assert prog.n_refresh > 0
+    emitted = [op for op in prog.ops if op.kind is not OpKind.REFRESH]
+    moved = [op.t_start_ns != was.t_start_ns for op, was in zip(emitted, calls[0])]
+    assert any(moved) and not all(moved)
+    assert all((op is was) != shifted for op, was, shifted in zip(emitted, calls[0], moved))
 
 
 def test_program_json_roundtrip_is_byte_stable(tmp_path):
@@ -532,6 +575,22 @@ def test_nominal_ledger_matches_static_cost():
     assert res.energy_fj == pytest.approx(prog.energy_fj)
 
 
+def test_tight_window_ripple8_ledger_sums_to_the_program_cost(tmp_path):
+    # ripple-8 at 600/200 ns windows needs 15 refreshes
+    prog = compile_program(ripple_text(8),
+                           model_cfg=ModelConfig(drt_read_ns=600, drt_logic_ns=200))
+    assert prog.n_refresh == 15
+    rng = np.random.default_rng(0)
+    vecs = {name: rng.integers(0, 2, 64) for name in prog.inputs}
+    res = simulate_program(prog, vecs, mode="nominal")
+    res.ledger.to_csv(tmp_path / "ledger.csv")
+    rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
+    assert [r["start_ns"] for r in rows] == [op.t_start_ns for op in prog.ops]
+    assert sum(r["op"] == "REFRESH" for r in rows) == 15
+    assert sum(r["energy_fj"] for r in rows) == prog.energy_fj == res.energy_fj
+    assert rows[-1]["start_ns"] + rows[-1]["duration_ns"] == prog.duration_ns == res.duration_ns
+
+
 def test_refreshed_program_still_computes_correctly():
     prog = compile_program(aged_and_text(), model_cfg=SHORT)
     assert prog.n_refresh > 0
@@ -733,8 +792,12 @@ def test_batched_mc_matches_per_trial_reference_with_literal_bits():
     extra = [MicroOp(OpKind.WRITE, (40,), bits=lit_bits),
              MicroOp(OpKind.LOGIC, (40,), out_row=41),
              MicroOp(OpKind.READ, (41,))]
-    prog = dataclasses.replace(
-        base, ops=tuple(with_timestamps(extra + list(base.ops), TIM)))
+
+    def stamped(ops):  # back to back from t=0
+        starts = accumulate((TIM.duration_ns(op.kind) for op in ops), initial=0)
+        return tuple(dataclasses.replace(op, t_start_ns=t) for op, t in zip(ops, starts))
+
+    prog = dataclasses.replace(base, ops=stamped(extra + list(base.ops)))
     assert rows_touched(prog) == 42
     vecs = exhaustive_vectors(prog.inputs)
     assert_batched_mc_matches_reference(prog, vecs, VariationConfig().scaled(5.0), 60)

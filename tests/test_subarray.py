@@ -15,7 +15,6 @@ from gcpim.charge import ConfigError, ModelConfig
 from gcpim.subarray import (
     LEDGER_CSV_HEADER,
     EventLedger,
-    LedgerEntry,
     MicroOp,
     OpKind,
     SubArray,
@@ -234,34 +233,43 @@ def test_refresh_too_late_loses_the_bit():
     assert sa.read_row(0, t_now=16005)[0] == 0
 
 
-def test_refresh_all_duration():
+def ledger_rows(tmp_path, ops) -> list[dict]:
+    """The rows ``to_csv`` writes for a 64-column ledger of ``ops``."""
+    path = tmp_path / "ledger.csv"
+    EventLedger(TIM, 64, ops).to_csv(path)
+    return EventLedger.read_csv_rows(path)
+
+
+def test_refresh_all_duration(tmp_path):
     sa = SubArray(CFG)
     refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
     assert sa.run(refreshes, write_bits=None) == []
     # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
     np.testing.assert_array_equal(sa.last_update, 4 * np.arange(1, 65))
     assert sa.last_update.max() == 256
-    ledger = EventLedger.from_ops(refreshes, TIM, 64)
-    assert [e.op for e in ledger] == [OpKind.REFRESH.value] * 64
-    assert ledger.makespan_ns() == 256
+    rows = ledger_rows(tmp_path, refreshes)
+    assert [r["op"] for r in rows] == [OpKind.REFRESH.value] * 64
+    assert max(r["start_ns"] + r["duration_ns"] for r in rows) == 256
 
 
-def test_op_energies_against_hand_totals():
-    ledger = EventLedger.from_ops([
+def test_op_energies_against_hand_totals(tmp_path):
+    rows = ledger_rows(tmp_path, [
         MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
         MicroOp(OpKind.WRITE, (1,), bits=tuple(bits("0")), t_start_ns=1),
         MicroOp(OpKind.LOGIC, (0,), out_row=3, t_start_ns=2),      # NOT
         MicroOp(OpKind.LOGIC, (0, 1), out_row=4, t_start_ns=5),    # NOR
         MicroOp(OpKind.REFRESH, (0,), t_start_ns=8),
         MicroOp(OpKind.READ, (4,), t_start_ns=12),
-    ], TIM, 64)
-    energies = [e.energy_fj for e in ledger.entries]
+    ])
+    energies = [r["energy_fj"] for r in rows]
     assert energies == pytest.approx(
         [E_WRITE_ROW, E_WRITE_ROW, E_NOT_ROW, E_NOR_ROW, E_REFRESH_ROW, E_READ_ROW]
     )
-    assert ledger.total_energy_fj() == pytest.approx(
+    assert sum(energies) == pytest.approx(
         2 * E_WRITE_ROW + E_NOT_ROW + E_NOR_ROW + E_REFRESH_ROW + E_READ_ROW
     )
+    assert [(r["start_ns"], r["duration_ns"], r["rows"]) for r in rows] == [
+        (0, 1, "0"), (1, 1, "1"), (2, 3, "0>3"), (5, 3, "0+1>4"), (8, 4, "0"), (12, 3, "4")]
 
 
 def test_op_durations():
@@ -281,25 +289,28 @@ def test_wide_nor_energy_uses_nor_rate():
 
 
 def test_ledger_requires_time_order():
-    led = EventLedger()
-    led.append(LedgerEntry(5, 3, "READ", (0,), 64, E_READ_ROW))
-    with pytest.raises(ValueError):
-        led.append(LedgerEntry(4, 1, "WRITE", (1,), 64, E_WRITE_ROW))
+    read = MicroOp(OpKind.READ, (0,), t_start_ns=5)
+    write = MicroOp(OpKind.WRITE, (1,), bits=tuple(bits("1")), t_start_ns=4)
+    led = EventLedger(TIM, 64, [read])
+    with pytest.raises(ValueError, match="start-time order: 4 after 5"):
+        led.append(write)
+    assert led.ops == [read]
+    with pytest.raises(ValueError, match="start-time order"):
+        EventLedger(TIM, 64, [read, write])
+    # ops that start together are in order
+    led.append(MicroOp(OpKind.READ, (1,), t_start_ns=5))
 
 
 def test_ledger_csv_roundtrip(tmp_path):
-    ledger = EventLedger.from_ops([
+    rows = ledger_rows(tmp_path, [
         MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
         MicroOp(OpKind.LOGIC, (0,), out_row=2, t_start_ns=1),
         MicroOp(OpKind.READ, (2,), t_start_ns=4),
-    ], TIM, 64)
-    path = tmp_path / "ledger.csv"
-    ledger.to_csv(path)
-    rows = EventLedger.read_csv_rows(path)
+    ])
     assert [r["op"] for r in rows] == ["WRITE", "LOGIC", "READ"]
     assert rows[1]["rows"] == "0>2"
     assert sum(r["energy_fj"] for r in rows) == pytest.approx(
-        ledger.total_energy_fj()
+        E_WRITE_ROW + E_NOT_ROW + E_READ_ROW
     )
     # rejects CSVs that are not ledgers
     other = tmp_path / "other.csv"
