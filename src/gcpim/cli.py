@@ -161,10 +161,11 @@ def cmd_run(args) -> int:
     names = list(prog.output_names)
     _write_output_csv(os.path.join(outdir, "outputs.csv"), names,
                       res.outputs, res.width)
-    print(f"{mode} run: {res.width} vectors, {res.duration_ns} ns, "
-          f"{res.energy_fj:.1f} fJ")
-    if res.ledger is not None:
-        res.ledger.to_csv(os.path.join(outdir, "ledger.csv"))
+    print(f"{mode} run: {res.width} vectors, {prog.duration_ns} ns, "
+          f"{prog.energy_fj:.1f} fJ")
+    if mode != "ideal":  # an array run executes the program's ops
+        EventLedger(prog.timing, prog.cols, prog.ops).to_csv(
+            os.path.join(outdir, "ledger.csv"))
     if res.trace is not None:
         _write_trace_csv(os.path.join(outdir, "trace.csv"), res.trace)
     code = EXIT_OK

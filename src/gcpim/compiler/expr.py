@@ -302,7 +302,10 @@ def parse_expr(text: str) -> Expr:
     if tokens[0].kind == "name" and tokens[1].kind == "=":
         parser.advance()
         parser.advance()
-    e = parser.expr()
+    try:
+        e = parser.expr()
+    except RecursionError:
+        raise ParseError(TOO_DEEP, tokens[0].line, tokens[0].col) from None
     if parser.cur.kind == ";":
         parser.advance()
     parser.expect("eof")
@@ -310,7 +313,16 @@ def parse_expr(text: str) -> Expr:
 
 
 def eval_expr(expr: Expr, env: dict[str, int]) -> int:
-    """Truth-table oracle: direct recursive evaluation of the AST."""
+    """Truth-table oracle: direct recursive evaluation of the AST.  An
+    expression nested too deeply to recurse raises ParseError at its
+    position."""
+    try:
+        return _eval(expr, env)
+    except RecursionError:
+        raise ParseError(TOO_DEEP, expr.line, expr.col) from None
+
+
+def _eval(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, Var):
         if expr.name not in env:
             raise KeyError(f"no value bound for variable {expr.name!r}")
@@ -318,15 +330,15 @@ def eval_expr(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Not):
-        return 1 - eval_expr(expr.a, env)
+        return 1 - _eval(expr.a, env)
     if isinstance(expr, And):
-        return eval_expr(expr.a, env) & eval_expr(expr.b, env)
+        return _eval(expr.a, env) & _eval(expr.b, env)
     if isinstance(expr, Or):
-        return eval_expr(expr.a, env) | eval_expr(expr.b, env)
+        return _eval(expr.a, env) | _eval(expr.b, env)
     if isinstance(expr, Xor):
-        return eval_expr(expr.a, env) ^ eval_expr(expr.b, env)
+        return _eval(expr.a, env) ^ _eval(expr.b, env)
     if isinstance(expr, Nor):
-        return int(not any(eval_expr(a, env) for a in expr.args))
+        return int(not any(_eval(a, env) for a in expr.args))
     if isinstance(expr, Nand):
-        return int(not all(eval_expr(a, env) for a in expr.args))
+        return int(not all(_eval(a, env) for a in expr.args))
     raise TypeError(f"not an expression node: {expr!r}")

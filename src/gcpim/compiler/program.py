@@ -167,8 +167,9 @@ class PimProgram:
         """Reads versions 1 and 2 alike: version 1's ``row_assignment``
         and ``stats`` were derived data and are ignored.  Raises
         MalformedProgramError saying what is wrong for a missing key, a
-        wrong-typed value or an op, netlist or timing section that breaks
-        its own rules."""
+        wrong-typed value, an empty array, retention windows outside
+        ``0 < drt_logic_ns <= drt_read_ns`` or an op, netlist or timing
+        section that breaks its own rules."""
         try:
             if data.get("format") != PROGRAM_FORMAT:
                 raise ValueError("not a compiled program file")
@@ -180,6 +181,11 @@ class PimProgram:
                                                  "drt_read_ns")}
             if not all(type(value) is int for value in header.values()):
                 raise TypeError(f"header {header}")
+            if min(header["rows"], header["cols"]) <= 0:
+                raise ValueError(f"a {header['rows']}x{header['cols']} array has no cells")
+            if not 0 < header["drt_logic_ns"] <= header["drt_read_ns"]:
+                raise ValueError(f"need 0 < drt_logic_ns <= drt_read_ns, got "
+                                 f"{header['drt_logic_ns']} and {header['drt_read_ns']}")
             return PimProgram(ops=tuple(map(_op_from_json, data["ops"])),
                               netlist=NorNetlist.from_json_dict(data["netlist"]),
                               timing=timing, **header)

@@ -20,9 +20,9 @@ Every mode first runs the soundness audit, which replays the ops'
 ``node``/``output`` names against the netlist; nominal and MC runs also
 run the retention audit.  A program that fails either is never executed:
 run an unrefreshed program's ops with ``run_program_on_array`` to see
-what the array computes.  Ops carry their compiled start times, so every
-mode reports the program's own ``duration_ns`` and ``energy_fj``, and a
-run's ledger holds the program's ops.
+what the array computes.  A run's time and energy are the program's
+own (``PimProgram.duration_ns`` and ``energy_fj``): its ops carry their
+compiled start times, and their cost never depends on the cells.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from gcpim.montecarlo import (
     score_block,
     stream_generators,
 )
-from gcpim.subarray import EventLedger, OpKind, SubArray
+from gcpim.subarray import OpKind, SubArray
 from gcpim.compiler.program import (MalformedProgramError, PimProgram, audit_refresh_safety,
                                     audit_row_soundness)
 
@@ -66,12 +66,8 @@ class RetentionViolationError(ValueError):
 
 @dataclass
 class SimulationResult:
-    mode: str
     width: int
     outputs: dict[str, np.ndarray]
-    duration_ns: int
-    energy_fj: float
-    ledger: EventLedger | None = None
     trace: list[tuple[int, int, np.ndarray]] | None = None  # SubArray.trace_rows
     report: SuccessReport | None = None
 
@@ -145,28 +141,18 @@ def run_program_on_array(
         padded = np.zeros(program.cols, dtype=np.uint8)
         padded[:len(v)] = v
         inputs[name] = padded[columns]
-
-    def write_bits(op):
-        if op.source is None:  # audit_row_soundness checks the bit count
-            return np.asarray(op.bits, dtype=np.uint8)[columns]
-        kind, _, arg = op.source.partition(":")
-        if kind == "input":
-            return inputs[arg]
-        if kind == "const":
-            return np.full(len(columns), int(arg), dtype=np.uint8)
-        raise ConfigError(f"unknown write source {op.source!r}")
-
-    reads = subarray.run(program.ops, write_bits)
+    reads = subarray.run(program.ops, inputs, columns)
     names = [op.output for op in program.ops if op.kind is OpKind.READ]
     return {name: bits for name, bits in zip(names, reads) if name is not None}
 
 
-def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
-                  rngs: Iterator[np.random.Generator], n: int):
+def _run_mc_block(program, model, var_cfg, vectors, ideal_out, input_writes, n_rows,
+                  width, rngs: Iterator[np.random.Generator], n: int):
     """Run ``n`` MC trials side by side on one block array.
 
     Trial ``i`` draws from the ``i``-th of the next ``n`` generators and
-    owns array columns ``[i*width, (i+1)*width)``.  Returns the
+    owns array columns ``[i*width, (i+1)*width)``.  ``input_writes``
+    pairs each input-written row with its input's name.  Returns the
     ``score_block`` masks shaped (trials, width).
     """
     draws = (sample_params(var_cfg, rng, rows=program.rows, cols=program.cols,
@@ -174,10 +160,6 @@ def _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
              for rng in islice(rngs, n))
     sa = block_array(model, program.timing, draws)
     outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
-    # the rows the WRITE ops store inputs in, which the soundness audit checks
-    input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
-                    if op.kind is OpKind.WRITE and op.source is not None
-                    and op.source.startswith("input:")]
     masks = score_block(
         sa, [outputs[name] for name in ideal_out],
         [np.tile(want, n) for want in ideal_out.values()],
@@ -202,8 +184,8 @@ def simulate_program(
     nominal cells (must match ideal).  mc: n_trials array simulations
     with sampled variation, run in blocks of trials side by side on one
     array's columns and scored per column against ideal; the returned
-    outputs are the ideal reference, the ledger is the nominal one, and
-    the report aggregates per input combination.
+    outputs are the ideal reference, and the report aggregates per input
+    combination.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -223,20 +205,14 @@ def simulate_program(
                 f"program fails the retention audit: {stale[0].message} "
                 f"({len(stale)} violations); recompile it with refresh insertion"
             )
-        # op timing and energy depend on the ops and the active columns,
-        # not on the cells: nominal and every MC trial share this ledger
-        ledger = EventLedger(program.timing, program.cols, program.ops)
 
     if mode == "nominal":
         sa = SubArray(model, program.timing, rows=program.rows,
                       cols=program.cols, trace=trace)
         outputs = run_program_on_array(program, sa, vectors, np.arange(program.cols))
         return SimulationResult(
-            mode=mode, width=width,
-            outputs={name: bits[:width] for name, bits in outputs.items()},
-            duration_ns=program.duration_ns, energy_fj=program.energy_fj,
-            ledger=ledger, trace=sa.trace_rows,
-        )
+            width=width, outputs={name: bits[:width] for name, bits in outputs.items()},
+            trace=sa.trace_rows)
 
     # the netlist's outputs: ideal mode's result and MC's reference
     ideal_out = {
@@ -244,10 +220,7 @@ def simulate_program(
         for name, v in program.netlist.evaluate(vectors).items()
     }
     if mode == "ideal":
-        return SimulationResult(
-            mode=mode, width=width, outputs=ideal_out,
-            duration_ns=program.duration_ns, energy_fj=program.energy_fj,
-        )
+        return SimulationResult(width=width, outputs=ideal_out)
 
     # Monte Carlo over whole-program executions
     if var_cfg is None:
@@ -262,11 +235,15 @@ def simulate_program(
     # a block array keeps only the rows the program touches
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
+    # the rows the WRITE ops store inputs in, which the soundness audit checks
+    input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
+                    if op.kind is OpKind.WRITE and op.source is not None
+                    and op.source.startswith("input:")]
     per_block = max(1, BLOCK_CELLS // (n_rows * width))
     rngs = stream_generators(var_cfg.seed, range(n_trials))
     blocks = [
-        _run_mc_block(program, model, var_cfg, vectors, ideal_out, n_rows, width,
-                      rngs, min(per_block, n_trials - first))
+        _run_mc_block(program, model, var_cfg, vectors, ideal_out, input_writes, n_rows,
+                      width, rngs, min(per_block, n_trials - first))
         for first in range(0, n_trials, per_block)
     ]
     ok, fast, adverse = (np.concatenate(masks) for masks in zip(*blocks))
@@ -280,8 +257,4 @@ def simulate_program(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,
     )
-    return SimulationResult(
-        mode=mode, width=width, outputs=ideal_out,
-        duration_ns=program.duration_ns, energy_fj=program.energy_fj,
-        ledger=ledger, report=report,
-    )
+    return SimulationResult(width=width, outputs=ideal_out, report=report)

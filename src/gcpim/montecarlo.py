@@ -489,10 +489,8 @@ def gate_trial_masks(
             for b, rng in zip(range(first, min(first + per_block, n_batches)), rngs)
         )
         sa = block_array(model, timing, draws)
-        reads = sa.run(ops, lambda op: np.full(
-            sa.cols, int(op.source.partition(":")[2]), dtype=np.uint8))
         blocks.append(score_block(
-            sa, reads, [np.full(sa.cols, expected)], range(k),
+            sa, sa.run(ops), [np.full(sa.cols, expected)], range(k),
             np.repeat(np.array(bits, dtype=bool)[:, None], sa.cols, axis=1)))
     return tuple(np.concatenate(masks) for masks in zip(*blocks))
 

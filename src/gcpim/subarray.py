@@ -12,11 +12,11 @@ at once; the array keeps the first two only as the per-cell time
 constants (``tau``) and drive thresholds (``v_drive``) it derives from
 them once, when it is built.
 
-``SubArray.run`` executes a list of timestamped micro-ops; nominal runs,
-program Monte Carlo and gate campaigns all drive the array through it.
-Ops are timed when the compiler emits them, and an op's time and energy
-follow from its kind and row count, never from the cells, so a run's
-``EventLedger`` holds the run's ops and derives ``ledger.csv`` from them.
+``SubArray.run`` executes timestamped micro-ops, resolving each WRITE's
+source itself; nominal runs, program Monte Carlo and gate campaigns all
+drive the array through it, and a refresh is a read plus a write-back.
+An op's time and energy follow from its kind and row count, never from
+the cells, so the CLI writes a run's ``ledger.csv`` from the program's ops.
 With tracing on, the array records one ``(time_ns, row, voltages)``
 entry per sampled row.
 """
@@ -27,7 +27,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class MicroOp:
     def __post_init__(self) -> None:
         kind, bits, source = self.kind, self.bits, self.source
         _check_rows(kind, self.rows, self.out_row)
+        if self.t_start_ns < 0:
+            raise ValueError(f"{kind.value} op starts at a negative time {self.t_start_ns}ns")
         if kind is OpKind.WRITE:
             if (bits is None) == (source is None):
                 raise ValueError("WRITE needs exactly one of bits or source")
@@ -335,30 +337,25 @@ class SubArray:
         return bits
 
     def refresh_row(self, row: int, t_now: int) -> np.ndarray:
-        """Sense the row, then rewrite the sensed bits at full level.
-
-        Takes ``t_read_ns + t_write_ns`` = 4 ns, so a full 64-row sweep
-        costs 256 ns.
-        """
-        self._check_row(row)
-        level = self._row_voltage_at(row, t_now)
-        bits = sense(level, self.sa_threshold)
-        t_done = t_now + self.timing.t_refresh_ns
-        self.voltage[row] = np.where(bits != 0, self.model.vdd, 0.0)
-        self.last_update[row] = t_done
-        self._sample_row(t_now, row, level)
-        self._sample_row(t_done, row, self.voltage[row])
+        """Sense the row, then write the sensed bits back at full level
+        once the read ends: ``t_read_ns + t_write_ns`` = 4 ns, so a full
+        64-row sweep costs 256 ns."""
+        bits = self.read_row(row, t_now)
+        self.write_row(row, bits, t_now + self.timing.t_read_ns)
         return bits
 
-    def run(self, ops: Iterable[MicroOp],
-            write_bits: Callable[[MicroOp], np.ndarray]) -> list[np.ndarray]:
-        """Execute timestamped ops in order; each WRITE stores
-        ``write_bits(op)``.  Returns each READ's sensed bits, in op order."""
+    def run(self, ops: Iterable[MicroOp], inputs: Mapping[str, np.ndarray] | None = None,
+            columns: np.ndarray | None = None) -> list[np.ndarray]:
+        """Execute timestamped ops in order; returns each READ's sensed
+        bits.  A WRITE stores ``inputs[name]`` for source ``input:<name>``,
+        a constant row for ``const:0`` or ``const:1``, or its literal
+        ``bits``, array column ``j`` taking ``bits[columns[j]]`` when
+        ``columns`` is given; any other source raises ConfigError."""
         reads = []
         for op in ops:
             t = op.t_start_ns
             if op.kind is OpKind.WRITE:
-                self.write_row(op.rows[0], write_bits(op), t)
+                self.write_row(op.rows[0], self._source_bits(op, inputs, columns), t)
             elif op.kind is OpKind.READ:
                 reads.append(self.read_row(op.rows[0], t))
             elif op.kind is OpKind.REFRESH:
@@ -366,6 +363,17 @@ class SubArray:
             else:
                 self.exec_logic(op.rows, op.out_row, t, checked=True)
         return reads
+
+    def _source_bits(self, op: MicroOp, inputs, columns) -> np.ndarray:
+        if op.source is None:
+            bits = np.asarray(op.bits, dtype=np.uint8)
+            return bits if columns is None else bits[columns]
+        kind, _, arg = op.source.partition(":")
+        if kind == "input" and inputs is not None and arg in inputs:
+            return inputs[arg]
+        if kind == "const" and arg in ("0", "1"):
+            return np.full(self.cols, int(arg), dtype=np.uint8)
+        raise ConfigError(f"unknown write source {op.source!r}")
 
     def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int, *,
                    checked: bool = False) -> None:

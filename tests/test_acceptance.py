@@ -100,7 +100,7 @@ def test_03_refresh_overhead(capsys, tmp_path):
         arr = SubArray(MODEL)
         refreshes = [MicroOp(OpKind.REFRESH, (row,), t_start_ns=4 * row)
                      for row in range(64)]
-        arr.run(refreshes, write_bits=None)
+        arr.run(refreshes)
         duration = int(arr.last_update.max())
         assert duration == 256
         # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
@@ -125,11 +125,13 @@ def test_04_energy_ledger(capsys, tmp_path):
         assert prog.energy_fj == 4160.0
         hand = 2 * 64 * 5.7 + 2 * 64 * 13.4 + 64 * 13.5 + 64 * 13.3
         assert prog.energy_fj == pytest.approx(hand, rel=1e-12)
-        res = simulate_program(
-            prog, exhaustive_vectors(prog.inputs), mode="nominal"
-        )
-        res.ledger.to_csv(tmp_path / "ledger.csv")
-        rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
+        # a run's ledger is the one `gcpim run` writes from the program's ops
+        prog.to_json(tmp_path / "and.json")
+        (tmp_path / "inputs.csv").write_text("a,b\n0,0\n0,1\n1,0\n1,1\n")
+        assert cli_main(["run", str(tmp_path / "and.json"), "--mode", "nominal",
+                         "--inputs", str(tmp_path / "inputs.csv"),
+                         "--out", str(tmp_path / "run")]) == 0
+        rows = EventLedger.read_csv_rows(tmp_path / "run" / "ledger.csv")
         ledger_total = sum(r["energy_fj"] for r in rows)
         assert ledger_total == pytest.approx(4160.0, abs=1e-9)
 

@@ -142,6 +142,28 @@ def test_eval_expr_truth_table():
     assert got == [0, 0, 1, 0, 1, 0, 1, 0]
 
 
+def xor_terms(n: int) -> str:
+    return " ^ ".join(f"x{i}" for i in range(n))
+
+
+def test_deep_expressions_are_parse_errors_at_their_position():
+    # the statement path already raised ParseError; these two public
+    # functions used to raise a bare RecursionError
+    with pytest.raises(ParseError, match="^1:1: expression nests too deeply$"):
+        parse_expr("~" * 1200 + "a")
+    with pytest.raises(ParseError, match="^1:3: expression nests too deeply$"):
+        parse_expr("  " + "(" * 1200 + "a" + ")" * 1200)
+    (st,) = parse_program(f"o = {xor_terms(1200)};").statements  # parsed in a loop
+    env = {f"x{i}": i % 2 for i in range(1200)}
+    with pytest.raises(ParseError, match="expression nests too deeply") as exc:
+        eval_expr(st.expr, env)
+    assert (exc.value.line, exc.value.col) == (st.expr.line, st.expr.col) == (1, 8485)
+    # a 400-term chain still evaluates: 200 of its terms are 1
+    (st,) = parse_program(f"o = {xor_terms(400)};").statements
+    assert eval_expr(st.expr, env) == 0
+    assert eval_expr(st.expr, {**env, "x0": 1}) == 1
+
+
 # -- lowering ---------------------------------------------------------
 
 

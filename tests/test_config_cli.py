@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError
@@ -585,6 +585,62 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
         assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
 
 
+def test_negative_starts_and_impossible_headers_are_malformed(adder, tmp_path, capsys):
+    # each of these used to run (and write a ledger `report` refuses) or
+    # exit with a usage error
+    src, inputs = adder
+    good = tmp_path / "good.json"
+    assert main(["compile", str(src), "-o", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    for edit, message in (
+        (lambda d: d["ops"][0].update(t_start_ns=-3),
+         "WRITE op starts at a negative time -3ns"),
+        (lambda d: d.update(drt_logic_ns=20, drt_read_ns=10),
+         "need 0 < drt_logic_ns <= drt_read_ns, got 20 and 10"),
+        (lambda d: d.update(drt_logic_ns=-5), "need 0 < drt_logic_ns <= drt_read_ns, got -5"),
+        (lambda d: d.update(drt_logic_ns=0), "need 0 < drt_logic_ns <= drt_read_ns, got 0"),
+        (lambda d: d.update(cols=0), "a 64x0 array has no cells"),
+        (lambda d: d.update(rows=-2), "a -2x64 array has no cells"),
+    ):
+        data = json.loads(good.read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
+        for mode in ("ideal", "nominal", "mc"):
+            capsys.readouterr()
+            assert main(["run", str(bad), "--inputs", str(inputs), "--mode", mode,
+                         "--trials", "2", "--out", str(tmp_path / "out")]) == 5, message
+            err = capsys.readouterr().err
+            assert f"gcpim: malformed program: {message}" in err, err
+        capsys.readouterr()
+        assert main(["mc", "--program", str(bad), "--trials", "2",
+                     "--out", str(tmp_path / "mc")]) == 5, message
+        assert message in capsys.readouterr().err
+
+
+def test_a_refreshing_nominal_run_keeps_its_bytes(tmp_path):
+    # the half adder at 40/12 ns windows: 15 ops, 3 of them REFRESH
+    src = tmp_path / "half.txt"
+    src.write_text("s = a ^ b;\nc = a & b;\n")
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(
+        {"version": 1, "model": {"drt_read_ns": 40, "drt_logic_ns": 12}}))
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("a,b\n0,0\n0,1\n1,0\n1,1\n")
+    prog = tmp_path / "half.json"
+    assert main(["compile", str(src), "-o", str(prog), "--config", str(cfg)]) == 0
+    ops = json.loads(prog.read_text())["ops"]
+    assert (len(ops), sum(op["op"] == "REFRESH" for op in ops)) == (15, 3)
+    out = tmp_path / "run"
+    assert main(["run", str(prog), "--inputs", str(inputs), "--config", str(cfg),
+                 "--mode", "nominal", "--trace", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("trace.csv", "ledger.csv")}
+    assert digests == {
+        "trace.csv": "29eadc829975e7b96711b4032134300a7a646cbac5d0d79882df31d40dbc4223",
+        "ledger.csv": "5ec913a41813b4b40135128ee4a8657528299d029cac1273a3384767fbb3e6bd",
+    }
+
+
 # a statement (on line 2) or a file nested deeper than the recursive
 # parser, the lowerer or the JSON reader descends
 DEEP_INPUTS = {
@@ -664,6 +720,7 @@ OP_FIELD_VALUES = {
 
 
 @settings(max_examples=150, deadline=None)
+@example(index=0, edit=("t_start_ns", -3))  # used to run, writing a negative start
 @given(index=st.integers(0, len(EDITED_PROGRAM["ops"]) - 1),
        edit=st.sampled_from(sorted(OP_FIELD_VALUES)).flatmap(
            lambda key: st.tuples(st.just(key), OP_FIELD_VALUES[key])))
@@ -677,8 +734,12 @@ def test_an_edited_op_field_gives_a_documented_exit_code(index, edit):
         prog, inputs = Path(tmp) / "prog.json", Path(tmp) / "in.csv"
         prog.write_text(json.dumps(data))
         inputs.write_text("a,cin,b\n0,1,1\n1,1,0\n")
-        assert main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
-                     "--out", str(Path(tmp) / "out")]) in README_EXIT_CODES
+        out = Path(tmp) / "out"
+        rc = main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
+                   "--out", str(out)])
+        assert rc in README_EXIT_CODES
+        if rc == 0:  # a run writes only ledgers that `report` reads
+            assert main(["report", str(out / "ledger.csv")]) == 0
 
 
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError, ModelConfig
+from gcpim.cli import main
 from gcpim.compiler import (
     CapacityError,
     CompilerConfig,
@@ -177,7 +178,7 @@ _maybe_text = st.none() | st.text(max_size=6)
 def _literal_ops(draw):
     """A well-formed op of any kind, with drawn literal field values."""
     kind = draw(st.sampled_from(OpKind))
-    t = draw(_ints)
+    t = draw(st.integers(0, 2**70))  # a start is never negative
     if kind is OpKind.LOGIC:
         rows = draw(st.lists(_rows, min_size=1, max_size=4, unique=True))
         out_row = draw(_rows.filter(lambda r: r not in rows))
@@ -568,11 +569,33 @@ def test_only_ideal_and_mc_runs_evaluate_the_netlist(monkeypatch):
         assert len(calls) == want, mode
 
 
-def test_nominal_ledger_matches_static_cost():
+def cli_run(tmp_path, prog, vecs, mode, model=None, trials=None):
+    """``gcpim run`` of the program on the vectors (and model), in a
+    directory named after the mode, which it returns."""
+    prog.to_json(tmp_path / "prog.json")
+    names = list(vecs)
+    (tmp_path / "inputs.csv").write_text("\n".join(
+        [",".join(names), *(",".join(map(str, bits)) for bits in zip(*vecs.values()))]))
+    argv = ["run", str(tmp_path / "prog.json"), "--inputs", str(tmp_path / "inputs.csv"),
+            "--mode", mode, "--out", str(tmp_path / mode)]
+    if model is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"version": 1, "model": dataclasses.asdict(model)}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    assert main(argv) in (0, 1)  # an mc run below the success floor exits 1
+    return tmp_path / mode
+
+
+def test_nominal_ledger_matches_static_cost(tmp_path, capsys):
     prog = compile_program("s = a ^ b;\nc = a & b;")
-    res = simulate_program(prog, exhaustive_vectors(prog.inputs), mode="nominal")
-    assert res.duration_ns == prog.duration_ns
-    assert res.energy_fj == pytest.approx(prog.energy_fj)
+    out = cli_run(tmp_path, prog, exhaustive_vectors(prog.inputs), "nominal")
+    assert (f"nominal run: 4 vectors, {prog.duration_ns} ns, {prog.energy_fj:.1f} fJ"
+            in capsys.readouterr().out)
+    rows = EventLedger.read_csv_rows(out / "ledger.csv")
+    assert rows[-1]["start_ns"] + rows[-1]["duration_ns"] == prog.duration_ns
+    assert sum(r["energy_fj"] for r in rows) == pytest.approx(prog.energy_fj)
 
 
 def test_tight_window_ripple8_ledger_sums_to_the_program_cost(tmp_path):
@@ -582,13 +605,12 @@ def test_tight_window_ripple8_ledger_sums_to_the_program_cost(tmp_path):
     assert prog.n_refresh == 15
     rng = np.random.default_rng(0)
     vecs = {name: rng.integers(0, 2, 64) for name in prog.inputs}
-    res = simulate_program(prog, vecs, mode="nominal")
-    res.ledger.to_csv(tmp_path / "ledger.csv")
-    rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
+    out = cli_run(tmp_path, prog, vecs, "nominal")
+    rows = EventLedger.read_csv_rows(out / "ledger.csv")
     assert [r["start_ns"] for r in rows] == [op.t_start_ns for op in prog.ops]
     assert sum(r["op"] == "REFRESH" for r in rows) == 15
-    assert sum(r["energy_fj"] for r in rows) == prog.energy_fj == res.energy_fj
-    assert rows[-1]["start_ns"] + rows[-1]["duration_ns"] == prog.duration_ns == res.duration_ns
+    assert sum(r["energy_fj"] for r in rows) == prog.energy_fj
+    assert rows[-1]["start_ns"] + rows[-1]["duration_ns"] == prog.duration_ns
 
 
 def test_refreshed_program_still_computes_correctly():
@@ -814,15 +836,14 @@ def test_batched_mc_matches_per_trial_reference_with_literal_bits():
     np.testing.assert_array_equal(out["lit"], 1 - np.array(lit_bits)[columns])
 
 
-def test_mc_ledger_is_the_nominal_ledger(tmp_path):
+def test_mc_ledger_is_the_nominal_ledger(tmp_path, capsys):
     prog = compile_program(aged_and_text(), model_cfg=SHORT)
     assert prog.n_refresh > 0
     vecs = exhaustive_vectors(prog.inputs)
-    nom = simulate_program(prog, vecs, mode="nominal", model_cfg=SHORT)
-    mc = simulate_program(prog, vecs, mode="mc", model_cfg=SHORT,
-                          var_cfg=VariationConfig(), n_trials=3)
-    nom.ledger.to_csv(tmp_path / "nominal.csv")
-    mc.ledger.to_csv(tmp_path / "mc.csv")
-    assert (tmp_path / "mc.csv").read_bytes() == (tmp_path / "nominal.csv").read_bytes()
-    assert mc.energy_fj == prog.energy_fj
-    assert mc.duration_ns == prog.duration_ns
+    nom = cli_run(tmp_path, prog, vecs, "nominal", SHORT)
+    mc = cli_run(tmp_path, prog, vecs, "mc", SHORT, trials=3)
+    assert (mc / "ledger.csv").read_bytes() == (nom / "ledger.csv").read_bytes()
+    rows = EventLedger.read_csv_rows(mc / "ledger.csv")
+    assert sum(r["energy_fj"] for r in rows) == prog.energy_fj
+    assert rows[-1]["start_ns"] + rows[-1]["duration_ns"] == prog.duration_ns
+    assert f"mc run: 4 vectors, {prog.duration_ns} ns, " in capsys.readouterr().out

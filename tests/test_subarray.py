@@ -240,10 +240,50 @@ def ledger_rows(tmp_path, ops) -> list[dict]:
     return EventLedger.read_csv_rows(path)
 
 
+def test_refresh_is_a_read_then_a_write_back(monkeypatch):
+    calls = []
+    for name in ("read_row", "write_row"):
+        def recorded(self, *args, _name=name, _method=getattr(SubArray, name)):
+            calls.append((_name, args[0], args[-1]))
+            return _method(self, *args)
+        monkeypatch.setattr(SubArray, name, recorded)
+    sa = SubArray(CFG, trace=True)
+    sa.write_row(0, bits("10"), 0)
+    level = sa._row_voltage_at(0, 100)
+    calls.clear()
+    np.testing.assert_array_equal(sa.refresh_row(0, 100), bits("10"))
+    # the write-back starts when the 3 ns read ends and ends at 104 ns
+    assert calls == [("read_row", 0, 100), ("write_row", 0, 103)]
+    assert sa.last_update[0] == 104
+    (t0, _, sensed), (t1, _, restored) = sa.trace_rows[-2:]
+    assert (t0, t1) == (100, 104)
+    np.testing.assert_array_equal(sensed, level)
+    np.testing.assert_array_equal(restored, bits("10") * CFG.vdd)
+
+
+def test_run_resolves_each_write_source():
+    lit, x = (1, 0, 1, 1), np.array([0, 1, 1, 0], dtype=np.uint8)
+    ops = [MicroOp(OpKind.WRITE, (0,), bits=lit, t_start_ns=0),
+           MicroOp(OpKind.WRITE, (1,), source="input:x", t_start_ns=1),
+           MicroOp(OpKind.WRITE, (2,), source="const:1", t_start_ns=2),
+           MicroOp(OpKind.WRITE, (3,), source="const:0", t_start_ns=3),
+           *(MicroOp(OpKind.READ, (r,), t_start_ns=4 + 3 * r) for r in range(4))]
+    # literal bits are stored as given without columns, and array column j
+    # holds bits[columns[j]] with them; inputs are per array column already
+    for columns, stored in ((None, lit), (np.array([3, 3, 0, 1]), (1, 1, 1, 0))):
+        reads = SubArray(CFG, rows=4, cols=4).run(ops, {"x": x}, columns)
+        assert [r.tolist() for r in reads] == [list(stored), x.tolist(), [1] * 4, [0] * 4]
+    for source, inputs in (("input:y", {"x": x}), ("input:x", None), ("const:7", None),
+                           ("row:2", None)):
+        op = MicroOp(OpKind.WRITE, (0,), source=source)
+        with pytest.raises(ConfigError, match=f"unknown write source '{source}'"):
+            SubArray(CFG, rows=4, cols=4).run([op], inputs)
+
+
 def test_refresh_all_duration(tmp_path):
     sa = SubArray(CFG)
     refreshes = [MicroOp(OpKind.REFRESH, (r,), t_start_ns=4 * r) for r in range(64)]
-    assert sa.run(refreshes, write_bits=None) == []
+    assert sa.run(refreshes) == []
     # row r is valid again at the end of its own refresh, 4 * (r + 1) ns
     np.testing.assert_array_equal(sa.last_update, 4 * np.arange(1, 65))
     assert sa.last_update.max() == 256
@@ -358,6 +398,9 @@ def test_microop_validation():
         MicroOp(kind=OpKind.LOGIC, rows=(0,))  # missing output row
     with pytest.raises(ValueError):
         MicroOp(kind=OpKind.READ, rows=())
+    # a ledger row with a negative start is malformed, so the op is too
+    with pytest.raises(ValueError, match="READ op starts at a negative time -3ns"):
+        MicroOp(kind=OpKind.READ, rows=(0,), t_start_ns=-3)
 
 
 def oracle_check_rows(kind, rows, out_row):
