@@ -108,9 +108,8 @@ def _trace_lines(times, rows, values) -> list[str]:
 def _print_report(report: SuccessReport, floor: float) -> int:
     print(f"{'inputs':>8}  {'trials':>7}  {'success':>8}  {'rate':>8}  breakdown")
     for key, combo in sorted(report.combinations.items()):
-        b = combo.breakdown
-        detail = (f"decay={b.decay_only} threshold={b.threshold_only} "
-                  f"both={b.both} other={b.other}")
+        detail = (f"decay={combo.decay_only} threshold={combo.threshold_only} "
+                  f"both={combo.both} other={combo.other}")
         print(f"{key:>8}  {combo.trials:>7}  {combo.successes:>8}  "
               f"{100 * combo.success_rate:>7.3f}%  {detail}")
     key, rate = report.worst_case()
@@ -121,9 +120,16 @@ def _print_report(report: SuccessReport, floor: float) -> int:
     return EXIT_OK
 
 
-def _ensure_outdir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_artifacts(outdir, writers) -> None:
+    """Write each artifact as ``writers[name](path)`` into ``outdir``, after
+    deleting the ones it will not write, so the directory holds one
+    command's artifacts; other files stay."""
+    os.makedirs(outdir, exist_ok=True)
+    for name in ("outputs.csv", "ledger.csv", "trace.csv", "report.json", "report.csv"):
+        if name not in writers and os.path.lexists(path := os.path.join(outdir, name)):
+            os.remove(path)
+    for name, write in writers.items():
+        write(os.path.join(outdir, name))
 
 
 def cmd_compile(args) -> int:
@@ -157,23 +163,19 @@ def cmd_run(args) -> int:
         prog, vectors, mode=mode, model_cfg=cfg.model, var_cfg=cfg.variation,
         n_trials=trials, trace=args.trace,
     )
-    outdir = _ensure_outdir(args.out)
     names = list(prog.output_names)
-    _write_output_csv(os.path.join(outdir, "outputs.csv"), names,
-                      res.outputs, res.width)
+    writers = {"outputs.csv": lambda path: _write_output_csv(path, names, res.outputs, res.width)}
+    if mode != "ideal":  # an array run executes the program's ops
+        writers["ledger.csv"] = EventLedger(prog.timing, prog.cols, prog.ops).to_csv
+    if res.trace is not None:
+        writers["trace.csv"] = lambda path: _write_trace_csv(path, res.trace)
+    if res.report is not None:
+        writers.update({"report.json": res.report.to_json, "report.csv": res.report.to_csv})
+    _write_artifacts(args.out, writers)
     print(f"{mode} run: {res.width} vectors, {prog.duration_ns} ns, "
           f"{prog.energy_fj:.1f} fJ")
-    if mode != "ideal":  # an array run executes the program's ops
-        EventLedger(prog.timing, prog.cols, prog.ops).to_csv(
-            os.path.join(outdir, "ledger.csv"))
-    if res.trace is not None:
-        _write_trace_csv(os.path.join(outdir, "trace.csv"), res.trace)
-    code = EXIT_OK
-    if res.report is not None:
-        res.report.to_json(os.path.join(outdir, "report.json"))
-        res.report.to_csv(os.path.join(outdir, "report.csv"))
-        code = _print_report(res.report, cfg.run.success_floor)
-    print(f"results in {outdir}")
+    code = EXIT_OK if res.report is None else _print_report(res.report, cfg.run.success_floor)
+    print(f"results in {args.out}")
     return code
 
 
@@ -194,11 +196,9 @@ def cmd_mc(args) -> int:
             var_cfg=cfg.variation, n_trials=trials,
         )
         report = res.report
-    outdir = _ensure_outdir(args.out)
-    report.to_json(os.path.join(outdir, "report.json"))
-    report.to_csv(os.path.join(outdir, "report.csv"))
+    _write_artifacts(args.out, {"report.json": report.to_json, "report.csv": report.to_csv})
     code = _print_report(report, cfg.run.success_floor)
-    print(f"report in {outdir}")
+    print(f"report in {args.out}")
     return code
 
 

@@ -134,8 +134,6 @@ class PimProgram:
         for op in self.ops:
             entry: dict = {"op": op.kind.value, "rows": list(op.rows),
                            "t_start_ns": op.t_start_ns}
-            if op.bits is not None:
-                entry["bits"] = list(op.bits)
             for key in ("out_row", "source", "node", "output"):
                 if getattr(op, key) is not None:
                     entry[key] = getattr(op, key)
@@ -214,8 +212,6 @@ def _op_line(op: MicroOp) -> str:
     """The op's ``to_json_dict`` entry as the sorted compact encoder writes
     it, for fields of ints and strings, as compiled and loaded ops hold."""
     line = "{"
-    if op.bits is not None:
-        line += f'"bits":[{",".join(map(str, op.bits))}],'
     if op.node is not None:
         line += f'"node":{op.node},'
     line += _OP_NAME[op.kind]
@@ -237,22 +233,19 @@ def _op_from_json(entry: dict) -> MicroOp:
     not int), so a wrong-typed value is refused on load instead of
     crashing an audit.  An absent optional field reads as None."""
     get = entry.get
-    rows, t_start, bits = entry["rows"], entry["t_start_ns"], get("bits")
+    rows, t_start = entry["rows"], entry["t_start_ns"]
     out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
     if not (type(rows) is list and all(type(r) is int for r in rows)
             and type(t_start) is int
             and (out_row is None or type(out_row) is int)
             and (node is None or type(node) is int)
-            and (bits is None or type(bits) is list
-                 and all(type(b) is int and b in (0, 1) for b in bits))
             and (source is None or type(source) is str)
             and (output is None or type(output) is str)):
         raise TypeError(f"op {entry}")
     kind = _OP_KIND.get(entry["op"])
     if kind is None:
         raise ValueError(f"unknown op {entry['op']!r}")
-    return MicroOp(kind, tuple(rows), out_row,
-                   None if bits is None else tuple(bits), source, t_start, node, output)
+    return MicroOp(kind, tuple(rows), out_row, source, t_start, node, output)
 
 
 def emit_ops(netlist: NorNetlist, assignment: RowAssignment,
@@ -398,7 +391,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             emit_refresh(row := min(due))
             due.discard(row)
         new_ops.append(op if op.t_start_ns == t else MicroOp(
-            op.kind, op.rows, op.out_row, op.bits, op.source, t, op.node, op.output))
+            op.kind, op.rows, op.out_row, op.source, t, op.node, op.output))
         ages.commit(op, t)
         if op.kind is not OpKind.READ:
             dies[op.out_row if op.kind is OpKind.LOGIC else op.rows[0]] = last_use[i]
@@ -454,9 +447,9 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Symbolic replay of row contents: every consumed row must hold
     exactly the netlist value the op was compiled against, and every
-    program output must be read.  Rows outside the array, names the
-    netlist lacks and literal writes of other than ``cols`` bits are
-    violations too, so a malformed file is caught before any array is built."""
+    program output must be read.  Rows outside the array and names the
+    netlist lacks are violations too, so a malformed file is caught
+    before any array is built."""
     netlist = program.netlist
     sources = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
                for i, n in enumerate(netlist.nodes) if n.op != "nor"}
@@ -475,12 +468,9 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
                 flag(i, op, row, "outside-array",
                      f"row {row} is outside the {program.rows}-row array")
         if op.kind is OpKind.WRITE:
-            if op.source is not None and op.source not in sources:
+            if op.source not in sources:
                 flag(i, op, op.rows[0], "unknown-name",
                      f"write of unknown source {op.source!r}")
-            elif op.bits is not None and len(op.bits) != program.cols:
-                flag(i, op, op.rows[0], "bit-count", f"literal write carries "
-                     f"{len(op.bits)} bits for {program.cols} columns")
             contents[op.rows[0]] = sources.get(op.source)
         elif op.kind is OpKind.LOGIC:
             nid = op.node

@@ -131,9 +131,9 @@ def run_program_on_array(
     """Execute the timestamped ops; returns output name -> one bit per
     array column.
 
-    Array column ``j`` runs program column ``columns[j]``: it is written
-    that column's input bit and literal-write bit.  Program columns past
-    the end of the input vectors hold input bits of 0.
+    Array column ``j`` runs program column ``columns[j]``: each
+    ``input:<name>`` WRITE stores that column's bit of the input.  Program
+    columns past the end of the input vectors hold input bits of 0.
     """
     columns = np.asarray(columns)
     inputs = {}
@@ -141,7 +141,7 @@ def run_program_on_array(
         padded = np.zeros(program.cols, dtype=np.uint8)
         padded[:len(v)] = v
         inputs[name] = padded[columns]
-    reads = subarray.run(program.ops, inputs, columns)
+    reads = subarray.run(program.ops, inputs)
     names = [op.output for op in program.ops if op.kind is OpKind.READ]
     return {name: bits for name, bits in zip(names, reads) if name is not None}
 
@@ -237,8 +237,7 @@ def simulate_program(
                       if r is not None), default=0)
     # the rows the WRITE ops store inputs in, which the soundness audit checks
     input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
-                    if op.kind is OpKind.WRITE and op.source is not None
-                    and op.source.startswith("input:")]
+                    if op.kind is OpKind.WRITE and op.source.startswith("input:")]
     per_block = max(1, BLOCK_CELLS // (n_rows * width))
     rngs = stream_generators(var_cfg.seed, range(n_trials))
     blocks = [
@@ -252,7 +251,7 @@ def simulate_program(
     for key in dict.fromkeys(combo_key):  # stable order, unique
         cols_for = [c for c in range(width) if combo_key[c] == key]
         combos[key] = CombinationResult.from_masks(
-            map(int, key), ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for])
+            ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for])
     report = SuccessReport(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,

@@ -23,7 +23,7 @@ batch; a program trial's stream is positioned as if it drew one full
 grid, but only the corner its block array keeps is transformed
 (``sample_params(..., keep=...)``).  Both score a block with
 ``score_block`` and count one input combination's trials with
-``CombinationResult.from_masks``.
+``CombinationResult.from_masks``: its counts, keyed by the input bits.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "BASE_SIGMA_RATIOS",
     "CalibrationError",
     "CombinationResult",
-    "FailureBreakdown",
     "SampledVariation",
     "SuccessReport",
     "VariationConfig",
@@ -267,8 +266,9 @@ def sample_params(
 
 
 @dataclass(frozen=True)
-class FailureBreakdown:
-    """Counts of failed trials by which adverse factors were present.
+class CombinationResult:
+    """One input combination's trials, successes and failures by which
+    adverse factors were present.
 
     A failing trial is tagged "decay" when some input cell holding '1'
     drew a decay-rate multiplier below 1 (faster discharge of the stored
@@ -277,69 +277,45 @@ class FailureBreakdown:
     when a '0' must be sensed, above nominal when a '1' must).
     """
 
-    decay_only: int = 0
-    threshold_only: int = 0
-    both: int = 0
-    other: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.decay_only + self.threshold_only + self.both + self.other
-
-    def to_dict(self) -> dict:
-        return {
-            "decay_only": self.decay_only,
-            "threshold_only": self.threshold_only,
-            "both": self.both,
-            "other": self.other,
-        }
-
-
-@dataclass(frozen=True)
-class CombinationResult:
-    input_bits: tuple[int, ...]
     trials: int
     successes: int
-    breakdown: FailureBreakdown
+    decay_only: int
+    threshold_only: int
+    both: int
+    other: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.successes <= self.trials):
-            raise ValueError("successes must lie in [0, trials]")
-        if self.breakdown.total != self.trials - self.successes:
-            raise ValueError("failure breakdown does not sum to the failure count")
+        failures = self.decay_only + self.threshold_only + self.both + self.other
+        if not 0 <= failures == self.trials - self.successes <= self.trials:
+            raise ValueError("successes and failures must be >= 0 and sum to the trials")
 
     @classmethod
-    def from_masks(cls, input_bits: Sequence[int], ok: np.ndarray, fast: np.ndarray,
+    def from_masks(cls, ok: np.ndarray, fast: np.ndarray,
                    adverse: np.ndarray) -> "CombinationResult":
         """One combination's result from its ``score_block`` masks, one
         entry per trial."""
         fail = ~ok
         return cls(
-            input_bits=tuple(input_bits),
             trials=ok.size,
             successes=int(ok.sum()),
-            breakdown=FailureBreakdown(
-                decay_only=int(np.sum(fail & fast & ~adverse)),
-                threshold_only=int(np.sum(fail & ~fast & adverse)),
-                both=int(np.sum(fail & fast & adverse)),
-                other=int(np.sum(fail & ~fast & ~adverse)),
-            ),
+            decay_only=int(np.sum(fail & fast & ~adverse)),
+            threshold_only=int(np.sum(fail & ~fast & adverse)),
+            both=int(np.sum(fail & fast & adverse)),
+            other=int(np.sum(fail & ~fast & ~adverse)),
         )
 
     @property
     def success_rate(self) -> float:
         return self.successes / self.trials
 
-    @property
-    def bits_str(self) -> str:
-        return "".join(str(b) for b in self.input_bits)
-
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
             "successes": self.successes,
             "success_rate": self.success_rate,
-            "failures": self.breakdown.to_dict(),
+            "failures": {"decay_only": self.decay_only,
+                         "threshold_only": self.threshold_only,
+                         "both": self.both, "other": self.other},
         }
 
 
@@ -376,13 +352,10 @@ class SuccessReport:
                 ["combination", "trials", "successes", "success_rate",
                  "decay_only", "threshold_only", "both", "other"]
             )
-            for bits in sorted(self.combinations):
-                c = self.combinations[bits]
-                b = c.breakdown
-                writer.writerow(
-                    [bits, c.trials, c.successes, repr(c.success_rate),
-                     b.decay_only, b.threshold_only, b.both, b.other]
-                )
+            writer.writerows(
+                [bits, c.trials, c.successes, repr(c.success_rate),
+                 c.decay_only, c.threshold_only, c.both, c.other]
+                for bits, c in sorted(self.combinations.items()))
 
 
 def _check_gate(gate: str, input_bits: Sequence[int]) -> tuple[str, tuple[int, ...]]:
@@ -513,12 +486,11 @@ def run_gate_trials(
         name, bits, n_trials, input_age_ns, var_cfg, model_cfg, timing_cfg,
         stream_base=stream_base,
     )
-    combo = CombinationResult.from_masks(bits, ok, fast, adverse)
     return SuccessReport(
         gate=name,
         n_inputs=len(bits),
         input_age_ns=int(input_age_ns),
-        combinations={combo.bits_str: combo},
+        combinations={"".join(map(str, bits)): CombinationResult.from_masks(ok, fast, adverse)},
     )
 
 

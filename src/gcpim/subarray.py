@@ -63,33 +63,30 @@ class MicroOp:
     """One array instruction.
 
     ``rows`` is the written/read/refreshed row for WRITE/READ/REFRESH, or the
-    input rows for LOGIC (``out_row`` then names the destination).  WRITE
-    carries either literal ``bits`` or a ``source`` binding ("input:<name>",
-    "const:0", "const:1") resolved when the program runs.  A compiled op
-    also says what it means to the netlist: a LOGIC op the ``node`` it
-    computes, a READ the program ``output`` it senses.  Ops without them
-    are anonymous; the soundness audit does not track their values.
+    input rows for LOGIC (``out_row`` then names the destination).  A WRITE
+    names the ``source`` of its bits ("input:<name>", "const:0",
+    "const:1"), resolved when the program runs.  A compiled op also says
+    what it means to the netlist: a LOGIC op the ``node`` it computes, a
+    READ the program ``output`` it senses.  Ops without them are
+    anonymous; the soundness audit does not track their values.
     """
 
     kind: OpKind
     rows: tuple[int, ...]
     out_row: int | None = None
-    bits: tuple[int, ...] | None = None
     source: str | None = None
     t_start_ns: int = 0
     node: int | None = None
     output: str | None = None
 
     def __post_init__(self) -> None:
-        kind, bits, source = self.kind, self.bits, self.source
+        kind = self.kind
         _check_rows(kind, self.rows, self.out_row)
         if self.t_start_ns < 0:
             raise ValueError(f"{kind.value} op starts at a negative time {self.t_start_ns}ns")
-        if kind is OpKind.WRITE:
-            if (bits is None) == (source is None):
-                raise ValueError("WRITE needs exactly one of bits or source")
-        elif bits is not None or source is not None:
-            raise ValueError(f"{kind.value} op carries no data")
+        if (self.source is None) == (kind is OpKind.WRITE):
+            raise ValueError("WRITE needs a source" if kind is OpKind.WRITE
+                             else f"{kind.value} op carries no data")
         if self.node is not None and kind is not OpKind.LOGIC:
             raise ValueError(f"{kind.value} op computes no node")
         if self.output is not None and kind is not OpKind.READ:
@@ -210,9 +207,10 @@ class EventLedger:
     @staticmethod
     def read_csv_rows(path) -> list[dict]:
         """Parse a ledger CSV back into dicts (used by the report command),
-        skipping blank lines.  A row without five cells, non-negative
-        integer times and a finite energy raises ValueError at path:line."""
-        rows = []
+        skipping blank lines.  A row without five cells, an op kind,
+        non-negative integer times and a finite energy raises ValueError
+        at path:line."""
+        rows, kinds = [], {kind.value for kind in OpKind}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -224,6 +222,8 @@ class EventLedger:
                     start, duration, energy = int(start), int(duration), float(energy)
                     if min(start, duration) < 0 or not math.isfinite(energy):
                         raise ValueError(f"negative time or non-finite energy in {line}")
+                    if op not in kinds:
+                        raise ValueError(f"unknown op {op!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
                 rows.append({"start_ns": start, "duration_ns": duration, "op": op,
@@ -344,18 +344,17 @@ class SubArray:
         self.write_row(row, bits, t_now + self.timing.t_read_ns)
         return bits
 
-    def run(self, ops: Iterable[MicroOp], inputs: Mapping[str, np.ndarray] | None = None,
-            columns: np.ndarray | None = None) -> list[np.ndarray]:
+    def run(self, ops: Iterable[MicroOp],
+            inputs: Mapping[str, np.ndarray] | None = None) -> list[np.ndarray]:
         """Execute timestamped ops in order; returns each READ's sensed
-        bits.  A WRITE stores ``inputs[name]`` for source ``input:<name>``,
-        a constant row for ``const:0`` or ``const:1``, or its literal
-        ``bits``, array column ``j`` taking ``bits[columns[j]]`` when
-        ``columns`` is given; any other source raises ConfigError."""
+        bits.  A WRITE stores ``inputs[name]``, one bit per array column,
+        for source ``input:<name>`` and a constant row for ``const:0`` or
+        ``const:1``; any other source raises ConfigError."""
         reads = []
         for op in ops:
             t = op.t_start_ns
             if op.kind is OpKind.WRITE:
-                self.write_row(op.rows[0], self._source_bits(op, inputs, columns), t)
+                self.write_row(op.rows[0], self._source_bits(op.source, inputs), t)
             elif op.kind is OpKind.READ:
                 reads.append(self.read_row(op.rows[0], t))
             elif op.kind is OpKind.REFRESH:
@@ -364,16 +363,13 @@ class SubArray:
                 self.exec_logic(op.rows, op.out_row, t, checked=True)
         return reads
 
-    def _source_bits(self, op: MicroOp, inputs, columns) -> np.ndarray:
-        if op.source is None:
-            bits = np.asarray(op.bits, dtype=np.uint8)
-            return bits if columns is None else bits[columns]
-        kind, _, arg = op.source.partition(":")
+    def _source_bits(self, source: str, inputs) -> np.ndarray:
+        kind, _, arg = source.partition(":")
         if kind == "input" and inputs is not None and arg in inputs:
             return inputs[arg]
         if kind == "const" and arg in ("0", "1"):
             return np.full(self.cols, int(arg), dtype=np.uint8)
-        raise ConfigError(f"unknown write source {op.source!r}")
+        raise ConfigError(f"unknown write source {source!r}")
 
     def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int, *,
                    checked: bool = False) -> None:

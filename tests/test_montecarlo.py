@@ -19,7 +19,7 @@ from gcpim.montecarlo import (
     BLOCK_CELLS,
     DEFAULT_SEED,
     CalibrationError,
-    FailureBreakdown,
+    CombinationResult,
     VariationConfig,
     calibrate_variation,
     gate_trial_masks,
@@ -280,8 +280,8 @@ def test_attribution_matches_inline_counters():
         "both": int(np.sum(fail & fast & adverse)),
         "other": int(np.sum(fail & ~fast & ~adverse)),
     }
-    assert recomputed == combo.breakdown.to_dict()
-    assert combo.successes + combo.breakdown.total == combo.trials
+    assert recomputed == combo.to_dict()["failures"]
+    assert combo.successes + sum(recomputed.values()) == combo.trials
 
 
 @pytest.mark.parametrize("gate,bits_", [("NOR", (0, 1, 0)), ("NOT", (1,))])
@@ -337,13 +337,11 @@ def test_attribution_direction_forced_failure():
 
 def test_breakdown_buckets_are_disjoint():
     rep = run_gate_campaign("NOR", 2, 2048, 5000, VAR, CFG)
-    for combo in rep.combinations.values():
-        b = combo.breakdown
-        assert b.total == b.decay_only + b.threshold_only + b.both + b.other
-        assert combo.successes + b.total == combo.trials
+    for c in rep.combinations.values():
+        assert c.successes + c.decay_only + c.threshold_only + c.both + c.other == c.trials
     # at the calibrated point most failures carry both adverse factors
-    worst = rep.combinations[rep.worst_case()[0]].breakdown
-    if worst.total >= 20:
+    worst = rep.combinations[rep.worst_case()[0]]
+    if worst.trials - worst.successes >= 20:
         assert worst.both >= worst.other
 
 
@@ -409,9 +407,14 @@ def test_calibration_failure_carries_diagnostics():
     assert all(0.0 <= r <= 1.0 for _, r in evals)
 
 
-def test_failure_breakdown_to_dict():
-    b = FailureBreakdown(decay_only=1, threshold_only=2, both=3, other=4)
-    assert b.total == 10
-    assert b.to_dict() == {
-        "decay_only": 1, "threshold_only": 2, "both": 3, "other": 4,
+def test_combination_result_to_dict():
+    c = CombinationResult(trials=20, successes=10, decay_only=1, threshold_only=2,
+                          both=3, other=4)
+    assert c.to_dict() == {
+        "trials": 20, "successes": 10, "success_rate": 0.5,
+        "failures": {"decay_only": 1, "threshold_only": 2, "both": 3, "other": 4},
     }
+    # the failures must be the trials that did not succeed
+    for successes, other in ((11, 4), (10, 5), (-1, 15), (21, -7)):
+        with pytest.raises(ValueError, match="sum to the trials"):
+            CombinationResult(20, successes, 1, 2, 3, other)

@@ -186,9 +186,6 @@ def _literal_ops(draw):
                        node=draw(st.none() | _ints))
     row = (draw(_rows),)
     if kind is OpKind.WRITE:
-        if draw(st.booleans()):
-            return MicroOp(kind, row, bits=tuple(draw(st.lists(st.integers(0, 1)))),
-                           t_start_ns=t)
         return MicroOp(kind, row, source=draw(st.text(max_size=6)), t_start_ns=t)
     if kind is OpKind.READ:
         return MicroOp(kind, row, t_start_ns=t, output=draw(_maybe_text))
@@ -647,7 +644,7 @@ def test_program_mc_failure_attribution_is_pinned():
     combos = res.report.combinations.values()
     assert sum(c.trials for c in combos) == 1280
     assert sum(c.successes for c in combos) == 1042
-    totals = {k: sum(c.breakdown.to_dict()[k] for c in combos)
+    totals = {k: sum(getattr(c, k) for c in combos)
               for k in ("decay_only", "threshold_only", "both", "other")}
     assert totals == {"decay_only": 98, "threshold_only": 2, "both": 138, "other": 0}
 
@@ -704,7 +701,7 @@ def test_mc_report_aggregates_repeated_combinations():
     assert combos["00"].trials == 100  # two columns carry this combo
     assert combos["11"].trials == 50
     for c in combos.values():
-        assert c.successes + c.breakdown.total == c.trials
+        assert c.decay_only + c.threshold_only + c.both + c.other == c.trials - c.successes
 
 
 def test_mc_outputs_are_the_ideal_reference():
@@ -743,11 +740,10 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
     width = len(vectors[prog.inputs[0]])
     ideal = simulate_program(prog, vecs, mode="ideal").outputs
     tags = {(True, False): 1, (False, True): 2, (True, True): 3, (False, False): 4}
-    # the row each input's WRITE fills
-    input_rows = {op.source[len("input:"):]: op.rows[0] for op in prog.ops
-                  if op.kind is OpKind.WRITE and op.source is not None
-                  and op.source.startswith("input:")}
-    assert sorted(input_rows) == sorted(prog.inputs)
+    # (input, row) per WRITE of an input
+    input_rows = [(op.source[len("input:"):], op.rows[0]) for op in prog.ops
+                  if op.kind is OpKind.WRITE and op.source.startswith("input:")]
+    assert sorted({n for n, _ in input_rows}) == sorted(prog.inputs)
     counts: dict[str, list[int]] = {}
     for trial in range(n_trials):
         sv = sample_params(var_cfg, rng_stream=trial, rows=prog.rows,
@@ -764,7 +760,7 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
                 tally[0] += 1
                 continue
             fast = any(vectors[n][c] == 1 and sv.tau_scale[row, c] < 1.0
-                       for n, row in input_rows.items())
+                       for n, row in input_rows)
             threshold = sv.sa_threshold[c]
             if ideal[wrong[0]][c] == 0:
                 adverse = threshold < model.v_sa_read
@@ -776,7 +772,7 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
 
 def assert_batched_mc_matches_reference(prog, vecs, var_cfg, n_trials):
     res = simulate_program(prog, vecs, mode="mc", var_cfg=var_cfg, n_trials=n_trials)
-    got = {key: [c.successes, *c.breakdown.to_dict().values()]
+    got = {key: [c.successes, c.decay_only, c.threshold_only, c.both, c.other]
            for key, c in res.report.combinations.items()}
     assert got == reference_program_mc(prog, vecs, var_cfg, n_trials)
     # some trials fail, so the failure attribution is compared too
@@ -806,12 +802,11 @@ def test_batched_mc_matches_per_trial_reference_across_blocks():
         prog, vecs, VariationConfig().scaled(4.0), per_block + 3)
 
 
-def test_batched_mc_matches_per_trial_reference_with_literal_bits():
-    # a literal WRITE, an anonymous NOT of it and an unnamed READ ride
-    # along with a compiled XOR; the literal row is the highest one touched
+def test_batched_mc_matches_per_trial_reference_with_anonymous_ops():
+    # a second WRITE of input a, an anonymous NOT of it and an unnamed READ
+    # ride along with a compiled XOR; the extra row is the highest one touched
     base = compile_program("out = a ^ b;")
-    lit_bits = tuple(int(b) for b in np.random.default_rng(7).integers(0, 2, 64))
-    extra = [MicroOp(OpKind.WRITE, (40,), bits=lit_bits),
+    extra = [MicroOp(OpKind.WRITE, (40,), source="input:a"),
              MicroOp(OpKind.LOGIC, (40,), out_row=41),
              MicroOp(OpKind.READ, (41,))]
 
@@ -824,16 +819,16 @@ def test_batched_mc_matches_per_trial_reference_with_literal_bits():
     vecs = exhaustive_vectors(prog.inputs)
     assert_batched_mc_matches_reference(prog, vecs, VariationConfig().scaled(5.0), 60)
 
-    # each array column is written the literal bit of the program column
+    # each array column is written the input bit of the program column
     # it runs
     named = dataclasses.replace(
-        prog, ops=(*prog.ops[:2], dataclasses.replace(prog.ops[2], output="lit"),
+        prog, ops=(*prog.ops[:2], dataclasses.replace(prog.ops[2], output="not_a"),
                    *prog.ops[3:]))
-    columns = np.tile(np.arange(4), 3)
+    columns = np.array([3, 3, 0, 1, 2, 1])
     sa = SubArray(ModelConfig(), TIM, rows=42, cols=len(columns))
     out = run_program_on_array(named, sa, {n: np.array(v) for n, v in vecs.items()},
                                columns)
-    np.testing.assert_array_equal(out["lit"], 1 - np.array(lit_bits)[columns])
+    np.testing.assert_array_equal(out["not_a"], 1 - np.array(vecs["a"])[columns])
 
 
 def test_mc_ledger_is_the_nominal_ledger(tmp_path, capsys):

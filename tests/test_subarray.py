@@ -262,17 +262,14 @@ def test_refresh_is_a_read_then_a_write_back(monkeypatch):
 
 
 def test_run_resolves_each_write_source():
-    lit, x = (1, 0, 1, 1), np.array([0, 1, 1, 0], dtype=np.uint8)
-    ops = [MicroOp(OpKind.WRITE, (0,), bits=lit, t_start_ns=0),
-           MicroOp(OpKind.WRITE, (1,), source="input:x", t_start_ns=1),
-           MicroOp(OpKind.WRITE, (2,), source="const:1", t_start_ns=2),
-           MicroOp(OpKind.WRITE, (3,), source="const:0", t_start_ns=3),
-           *(MicroOp(OpKind.READ, (r,), t_start_ns=4 + 3 * r) for r in range(4))]
-    # literal bits are stored as given without columns, and array column j
-    # holds bits[columns[j]] with them; inputs are per array column already
-    for columns, stored in ((None, lit), (np.array([3, 3, 0, 1]), (1, 1, 1, 0))):
-        reads = SubArray(CFG, rows=4, cols=4).run(ops, {"x": x}, columns)
-        assert [r.tolist() for r in reads] == [list(stored), x.tolist(), [1] * 4, [0] * 4]
+    x = np.array([0, 1, 1, 0], dtype=np.uint8)
+    ops = [MicroOp(OpKind.WRITE, (0,), source="input:x", t_start_ns=0),
+           MicroOp(OpKind.WRITE, (1,), source="const:1", t_start_ns=1),
+           MicroOp(OpKind.WRITE, (2,), source="const:0", t_start_ns=2),
+           *(MicroOp(OpKind.READ, (r,), t_start_ns=3 + 3 * r) for r in range(3))]
+    # an input holds one bit per array column
+    reads = SubArray(CFG, rows=3, cols=4).run(ops, {"x": x})
+    assert [r.tolist() for r in reads] == [x.tolist(), [1] * 4, [0] * 4]
     for source, inputs in (("input:y", {"x": x}), ("input:x", None), ("const:7", None),
                            ("row:2", None)):
         op = MicroOp(OpKind.WRITE, (0,), source=source)
@@ -294,8 +291,8 @@ def test_refresh_all_duration(tmp_path):
 
 def test_op_energies_against_hand_totals(tmp_path):
     rows = ledger_rows(tmp_path, [
-        MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
-        MicroOp(OpKind.WRITE, (1,), bits=tuple(bits("0")), t_start_ns=1),
+        MicroOp(OpKind.WRITE, (0,), source="const:1", t_start_ns=0),
+        MicroOp(OpKind.WRITE, (1,), source="const:0", t_start_ns=1),
         MicroOp(OpKind.LOGIC, (0,), out_row=3, t_start_ns=2),      # NOT
         MicroOp(OpKind.LOGIC, (0, 1), out_row=4, t_start_ns=5),    # NOR
         MicroOp(OpKind.REFRESH, (0,), t_start_ns=8),
@@ -330,7 +327,7 @@ def test_wide_nor_energy_uses_nor_rate():
 
 def test_ledger_requires_time_order():
     read = MicroOp(OpKind.READ, (0,), t_start_ns=5)
-    write = MicroOp(OpKind.WRITE, (1,), bits=tuple(bits("1")), t_start_ns=4)
+    write = MicroOp(OpKind.WRITE, (1,), source="const:1", t_start_ns=4)
     led = EventLedger(TIM, 64, [read])
     with pytest.raises(ValueError, match="start-time order: 4 after 5"):
         led.append(write)
@@ -343,7 +340,7 @@ def test_ledger_requires_time_order():
 
 def test_ledger_csv_roundtrip(tmp_path):
     rows = ledger_rows(tmp_path, [
-        MicroOp(OpKind.WRITE, (0,), bits=tuple(bits("1")), t_start_ns=0),
+        MicroOp(OpKind.WRITE, (0,), source="const:1", t_start_ns=0),
         MicroOp(OpKind.LOGIC, (0,), out_row=2, t_start_ns=1),
         MicroOp(OpKind.READ, (2,), t_start_ns=4),
     ])
@@ -393,7 +390,9 @@ def test_per_column_threshold_is_respected():
 
 def test_microop_validation():
     with pytest.raises(ValueError):
-        MicroOp(kind=OpKind.WRITE, rows=(0, 1), bits=(0,) * 64)  # multi-row write
+        MicroOp(kind=OpKind.WRITE, rows=(0, 1), source="const:0")  # multi-row write
+    with pytest.raises(ValueError, match="WRITE needs a source"):
+        MicroOp(kind=OpKind.WRITE, rows=(0,))
     with pytest.raises(ValueError):
         MicroOp(kind=OpKind.LOGIC, rows=(0,))  # missing output row
     with pytest.raises(ValueError):
@@ -427,13 +426,13 @@ def oracle_check_rows(kind, rows, out_row):
             raise ValueError(f"{kind.value} op has no output row")
 
 
-def oracle_op_checks(kind, rows, out_row, bits, source, node, output):
+def oracle_op_checks(kind, rows, out_row, source, node, output):
     """Oracle: every check MicroOp construction ran, in the same order."""
     oracle_check_rows(kind, rows, out_row)
     if kind is OpKind.WRITE:
-        if (bits is None) == (source is None):
-            raise ValueError("WRITE needs exactly one of bits or source")
-    elif bits is not None or source is not None:
+        if source is None:
+            raise ValueError("WRITE needs a source")
+    elif source is not None:
         raise ValueError(f"{kind.value} op carries no data")
     if node is not None and kind is not OpKind.LOGIC:
         raise ValueError(f"{kind.value} op computes no node")
@@ -457,21 +456,19 @@ def _maybe(values):
 @given(kind=st.sampled_from(OpKind),
        rows=st.lists(st.integers(-2, 6), max_size=4).map(tuple),
        out_row=_maybe(st.integers(-2, 6)),
-       bits=_maybe(st.lists(st.integers(0, 1), max_size=3).map(tuple)),
        source=_maybe(st.sampled_from(["const:1", "input:a"])),
        node=_maybe(st.integers(0, 9)),
        output=_maybe(st.sampled_from(["s", "c"])))
 @settings(max_examples=500, deadline=None)
-def test_microop_construction_checks_what_the_oracle_checks(kind, rows, out_row, bits,
-                                                           source, node, output):
-    fields = (kind, rows, out_row, bits, source, node, output)
+def test_microop_construction_checks_what_the_oracle_checks(kind, rows, out_row, source,
+                                                           node, output):
+    fields = (kind, rows, out_row, source, node, output)
     expected = outcome(oracle_op_checks, *fields)
-    assert outcome(lambda: MicroOp(kind, rows, out_row, bits, source, 7, node,
-                                   output)) == expected
+    assert outcome(lambda: MicroOp(kind, rows, out_row, source, 7, node, output)) == expected
     if expected is None:
-        op = MicroOp(kind, rows, out_row, bits, source, 7, node, output)
-        assert (op.kind, op.rows, op.out_row, op.bits, op.source, op.t_start_ns,
-                op.node, op.output) == (kind, rows, out_row, bits, source, 7, node, output)
+        op = MicroOp(kind, rows, out_row, source, 7, node, output)
+        assert (op.kind, op.rows, op.out_row, op.source, op.t_start_ns, op.node,
+                op.output) == (kind, rows, out_row, source, 7, node, output)
     # the direct gate path checks the rows alone; all of them fit the array
     sa = SubArray(CFG, rows=8, cols=2)
     assert (outcome(sa.exec_logic, list(rows), out_row, 0)
