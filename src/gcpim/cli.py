@@ -4,7 +4,8 @@ Subcommands: compile, run, mc, calibrate, report.  Exit codes: 0 ok,
 1 Monte Carlo worst case below the success floor, 2 source or usage
 errors, 3 resource errors (row capacity, refresh schedule, retention
 violations), 4 calibration failure, 5 missing, corrupt or malformed
-files (an unsound compiled program is malformed).
+files (an unsound compiled program is malformed), 141 stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_CALIBRATION = 4
 EXIT_IO = 5
+EXIT_SIGPIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _read_input_csv(path) -> dict[str, list[int]]:
@@ -342,7 +344,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`); the artifacts are written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SIGPIPE
     except ParseError as exc:
         print(f"gcpim: syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE

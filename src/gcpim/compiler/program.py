@@ -226,12 +226,14 @@ def _op_line(op: MicroOp) -> str:
 
 
 _OP_KIND = {kind.value: kind for kind in OpKind}
+_OP_KEYS = frozenset(("op", "rows", "t_start_ns", "out_row", "source", "node", "output"))
 
 
 def _op_from_json(entry: dict) -> MicroOp:
     """An op entry with every field type-checked (``type(True)`` is bool,
     not int), so a wrong-typed value is refused on load instead of
-    crashing an audit.  An absent optional field reads as None."""
+    crashing an audit.  An absent optional field reads as None, and any
+    other key is refused."""
     get = entry.get
     rows, t_start = entry["rows"], entry["t_start_ns"]
     out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
@@ -245,7 +247,10 @@ def _op_from_json(entry: dict) -> MicroOp:
     kind = _OP_KIND.get(entry["op"])
     if kind is None:
         raise ValueError(f"unknown op {entry['op']!r}")
-    return MicroOp(kind, tuple(rows), out_row, source, t_start, node, output)
+    op = MicroOp(kind, tuple(rows), out_row, source, t_start, node, output)
+    if not entry.keys() <= _OP_KEYS:  # after MicroOp, which names a WRITE without a source
+        raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
+    return op
 
 
 def emit_ops(netlist: NorNetlist, assignment: RowAssignment,

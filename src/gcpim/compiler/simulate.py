@@ -4,13 +4,16 @@ Input vectors are laid out one per column, so a single pass evaluates up
 to 64 vectors bitwise-parallel.  Nominal mode must agree with ideal mode
 exactly.  Monte Carlo mode gives every trial its own variation draw (all
 columns of a trial share it) and scores each column against the ideal
-outputs.  Trials run in blocks of about ``BLOCK_CELLS`` cells, side by
-side on the columns of one array (``montecarlo.block_array``, shared with
-gate campaigns): columns never interact, so each trial computes exactly
-what it would on an array of its own.  Trial ``i`` draws from stream
-``i``, numpy's ``default_rng(SeedSequence((seed, i)))``, at the stream
-positions of one full ``program.rows x program.cols`` grid, but only the
-corner of cells the block uses is transformed
+outputs.  Trials run side by side on the columns of one block array
+(``montecarlo.block_array``, shared with gate campaigns): columns never
+interact, so each trial computes exactly what it would on an array of its
+own.  A block holds about ``PROGRAM_BLOCK_CELLS`` cells, 4x a gate
+campaign's ``BLOCK_CELLS``: a program replays all its ops per block, at a
+fixed few numpy calls each, so ripple-8 on 64 vectors runs its 40 trials
+in 3 blocks, not 10, and the full adder its 300 in 1, not 3.  Trial ``i``
+draws from stream ``i``, numpy's ``default_rng(SeedSequence((seed, i)))``,
+at the stream positions of one full ``program.rows x program.cols`` grid,
+but only the corner of cells the block uses is transformed
 (``sample_params(..., keep=...)``).  A run seeds its trials' streams
 together, a chunk at a time (``montecarlo.stream_generators``).  Gate
 campaigns score the same way: ``score_block`` masks each block's columns
@@ -35,7 +38,7 @@ import numpy as np
 
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
-    BLOCK_CELLS,
+    PROGRAM_BLOCK_CELLS,
     CombinationResult,
     SuccessReport,
     VariationConfig,
@@ -238,7 +241,7 @@ def simulate_program(
     # the rows the WRITE ops store inputs in, which the soundness audit checks
     input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
                     if op.kind is OpKind.WRITE and op.source.startswith("input:")]
-    per_block = max(1, BLOCK_CELLS // (n_rows * width))
+    per_block = max(1, PROGRAM_BLOCK_CELLS // (n_rows * width))
     rngs = stream_generators(var_cfg.seed, range(n_trials))
     blocks = [
         _run_mc_block(program, model, var_cfg, vectors, ideal_out, input_writes, n_rows,

@@ -17,11 +17,11 @@ seeds all its streams together (``stream_generators``), which computes
 numpy's seeding hash for a chunk of streams in one vectorised pass.
 Batches run side by side on the columns of one block array of about
 ``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
-too; columns never interact, so grouping changes no result.  Each path
-keeps its own draw contract: gates draw one ``(k+1) x 64`` grid per
-batch; a program trial's stream is positioned as if it drew one full
-grid, but only the corner its block array keeps is transformed
-(``sample_params(..., keep=...)``).  Both score a block with
+too, at ``PROGRAM_BLOCK_CELLS``; columns never interact, so grouping
+changes no result.  Each path keeps its own draw contract: gates draw one
+``(k+1) x 64`` grid per batch; a program trial's stream is positioned as
+if it drew one full grid, but only the corner its block array keeps is
+transformed (``sample_params(..., keep=...)``).  Both score a block with
 ``score_block`` and count one input combination's trials with
 ``CombinationResult.from_masks``: its counts, keyed by the input bits.
 """
@@ -70,11 +70,15 @@ DEFAULT_SEED = 314159265
 _BATCH_COLS = 64
 _STREAM_STRIDE = 2**32
 
-# Cells in one Monte Carlo block array; a block holds at least one trial
-# (programs) or one 64-trial batch (gates).  Peak memory grows by about 64
-# bytes per cell: this budget runs NOR2 gates 42 batches at a time and
-# the ripple-8 adder on 64 vectors 4 trials at a time for well under 1 MB.
+# Cells in one Monte Carlo block array, which holds at least one 64-trial
+# batch (gates) or one trial (programs); peak memory grows by about 64
+# bytes per cell.  A gate block runs 4 ops on k+1 rows, not bound by
+# per-call overhead: at 4x these cells, 10,000-trial NOT/NOR2/NOR3
+# campaigns took -4% to +3% time, no gain.  A program block replays every op
+# (ripple-8: ~130) at ~16 numpy calls each, so programs get 4x: ripple-8 on
+# 64 vectors runs 40 trials in 3 blocks, not 10, the full adder 300 in 1.
 BLOCK_CELLS = 8192
+PROGRAM_BLOCK_CELLS = 4 * BLOCK_CELLS
 
 
 @dataclass(frozen=True)
@@ -378,9 +382,10 @@ def block_array(model: ModelConfig, timing: TimingEnergyConfig,
     ``i-1``; every draw has the array's row count."""
     tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
                                   for sv in draws))
-    return SubArray(model, timing, rows=len(tau[0]), cols=sum(map(len, threshold)),
-                    tau_scale=np.hstack(tau), drive_offset=np.hstack(drive),
-                    sa_threshold=np.concatenate(threshold))
+    # rebound, so each draw's arrays are freed before the array is built
+    tau, drive, threshold = np.hstack(tau), np.hstack(drive), np.concatenate(threshold)
+    return SubArray(model, timing, rows=len(tau), cols=len(threshold),
+                    tau_scale=tau, drive_offset=drive, sa_threshold=threshold)
 
 
 def score_block(sa: SubArray, reads: Sequence[np.ndarray], wants: Sequence[np.ndarray],

@@ -1,9 +1,9 @@
 """Configuration schema and command-line behavior, exercised in process.
 
 Every CLI assertion calls main() directly so exit codes and file
-side effects are checked without spawning interpreters, except the one
-that guards against a compile that never ends: it spawns one, under a
-timeout.
+side effects are checked without spawning interpreters, except two: the
+one that guards against a compile that never ends spawns one under a
+timeout, and a run whose stdout is closed needs a stdout of its own.
 """
 
 import hashlib
@@ -559,6 +559,9 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
         (lambda d: d["netlist"]["outputs"].append(["zz", 999]),
          "name a node outside the netlist"),
         (lambda d: nor(d).update(args=[-5, 1]), "references a node outside"),
+        # an op entry's keys are the seven a program file writes
+        (lambda d: next(op for op in d["ops"] if op["op"] == "LOGIC").update(
+            bits=[1, 0], nodes=3), "op entry has unknown keys ['bits', 'nodes']"),
     ):
         data = json.loads(good.read_text())
         edit(data)
@@ -897,9 +900,6 @@ def test_compile_of_gate_inputs_that_cannot_all_be_fresh_exits_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"version": 1, "compiler": {"max_nor_arity": 4},
                                "model": {"drt_read_ns": 1000, "drt_logic_ns": 12}}))
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -907,6 +907,38 @@ def test_compile_of_gate_inputs_that_cannot_all_be_fresh_exits_3(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "gcpim.cli", "compile", str(src), "--config", str(cfg),
          "-o", str(tmp_path / "wide.json")],
-        env=env, capture_output=True, text=True, timeout=30, preexec_fn=cap_memory)
+        env=_cli_env(), capture_output=True, text=True, timeout=30, preexec_fn=cap_memory)
     assert done.returncode == 3, done.stderr
     assert "more than the 12ns logic window" in done.stderr
+
+
+def _cli_env() -> dict:
+    """The environment of a spawned ``python -m gcpim.cli``."""
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_run_into_a_closed_stdout_exits_141_and_prints_no_error(
+        adder, tmp_path, capsys, unbuffered):
+    # `gcpim run ... | head -1` with the reader already gone: an unbuffered
+    # stdout fails at the first line, a buffered one when main flushes it
+    src, inputs = adder
+    prog, out = tmp_path / "adder.json", tmp_path / "out"
+    assert main(["compile", str(src), "-o", str(prog)]) == 0
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gcpim.cli", "run", str(prog), "--inputs", str(inputs),
+             "--out", str(out)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    assert sorted(os.listdir(out)) == ["ledger.csv", "outputs.csv"]

@@ -41,7 +41,8 @@ from gcpim.compiler.program import (
     emit_ops,
 )
 from gcpim.compiler.netlist import NorNetlist
-from gcpim.compiler.simulate import BLOCK_CELLS
+import gcpim.compiler.simulate as simulate_mod
+from gcpim.compiler.simulate import PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
 from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig
 
@@ -793,13 +794,37 @@ def test_batched_mc_matches_per_trial_reference_on_the_top_row():
 
 
 def test_batched_mc_matches_per_trial_reference_across_blocks():
+    # each combination 8 times over, so a trial spans 64 columns and 67
+    # trials fill one block and part of a second
     prog = compile_program(
         "s1 = a ^ b;\nsum = s1 ^ cin;\nc1 = a & b;\nc2 = s1 & cin;\ncout = c1 | c2;")
-    vecs = exhaustive_vectors(prog.inputs)
-    per_block = BLOCK_CELLS // (rows_touched(prog) * 8)
+    vecs = {name: bits * 8 for name, bits in exhaustive_vectors(prog.inputs).items()}
+    per_block = PROGRAM_BLOCK_CELLS // (rows_touched(prog) * 64)
     assert 1 < per_block < 200
     assert_batched_mc_matches_reference(
         prog, vecs, VariationConfig().scaled(4.0), per_block + 3)
+
+
+@pytest.mark.parametrize("n_bits, scale, n_trials", [(1, 4.0, 530), (4, 2.0, 60),
+                                                    (4, 3.0, 60)])
+def test_block_grouping_changes_no_result(monkeypatch, tmp_path, n_bits, scale, n_trials):
+    # one trial per block, the default budget and every trial in one block
+    prog = compile_program(ripple_text(n_bits))
+    rng = np.random.default_rng(n_bits)
+    vecs = (exhaustive_vectors(prog.inputs) if n_bits == 1
+            else {name: rng.integers(0, 2, 64) for name in prog.inputs})
+    cells = rows_touched(prog) * len(vecs[prog.inputs[0]])
+    # by default the trials take more than one block, and fewer than one each
+    assert 1 < -(-n_trials // (PROGRAM_BLOCK_CELLS // cells)) < n_trials
+    results = []
+    for budget in (1, PROGRAM_BLOCK_CELLS, n_trials * cells):
+        monkeypatch.setattr(simulate_mod, "PROGRAM_BLOCK_CELLS", budget)
+        report = simulate_program(prog, vecs, mode="mc", var_cfg=VariationConfig().scaled(scale),
+                                  n_trials=n_trials).report
+        report.to_json(tmp_path / "report.json")
+        results.append((report.combinations, (tmp_path / "report.json").read_bytes()))
+    assert results[0] == results[1] == results[2]
+    assert any(c.successes < c.trials for c in results[0][0].values())
 
 
 def test_batched_mc_matches_per_trial_reference_with_anonymous_ops():
