@@ -1,23 +1,18 @@
 """Execution of compiled programs: logical, nominal-array, and Monte Carlo.
 
 Input vectors are laid out one per column, so a single pass evaluates up
-to 64 vectors bitwise-parallel.  Nominal mode must agree with ideal mode
-exactly.  Monte Carlo mode gives every trial its own variation draw (all
-columns of a trial share it) and scores each column against the ideal
-outputs.  Trials run side by side on the columns of one block array
-(``montecarlo.block_array``, shared with gate campaigns): columns never
-interact, so each trial computes exactly what it would on an array of its
-own.  A block holds about ``PROGRAM_BLOCK_CELLS`` cells, 4x a gate
-campaign's ``BLOCK_CELLS``: a program replays all its ops per block, at a
-fixed few numpy calls each, so ripple-8 on 64 vectors runs its 40 trials
-in 3 blocks, not 10, and the full adder its 300 in 1, not 3.  Trial ``i``
-draws from stream ``i``, numpy's ``default_rng(SeedSequence((seed, i)))``,
-at the stream positions of one full ``program.rows x program.cols`` grid,
-but only the corner of cells the block uses is transformed
-(``sample_params(..., keep=...)``).  A run seeds its trials' streams
-together, a chunk at a time (``montecarlo.stream_generators``).  Gate
-campaigns score the same way: ``score_block`` masks each block's columns
-and ``CombinationResult.from_masks`` counts each input combination.
+to 64 vectors bitwise-parallel.  Every mode evaluates the netlist once:
+its outputs are ideal mode's result, the values a nominal run must match
+(or raise ``RetentionViolationError``) and Monte Carlo's reference.
+Monte Carlo gives every trial its own variation draw, shared by the
+trial's columns, and scores each column through ``montecarlo.block_masks``,
+the engine gate campaigns use too: trials run side by side on one block
+array of about ``PROGRAM_BLOCK_CELLS`` cells, 4x a gate campaign's
+``BLOCK_CELLS``, since a program replays all its ops per block at a fixed
+few numpy calls each.  Trial ``i`` draws from stream ``i``, numpy's
+``default_rng(SeedSequence((seed, i)))``, at the stream positions of one
+full ``program.rows x program.cols`` grid, but only the corner of cells
+the block uses is transformed (``sample_params(..., keep=...)``).
 
 Every mode first runs the soundness audit, which replays the ops'
 ``node``/``output`` names against the netlist; nominal and MC runs also
@@ -31,8 +26,7 @@ compiled start times, and their cost never depends on the cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +36,8 @@ from gcpim.montecarlo import (
     CombinationResult,
     SuccessReport,
     VariationConfig,
-    block_array,
+    block_masks,
     sample_params,
-    score_block,
     stream_generators,
 )
 from gcpim.subarray import OpKind, SubArray
@@ -129,46 +122,20 @@ def run_program_on_array(
     program: PimProgram,
     subarray: SubArray,
     vectors: dict[str, np.ndarray],
-    columns: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Execute the timestamped ops; returns output name -> one bit per
     array column.
 
-    Array column ``j`` runs program column ``columns[j]``: each
-    ``input:<name>`` WRITE stores that column's bit of the input.  Program
-    columns past the end of the input vectors hold input bits of 0.
+    Array column ``j`` holds vector ``j``: each ``input:<name>`` WRITE
+    stores that input, with 0s in the columns past its end.
     """
-    columns = np.asarray(columns)
     inputs = {}
     for name, v in vectors.items():
-        padded = np.zeros(program.cols, dtype=np.uint8)
-        padded[:len(v)] = v
-        inputs[name] = padded[columns]
+        inputs[name] = np.zeros(subarray.cols, dtype=np.uint8)
+        inputs[name][:len(v)] = v
     reads = subarray.run(program.ops, inputs)
     names = [op.output for op in program.ops if op.kind is OpKind.READ]
     return {name: bits for name, bits in zip(names, reads) if name is not None}
-
-
-def _run_mc_block(program, model, var_cfg, vectors, ideal_out, input_writes, n_rows,
-                  width, rngs: Iterator[np.random.Generator], n: int):
-    """Run ``n`` MC trials side by side on one block array.
-
-    Trial ``i`` draws from the ``i``-th of the next ``n`` generators and
-    owns array columns ``[i*width, (i+1)*width)``.  ``input_writes``
-    pairs each input-written row with its input's name.  Returns the
-    ``score_block`` masks shaped (trials, width).
-    """
-    draws = (sample_params(var_cfg, rng, rows=program.rows, cols=program.cols,
-                           model_cfg=model, keep=(n_rows, width))
-             for rng in islice(rngs, n))
-    sa = block_array(model, program.timing, draws)
-    outputs = run_program_on_array(program, sa, vectors, np.tile(np.arange(width), n))
-    masks = score_block(
-        sa, [outputs[name] for name in ideal_out],
-        [np.tile(want, n) for want in ideal_out.values()],
-        [row for row, _ in input_writes],
-        np.tile([vectors[name] for _, name in input_writes], n))
-    return tuple(mask.reshape(n, width) for mask in masks)
 
 
 def simulate_program(
@@ -209,21 +176,28 @@ def simulate_program(
                 f"({len(stale)} violations); recompile it with refresh insertion"
             )
 
-    if mode == "nominal":
-        sa = SubArray(model, program.timing, rows=program.rows,
-                      cols=program.cols, trace=trace)
-        outputs = run_program_on_array(program, sa, vectors, np.arange(program.cols))
-        return SimulationResult(
-            width=width, outputs={name: bits[:width] for name, bits in outputs.items()},
-            trace=sa.trace_rows)
-
-    # the netlist's outputs: ideal mode's result and MC's reference
+    # the netlist's outputs: ideal mode's result, and what nominal and MC
+    # runs are held to
     ideal_out = {
         name: np.broadcast_to(np.asarray(v, dtype=np.uint8), (width,)).copy()
         for name, v in program.netlist.evaluate(vectors).items()
     }
     if mode == "ideal":
         return SimulationResult(width=width, outputs=ideal_out)
+
+    if mode == "nominal":
+        sa = SubArray(model, program.timing, rows=program.rows,
+                      cols=program.cols, trace=trace)
+        outputs = {name: bits[:width]
+                   for name, bits in run_program_on_array(program, sa, vectors).items()}
+        for name, want in ideal_out.items():
+            wrong = np.flatnonzero(outputs[name] != want)
+            if wrong.size:
+                raise RetentionViolationError(
+                    f"nominal run differs from the netlist: output {name!r} wrong in "
+                    f"vector {wrong[0]} ({wrong.size} of {width} vectors); the retention "
+                    "audit checks ages, not levels")
+        return SimulationResult(width=width, outputs=outputs, trace=sa.trace_rows)
 
     # Monte Carlo over whole-program executions
     if var_cfg is None:
@@ -238,17 +212,12 @@ def simulate_program(
     # a block array keeps only the rows the program touches
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
-    # the rows the WRITE ops store inputs in, which the soundness audit checks
-    input_writes = [(op.rows[0], op.source[len("input:"):]) for op in program.ops
-                    if op.kind is OpKind.WRITE and op.source.startswith("input:")]
-    per_block = max(1, PROGRAM_BLOCK_CELLS // (n_rows * width))
     rngs = stream_generators(var_cfg.seed, range(n_trials))
-    blocks = [
-        _run_mc_block(program, model, var_cfg, vectors, ideal_out, input_writes, n_rows,
-                      width, rngs, min(per_block, n_trials - first))
-        for first in range(0, n_trials, per_block)
-    ]
-    ok, fast, adverse = (np.concatenate(masks) for masks in zip(*blocks))
+    draws = (sample_params(var_cfg, rng, rows=program.rows, cols=program.cols,
+                           model_cfg=model, keep=(n_rows, width)) for rng in rngs)
+    ok, fast, adverse = (mask.reshape(n_trials, width) for mask in block_masks(
+        model, program.timing, program.ops, draws, n_trials,
+        max(1, PROGRAM_BLOCK_CELLS // (n_rows * width)), vectors, ideal_out))
 
     combos: dict[str, CombinationResult] = {}
     for key in dict.fromkeys(combo_key):  # stable order, unique

@@ -1,6 +1,6 @@
-"""Monte Carlo yield estimation for in-array NOT/NOR gates.
+"""Monte Carlo yield estimation for in-array NOT/NOR gates and programs.
 
-Each trial is one column-gate instance with freshly sampled per-cell
+Each gate trial is one column-gate instance with freshly sampled per-cell
 variation: the input cells' decay-rate multipliers and discharge-path
 offsets, the output cell's multiplier, and the column's sense threshold.
 Trials run through the same sub-array simulator as compiled programs
@@ -15,15 +15,14 @@ and results do not depend on execution order or batch scheduling.
 Stream ``s`` is numpy's ``default_rng(SeedSequence((seed, s)))``; a run
 seeds all its streams together (``stream_generators``), which computes
 numpy's seeding hash for a chunk of streams in one vectorised pass.
-Batches run side by side on the columns of one block array of about
-``BLOCK_CELLS`` cells (``block_array``), which program Monte Carlo uses
-too, at ``PROGRAM_BLOCK_CELLS``; columns never interact, so grouping
-changes no result.  Each path keeps its own draw contract: gates draw one
-``(k+1) x 64`` grid per batch; a program trial's stream is positioned as
-if it drew one full grid, but only the corner its block array keeps is
-transformed (``sample_params(..., keep=...)``).  Both score a block with
-``score_block`` and count one input combination's trials with
-``CombinationResult.from_masks``: its counts, keyed by the input bits.
+One engine, ``block_masks``, runs gates and programs alike: it stacks
+draws side by side on a block array of about ``BLOCK_CELLS`` cells
+(``PROGRAM_BLOCK_CELLS`` for programs), runs the ops and scores every
+column; columns never interact, so grouping changes no result.  A gate is
+a 3-op program and draws one ``(k+1) x 64`` grid per batch; a program
+trial's stream is positioned as if it drew one full grid, but only the
+corner its block keeps is transformed (``sample_params(..., keep=...)``).
+``CombinationResult.from_masks`` counts one input combination's trials.
 """
 
 from __future__ import annotations
@@ -47,13 +46,12 @@ __all__ = [
     "SampledVariation",
     "SuccessReport",
     "VariationConfig",
-    "block_array",
+    "block_masks",
     "calibrate_variation",
     "gate_trial_masks",
     "run_gate_campaign",
     "run_gate_trials",
     "sample_params",
-    "score_block",
     "stream_generators",
 ]
 
@@ -296,7 +294,7 @@ class CombinationResult:
     @classmethod
     def from_masks(cls, ok: np.ndarray, fast: np.ndarray,
                    adverse: np.ndarray) -> "CombinationResult":
-        """One combination's result from its ``score_block`` masks, one
+        """One combination's result from its ``block_masks`` masks, one
         entry per trial."""
         fail = ~ok
         return cls(
@@ -376,43 +374,59 @@ def _check_gate(gate: str, input_bits: Sequence[int]) -> tuple[str, tuple[int, .
     return name, bits
 
 
-def block_array(model: ModelConfig, timing: TimingEnergyConfig,
-                draws: Iterable[SampledVariation]) -> SubArray:
-    """One array holding the draws side by side, draw ``i`` right of draw
-    ``i-1``; every draw has the array's row count."""
-    tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
-                                  for sv in draws))
-    # rebound, so each draw's arrays are freed before the array is built
-    tau, drive, threshold = np.hstack(tau), np.hstack(drive), np.concatenate(threshold)
-    return SubArray(model, timing, rows=len(tau), cols=len(threshold),
-                    tau_scale=tau, drive_offset=drive, sa_threshold=threshold)
+def _across(values, cols: int) -> np.ndarray:
+    """``values`` for one draw's columns (one value stands for them all),
+    repeated across a block of ``cols`` columns."""
+    values = np.asarray(values)
+    return np.broadcast_to(values, (cols // values.size, values.size)).reshape(cols)
 
 
-def score_block(sa: SubArray, reads: Sequence[np.ndarray], wants: Sequence[np.ndarray],
-                input_rows: Sequence[int],
-                input_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score one block array's READ results, one entry per column.
+def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[MicroOp],
+                draws: Iterator[SampledVariation], n_draws: int, per_block: int,
+                inputs: dict, wants: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``ops`` on ``n_draws`` variation draws and score every column.
 
-    ``reads[j]`` and ``wants[j]`` are the sensed and wanted bits of output
-    ``j``; ``input_bits[i]`` is what input row ``input_rows[i]`` holds.
-    Returns the masks: every output right, some input cell holding '1'
-    decaying faster than nominal, and a sense threshold shifted toward the
-    failing side of the first wrong output (of the first output in a
-    column with none wrong): below the model's read threshold when a '0'
-    must be sensed, above it when a '1' must.
+    Up to ``per_block`` draws from ``draws`` run side by side on one block
+    array, draw ``i`` right of draw ``i-1``; every draw has the ops' row
+    count.  ``inputs[name]`` is what an ``input:<name>`` WRITE stores in
+    one draw's columns, and ``wants[name]`` what the READ of output
+    ``name`` must sense.  Returns the masks, one entry per column: every
+    output right, some input cell holding '1' decaying faster than
+    nominal, and a sense threshold shifted toward the failing side of the
+    first wrong output (of the first output in a column with none wrong):
+    below the model's read threshold when a '0' must be sensed, above it
+    when a '1' must.
     """
-    ok = reads[0] == wants[0]
-    side = wants[0]
-    for got, want in zip(reads[1:], wants[1:]):
-        side = np.where(ok & (got != want), want, side)
-        ok &= got == want
-    # faster than nominal: tau_ns * s < tau_ns exactly when s < 1, since a
-    # product with s < 1 never rounds up to tau_ns
-    fast = ((sa.tau[input_rows] < sa.model.tau_ns)
-            & np.asarray(input_bits, dtype=bool)).any(axis=0)
-    threshold, nominal = sa.sa_threshold, sa.model.v_sa_read
-    adverse = np.where(side == 0, threshold < nominal, threshold > nominal)
-    return ok, fast, adverse
+    writes = [(op.rows[0], op.source[len("input:"):]) for op in ops
+              if op.kind is OpKind.WRITE and op.source.startswith("input:")]
+    outputs = [op.output for op in ops if op.kind is OpKind.READ]
+    blocks = []
+    for first in range(0, n_draws, per_block):
+        tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
+                                      for sv in islice(draws, min(per_block, n_draws - first))))
+        # rebound, so each draw's arrays are freed before the array is built
+        tau, drive, threshold = np.hstack(tau), np.hstack(drive), np.concatenate(threshold)
+        sa = SubArray(model, timing, rows=len(tau), cols=len(threshold),
+                      tau_scale=tau, drive_offset=drive, sa_threshold=threshold)
+        del tau, drive  # the array keeps only what it derives from them
+        bits = {name: _across(v, sa.cols) for name, v in inputs.items()}
+        sensed = dict(zip(outputs, sa.run(ops, bits)))  # the last READ of a name
+        scored = [(sensed[name], _across(want, sa.cols)) for name, want in wants.items()]
+        got, side = scored[0]
+        ok = got == side
+        for got, want in scored[1:]:
+            side = np.where(ok & (got != want), want, side)
+            ok &= got == want
+        # faster than nominal: tau_ns * s < tau_ns exactly when s < 1, since
+        # a product with s < 1 never rounds up to tau_ns
+        fast = np.zeros(sa.cols, dtype=bool)
+        for row, name in writes:
+            fast |= (sa.tau[row] < model.tau_ns) & (bits[name] != 0)
+        adverse = np.where(side == 0, threshold < model.v_sa_read,
+                           threshold > model.v_sa_read)
+        blocks.append((ok, fast, adverse))
+        del sa  # before the next block's draws
+    return tuple(np.concatenate(masks) for masks in zip(*blocks))
 
 
 def gate_trial_masks(
@@ -449,28 +463,19 @@ def gate_trial_masks(
     # only when the remaining writes have not finished yet)
     t_first_valid = timing.t_write_ns
     t_logic = max(k * timing.t_write_ns, t_first_valid + input_age_ns - timing.t_init_ns)
-    ops = [MicroOp(OpKind.WRITE, (i,), source=f"const:{b}", t_start_ns=i * timing.t_write_ns)
-           for i, b in enumerate(bits)]
+    ops = [MicroOp(OpKind.WRITE, (i,), source=f"input:x{i}", t_start_ns=i * timing.t_write_ns)
+           for i in range(k)]
     ops += [MicroOp(OpKind.LOGIC, tuple(range(k)), out_row=k, t_start_ns=t_logic),
-            MicroOp(OpKind.READ, (k,), t_start_ns=t_logic + timing.t_logic_ns)]
+            MicroOp(OpKind.READ, (k,), t_start_ns=t_logic + timing.t_logic_ns, output="out")]
 
     n_batches = -(-n_trials // _BATCH_COLS)
-    per_block = max(1, BLOCK_CELLS // ((k + 1) * _BATCH_COLS))
     rngs = stream_generators(var_cfg.seed, range(stream_base, stream_base + n_batches))
-    blocks = []
-    for first in range(0, n_batches, per_block):
-        # zip takes the batch first, so a block stops without moving rngs on
-        draws = (
-            sample_params(var_cfg, rng, rows=k + 1,
-                          cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS),
-                          model_cfg=model)
-            for b, rng in zip(range(first, min(first + per_block, n_batches)), rngs)
-        )
-        sa = block_array(model, timing, draws)
-        blocks.append(score_block(
-            sa, sa.run(ops), [np.full(sa.cols, expected)], range(k),
-            np.repeat(np.array(bits, dtype=bool)[:, None], sa.cols, axis=1)))
-    return tuple(np.concatenate(masks) for masks in zip(*blocks))
+    draws = (sample_params(var_cfg, rng, rows=k + 1,
+                           cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS), model_cfg=model)
+             for b, rng in enumerate(rngs))
+    return block_masks(model, timing, ops, draws, n_batches,
+                       max(1, BLOCK_CELLS // ((k + 1) * _BATCH_COLS)),
+                       {f"x{i}": b for i, b in enumerate(bits)}, {"out": expected})
 
 
 def run_gate_trials(

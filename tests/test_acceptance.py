@@ -247,7 +247,7 @@ def test_08_refresh_keeps_long_programs_alive(capsys):
         # the array itself, past the audit, computes garbage
         sa = SubArray(short, bare.timing, rows=bare.rows, cols=bare.cols)
         width = len(vectors["a"])
-        broken = run_program_on_array(bare, sa, vectors, np.arange(bare.cols))
+        broken = run_program_on_array(bare, sa, vectors)
         assert any(
             not np.array_equal(broken[k][:width], ideal.outputs[k])
             for k in ideal.outputs

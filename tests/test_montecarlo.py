@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import gcpim.montecarlo as mc_mod
 from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
     BASE_SIGMA_RATIOS,
@@ -314,6 +315,22 @@ def test_block_grouping_matches_per_batch_reference(gate, bits_):
     np.testing.assert_array_equal(fast, np.concatenate(fast_ref))
     np.testing.assert_array_equal(adverse, np.concatenate(adverse_ref))
     assert 0 < np.sum(~ok) < n_trials
+
+
+@pytest.mark.parametrize("gate,bits_", [("NOT", (1,)), ("NOR", (0, 1)), ("NOR", (1, 1, 1))])
+def test_block_grouping_changes_no_result(monkeypatch, gate, bits_):
+    # 337 trials are 6 batches, the last one partial: one batch per block,
+    # blocks of 4 and 2, and the default budget, which holds all 6
+    rows = len(bits_) + 1
+    assert BLOCK_CELLS // (rows * 64) >= 6
+    results = []
+    for budget in (1, 4 * rows * 64, BLOCK_CELLS):
+        monkeypatch.setattr(mc_mod, "BLOCK_CELLS", budget)
+        results.append(gate_trial_masks(gate, bits_, 337, 5000, VAR.scaled(3.0), CFG))
+    for masks in results[1:]:
+        for got, want in zip(masks, results[0]):
+            np.testing.assert_array_equal(got, want)
+    assert all(mask.shape == (337,) for mask in results[0])
 
 
 def test_attribution_direction_forced_failure():

@@ -23,6 +23,7 @@ from gcpim.compiler import (
     CapacityError,
     CompilerConfig,
     PimProgram,
+    RetentionViolationError,
     UnsoundProgramError,
     allocate_rows,
     compile_program,
@@ -548,9 +549,9 @@ def test_nominal_matches_ideal_for_a_corpus():
             )
 
 
-def test_only_ideal_and_mc_runs_evaluate_the_netlist(monkeypatch):
-    # a nominal run computes its outputs on the array; only ideal mode
-    # (its result) and MC (its reference) need the netlist's
+def test_every_mode_evaluates_the_netlist_once(monkeypatch):
+    # the netlist's outputs are ideal mode's result, the values a nominal
+    # run must match and MC's reference
     prog = compile_program("s = a ^ b;\nc = a & b;")
     vecs = exhaustive_vectors(prog.inputs)
     evaluate = NorNetlist.evaluate
@@ -561,10 +562,42 @@ def test_only_ideal_and_mc_runs_evaluate_the_netlist(monkeypatch):
         return evaluate(self, vectors)
 
     monkeypatch.setattr(NorNetlist, "evaluate", counted)
-    for mode, want in (("nominal", 0), ("ideal", 1), ("mc", 1)):
+    for mode in ("ideal", "nominal", "mc"):
         calls.clear()
         simulate_program(prog, vecs, mode=mode, var_cfg=VariationConfig(), n_trials=2)
-        assert len(calls) == want, mode
+        assert len(calls) == 1, mode
+
+
+def weak_and_text() -> str:
+    """``o = ~z`` reads ``z = a & b`` 1,655 NOTs (about 5 us) after it is
+    computed from inputs written as long before, and ``k`` keeps the NOT
+    chain alive: every value is read inside its retention window, but
+    ``o`` senses a level weakened hop by hop."""
+    nots = [f"t{i} = ~t{i - 1};" for i in range(1, 3310)]
+    return "\n".join(["t0 = ~f;", *nots[:1654], "z = a & b;", *nots[1654:],
+                      "k = t3309;", "o = ~z;"])
+
+
+def test_a_nominal_run_that_differs_from_the_netlist_raises(tmp_path, capsys):
+    prog = compile_program(weak_and_text())
+    assert (len(prog.ops), prog.n_refresh) == (3319, 0)
+    assert audit_refresh_safety(prog) == audit_row_soundness(prog) == []
+    vecs = {"f": [0], "a": [1], "b": [1]}
+    assert simulate_program(prog, vecs, mode="ideal").outputs["o"].tolist() == [0]
+    with pytest.raises(RetentionViolationError,
+                       match=r"output 'o' wrong in vector 0 \(1 of 1 vectors\)"):
+        simulate_program(prog, vecs, mode="nominal")
+    prog.to_json(tmp_path / "prog.json")
+    (tmp_path / "inputs.csv").write_text("f,a,b\n0,1,1\n")
+    assert main(["run", str(tmp_path / "prog.json"), "--inputs", str(tmp_path / "inputs.csv"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "gcpim: resource error: nominal run differs" in capsys.readouterr().err
+    # tight windows with tau re-derived for them: audit-clean, 4 refreshes
+    prog = compile_program(REWRITE_43_28, model_cfg=MODEL_43_28)
+    with pytest.raises(RetentionViolationError,
+                       match=r"output 'o0' wrong in vector 22 \(4 of 64 vectors\)"):
+        simulate_program(prog, exhaustive_vectors(prog.inputs), mode="nominal",
+                         model_cfg=MODEL_43_28.calibrated())
 
 
 def cli_run(tmp_path, prog, vecs, mode, model=None, trials=None):
@@ -629,7 +662,7 @@ def test_unrefreshed_program_fails_physically():
     with pytest.raises(ValueError):
         simulate_program(prog, vecs, mode="nominal", model_cfg=SHORT)
     sa = SubArray(SHORT, prog.timing, rows=prog.rows, cols=prog.cols)
-    nom = run_program_on_array(prog, sa, vecs, np.arange(prog.cols))
+    nom = run_program_on_array(prog, sa, vecs)
     ideal = simulate_program(prog, vecs, mode="ideal")
     assert not np.array_equal(nom["out"][:len(vecs["a"])], ideal.outputs["out"])
 
@@ -752,7 +785,7 @@ def reference_program_mc(prog, vecs, var_cfg, n_trials):
         sa = SubArray(model, prog.timing, rows=prog.rows, cols=prog.cols,
                       tau_scale=sv.tau_scale, drive_offset=sv.drive_offset,
                       sa_threshold=sv.sa_threshold)
-        out = run_program_on_array(prog, sa, vectors, np.arange(prog.cols))
+        out = run_program_on_array(prog, sa, vectors)
         for c in range(width):
             key = "".join(str(vectors[n][c]) for n in prog.inputs)
             tally = counts.setdefault(key, [0, 0, 0, 0, 0])
@@ -844,16 +877,15 @@ def test_batched_mc_matches_per_trial_reference_with_anonymous_ops():
     vecs = exhaustive_vectors(prog.inputs)
     assert_batched_mc_matches_reference(prog, vecs, VariationConfig().scaled(5.0), 60)
 
-    # each array column is written the input bit of the program column
-    # it runs
+    # array column j holds vector j, and the columns past the 4 vectors
+    # hold all-zero inputs: a ^ b = 0 and ~a = 1 there
     named = dataclasses.replace(
         prog, ops=(*prog.ops[:2], dataclasses.replace(prog.ops[2], output="not_a"),
                    *prog.ops[3:]))
-    columns = np.array([3, 3, 0, 1, 2, 1])
-    sa = SubArray(ModelConfig(), TIM, rows=42, cols=len(columns))
-    out = run_program_on_array(named, sa, {n: np.array(v) for n, v in vecs.items()},
-                               columns)
-    np.testing.assert_array_equal(out["not_a"], 1 - np.array(vecs["a"])[columns])
+    sa = SubArray(ModelConfig(), TIM, rows=42, cols=8)
+    out = run_program_on_array(named, sa, {n: np.array(v) for n, v in vecs.items()})
+    np.testing.assert_array_equal(out["out"], [0, 1, 1, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(out["not_a"], [1, 1, 0, 0, 1, 1, 1, 1])
 
 
 def test_mc_ledger_is_the_nominal_ledger(tmp_path, capsys):
