@@ -17,7 +17,7 @@ time constant (``time_constant``) and its drive threshold
 (``drive_threshold``), both derived once from the model and the cell's
 sampled variation.  Voltages and per-cell parameters may be scalars or
 numpy arrays and broadcast elementwise, so a whole row evaluates in one
-call.
+call; the ``*_scalar`` twins take one Python float, for a replay.
 """
 
 from __future__ import annotations
@@ -34,10 +34,13 @@ __all__ = [
     "RETIRED_KEYS",
     "calibrate_tau",
     "decay",
+    "decay_scalar",
     "drive_threshold",
     "known_keys",
     "overdrive",
+    "overdrive_scalar",
     "residual_from_overdrive",
+    "residual_scalar",
     "sense",
     "time_constant",
 ]
@@ -204,3 +207,21 @@ def residual_from_overdrive(total_overdrive, cfg: ModelConfig):
     pull = np.minimum(1.0, np.maximum(d, 0.0) / (cfg.vdd - cfg.v_t_drive))
     out = cfg.vdd - (cfg.vdd - cfg.v_residual_floor) * pull
     return float(out) if out.ndim == 0 else out
+
+
+def decay_scalar(voltage: float, dt: float, tau: float) -> float:
+    """``decay`` of one level, on floats; ``dt`` is not checked."""
+    return voltage * math.exp(-dt / tau)
+
+
+def overdrive_scalar(voltage: float, threshold: float) -> float:
+    """``overdrive`` of one level, on floats."""
+    return voltage - threshold if voltage > threshold else 0.0
+
+
+def residual_scalar(total_overdrive: float, cfg: ModelConfig) -> float:
+    """``residual_from_overdrive`` of one summed drive, on floats."""
+    if total_overdrive <= 0.0:
+        return cfg.vdd
+    pull = total_overdrive / (cfg.vdd - cfg.v_t_drive)
+    return cfg.vdd - (cfg.vdd - cfg.v_residual_floor) * (pull if pull < 1.0 else 1.0)

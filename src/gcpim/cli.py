@@ -176,6 +176,9 @@ def cmd_run(args) -> int:
     _write_artifacts(args.out, writers)
     print(f"{mode} run: {res.width} vectors, {prog.duration_ns} ns, "
           f"{prog.energy_fj:.1f} fJ")
+    if res.margin is not None:  # a program that runs reads at least one output
+        (v, at), how = res.margin, "certified" if res.certified else "array-checked"
+        print(f"worst margin: {1000 * v:.1f} mV at op {at} ({prog.ops[at].kind.value}), {how}")
     code = EXIT_OK if res.report is None else _print_report(res.report, cfg.run.success_floor)
     print(f"results in {args.out}")
     return code

@@ -32,6 +32,7 @@ from gcpim.compiler.program import (
     audit_row_soundness,
     compile_program,
     insert_refresh,
+    worst_margin,
 )
 from gcpim.compiler.simulate import (
     RetentionViolationError,
@@ -50,5 +51,5 @@ __all__ = [
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",
     "compile_program", "eval_expr", "exhaustive_vectors", "insert_refresh",
     "lower_program", "lower_to_nor", "parse_expr", "parse_program",
-    "run_program_on_array", "simulate_program",
+    "run_program_on_array", "simulate_program", "worst_margin",
 ]

@@ -15,8 +15,9 @@ A value is live only while a later op consumes it: once its last consumer
 has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
 the op that needs it, never earlier than required, found with a heap of
-read deadlines in O((ops + refreshes) * log rows).  Insertion and the
-audits share one retention-age rule (``retention_ages``).
+read deadlines in O((ops + refreshes) * log rows).  Insertion, the
+audits and the worst-case level replay (``level_intervals``) share one
+retention-age rule (``_RowAges``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii
 
-from gcpim.charge import ConfigError, ModelConfig, known_keys
+from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys,
+                          overdrive_scalar, residual_scalar)
 from gcpim.subarray import MicroOp, OpKind, TimingEnergyConfig
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
 from gcpim.compiler.expr import parse_program
@@ -43,7 +45,9 @@ __all__ = [
     "compile_program",
     "emit_ops",
     "insert_refresh",
+    "level_intervals",
     "retention_ages",
+    "worst_margin",
 ]
 
 PROGRAM_FORMAT = "gcpim-program"
@@ -310,6 +314,46 @@ def retention_ages(ops, timing: TimingEnergyConfig):
         for row, t, age in sensed(op, op.t_start_ns):
             yield i, op, row, t, age
         commit(op, op.t_start_ns)
+
+
+def level_intervals(program: "PimProgram", model: ModelConfig):
+    """Worst-case level replay: yield ``(op_index, op, lo1, hi0)`` per READ
+    and REFRESH, the weakest '1' and strongest '0' a nominal cell of the
+    sensed row can hold at that instant, for any input vector.  WRITE and
+    REFRESH store rails, a never-written row holds (0, 0).  A LOGIC '1'
+    (every input '0') gets the residual of all inputs' summed overdrives
+    at their ``hi0``, a '0' that of the smallest single-input overdrive at
+    ``lo1``.  The laws are monotone, so ``hi0 < v_sa_read <= lo1`` means
+    the sense reads the netlist value.
+    """
+    tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
+    ages, levels = _RowAges(program.timing), {}  # levels: row -> (lo1, hi0) at t_valid
+    for i, op in enumerate(program.ops):
+        sensed = ages.sensed(op, op.t_start_ns)
+        if op.kind is OpKind.LOGIC:
+            total, weakest = 0.0, float("inf")
+            for row, _, age in sensed:
+                lo1, hi0 = levels.get(row, (0.0, 0.0))
+                total += overdrive_scalar(decay_scalar(hi0, age or 0, tau), v_t)
+                drive = overdrive_scalar(decay_scalar(lo1, age or 0, tau), v_t)
+                if drive < weakest:
+                    weakest = drive
+            levels[op.out_row] = (residual_scalar(total, model), residual_scalar(weakest, model))
+        else:
+            for row, _, age in sensed:  # the row of a READ or REFRESH
+                lo1, hi0 = levels.get(row, (0.0, 0.0))
+                yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
+            if op.kind is not OpKind.READ:
+                levels[op.rows[0]] = rails
+        ages.commit(op, op.t_start_ns)
+
+
+def worst_margin(program: "PimProgram", model: ModelConfig) -> tuple[float, int | None]:
+    """The smallest ``min(lo1 - v_sa_read, v_sa_read - hi0)`` (volts) of
+    ``level_intervals`` and its first op index; (inf, None) if none."""
+    v = model.v_sa_read
+    return min(((min(lo1 - v, v - hi0), i) for i, _, lo1, hi0 in level_intervals(program, model)),
+               default=(float("inf"), None))
 
 
 def insert_refresh(program: "PimProgram") -> "PimProgram":

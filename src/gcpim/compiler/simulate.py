@@ -2,8 +2,10 @@
 
 Input vectors are laid out one per column, so a single pass evaluates up
 to 64 vectors bitwise-parallel.  Every mode evaluates the netlist once:
-its outputs are ideal mode's result, the values a nominal run must match
-(or raise ``RetentionViolationError``) and Monte Carlo's reference.
+its outputs are every mode's result and Monte Carlo's reference.  A
+``worst_margin`` above ``MARGIN_ALLOWANCE_V`` certifies them for nominal
+cells; otherwise (the bound is conservative) or when tracing, a nominal
+array runs and must match them or raise ``RetentionViolationError``.
 Monte Carlo gives every trial its own variation draw, shared by the
 trial's columns, and scores each column through ``montecarlo.block_masks``,
 the engine gate campaigns use too: trials run side by side on one block
@@ -42,12 +44,15 @@ from gcpim.montecarlo import (
 )
 from gcpim.subarray import OpKind, SubArray
 from gcpim.compiler.program import (MalformedProgramError, PimProgram, audit_refresh_safety,
-                                    audit_row_soundness)
+                                    audit_row_soundness, worst_margin)
 
-__all__ = ["RetentionViolationError", "SimulationResult", "UnsoundProgramError",
-           "exhaustive_vectors", "run_program_on_array", "simulate_program"]
+__all__ = ["MARGIN_ALLOWANCE_V", "RetentionViolationError", "SimulationResult",
+           "UnsoundProgramError", "exhaustive_vectors", "run_program_on_array",
+           "simulate_program"]
 
 MODES = ("ideal", "nominal", "mc")
+
+MARGIN_ALLOWANCE_V = 1e-6  # far above where replay and array round apart
 
 
 class UnsoundProgramError(MalformedProgramError):
@@ -66,6 +71,8 @@ class SimulationResult:
     outputs: dict[str, np.ndarray]
     trace: list[tuple[int, int, np.ndarray]] | None = None  # SubArray.trace_rows
     report: SuccessReport | None = None
+    margin: tuple[float, int | None] | None = None  # worst_margin; None in ideal mode
+    certified: bool = False  # the margin, not a nominal array run, vouches for the outputs
 
 
 def _normalize_vectors(program: PimProgram, input_vectors: dict) -> tuple[dict, int]:
@@ -150,12 +157,12 @@ def simulate_program(
 ) -> SimulationResult:
     """Run a compiled program over the given input vectors.
 
-    ideal: netlist evaluation only.  nominal: array simulation with
-    nominal cells (must match ideal).  mc: n_trials array simulations
-    with sampled variation, run in blocks of trials side by side on one
-    array's columns and scored per column against ideal; the returned
-    outputs are the ideal reference, and the report aggregates per input
-    combination.
+    ideal: netlist evaluation only.  nominal: the netlist's outputs,
+    certified by the worst margin or by a nominal array run (always when
+    tracing).  mc: that check, then n_trials array simulations with
+    sampled variation, run in blocks of trials side by side on one
+    array's columns and scored per column against ideal; the report
+    aggregates per input combination.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -185,26 +192,29 @@ def simulate_program(
     if mode == "ideal":
         return SimulationResult(width=width, outputs=ideal_out)
 
-    if mode == "nominal":
-        sa = SubArray(model, program.timing, rows=program.rows,
-                      cols=program.cols, trace=trace)
-        outputs = {name: bits[:width]
-                   for name, bits in run_program_on_array(program, sa, vectors).items()}
+    if mode == "mc" and var_cfg is None:
+        raise ConfigError("mc mode needs a VariationConfig (calibrated or explicit)")
+    if mode == "mc" and n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+
+    margin = worst_margin(program, model)
+    result = SimulationResult(width=width, outputs=ideal_out, margin=margin,
+                              certified=margin[0] > MARGIN_ALLOWANCE_V and not trace)
+    if not result.certified:
+        sa = SubArray(model, program.timing, rows=program.rows, cols=program.cols, trace=trace)
+        outputs = run_program_on_array(program, sa, vectors)
         for name, want in ideal_out.items():
-            wrong = np.flatnonzero(outputs[name] != want)
+            wrong = np.flatnonzero(outputs[name][:width] != want)
             if wrong.size:
                 raise RetentionViolationError(
                     f"nominal run differs from the netlist: output {name!r} wrong in "
                     f"vector {wrong[0]} ({wrong.size} of {width} vectors); the retention "
                     "audit checks ages, not levels")
-        return SimulationResult(width=width, outputs=outputs, trace=sa.trace_rows)
+        result.trace = sa.trace_rows
+    if mode == "nominal":
+        return result
 
     # Monte Carlo over whole-program executions
-    if var_cfg is None:
-        raise ConfigError("mc mode needs a VariationConfig (calibrated or explicit)")
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-
     combo_key = [
         "".join(str(int(vectors[name][c])) for name in program.inputs)
         for c in range(width)
@@ -224,8 +234,8 @@ def simulate_program(
         cols_for = [c for c in range(width) if combo_key[c] == key]
         combos[key] = CombinationResult.from_masks(
             ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for])
-    report = SuccessReport(
+    result.report = SuccessReport(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,
     )
-    return SimulationResult(width=width, outputs=ideal_out, report=report)
+    return result

@@ -22,9 +22,12 @@ from gcpim.charge import (
     ModelConfig,
     calibrate_tau,
     decay,
+    decay_scalar,
     drive_threshold,
     overdrive,
+    overdrive_scalar,
     residual_from_overdrive,
+    residual_scalar,
     sense,
     time_constant,
 )
@@ -118,6 +121,22 @@ def test_time_constant_is_below_nominal_exactly_when_the_multiplier_is(tau_ns, s
     # constant; that must agree with its sampled multiplier being below 1
     cfg = ModelConfig(tau_ns=tau_ns)
     assert (time_constant(scale, cfg) < cfg.tau_ns) == (scale < 1.0)
+
+
+@given(
+    v=st.floats(0.0, 1.2),
+    dt=st.integers(0, 40000),
+    tau=st.floats(1.0, 1e7),
+    threshold=st.floats(0.0, 0.44),
+    drive=st.floats(-1.0, 2.0) | st.sampled_from([0.0, CFG.vdd - CFG.v_t_drive]),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_scalar_twins_agree_with_the_kernels(v, dt, tau, threshold, drive):
+    # the margin replay evaluates the laws on floats; it must not drift
+    # from the kernels the array senses through
+    assert abs(decay_scalar(v, dt, tau) - decay(v, dt, tau)) <= 1e-12
+    assert abs(overdrive_scalar(v, threshold) - overdrive(v, threshold)) <= 1e-12
+    assert abs(residual_scalar(drive, CFG) - residual_from_overdrive(drive, CFG)) <= 1e-12
 
 
 def test_sense_tie_reads_high():

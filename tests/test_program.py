@@ -10,6 +10,7 @@ import bisect
 import dataclasses
 import hashlib
 import json
+import random
 from itertools import accumulate
 
 import numpy as np
@@ -40,10 +41,12 @@ from gcpim.compiler.program import (
     audit_refresh_safety,
     audit_row_soundness,
     emit_ops,
+    level_intervals,
+    worst_margin,
 )
 from gcpim.compiler.netlist import NorNetlist
 import gcpim.compiler.simulate as simulate_mod
-from gcpim.compiler.simulate import PROGRAM_BLOCK_CELLS
+from gcpim.compiler.simulate import MARGIN_ALLOWANCE_V, PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
 from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig
 
@@ -542,11 +545,12 @@ def test_nominal_matches_ideal_for_a_corpus():
         prog = compile_program(src, model_cfg=model)
         vecs = exhaustive_vectors(prog.inputs)
         ideal = simulate_program(prog, vecs, mode="ideal")
-        nom = simulate_program(prog, vecs, mode="nominal", model_cfg=model)
-        for name in ideal.outputs:
-            np.testing.assert_array_equal(
-                nom.outputs[name], ideal.outputs[name], err_msg=src
-            )
+        for trace in (False, True):  # a traced run simulates the array
+            nom = simulate_program(prog, vecs, mode="nominal", model_cfg=model, trace=trace)
+            for name in ideal.outputs:
+                np.testing.assert_array_equal(
+                    nom.outputs[name], ideal.outputs[name], err_msg=src
+                )
 
 
 def test_every_mode_evaluates_the_netlist_once(monkeypatch):
@@ -592,12 +596,123 @@ def test_a_nominal_run_that_differs_from_the_netlist_raises(tmp_path, capsys):
     assert main(["run", str(tmp_path / "prog.json"), "--inputs", str(tmp_path / "inputs.csv"),
                  "--out", str(tmp_path / "out")]) == 3
     assert "gcpim: resource error: nominal run differs" in capsys.readouterr().err
+    # the worst-case levels leave no margin at the READ of o, so the run
+    # fell back to the array; an MC run checks it too, instead of
+    # reporting the wrong answer as variation loss
+    margin, at = worst_margin(prog, ModelConfig())
+    assert (round(1000 * margin, 1), at) == (-2.9, 3318)
+    with pytest.raises(RetentionViolationError,
+                       match=r"output 'o' wrong in vector 0 \(2 of 3 vectors\)"):
+        simulate_program(prog, {"f": [0, 0, 1], "a": [1, 0, 1], "b": [1, 1, 1]},
+                         mode="mc", var_cfg=VariationConfig(), n_trials=50)
     # tight windows with tau re-derived for them: audit-clean, 4 refreshes
     prog = compile_program(REWRITE_43_28, model_cfg=MODEL_43_28)
     with pytest.raises(RetentionViolationError,
                        match=r"output 'o0' wrong in vector 22 \(4 of 64 vectors\)"):
         simulate_program(prog, exhaustive_vectors(prog.inputs), mode="nominal",
                          model_cfg=MODEL_43_28.calibrated())
+
+
+def corpus_xor_chain() -> str:
+    """The benchmark corpus's XOR chain: 1,101 operands, back-to-back
+    shuffles of 40 inputs drawn with ``random.Random(0)``."""
+    rng, slots = random.Random(0), []
+    while len(slots) < 1101:
+        round_ = list(range(40))
+        rng.shuffle(round_)
+        slots += round_
+    return xor_chain_source([f"i{k}" for k in slots[:1101]])
+
+
+def test_worst_margins_are_pinned():
+    cases = [(ripple_text(8), 64, 405.0, "READ"), (ripple_text(32), 256, 382.1, "READ"),
+             (corpus_xor_chain(), 64, 229.8, "REFRESH")]
+    for source, rows, want_mv, kind in cases:
+        prog = compile_program(source, CompilerConfig(rows=rows))
+        margin, at = worst_margin(prog, ModelConfig())
+        assert (round(1000 * margin, 1), prog.ops[at].kind.value) == (want_mv, kind), source
+    assert at == 2044  # the XOR chain's
+
+
+def test_run_prints_its_margin_and_the_certified_and_traced_artifacts_agree(
+        tmp_path, capsys):
+    prog = compile_program("s = a ^ b;\nc = a & b;")
+    vecs = exhaustive_vectors(prog.inputs)
+    nominal = cli_run(tmp_path, prog, vecs, "nominal")
+    assert "worst margin: 404.8 mV at op 11 (READ), certified" in capsys.readouterr().out
+    assert main(["run", str(tmp_path / "prog.json"), "--inputs", str(tmp_path / "inputs.csv"),
+                 "--trace", "--out", str(tmp_path / "traced")]) == 0
+    assert "worst margin: 404.8 mV at op 11 (READ), array-checked" in capsys.readouterr().out
+    for name in ("outputs.csv", "ledger.csv"):
+        assert (nominal / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()
+    cli_run(tmp_path, prog, vecs, "mc", trials=4)
+    assert "worst margin: 404.8 mV at op 11 (READ), certified" in capsys.readouterr().out
+
+
+def weak_level_case(n: int, split: int, exprs: list[str], read: int, div: int, arity: int):
+    """The ``_weak_level_cases`` draw of these values."""
+    nots = [f"t{i} = ~t{i - 1};" for i in range(1, n)]
+    return ("\n".join(["t0 = ~a;", *nots[:split],
+                       *(f"z{k} = {e};" for k, e in enumerate(exprs)), *nots[split:],
+                       f"k = t{n - 1};", *(f"o{k} = ~z{k};" for k in range(len(exprs)))]),
+            arity, ModelConfig(drt_read_ns=read, drt_logic_ns=read // div).calibrated())
+
+
+@st.composite
+def _weak_level_cases(draw):
+    """Expressions over a..e computed partway through a NOT chain of 10 to
+    400 gates and consumed after it, so their levels age while the chain
+    runs; arity 2 to 8, calibrated windows of 1 to 15 us."""
+    n = draw(st.integers(10, 400))
+    return weak_level_case(n, draw(st.integers(0, n - 1)),
+                           draw(st.lists(_expressions, min_size=1, max_size=3)),
+                           draw(st.integers(1000, 15_000)), draw(st.sampled_from([1, 2, 3])),
+                           draw(st.integers(2, 8)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_weak_level_cases())
+@example(case=weak_level_case(  # a NOR's '1' is pulled down by the sum of two weak '0's
+    390, 369, ["(a ^ (((b | e) & (b ^ e)) ^ e))"], 2300, 1, 3))
+def test_a_positive_margin_certifies_the_array(case):
+    # every nominal level a READ or REFRESH senses lies in the replay's
+    # interval for the value its row holds, and the READs sense the netlist
+    source, arity, model = case
+    try:
+        prog = compile_program(source, CompilerConfig(max_nor_arity=arity), model)
+    except RefreshScheduleError:
+        return
+    if worst_margin(prog, model)[0] <= MARGIN_ALLOWANCE_V:
+        return
+    netlist = prog.netlist
+    vecs = {name: np.asarray(bits) for name, bits in exhaustive_vectors(prog.inputs).items()}
+    width = len(vecs[prog.inputs[0]])
+    every_node = dataclasses.replace(
+        netlist, outputs=tuple((str(i), i) for i in range(len(netlist.nodes))))
+    value = {int(i): np.broadcast_to(v, (width,))
+             for i, v in every_node.evaluate(vecs).items()}
+    source_node = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
+                   for i, n in enumerate(netlist.nodes) if n.op != "nor"}
+    intervals = {i: (lo1, hi0) for i, _, lo1, hi0 in level_intervals(prog, model)}
+    ideal = netlist.evaluate(vecs)
+    inputs = {name: np.pad(v, (0, prog.cols - width)) for name, v in vecs.items()}
+    sa = SubArray(model, prog.timing, rows=prog.rows, cols=prog.cols, trace=True)
+    holds: dict[int, int] = {}  # row -> node id
+    for i, op in enumerate(prog.ops):
+        sampled = len(sa.trace_rows)
+        reads = sa.run([op], inputs)
+        if op.kind is OpKind.WRITE:
+            holds[op.rows[0]] = source_node[op.source]
+        elif op.kind is OpKind.LOGIC:
+            holds[op.out_row] = op.node
+        else:  # the first sample a READ or REFRESH records is the level it senses
+            _, row, level = sa.trace_rows[sampled]
+            lo1, hi0 = intervals[i]
+            ones = value[holds[row]] == 1
+            assert np.all(level[:width][ones] >= lo1 - 1e-9), (i, op)
+            assert np.all(level[:width][~ones] <= hi0 + 1e-9), (i, op)
+        if op.output is not None:
+            np.testing.assert_array_equal(reads[0][:width], ideal[op.output])
 
 
 def cli_run(tmp_path, prog, vecs, mode, model=None, trials=None):
@@ -649,8 +764,9 @@ def test_refreshed_program_still_computes_correctly():
     assert prog.n_refresh > 0
     vecs = exhaustive_vectors(prog.inputs)
     ideal = simulate_program(prog, vecs, mode="ideal")
-    nom = simulate_program(prog, vecs, mode="nominal", model_cfg=SHORT)
-    np.testing.assert_array_equal(nom.outputs["out"], ideal.outputs["out"])
+    for trace in (False, True):  # a traced run simulates the array
+        nom = simulate_program(prog, vecs, mode="nominal", model_cfg=SHORT, trace=trace)
+        np.testing.assert_array_equal(nom.outputs["out"], ideal.outputs["out"])
 
 
 def test_unrefreshed_program_fails_physically():

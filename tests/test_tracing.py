@@ -4,8 +4,9 @@
 rename or a changed lookup would otherwise surface only when the traced
 benchmark runs; here the tracer is loaded from its source (nothing is
 written under ``bench/``), entered and exited around one compile, and
-around a nominal run and a small program Monte Carlo, whose per-layer
-counts read zero if the array kernels stop calling the patched names.
+around a traced nominal run and a small program Monte Carlo, whose
+per-layer counts read zero if the array kernels stop calling the
+patched names.
 """
 
 import types
@@ -50,8 +51,10 @@ def test_the_run_path_goes_through_every_patched_kernel(tmp_path):
     inputs = tmp_path / "ab.csv"
     inputs.write_text("a,b\n0,0\n0,1\n1,0\n1,1\n")
     assert main(["compile", str(source), "-o", str(program)]) == 0
-    for command in (["run", str(program), "--inputs", str(inputs), "--mode", "nominal"],
-                    ["mc", "--program", str(program), "--trials", "8"]):
+    run = ["run", str(program), "--inputs", str(inputs), "--mode", "nominal"]
+    # a traced nominal run keeps the array path; an untraced one is
+    # certified by its margin and simulates no cell
+    for command in ([*run, "--trace"], ["mc", "--program", str(program), "--trials", "8"]):
         with tracing.Tracer() as tracer:
             assert main([*command, "--out", str(tmp_path / "out")]) == 0, command
         metrics = tracer.layer_metrics()
@@ -60,3 +63,7 @@ def test_the_run_path_goes_through_every_patched_kernel(tmp_path):
                      "charge.residual_calls"):
             assert metrics[name] > 0, (command[0], name)
     assert metrics["montecarlo.sample_params_calls"] == 8
+    with tracing.Tracer() as tracer:
+        assert main([*run, "--out", str(tmp_path / "out")]) == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["subarray.logic_calls"] == metrics["simulate.run_on_array_calls"] == 0
