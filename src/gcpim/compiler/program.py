@@ -15,9 +15,9 @@ A value is live only while a later op consumes it: once its last consumer
 has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
 the op that needs it, never earlier than required, found with a heap of
-read deadlines in O((ops + refreshes) * log rows).  Insertion, the
-audits and the worst-case level replay (``level_intervals``) share one
-retention-age rule (``_RowAges``).
+read deadlines in O((ops + refreshes) * log rows).  Insertion drives the
+retention-age rule (``_RowAges``) op by op; the audits and the worst-case
+level replay (``level_intervals``) read one replay of it, ``PimProgram.senses``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys,
@@ -46,7 +47,6 @@ __all__ = [
     "emit_ops",
     "insert_refresh",
     "level_intervals",
-    "retention_ages",
     "worst_margin",
 ]
 
@@ -121,6 +121,32 @@ class PimProgram:
             self.timing.energy_fj(op.kind, len(op.rows), self.cols)
             for op in self.ops
         )
+
+    @cached_property
+    def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores
+        return {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
+                for i, n in enumerate(self.netlist.nodes) if n.op != "nor"}
+
+    @cached_property
+    def senses(self) -> list[list[tuple[int, int, int | None, int | None]]]:
+        """Per op, ``(row, t_sense, age, held)`` per row it senses, as
+        ``_RowAges.sensed`` plus ``held``: the row's netlist node (a REFRESH
+        keeps it), None if anonymous or unwritten.  One replay, on first use."""
+        sources, held = self.source_nodes, {}
+        ages, table = _RowAges(self.timing), []
+        offset, t_valid = ages.sense_offset, ages.t_valid
+        for op in self.ops:
+            if op.kind is OpKind.WRITE:  # senses nothing
+                table.append([])
+                held[op.rows[0]] = sources.get(op.source)
+            else:  # sensed() inlined, each row's tuple built once
+                t = op.t_start_ns + offset[op.kind]
+                table.append([(r, t, t - t_valid[r] if r in t_valid else None, held.get(r))
+                              for r in op.rows])
+                if op.kind is OpKind.LOGIC:
+                    held[op.out_row] = op.node
+            ages.commit(op, op.t_start_ns)
+        return table
 
     @property
     def peak_rows(self) -> int:
@@ -305,17 +331,6 @@ class _RowAges:
                 heapq.heappush(self.heap, (written, row))
 
 
-def retention_ages(ops, timing: TimingEnergyConfig):
-    """Replay timestamped ops; yield ``(op_index, op, row, t_sense, age)``
-    for every sensed row, with ``age=None`` for a never-written row."""
-    ages = _RowAges(timing)
-    sensed, commit = ages.sensed, ages.commit
-    for i, op in enumerate(ops):
-        for row, t, age in sensed(op, op.t_start_ns):
-            yield i, op, row, t, age
-        commit(op, op.t_start_ns)
-
-
 def level_intervals(program: "PimProgram", model: ModelConfig):
     """Worst-case level replay: yield ``(op_index, op, lo1, hi0)`` per READ
     and REFRESH, the weakest '1' and strongest '0' a nominal cell of the
@@ -324,15 +339,14 @@ def level_intervals(program: "PimProgram", model: ModelConfig):
     (every input '0') gets the residual of all inputs' summed overdrives
     at their ``hi0``, a '0' that of the smallest single-input overdrive at
     ``lo1``.  The laws are monotone, so ``hi0 < v_sa_read <= lo1`` means
-    the sense reads the netlist value.
+    the sense reads the netlist value.  Ages come from ``program.senses``.
     """
     tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
-    ages, levels = _RowAges(program.timing), {}  # levels: row -> (lo1, hi0) at t_valid
-    for i, op in enumerate(program.ops):
-        sensed = ages.sensed(op, op.t_start_ns)
+    levels = {}  # row -> (lo1, hi0) at its t_valid
+    for i, (op, sensed) in enumerate(zip(program.ops, program.senses)):
         if op.kind is OpKind.LOGIC:
             total, weakest = 0.0, float("inf")
-            for row, _, age in sensed:
+            for row, _, age, _ in sensed:
                 lo1, hi0 = levels.get(row, (0.0, 0.0))
                 total += overdrive_scalar(decay_scalar(hi0, age or 0, tau), v_t)
                 drive = overdrive_scalar(decay_scalar(lo1, age or 0, tau), v_t)
@@ -340,12 +354,11 @@ def level_intervals(program: "PimProgram", model: ModelConfig):
                     weakest = drive
             levels[op.out_row] = (residual_scalar(total, model), residual_scalar(weakest, model))
         else:
-            for row, _, age in sensed:  # the row of a READ or REFRESH
+            for row, _, age, _ in sensed:  # the row of a READ or REFRESH
                 lo1, hi0 = levels.get(row, (0.0, 0.0))
                 yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
             if op.kind is not OpKind.READ:
                 levels[op.rows[0]] = rails
-        ages.commit(op, op.t_start_ns)
 
 
 def worst_margin(program: "PimProgram", model: ModelConfig) -> tuple[float, int | None]:
@@ -459,15 +472,9 @@ class AuditViolation:
 
 
 def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
-    """Every op that starts before the previous one ends, then every stale
-    or unwritten sense in the retention_ages replay.
-
-    Checks both of the program's budgets: consumed values must be within
-    the logic window, and refreshes must sense values still within the
-    read window.
-    """
-    budget = program.drt_logic_ns
-    drt_read = program.drt_read_ns
+    """Every op that starts before the previous one ends, then every sense
+    in ``program.senses`` of a never-written row, of a consumed value older
+    than the logic window or of a refreshed one older than the read window."""
     ops, duration = program.ops, program.timing.duration_ns
     violations = [
         AuditViolation(i, op.t_start_ns, None, "overlap",
@@ -475,43 +482,41 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
                        f"ends at {prev.t_start_ns + duration(prev.kind)}ns")
         for i, (prev, op) in enumerate(zip(ops, ops[1:]), 1)
         if op.t_start_ns < prev.t_start_ns + duration(prev.kind)]
-    for i, op, row, t, age in retention_ages(program.ops, program.timing):
+    for i, (op, sensed) in enumerate(zip(ops, program.senses)):
         refresh = op.kind is OpKind.REFRESH
-        if age is None:
-            violations.append(AuditViolation(
-                i, t, row, "unwritten",
-                f"refresh of never-written row {row}" if refresh
-                else f"row {row} consumed before any write"))
-        elif refresh and age > drt_read:
-            violations.append(AuditViolation(
-                i, t, row, "stale-refresh",
-                f"refresh senses row {row} at age {age}ns (> {drt_read}ns)"))
-        elif not refresh and age > budget:
-            violations.append(AuditViolation(
-                i, t, row, "stale-value",
-                f"row {row} consumed at age {age}ns (> {budget}ns)"))
+        for row, t, age, _ in sensed:
+            if age is None:
+                violations.append(AuditViolation(
+                    i, t, row, "unwritten",
+                    f"refresh of never-written row {row}" if refresh
+                    else f"row {row} consumed before any write"))
+            elif refresh and age > program.drt_read_ns:
+                violations.append(AuditViolation(
+                    i, t, row, "stale-refresh",
+                    f"refresh senses row {row} at age {age}ns (> {program.drt_read_ns}ns)"))
+            elif not refresh and age > program.drt_logic_ns:
+                violations.append(AuditViolation(
+                    i, t, row, "stale-value",
+                    f"row {row} consumed at age {age}ns (> {program.drt_logic_ns}ns)"))
     return violations
 
 
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
-    """Symbolic replay of row contents: every consumed row must hold
-    exactly the netlist value the op was compiled against, and every
-    program output must be read.  Rows outside the array and names the
-    netlist lacks are violations too, so a malformed file is caught
-    before any array is built."""
+    """Every consumed row must hold the netlist value the op was compiled
+    against (``held`` in ``program.senses``), and every output must be
+    read.  Rows outside the array and names the netlist lacks are
+    violations too, so a malformed file is caught before any array runs."""
     netlist = program.netlist
-    sources = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
-               for i, n in enumerate(netlist.nodes) if n.op != "nor"}
+    sources = program.source_nodes
     gates = set(netlist.gate_ids())
     output_map = netlist.output_map
     unread = set(output_map)
-    contents: dict[int, int | None] = {}  # row -> node id, None if anonymous
     violations: list[AuditViolation] = []
 
     def flag(i: int, op: MicroOp, row, kind: str, message: str) -> None:
         violations.append(AuditViolation(i, op.t_start_ns, row, kind, message))
 
-    for i, op in enumerate(program.ops):
+    for i, (op, sensed) in enumerate(zip(program.ops, program.senses)):
         for row in (*op.rows, op.out_row):
             if row is not None and not 0 <= row < program.rows:
                 flag(i, op, row, "outside-array",
@@ -520,7 +525,6 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
             if op.source not in sources:
                 flag(i, op, op.rows[0], "unknown-name",
                      f"write of unknown source {op.source!r}")
-            contents[op.rows[0]] = sources.get(op.source)
         elif op.kind is OpKind.LOGIC:
             nid = op.node
             if nid is not None and nid not in gates:
@@ -528,20 +532,20 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
                      f"LOGIC computes node {nid!r}, not a gate of the netlist")
             elif nid is not None:
                 expected_args = set(netlist.nodes[nid].args)
-                found_args = {contents.get(r) for r in op.rows}
+                found_args = {held for _, _, _, held in sensed}
                 if found_args != expected_args:
                     flag(i, op, op.out_row, "clobbered",
                          f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
                          f"expected nodes {sorted(expected_args)}")
-            contents[op.out_row] = nid
         elif op.kind is OpKind.READ and op.output is not None:
-            row, expected = op.rows[0], output_map.get(op.output)
+            [(row, _, _, held)] = sensed
+            expected = output_map.get(op.output)
             if expected is None:
                 flag(i, op, row, "unknown-name",
                      f"READ senses output {op.output!r}, not an output of the netlist")
-            elif contents.get(row) != expected:
+            elif held != expected:
                 flag(i, op, row, "clobbered",
-                     f"row {row} holds node {contents.get(row)}, expected node {expected}")
+                     f"row {row} holds node {held}, expected node {expected}")
             unread.discard(op.output)
     for name in sorted(unread):
         violations.append(AuditViolation(len(program.ops), program.duration_ns, None,

@@ -6,22 +6,18 @@ its outputs are every mode's result and Monte Carlo's reference.  A
 ``worst_margin`` above ``MARGIN_ALLOWANCE_V`` certifies them for nominal
 cells; otherwise (the bound is conservative) or when tracing, a nominal
 array runs and must match them or raise ``RetentionViolationError``.
-Monte Carlo gives every trial its own variation draw, shared by the
-trial's columns, and scores each column through ``montecarlo.block_masks``,
-the engine gate campaigns use too: trials run side by side on one block
-array of about ``PROGRAM_BLOCK_CELLS`` cells, 4x a gate campaign's
-``BLOCK_CELLS``, since a program replays all its ops per block at a fixed
-few numpy calls each.  Trial ``i`` draws from stream ``i``, numpy's
-``default_rng(SeedSequence((seed, i)))``, at the stream positions of one
-full ``program.rows x program.cols`` grid, but only the corner of cells
-the block uses is transformed (``sample_params(..., keep=...)``).
+Monte Carlo gives trial ``i`` its own variation draw, from stream ``i``
+and shared by the trial's columns, and scores each column through
+``montecarlo.block_masks`` on block arrays of about ``PROGRAM_BLOCK_CELLS``
+cells.
 
-Every mode first runs the soundness audit, which replays the ops'
-``node``/``output`` names against the netlist; nominal and MC runs also
-run the retention audit.  A program that fails either is never executed:
-run an unrefreshed program's ops with ``run_program_on_array`` to see
-what the array computes.  A run's time and energy are the program's
-own (``PimProgram.duration_ns`` and ``energy_fj``): its ops carry their
+Every mode first runs the soundness audit; nominal and MC runs also run
+the retention audit and the margin replay.  All three read one replay of
+the ops, ``PimProgram.senses``, which the first of them builds.  A
+program that fails an audit is never executed: run an unrefreshed
+program's ops with ``run_program_on_array`` to see what the array
+computes.  A run's time and energy are the program's own
+(``PimProgram.duration_ns`` and ``energy_fj``): its ops carry their
 compiled start times, and their cost never depends on the cells.
 """
 

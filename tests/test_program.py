@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcpim.charge import ConfigError, ModelConfig
+from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, overdrive_scalar,
+                          residual_scalar)
 from gcpim.cli import main
 from gcpim.compiler import (
     CapacityError,
@@ -36,6 +37,7 @@ from gcpim.compiler import (
     simulate_program,
 )
 from gcpim.compiler.program import (
+    AuditViolation,
     RefreshScheduleError,
     _RowAges,
     audit_refresh_safety,
@@ -523,6 +525,208 @@ def test_audit_flags_a_refresh_of_a_never_written_row():
     assert [(v.op_index, v.row, v.kind) for v in bad] == [(0, 3, "unwritten")]
 
 
+# Oracles: the three separate replays that ``PimProgram.senses`` replaced,
+# each keeping its own per-row state.
+
+
+def oracle_retention_ages(ops, timing):
+    ages = _RowAges(timing)
+    for i, op in enumerate(ops):
+        for row, t, age in ages.sensed(op, op.t_start_ns):
+            yield i, op, row, t, age
+        ages.commit(op, op.t_start_ns)
+
+
+def oracle_audit_refresh_safety(program):
+    budget, drt_read = program.drt_logic_ns, program.drt_read_ns
+    ops, duration = program.ops, program.timing.duration_ns
+    violations = [
+        AuditViolation(i, op.t_start_ns, None, "overlap",
+                       f"op {i} starts at {op.t_start_ns}ns, before op {i - 1} "
+                       f"ends at {prev.t_start_ns + duration(prev.kind)}ns")
+        for i, (prev, op) in enumerate(zip(ops, ops[1:]), 1)
+        if op.t_start_ns < prev.t_start_ns + duration(prev.kind)]
+    for i, op, row, t, age in oracle_retention_ages(program.ops, program.timing):
+        refresh = op.kind is OpKind.REFRESH
+        if age is None:
+            violations.append(AuditViolation(
+                i, t, row, "unwritten",
+                f"refresh of never-written row {row}" if refresh
+                else f"row {row} consumed before any write"))
+        elif refresh and age > drt_read:
+            violations.append(AuditViolation(
+                i, t, row, "stale-refresh",
+                f"refresh senses row {row} at age {age}ns (> {drt_read}ns)"))
+        elif not refresh and age > budget:
+            violations.append(AuditViolation(
+                i, t, row, "stale-value",
+                f"row {row} consumed at age {age}ns (> {budget}ns)"))
+    return violations
+
+
+def oracle_audit_row_soundness(program):
+    netlist = program.netlist
+    sources = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
+               for i, n in enumerate(netlist.nodes) if n.op != "nor"}
+    gates = set(netlist.gate_ids())
+    output_map = netlist.output_map
+    unread = set(output_map)
+    contents = {}  # row -> node id, None if anonymous
+    violations = []
+
+    def flag(i, op, row, kind, message):
+        violations.append(AuditViolation(i, op.t_start_ns, row, kind, message))
+
+    for i, op in enumerate(program.ops):
+        for row in (*op.rows, op.out_row):
+            if row is not None and not 0 <= row < program.rows:
+                flag(i, op, row, "outside-array",
+                     f"row {row} is outside the {program.rows}-row array")
+        if op.kind is OpKind.WRITE:
+            if op.source not in sources:
+                flag(i, op, op.rows[0], "unknown-name",
+                     f"write of unknown source {op.source!r}")
+            contents[op.rows[0]] = sources.get(op.source)
+        elif op.kind is OpKind.LOGIC:
+            nid = op.node
+            if nid is not None and nid not in gates:
+                flag(i, op, op.out_row, "unknown-name",
+                     f"LOGIC computes node {nid!r}, not a gate of the netlist")
+            elif nid is not None:
+                expected_args = set(netlist.nodes[nid].args)
+                found_args = {contents.get(r) for r in op.rows}
+                if found_args != expected_args:
+                    flag(i, op, op.out_row, "clobbered",
+                         f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
+                         f"expected nodes {sorted(expected_args)}")
+            contents[op.out_row] = nid
+        elif op.kind is OpKind.READ and op.output is not None:
+            row, expected = op.rows[0], output_map.get(op.output)
+            if expected is None:
+                flag(i, op, row, "unknown-name",
+                     f"READ senses output {op.output!r}, not an output of the netlist")
+            elif contents.get(row) != expected:
+                flag(i, op, row, "clobbered",
+                     f"row {row} holds node {contents.get(row)}, expected node {expected}")
+            unread.discard(op.output)
+    for name in sorted(unread):
+        violations.append(AuditViolation(len(program.ops), program.duration_ns, None,
+                                         "unread-output", f"output {name!r} is never read"))
+    return violations
+
+
+def oracle_level_intervals(program, model):
+    tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
+    ages, levels = _RowAges(program.timing), {}
+    for i, op in enumerate(program.ops):
+        sensed = ages.sensed(op, op.t_start_ns)
+        if op.kind is OpKind.LOGIC:
+            total, weakest = 0.0, float("inf")
+            for row, _, age in sensed:
+                lo1, hi0 = levels.get(row, (0.0, 0.0))
+                total += overdrive_scalar(decay_scalar(hi0, age or 0, tau), v_t)
+                drive = overdrive_scalar(decay_scalar(lo1, age or 0, tau), v_t)
+                if drive < weakest:
+                    weakest = drive
+            levels[op.out_row] = (residual_scalar(total, model), residual_scalar(weakest, model))
+        else:
+            for row, _, age in sensed:
+                lo1, hi0 = levels.get(row, (0.0, 0.0))
+                yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
+            if op.kind is not OpKind.READ:
+                levels[op.rows[0]] = rails
+        ages.commit(op, op.t_start_ns)
+
+
+@st.composite
+def _mutated_programs(draw):
+    """A compiled program (windows of 40-400 ns, so about a quarter carry
+    refreshes; the emitted ops where insertion fails) with up to three ops
+    rebuilt through ``MicroOp``: the start of one op, or of it and every
+    later one, shifted; rows swapped with another op's; a row replaced (in
+    the array or up to 3 past it); an unknown or another ``node``,
+    ``output`` or ``source``; or a REFRESH dropped."""
+    if draw(st.booleans()):
+        source = ripple_text(draw(st.integers(1, 4)))
+    else:
+        source = "\n".join(f"o{k} = {e};" for k, e in enumerate(
+            draw(st.lists(_expressions, min_size=1, max_size=3))))
+    drt_read = draw(st.integers(40, 400))
+    model = ModelConfig(drt_read_ns=drt_read, drt_logic_ns=draw(st.integers(16, drt_read)))
+    cfg = CompilerConfig(max_nor_arity=3)
+    try:
+        prog = compile_program(source, cfg, model)
+    except RefreshScheduleError:  # then the emitted ops, unrefreshed
+        prog = compile_program(source, dataclasses.replace(cfg, insert_refreshes=False), model)
+    ops = list(prog.ops)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(ops) - 1)), draw(st.integers(0, len(ops) - 1))
+        op, how = ops[i], draw(st.sampled_from(["shift", "swap", "row", "name", "drop"]))
+        try:
+            if how == "shift":  # op i alone, or with every later op
+                delta, end = draw(st.integers(-40, 400)), draw(st.sampled_from([i + 1, None]))
+                ops[i:end] = [dataclasses.replace(o, t_start_ns=max(0, o.t_start_ns + delta))
+                              for o in ops[i:end]]
+            elif how == "swap":
+                ops[i], ops[j] = (dataclasses.replace(op, rows=ops[j].rows),
+                                  dataclasses.replace(ops[j], rows=op.rows))
+            elif how == "row":
+                rows = list(op.rows)
+                rows[draw(st.integers(0, len(rows) - 1))] = draw(
+                    st.integers(0, prog.rows - 1) | st.integers(prog.rows, prog.rows + 2))
+                ops[i] = dataclasses.replace(op, rows=tuple(rows))
+            elif how == "name":
+                key = {OpKind.LOGIC: "node", OpKind.READ: "output",
+                       OpKind.WRITE: "source"}.get(op.kind)
+                values = {"node": [999, *range(len(prog.netlist.nodes))],
+                          "output": ["nope", *prog.output_names],
+                          "source": ["input:zz", "const:2", *prog.source_nodes]}
+                if key is not None:
+                    ops[i] = dataclasses.replace(op, **{key: draw(st.sampled_from(values[key]))})
+            else:
+                refreshes = [k for k, o in enumerate(ops) if o.kind is OpKind.REFRESH]
+                if refreshes:
+                    del ops[draw(st.sampled_from(refreshes))]
+        except ValueError:  # MicroOp refuses it, e.g. a LOGIC row twice
+            pass
+    return dataclasses.replace(prog, ops=tuple(ops)), model
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_programs())
+def test_the_audits_and_the_level_replay_match_their_separate_replays(case):
+    prog, model = case
+    assert audit_row_soundness(prog) == oracle_audit_row_soundness(prog)
+    assert audit_refresh_safety(prog) == oracle_audit_refresh_safety(prog)
+    assert list(level_intervals(prog, model)) == list(oracle_level_intervals(prog, model))
+
+
+def test_a_replaced_program_reads_its_own_senses():
+    prog = compile_program("s = a ^ b;\nc = a & b;",
+                           model_cfg=ModelConfig(drt_read_ns=40, drt_logic_ns=12))
+    assert prog.n_refresh > 0 and audit_refresh_safety(prog) == []
+    table = prog.senses
+    k = next(i for i, op in enumerate(prog.ops) if op.kind is OpKind.REFRESH)
+    dropped = dataclasses.replace(prog, ops=prog.ops[:k] + prog.ops[k + 1:])
+    assert dropped.senses is not table and prog.senses is table
+    assert audit_refresh_safety(dropped) == oracle_audit_refresh_safety(dropped) != []
+    assert audit_refresh_safety(prog) == []
+
+
+def test_a_certified_run_replays_the_ops_once(monkeypatch):
+    prog = compile_program(ripple_text(2))
+    built = []
+    init = _RowAges.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_RowAges, "__init__", counted)
+    assert simulate_program(prog, exhaustive_vectors(prog.inputs)).certified
+    assert len(built) == 1
+
+
 # -- simulation -------------------------------------------------------
 
 
@@ -691,8 +895,7 @@ def test_a_positive_margin_certifies_the_array(case):
         netlist, outputs=tuple((str(i), i) for i in range(len(netlist.nodes))))
     value = {int(i): np.broadcast_to(v, (width,))
              for i, v in every_node.evaluate(vecs).items()}
-    source_node = {f"input:{n.name}" if n.op == "input" else f"const:{n.value}": i
-                   for i, n in enumerate(netlist.nodes) if n.op != "nor"}
+    source_node = prog.source_nodes
     intervals = {i: (lo1, hi0) for i, _, lo1, hi0 in level_intervals(prog, model)}
     ideal = netlist.evaluate(vecs)
     inputs = {name: np.pad(v, (0, prog.cols - width)) for name, v in vecs.items()}
