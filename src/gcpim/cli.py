@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -281,6 +282,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; main dispatches on ``command``
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gcpim",
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", help="run configuration JSON")
     c.add_argument("--no-refresh", action="store_true",
                    help="skip refresh insertion")
-    c.set_defaults(func=cmd_compile)
 
     r = sub.add_parser("run", help="execute a compiled program")
     r.add_argument("program", help="compiled program JSON")
@@ -307,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record node waveforms (nominal mode)")
     r.add_argument("--out", default="runout", help="output directory")
     r.add_argument("--config", help="run configuration JSON")
-    r.set_defaults(func=cmd_run)
 
     m = sub.add_parser("mc", help="Monte Carlo success-rate campaign")
     tgt = m.add_mutually_exclusive_group(required=True)
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, help="override the variation seed")
     m.add_argument("--out", default="mcout", help="output directory")
     m.add_argument("--config", help="run configuration JSON")
-    m.set_defaults(func=cmd_mc)
 
     k = sub.add_parser("calibrate", help="fit variation magnitudes to a yield target")
     k.add_argument("--target", type=float, default=0.995,
@@ -332,22 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out", default="calibrated.json",
                    help="output configuration path")
     k.add_argument("--config", help="starting configuration JSON")
-    k.set_defaults(func=cmd_calibrate)
 
     g = sub.add_parser("report", help="summarize event ledgers")
     g.add_argument("ledgers", nargs="+", help="ledger CSV files")
     g.add_argument("--period", type=int,
                    help="availability period in ns (default: makespan)")
     g.add_argument("--json", action="store_true", help="machine-readable output")
-    g.set_defaults(func=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # looked up per call, so a cmd_* patched after the parser was built runs
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

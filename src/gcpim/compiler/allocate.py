@@ -10,6 +10,7 @@ targets one of its own input rows.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from gcpim.compiler.netlist import NorNetlist
@@ -54,7 +55,7 @@ def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignmen
     row_of: dict[int, int] = {}
     input_rows: dict[str, int] = {}
     const_rows: dict[int, int] = {}
-    free = list(range(rows_available - 1, -1, -1))  # pop() yields lowest first
+    free = list(range(rows_available))  # a heap: the lowest free row first
     live: set[int] = set()
 
     def take_row(nid: int) -> None:
@@ -65,15 +66,13 @@ def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignmen
                 len(live) + 1,
                 tuple(sorted(live | {nid})),
             )
-        row_of[nid] = free.pop()
+        row_of[nid] = heapq.heappop(free)
         live.add(nid)
 
     # inputs first, in declaration order, so operand rows are stable
+    input_ids = {n.name: i for i, n in enumerate(netlist.nodes) if n.op == "input"}
     for name in netlist.inputs:
-        nid = next(
-            i for i, n in enumerate(netlist.nodes)
-            if n.op == "input" and n.name == name
-        )
+        nid = input_ids[name]
         take_row(nid)
         input_rows[name] = row_of[nid]
         protected.add(nid)
@@ -97,8 +96,7 @@ def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignmen
                 continue
             if last_consumer[a] == nid:
                 live.discard(a)
-                free.append(row_of[a])
-                free.sort(reverse=True)
+                heapq.heappush(free, row_of[a])
 
     return RowAssignment(row_of=row_of, input_rows=input_rows,
                          const_rows=const_rows, peak_live=peak)

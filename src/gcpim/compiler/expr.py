@@ -18,7 +18,7 @@ reaches the lowerer as one gate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 __all__ = [
@@ -106,42 +106,47 @@ class Program:
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<const>[01])|(?P<punct>[~&|^()=;])"
+    r"|(?P<const>[01])|(?P<punct>[~&|^()=;])|(?P<bad>.)"
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _Token:
+    """Frozen, slotted, equal by fields; stored as ``subarray.MicroOp`` stores its."""
+
     kind: str  # "name" | "const" | one of the punct chars | "eof"
     text: str
     line: int
     col: int
 
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_line(self, line)
+        _set_col(self, col)
+
+
+_set_kind, _set_text, _set_line, _set_col = (getattr(_Token, f.name).__set__
+                                             for f in fields(_Token))
+
 
 def _tokenize(text: str) -> list[_Token]:
+    """One scan; a token's column counts from the last newline before it."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        group = m.lastgroup
-        value = m.group()
-        if group == "name":
-            tokens.append(_Token("name", value, line, col))
-        elif group == "const":
-            tokens.append(_Token("const", value, line, col))
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(text):
+        group, value = m.lastgroup, m.group()
+        if group == "name" or group == "const":
+            tokens.append(_Token(group, value, line, m.start() - line_start + 1))
         elif group == "punct":
-            tokens.append(_Token(value, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            tokens.append(_Token(value, value, line, m.start() - line_start + 1))
+        elif group == "ws" and "\n" in value:
+            line += value.count("\n")
+            line_start = m.start() + value.rfind("\n") + 1
+        elif group == "bad":
+            raise ParseError(f"unexpected character {value!r}", line,
+                             m.start() - line_start + 1)
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -20,7 +20,10 @@ wider NORs are split by OR-reducing argument groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -33,12 +36,24 @@ from gcpim.compiler.expr import (
 __all__ = ["NetlistBuilder", "Node", "NorNetlist", "lower_program", "lower_to_nor"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
+    """Frozen, slotted, equal by fields; stored as ``MicroOp`` stores its."""
+
     op: str  # "input" | "const" | "nor"
     args: tuple[int, ...] = ()
     name: str | None = None
     value: int | None = None
+
+    def __init__(self, op: str, args: tuple[int, ...] = (), name: str | None = None,
+                 value: int | None = None) -> None:
+        _set_op(self, op)
+        _set_args(self, args)
+        _set_name(self, name)
+        _set_value(self, value)
+
+
+_set_op, _set_args, _set_name, _set_value = (getattr(Node, f.name).__set__ for f in fields(Node))
 
 
 @dataclass(frozen=True)
@@ -95,25 +110,33 @@ class NorNetlist:
         return sum(1 for n in self.nodes if n.op == "nor" and len(n.args) >= 2)
 
     def evaluate(self, env: dict) -> dict[str, np.ndarray]:
-        """Bitwise evaluation; env maps input name -> bit or bit array."""
+        """Bitwise evaluation; env maps input name -> bit or bit array, and
+        every output takes the inputs' broadcast shape.  The gates run on
+        Python ints, bit j holding element j of the flattened inputs."""
         missing = [n for n in self.inputs if n not in env]
         if missing:
             raise KeyError(f"no value bound for inputs {missing}")
-        values: list[np.ndarray] = []
+        bits = {n.name: np.asarray(env[n.name], dtype=np.uint8)
+                for n in self.nodes if n.op == "input"}
+        bad = [name for name, v in bits.items() if np.any(v > 1)]
+        if bad:
+            raise ValueError(f"input {bad[0]!r} has non-bit values")
+        shape = np.broadcast_shapes(*(v.shape for v in bits.values()))
+        size = math.prod(shape)
+        ones, values = (1 << size) - 1, []
         for node in self.nodes:
-            if node.op == "input":
-                v = np.asarray(env[node.name], dtype=np.uint8)
-                if np.any(v > 1):
-                    raise ValueError(f"input {node.name!r} has non-bit values")
-                values.append(v)
-            elif node.op == "const":
-                values.append(np.asarray(node.value, dtype=np.uint8))
+            if node.op == "nor":
+                values.append(ones ^ reduce(or_, map(values.__getitem__, node.args)))
+            elif node.op == "input":
+                packed = np.packbits(np.broadcast_to(bits[node.name], shape), bitorder="little")
+                values.append(int.from_bytes(packed.tobytes(), "little"))
             else:
-                acc = values[node.args[0]].astype(bool)
-                for a in node.args[1:]:
-                    acc = acc | values[a].astype(bool)
-                values.append((~acc).astype(np.uint8))
-        return {name: values[nid] for name, nid in self.outputs}
+                values.append(ones if node.value else 0)
+        outputs = {}
+        for name, nid in self.outputs:
+            packed = np.frombuffer(values[nid].to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+            outputs[name] = np.unpackbits(packed, count=size, bitorder="little").reshape(shape)
+        return outputs
 
     def truth_table(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Exhaustive (input bits, output bits) rows, inputs in MSB-first
@@ -211,7 +234,7 @@ class NetlistBuilder:
             )
         if canonical[0] < 0 or canonical[-1] >= len(self.nodes):  # sorted ends
             raise ValueError(f"unknown argument node in {canonical}")
-        return self._add(("nor", canonical), Node("nor", args=canonical))
+        return self._add(("nor", canonical), Node("nor", canonical))
 
     # -- capped gate constructors -------------------------------------
 

@@ -10,7 +10,7 @@ run's ledger hold that op.  Refresh insertion splices REFRESH ops in
 front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
 value would outlive the read retention window and become unrefreshable;
-it rebuilds only the ops whose start moved.
+it re-stamps only the ops whose start moved.
 A value is live only while a later op consumes it: once its last consumer
 has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
@@ -49,6 +49,9 @@ __all__ = [
     "level_intervals",
     "worst_margin",
 ]
+
+# the members as globals: in Python 3.11 an Enum class attribute read costs ~0.1 us
+_WRITE, _READ, _REFRESH, _LOGIC = OpKind
 
 PROGRAM_FORMAT = "gcpim-program"
 PROGRAM_VERSION = 2
@@ -106,7 +109,7 @@ class PimProgram:
 
     @property
     def n_refresh(self) -> int:
-        return sum(1 for op in self.ops if op.kind is OpKind.REFRESH)
+        return sum(1 for op in self.ops if op.kind is _REFRESH)
 
     @property
     def duration_ns(self) -> int:
@@ -136,14 +139,14 @@ class PimProgram:
         ages, table = _RowAges(self.timing), []
         offset, t_valid = ages.sense_offset, ages.t_valid
         for op in self.ops:
-            if op.kind is OpKind.WRITE:  # senses nothing
+            if op.kind is _WRITE:  # senses nothing
                 table.append([])
                 held[op.rows[0]] = sources.get(op.source)
             else:  # sensed() inlined, each row's tuple built once
                 t = op.t_start_ns + offset[op.kind]
                 table.append([(r, t, t - t_valid[r] if r in t_valid else None, held.get(r))
                               for r in op.rows])
-                if op.kind is OpKind.LOGIC:
+                if op.kind is _LOGIC:
                     held[op.out_row] = op.node
             ages.commit(op, op.t_start_ns)
         return table
@@ -257,28 +260,28 @@ def _op_line(op: MicroOp) -> str:
 
 _OP_KIND = {kind.value: kind for kind in OpKind}
 _OP_KEYS = frozenset(("op", "rows", "t_start_ns", "out_row", "source", "node", "output"))
+_INT, _INT_OR_NONE, _STR_OR_NONE = {int}, (int, type(None)), (str, type(None))
 
 
 def _op_from_json(entry: dict) -> MicroOp:
     """An op entry with every field type-checked (``type(True)`` is bool,
     not int), so a wrong-typed value is refused on load instead of
     crashing an audit.  An absent optional field reads as None, and any
-    other key is refused."""
+    other key is refused.  Each value is read once and the op is built
+    from it positionally."""
     get = entry.get
     rows, t_start = entry["rows"], entry["t_start_ns"]
     out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
-    if not (type(rows) is list and all(type(r) is int for r in rows)
-            and type(t_start) is int
-            and (out_row is None or type(out_row) is int)
-            and (node is None or type(node) is int)
-            and (source is None or type(source) is str)
-            and (output is None or type(output) is str)):
+    if not (type(rows) is list and type(t_start) is int
+            and type(out_row) in _INT_OR_NONE and type(node) in _INT_OR_NONE
+            and type(source) in _STR_OR_NONE and type(output) in _STR_OR_NONE
+            and _INT.issuperset(map(type, rows))):
         raise TypeError(f"op {entry}")
     kind = _OP_KIND.get(entry["op"])
     if kind is None:
         raise ValueError(f"unknown op {entry['op']!r}")
     op = MicroOp(kind, tuple(rows), out_row, source, t_start, node, output)
-    if not entry.keys() <= _OP_KEYS:  # after MicroOp, which names a WRITE without a source
+    if not _OP_KEYS.issuperset(entry):  # after MicroOp, which names a WRITE without a source
         raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
     return op
 
@@ -289,14 +292,15 @@ def emit_ops(netlist: NorNetlist, assignment: RowAssignment,
     t_write, t_logic, t_read = timing.t_write_ns, timing.t_logic_ns, timing.t_read_ns
     writes = [(assignment.const_rows[v], f"const:{v}") for v in sorted(assignment.const_rows)]
     writes += [(assignment.input_rows[name], f"input:{name}") for name in netlist.inputs]
-    ops = [MicroOp(OpKind.WRITE, (row,), source=source, t_start_ns=i * t_write)
+    ops = [MicroOp(_WRITE, (row,), source=source, t_start_ns=i * t_write)
            for i, (row, source) in enumerate(writes)]
-    t, row_of, gates = len(ops) * t_write, assignment.row_of, netlist.gate_ids()
-    ops += [MicroOp(OpKind.LOGIC, tuple(map(row_of.__getitem__, netlist.nodes[nid].args)),
-                    row_of[nid], t_start_ns=t + i * t_logic, node=nid)
+    t, row_of, nodes = len(ops) * t_write, assignment.row_of, netlist.nodes
+    gates = netlist.gate_ids()
+    ops += [MicroOp(_LOGIC, tuple(map(row_of.__getitem__, nodes[nid].args)), row_of[nid],
+                    None, t + i * t_logic, nid)  # positional: a keyword call costs more
             for i, nid in enumerate(gates)]
     t += len(gates) * t_logic
-    ops += [MicroOp(OpKind.READ, (row_of[nid],), t_start_ns=t + i * t_read, output=name)
+    ops += [MicroOp(_READ, (row_of[nid],), t_start_ns=t + i * t_read, output=name)
             for i, (name, nid) in enumerate(netlist.outputs)]
     return ops
 
@@ -308,7 +312,7 @@ class _RowAges:
     its pulse; ``t_valid`` maps each written row to that instant."""
 
     def __init__(self, timing: TimingEnergyConfig, heap: list | None = None) -> None:
-        self.sense_offset = {k: timing.t_init_ns if k is OpKind.LOGIC else 0
+        self.sense_offset = {k: timing.t_init_ns if k is _LOGIC else 0
                              for k in OpKind}
         self.duration = {k: timing.duration_ns(k) for k in OpKind}
         self.t_valid: dict[int, int] = {}
@@ -317,15 +321,15 @@ class _RowAges:
     def sensed(self, op: MicroOp, t_start: int) -> list[tuple[int, int, int | None]]:
         """(row, t_sense, age) per row the op senses when started at
         t_start; age is None for a row that was never written."""
-        if op.kind is OpKind.WRITE:
+        if op.kind is _WRITE:
             return []
         t = t_start + self.sense_offset[op.kind]
         t_valid = self.t_valid
         return [(r, t, t - t_valid[r] if r in t_valid else None) for r in op.rows]
 
     def commit(self, op: MicroOp, t_start: int) -> None:
-        if op.kind is not OpKind.READ:
-            row = op.out_row if op.kind is OpKind.LOGIC else op.rows[0]
+        if op.kind is not _READ:
+            row = op.out_row if op.kind is _LOGIC else op.rows[0]
             written = self.t_valid[row] = t_start + self.duration[op.kind]
             if self.heap is not None:
                 heapq.heappush(self.heap, (written, row))
@@ -344,7 +348,7 @@ def level_intervals(program: "PimProgram", model: ModelConfig):
     tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
     levels = {}  # row -> (lo1, hi0) at its t_valid
     for i, (op, sensed) in enumerate(zip(program.ops, program.senses)):
-        if op.kind is OpKind.LOGIC:
+        if op.kind is _LOGIC:
             total, weakest = 0.0, float("inf")
             for row, _, age, _ in sensed:
                 lo1, hi0 = levels.get(row, (0.0, 0.0))
@@ -357,7 +361,7 @@ def level_intervals(program: "PimProgram", model: ModelConfig):
             for row, _, age, _ in sensed:  # the row of a READ or REFRESH
                 lo1, hi0 = levels.get(row, (0.0, 0.0))
                 yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
-            if op.kind is not OpKind.READ:
+            if op.kind is not _READ:
                 levels[op.rows[0]] = rails
 
 
@@ -377,7 +381,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
     Timestamps are recomputed from t=0; the result is a new program that
-    keeps every op whose start did not move.
+    keeps every op whose start did not move and re-stamps the others
+    unchecked (``MicroOp.restamped``): a start only grows from 0.
 
     Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
     op i, entries due by its end are popped, dropped if the row was
@@ -398,9 +403,9 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     last_use = [-1] * len(ops)
     consumer: dict[int, int] = {}  # row -> last consumer of its next value
     for i, op in reversed(list(enumerate(ops))):
-        if op.kind in (OpKind.WRITE, OpKind.LOGIC):
-            last_use[i] = consumer.pop(op.out_row if op.kind is OpKind.LOGIC else op.rows[0], -1)
-        if op.kind in (OpKind.READ, OpKind.LOGIC):
+        if op.kind in (_WRITE, _LOGIC):
+            last_use[i] = consumer.pop(op.out_row if op.kind is _LOGIC else op.rows[0], -1)
+        if op.kind in (_READ, _LOGIC):
             for r in op.rows:
                 consumer.setdefault(r, i)
 
@@ -412,7 +417,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
 
     def emit_refresh(row: int) -> None:
         nonlocal t
-        op = MicroOp(OpKind.REFRESH, (row,), t_start_ns=t)
+        op = MicroOp(_REFRESH, (row,), t_start_ns=t)
         [(_, _, age)] = ages.sensed(op, t)
         if age > drt_read:
             raise RefreshScheduleError(
@@ -424,7 +429,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         t += timing.t_refresh_ns
 
     for i, op in enumerate(ops):
-        if op.kind is OpKind.REFRESH:
+        if op.kind is _REFRESH:
             # re-inserting over an already-refreshed program: drop old
             # refreshes, they are re-derived below
             continue
@@ -452,11 +457,10 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 )
             emit_refresh(row := min(due))
             due.discard(row)
-        new_ops.append(op if op.t_start_ns == t else MicroOp(
-            op.kind, op.rows, op.out_row, op.source, t, op.node, op.output))
+        new_ops.append(op if op.t_start_ns == t else op.restamped(t))
         ages.commit(op, t)
-        if op.kind is not OpKind.READ:
-            dies[op.out_row if op.kind is OpKind.LOGIC else op.rows[0]] = last_use[i]
+        if op.kind is not _READ:
+            dies[op.out_row if op.kind is _LOGIC else op.rows[0]] = last_use[i]
         t += dur
 
     return replace(program, ops=tuple(new_ops))
@@ -483,7 +487,7 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
         for i, (prev, op) in enumerate(zip(ops, ops[1:]), 1)
         if op.t_start_ns < prev.t_start_ns + duration(prev.kind)]
     for i, (op, sensed) in enumerate(zip(ops, program.senses)):
-        refresh = op.kind is OpKind.REFRESH
+        refresh = op.kind is _REFRESH
         for row, t, age, _ in sensed:
             if age is None:
                 violations.append(AuditViolation(
@@ -521,11 +525,11 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
             if row is not None and not 0 <= row < program.rows:
                 flag(i, op, row, "outside-array",
                      f"row {row} is outside the {program.rows}-row array")
-        if op.kind is OpKind.WRITE:
+        if op.kind is _WRITE:
             if op.source not in sources:
                 flag(i, op, op.rows[0], "unknown-name",
                      f"write of unknown source {op.source!r}")
-        elif op.kind is OpKind.LOGIC:
+        elif op.kind is _LOGIC:
             nid = op.node
             if nid is not None and nid not in gates:
                 flag(i, op, op.out_row, "unknown-name",
@@ -537,7 +541,7 @@ def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
                     flag(i, op, op.out_row, "clobbered",
                          f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
                          f"expected nodes {sorted(expected_args)}")
-        elif op.kind is OpKind.READ and op.output is not None:
+        elif op.kind is _READ and op.output is not None:
             [(row, _, _, held)] = sensed
             expected = output_map.get(op.output)
             if expected is None:

@@ -181,10 +181,7 @@ def simulate_program(
 
     # the netlist's outputs: ideal mode's result, and what nominal and MC
     # runs are held to
-    ideal_out = {
-        name: np.broadcast_to(np.asarray(v, dtype=np.uint8), (width,)).copy()
-        for name, v in program.netlist.evaluate(vectors).items()
-    }
+    ideal_out = program.netlist.evaluate(vectors)
     if mode == "ideal":
         return SimulationResult(width=width, outputs=ideal_out)
 

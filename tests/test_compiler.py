@@ -8,7 +8,10 @@ trusting the allocator's own bookkeeping.
 
 import itertools
 import random
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gcpim.compiler import (
@@ -27,8 +30,12 @@ from gcpim.compiler import (
     parse_expr,
     parse_program,
 )
+from gcpim.compiler.allocate import RowAssignment
 from gcpim.compiler.expr import Nand
 from gcpim.compiler.netlist import NorNetlist, Node, lower_program
+from gcpim.config import load_config
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
 # -- parsing ----------------------------------------------------------
 
@@ -284,6 +291,36 @@ def test_evaluate_validates_inputs():
         n.evaluate({"a": 1, "b": 2})
 
 
+def numpy_evaluate(netlist: NorNetlist, env: dict) -> dict:
+    """Oracle: the evaluator before bit masks, one numpy array per node."""
+    values = []
+    for node in netlist.nodes:
+        if node.op == "input":
+            values.append(np.asarray(env[node.name], dtype=np.uint8))
+        elif node.op == "const":
+            values.append(np.asarray(node.value, dtype=np.uint8))
+        else:
+            acc = values[node.args[0]].astype(bool)
+            for a in node.args[1:]:
+                acc = acc | values[a].astype(bool)
+            values.append((~acc).astype(np.uint8))
+    return {name: values[nid] for name, nid in netlist.outputs}
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (64,), (3, 7), (130,)])
+def test_bit_mask_evaluation_matches_numpy_with_scalar_broadcasting(shape):
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    text = "o0 = (a ^ b) | ~(c & d);\no1 = ~(a | b | c) ^ 1;\nk = 0 & a;\nn = ~d;"
+    netlist = lower_to_nor(text)
+    env = {name: rng.integers(0, 2, shape) for name in netlist.inputs}
+    env["d"] = 1  # a scalar input broadcasts against the arrays
+    got = netlist.evaluate(env)
+    assert list(got) == ["o0", "o1", "k", "n"]
+    for name, want in numpy_evaluate(netlist, env).items():
+        assert got[name].dtype == np.uint8 and got[name].shape == shape
+        np.testing.assert_array_equal(got[name], np.broadcast_to(want, shape))
+
+
 # -- allocation -------------------------------------------------------
 
 
@@ -380,6 +417,58 @@ def test_allocation_soundness_over_random_corpus():
             if node.op != "const"
         ]
         assert all(0 <= r < 62 for r in value_rows)
+
+
+def list_allocate_rows(netlist: NorNetlist, rows_available: int) -> RowAssignment:
+    """Oracle: the allocator before its free-row heap, which re-sorted a
+    list after every release and scanned the nodes for each input."""
+    last_consumer = {a: nid for nid, node in enumerate(netlist.nodes) for a in node.args}
+    protected, output_ids = set(), {nid for _, nid in netlist.outputs}
+    row_of, input_rows, const_rows = {}, {}, {}
+    free, live = list(range(rows_available - 1, -1, -1)), set()
+
+    def take_row(nid):
+        row_of[nid] = free.pop()
+        live.add(nid)
+
+    for name in netlist.inputs:
+        nid = next(i for i, n in enumerate(netlist.nodes)
+                   if n.op == "input" and n.name == name)
+        take_row(nid)
+        input_rows[name] = row_of[nid]
+        protected.add(nid)
+    peak = len(live)
+    for nid, node in enumerate(netlist.nodes):
+        if node.op == "input":
+            continue
+        if node.op == "const":
+            row_of[nid] = const_rows[node.value] = rows_available + node.value
+            protected.add(nid)
+            continue
+        take_row(nid)
+        peak = max(peak, len(live))
+        if nid in output_ids:
+            protected.add(nid)
+        for a in set(node.args):
+            if a not in protected and a in live and last_consumer[a] == nid:
+                live.discard(a)
+                free.append(row_of[a])
+                free.sort(reverse=True)
+    return RowAssignment(row_of, input_rows, const_rows, peak)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heap_allocation_equals_the_sorted_list_on_the_benchmark_corpus(tmp_path, seed):
+    corpus = types.ModuleType("bench_corpus")
+    exec(compile(CORPUS.read_text(), str(CORPUS), "exec"), corpus.__dict__)
+    for entry in corpus.pipeline_corpus(str(tmp_path), seed):
+        cfg = load_config(entry.config_path)
+        with open(entry.source_path) as fh:
+            netlist = lower_program(parse_program(fh.read()), cfg.compiler.max_nor_arity)
+        got = allocate_rows(netlist, cfg.compiler.rows - 2)
+        want = list_allocate_rows(netlist, cfg.compiler.rows - 2)
+        assert got == want, entry.name
+        assert list(got.row_of.items()) == list(want.row_of.items()), entry.name
 
 
 def test_capacity_error_reports_the_live_set():

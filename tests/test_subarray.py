@@ -4,14 +4,18 @@ Energy references are hand-multiplied from the per-column op costs and a
 64-column row; they do not come from the code under test.
 """
 
+import dataclasses
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcpim.charge import ConfigError, ModelConfig
+from gcpim.compiler.netlist import Node
 from gcpim.subarray import (
     LEDGER_CSV_HEADER,
     EventLedger,
@@ -473,6 +477,148 @@ def test_microop_construction_checks_what_the_oracle_checks(kind, rows, out_row,
     sa = SubArray(CFG, rows=8, cols=2)
     assert (outcome(sa.exec_logic, list(rows), out_row, 0)
             == outcome(oracle_check_rows, OpKind.LOGIC, rows, out_row))
+
+
+@dataclass(frozen=True)
+class ParentMicroOp:
+    """Oracle: the op record before its hand-written constructor, a plain
+    frozen dataclass whose ``__post_init__`` ran the checks."""
+
+    kind: OpKind
+    rows: tuple
+    out_row: object = None
+    source: object = None
+    t_start_ns: int = 0
+    node: object = None
+    output: object = None
+
+    def __post_init__(self) -> None:
+        kind = self.kind
+        oracle_check_rows(kind, self.rows, self.out_row)
+        if self.t_start_ns < 0:
+            raise ValueError(f"{kind.value} op starts at a negative time {self.t_start_ns}ns")
+        if (self.source is None) == (kind is OpKind.WRITE):
+            raise ValueError("WRITE needs a source" if kind is OpKind.WRITE
+                             else f"{kind.value} op carries no data")
+        if self.node is not None and kind is not OpKind.LOGIC:
+            raise ValueError(f"{kind.value} op computes no node")
+        if self.output is not None and kind is not OpKind.READ:
+            raise ValueError(f"{kind.value} op senses no output")
+
+
+def built(cls, *fields):
+    """The op's fields, or the type and text of the error building it raised."""
+    try:
+        return astuple_of(cls(*fields))
+    except Exception as exc:  # the comparison is over every error
+        return type(exc), str(exc)
+
+
+def astuple_of(op):
+    return (op.kind, op.rows, op.out_row, op.source, op.t_start_ns, op.node, op.output)
+
+
+@given(kind=st.sampled_from(OpKind),
+       rows=st.lists(st.integers(-2, 6), max_size=4).map(tuple),
+       out_row=_maybe(st.integers(-2, 6)),
+       source=_maybe(st.sampled_from(["const:1", "input:a"])),
+       t_start_ns=st.integers(-3, 9),
+       node=_maybe(st.integers(0, 9)),
+       output=_maybe(st.sampled_from(["s", "c"])))
+@settings(max_examples=800, deadline=None)
+# one case per rule the fast test must not let through
+@example(OpKind.LOGIC, (2, 2), 5, None, 0, 1, None)      # duplicate inputs
+@example(OpKind.LOGIC, (1, 2), 1, None, 0, 1, None)      # in place, on either input
+@example(OpKind.LOGIC, (1, 2), 2, None, 0, 1, None)
+@example(OpKind.LOGIC, (3,), 3, None, 0, 1, None)        # NOT in place
+@example(OpKind.LOGIC, (-1, 2), 3, None, 0, 1, None)     # a negative input
+@example(OpKind.LOGIC, (1, -1, 2), 5, None, 0, 1, None)  # wider gates: the middle input
+@example(OpKind.LOGIC, (1, 5, 2), 5, None, 0, 1, None)
+@example(OpKind.LOGIC, (1, 2, 2), 5, None, 0, 1, None)
+@example(OpKind.LOGIC, (1, 2), -1, None, 0, 1, None)     # a negative output
+@example(OpKind.LOGIC, (1, 2), None, None, 0, 1, None)   # no output row
+@example(OpKind.WRITE, (1, 2), None, "const:1", 0, None, None)
+@example(OpKind.READ, (1,), 2, None, 0, None, "s")       # a READ with an output row
+@example(OpKind.REFRESH, (-2,), None, None, 0, None, None)
+@example(OpKind.READ, (1,), None, None, -1, None, "s")   # a negative start
+def test_microop_constructor_matches_the_post_init_oracle(kind, rows, out_row, source,
+                                                          t_start_ns, node, output):
+    fields = (kind, rows, out_row, source, t_start_ns, node, output)
+    expected = built(ParentMicroOp, *fields)
+    assert built(MicroOp, *fields) == expected
+    by_keyword = dict(zip(("kind", "rows", "out_row", "source", "t_start_ns", "node",
+                           "output"), fields))
+    assert built(lambda: MicroOp(**by_keyword)) == expected
+    if isinstance(expected[0], OpKind):  # valid: a restamp moves the start alone
+        op = MicroOp(*fields)
+        assert op == MicroOp(*fields) and hash(op) == hash(MicroOp(*fields))
+        assert astuple_of(op.restamped(t_start_ns + 5)) == (*fields[:4], t_start_ns + 5,
+                                                          *fields[5:])
+
+
+def test_replace_still_validates():
+    op = MicroOp(OpKind.LOGIC, (0, 1), 2, t_start_ns=4, node=3)
+    assert dataclasses.replace(op, t_start_ns=9) == MicroOp(OpKind.LOGIC, (0, 1), 2,
+                                                            t_start_ns=9, node=3)
+    with pytest.raises(ValueError, match="LOGIC op starts at a negative time -1ns"):
+        dataclasses.replace(op, t_start_ns=-1)
+    with pytest.raises(ValueError, match="in-place logic is undefined"):
+        dataclasses.replace(op, out_row=1)
+    with pytest.raises(ValueError, match="READ op computes no node"):
+        dataclasses.replace(op, kind=OpKind.READ, rows=(2,), out_row=None)
+
+
+def test_ops_stay_frozen_and_hashable():
+    op = MicroOp(OpKind.WRITE, (3,), source="input:a", t_start_ns=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.t_start_ns = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del op.rows
+    assert not hasattr(op, "__dict__")
+    twin = MicroOp(OpKind.WRITE, (3,), source="input:a", t_start_ns=1)
+    assert op == twin and hash(op) == hash(twin) and len({op, twin}) == 1
+    assert op != MicroOp(OpKind.WRITE, (3,), source="input:b", t_start_ns=1)
+    for each in (MicroOp(OpKind.WRITE, (3,), source="const:1", t_start_ns=1),
+                 MicroOp(OpKind.LOGIC, (0, 4), 2, t_start_ns=6, node=9),
+                 MicroOp(OpKind.READ, (2,), t_start_ns=9, output="s"),
+                 MicroOp(OpKind.REFRESH, (5,), t_start_ns=13)):
+        moved = each.restamped(each.t_start_ns + 8)
+        assert moved == dataclasses.replace(each, t_start_ns=each.t_start_ns + 8) != each
+        assert each.restamped(each.t_start_ns) == each
+    assert repr(op) == ("MicroOp(kind=<OpKind.WRITE: 'WRITE'>, rows=(3,), out_row=None, "
+                        "source='input:a', t_start_ns=1, node=None, output=None)")
+
+
+def bytes_per_instance(make, n=2000) -> float:
+    rows = (1, 2)  # shared, so only the instances count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [make(rows, t) for t in range(n)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == n
+    return used / n
+
+
+def test_an_op_takes_no_more_memory_than_a_plain_frozen_dataclass():
+    logic = OpKind.LOGIC
+    slotted = bytes_per_instance(lambda rows, t: MicroOp(logic, rows, 5, None, t, 7))
+    plain = bytes_per_instance(lambda rows, t: ParentMicroOp(logic, rows, 5, None, t, 7))
+    assert slotted <= plain, (slotted, plain)
+
+
+def test_node_equality_is_unchanged():
+    nor = Node("nor", (1, 2))
+    assert nor == Node("nor", args=(1, 2)) and hash(nor) == hash(Node("nor", (1, 2)))
+    assert nor != Node("nor", (1, 3)) and nor != Node("nor", (1, 2), value=0)
+    assert Node("input", name="a") == Node("input", (), "a", None)
+    assert Node("input", name="a") != Node("input", name="b")
+    assert nor != ("nor", (1, 2), None, None)  # a dataclass equals its own class only
+    assert repr(nor) == "Node(op='nor', args=(1, 2), name=None, value=None)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nor.args = ()
 
 
 def test_dimension_validation():

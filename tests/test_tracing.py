@@ -67,3 +67,18 @@ def test_the_run_path_goes_through_every_patched_kernel(tmp_path):
         assert main([*run, "--out", str(tmp_path / "out")]) == 0
     metrics = tracer.layer_metrics()
     assert metrics["subarray.logic_calls"] == metrics["simulate.run_on_array_calls"] == 0
+
+
+def test_a_traced_command_after_an_untraced_one_is_still_booked(tmp_path):
+    # the CLI builds its parser once and looks each cmd_* up per call, so
+    # a tracer entered after the first command still sees every later one
+    tracing = load_tracing()
+    source = tmp_path / "half.txt"
+    source.write_text("s = a ^ b;\nc = a & b;\n")
+    assert main(["compile", str(source), "-o", str(tmp_path / "plain.json")]) == 0
+    with tracing.Tracer() as tracer:
+        assert main(["compile", str(source), "-o", str(tmp_path / "traced.json")]) == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.compile_s"] > 0
+    assert metrics["program.emit_s"] > 0
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "traced.json").read_bytes()
