@@ -53,8 +53,9 @@ EXIT_SIGPIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _read_input_csv(path) -> dict[str, list[int]]:
-    """Input vectors: header row of signal names, one bit row per vector."""
-    with open(path, newline="") as fh:
+    """Input vectors: header row of signal names, one bit row per vector;
+    a UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
@@ -234,10 +235,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    total_energy = 0.0
-    makespan = 0
-    refresh_time = 0
-    n_ops = 0
     per_file = []
     for path in args.ledgers:
         rows = EventLedger.read_csv_rows(path)
@@ -247,10 +244,10 @@ def cmd_report(args) -> int:
         per_file.append({"file": str(path), "ops": len(rows),
                          "energy_fj": energy, "makespan_ns": span,
                          "refresh_ns": refresh})
-        total_energy += energy
-        makespan = max(makespan, span)
-        refresh_time += refresh
-        n_ops += len(rows)
+    total_energy = sum((f["energy_fj"] for f in per_file), 0.0)
+    makespan = max(f["makespan_ns"] for f in per_file)
+    refresh_time = sum(f["refresh_ns"] for f in per_file)
+    n_ops = sum(f["ops"] for f in per_file)
     # a period must hold the refresh work, or availability turns negative;
     # the default period, the longest makespan, must hold it too
     floor = max(1, refresh_time)

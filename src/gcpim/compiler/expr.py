@@ -18,7 +18,7 @@ reaches the lowerer as one gate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator
 
 __all__ = [
@@ -110,24 +110,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class _Token:
-    """Frozen, slotted, equal by fields; stored as ``subarray.MicroOp`` stores its."""
+    """A lexeme's kind ("name", "const", a punct char or "eof"), text, line and column."""
 
-    kind: str  # "name" | "const" | one of the punct chars | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        _set_kind(self, kind)
-        _set_text(self, text)
-        _set_line(self, line)
-        _set_col(self, col)
-
-
-_set_kind, _set_text, _set_line, _set_col = (getattr(_Token, f.name).__set__
-                                             for f in fields(_Token))
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _tokenize(text: str) -> list[_Token]:

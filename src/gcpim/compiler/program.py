@@ -63,8 +63,9 @@ class MalformedProgramError(ValueError):
 
 class RefreshScheduleError(RuntimeError):
     """A required refresh could not be placed while its row was still
-    readable, or an op's stale inputs cannot all be refreshed inside the
-    logic window.  Greedy latest-possible placement hits the first at
+    readable, an op's stale inputs cannot all be refreshed inside the
+    logic window, or refreshing the live rows never leaves room for the
+    next op.  Greedy latest-possible placement hits the first at
     tight windows with refresh bandwidth to spare, e.g. ripple-8 at
     drt_read_ns/drt_logic_ns = 400/100 or ripple-32 (256 rows) at
     1000/300: inputs written back to back expire together."""
@@ -120,10 +121,7 @@ class PimProgram:
 
     @property
     def energy_fj(self) -> float:
-        return sum(
-            self.timing.energy_fj(op.kind, len(op.rows), self.cols)
-            for op in self.ops
-        )
+        return sum(self.timing.energy_fj(op.kind, len(op.rows), self.cols) for op in self.ops)
 
     @cached_property
     def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores
@@ -381,8 +379,8 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
     Timestamps are recomputed from t=0; the result is a new program that
-    keeps every op whose start did not move and re-stamps the others
-    unchecked (``MicroOp.restamped``): a start only grows from 0.
+    keeps every op whose start did not move and rebuilds the others,
+    checked, at their new start.
 
     Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
     op i, entries due by its end are popped, dropped if the row was
@@ -391,11 +389,10 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     consumes it.  The due and stale rows are refreshed lowest row first:
     O((ops + refreshes) * log rows).
     Raises RefreshScheduleError when a refresh would sense an expired
-    value, or when an op's inputs can never all be fresh at once.
+    value, when an op's inputs can never all be fresh at once, or when
+    refreshing the live rows returns to a state it was in: the op never starts.
     """
-    budget = program.drt_logic_ns
-    drt_read = program.drt_read_ns
-    timing = program.timing
+    budget, drt_read, timing = program.drt_logic_ns, program.drt_read_ns, program.timing
 
     # last_use[i]: index of the last op that consumes the value op i
     # writes, -1 if none does; one backward pass over the original ops
@@ -422,8 +419,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         if age > drt_read:
             raise RefreshScheduleError(
                 f"row {row} is {age}ns old at t={t}ns; its "
-                f"refresh would sense garbage (limit {drt_read}ns)"
-            )
+                f"refresh would sense garbage (limit {drt_read}ns)")
         new_ops.append(op)
         ages.commit(op, t)
         t += timing.t_refresh_ns
@@ -435,7 +431,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             continue
         dur = ages.duration[op.kind]
         t_op = t
-        due: set[int] = set()
+        due, seen = set(), set()  # rows due now; loop states past t_op's logic window
         while True:
             while deadlines and deadlines[0][0] + drt_read < t + dur:
                 written, row = heapq.heappop(deadlines)
@@ -450,14 +446,24 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             # cannot fit them all in the window: this loop would not end
             offset = ages.sense_offset[op.kind]
             span = timing.t_refresh_ns * (len(set(op.rows)) - 1) + offset
-            if t + offset - budget > t_op and span > budget:
-                raise RefreshScheduleError(
-                    f"op {i} senses rows {sorted(set(op.rows))} at t={t}ns; refreshing "
-                    f"them takes {span}ns, more than the {budget}ns logic window"
-                )
+            if t + offset - budget > t_op:
+                if span > budget:
+                    raise RefreshScheduleError(
+                        f"op {i} senses rows {sorted(set(op.rows))} at t={t}ns; refreshing "
+                        f"them takes {span}ns, more than the {budget}ns logic window")
+                # from here on the loop reads only the due rows and the live
+                # rows' ages (alike past drt_read): a state seen before recurs forever
+                state = (frozenset(due), tuple((r, min(t - v, drt_read + 1)) for r, v
+                                               in ages.t_valid.items() if r in op.rows or dies[r] > i))
+                if state in seen:
+                    raise RefreshScheduleError(
+                        f"op {i} never starts: {len(state[1])} live rows, refreshed "
+                        f"{timing.t_refresh_ns}ns apart, outlast the {drt_read}ns read window")
+                seen.add(state)
             emit_refresh(row := min(due))
             due.discard(row)
-        new_ops.append(op if op.t_start_ns == t else op.restamped(t))
+        new_ops.append(op if op.t_start_ns == t else MicroOp(
+            op.kind, op.rows, op.out_row, op.source, t, op.node, op.output))
         ages.commit(op, t)
         if op.kind is not _READ:
             dies[op.out_row if op.kind is _LOGIC else op.rows[0]] = last_use[i]

@@ -57,9 +57,6 @@ class RunConfig:
     compiler: CompilerConfig = field(default_factory=CompilerConfig)
     run: RunSection = field(default_factory=RunSection)
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, variation=replace(self.variation, seed=seed))
-
     def to_json_dict(self) -> dict:
         out: dict = {"version": CONFIG_VERSION}
         for section, _ in _SECTIONS.items():
@@ -109,5 +106,5 @@ def load_config(path=None, seed: int | None = None) -> RunConfig:
     """Config file (or defaults) with an optional seed override."""
     cfg = RunConfig.from_json(path) if path is not None else RunConfig()
     if seed is not None:
-        cfg = cfg.with_seed(seed)
+        cfg = replace(cfg, variation=replace(cfg.variation, seed=seed))
     return cfg

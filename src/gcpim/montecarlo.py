@@ -569,12 +569,7 @@ def calibrate_variation(
     if n_trials < 10**4:
         raise ConfigError("calibration needs at least 10^4 trials")
     model = model_cfg or ModelConfig()
-    base = VariationConfig(
-        sigma_tau=BASE_SIGMA_RATIOS["sigma_tau"],
-        sigma_sa=BASE_SIGMA_RATIOS["sigma_sa"],
-        sigma_drive=BASE_SIGMA_RATIOS["sigma_drive"],
-        seed=seed,
-    )
+    base = VariationConfig(**BASE_SIGMA_RATIOS, seed=seed)
     age = model.drt_logic_ns
 
     def rate(scale: float) -> float:

@@ -75,8 +75,8 @@ class MicroOp:
     anonymous; the soundness audit does not track their values.
 
     Frozen, slotted, equal by fields: ``__init__`` (``dataclasses.replace``
-    too) checks the fields, then stores each through its slot descriptor;
-    ``restamped`` moves a checked op to another start, unchecked.
+    too) checks the fields, then stores each through its slot descriptor,
+    so every op, moved ones too, is built checked.
     """
 
     kind: OpKind
@@ -107,18 +107,6 @@ class MicroOp:
         _set_t_start(self, t_start_ns)
         _set_node(self, node)
         _set_output(self, output)
-
-    def restamped(self, t_start_ns: int) -> "MicroOp":
-        """This op at ``t_start_ns``, which the caller vouches is not negative."""
-        op = object.__new__(MicroOp)
-        _set_kind(op, self.kind)
-        _set_rows(op, self.rows)
-        _set_out_row(op, self.out_row)
-        _set_source(op, self.source)
-        _set_t_start(op, t_start_ns)
-        _set_node(op, self.node)
-        _set_output(op, self.output)
-        return op
 
 
 (_set_kind, _set_rows, _set_out_row, _set_source, _set_t_start, _set_node,
@@ -253,7 +241,7 @@ class EventLedger:
         non-negative integer times and a finite energy raises ValueError
         at path:line."""
         rows, kinds = [], {kind.value for kind in OpKind}
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != LEDGER_CSV_HEADER:
@@ -402,7 +390,7 @@ class SubArray:
             elif op.kind is _REFRESH:
                 self.refresh_row(op.rows[0], t)
             else:
-                self.exec_logic(op.rows, op.out_row, t, checked=True)
+                self.exec_logic(op.rows, op.out_row, t)
         return reads
 
     def _source_bits(self, source: str, inputs) -> np.ndarray:
@@ -413,22 +401,18 @@ class SubArray:
             return np.full(self.cols, int(arg), dtype=np.uint8)
         raise ConfigError(f"unknown write source {source!r}")
 
-    def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int, *,
-                   checked: bool = False) -> None:
+    def exec_logic(self, in_rows: Sequence[int], out_row: int, t_now: int) -> None:
         """Two-phase stateful gate: NOT for one input row, NOR for several.
 
         Phase 1 (1 ns) precharges every output-row cell to '1'.  Phase 2
         (2 ns) asserts the input rows' read word lines; any input cell still
         holding enough charge opens a discharge path and pulls its column's
         output cell low.  Input cells only age; they are never disturbed.
-
-        ``checked`` says the rows come from a ``MicroOp``, whose
-        construction already enforced the structural rules; only the
-        array bounds are left to check.
+        The rows are checked as a LOGIC op's are (a valid op's rows pass
+        ``_check_rows`` in one fast test), then against the array bounds.
         """
-        if not checked:
-            in_rows = tuple(in_rows)
-            _check_rows(OpKind.LOGIC, in_rows, out_row)
+        in_rows = tuple(in_rows)
+        _check_rows(_LOGIC, in_rows, out_row)
         if not (0 <= out_row < self.rows and max(in_rows) < self.rows):
             for r in (*in_rows, out_row):
                 self._check_row(r)

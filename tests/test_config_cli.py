@@ -1,12 +1,13 @@
 """Configuration schema and command-line behavior, exercised in process.
 
 Every CLI assertion calls main() directly so exit codes and file
-side effects are checked without spawning interpreters, except two: the
-one that guards against a compile that never ends spawns one under a
+side effects are checked without spawning interpreters, except three:
+the two that guard against a compile that never ends spawn one under a
 timeout, and a run whose stdout is closed needs a stdout of its own.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -806,6 +807,53 @@ def test_an_edited_op_field_gives_a_documented_exit_code(index, edit):
             assert main(["report", str(out / "ledger.csv")]) == 0
 
 
+CLI_EXPRESSIONS = st.recursive(
+    st.sampled_from(["a", "b", "c", "d", "e", "0", "1"]),
+    lambda inner: inner.map(lambda e: f"~{e}") | st.tuples(
+        inner, st.sampled_from("&|^"), inner).map(lambda t: "({} {} {})".format(*t)),
+    max_leaves=20)
+
+
+@st.composite
+def accepted_configs_and_sources(draw):
+    """A config over the ranges the validators are asked to accept, and a
+    source of random expressions behind an optional NOT-chain filler."""
+    drt_read = draw(st.integers(20, 20_000))
+    model = {"drt_read_ns": drt_read, "drt_logic_ns": draw(st.integers(1, drt_read))}
+    if draw(st.booleans()):
+        model["tau_ns"] = draw(st.floats(1, 1e6))
+    config = {"version": 1, "model": model,
+              "compiler": {"rows": draw(st.integers(8, 128)),
+                           "max_nor_arity": draw(st.integers(2, 8))},
+              "timing_energy": {name: draw(st.integers(1, 4)) for name in
+                                ("t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns")}}
+    links = draw(st.integers(0, 150))
+    filler = [f"f{i} = ~{'a' if i == 0 else f'f{i - 1}'};" for i in range(links)]
+    exprs = draw(st.lists(CLI_EXPRESSIONS, min_size=1, max_size=4))
+    return config, "\n".join(filler + [f"o{k} = {e};" for k, e in enumerate(exprs)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=accepted_configs_and_sources())
+def test_every_accepted_config_compiles_and_runs_or_fails_typed(case):
+    # compile succeeds, or fails as a syntax/config (2) or resource (3)
+    # error; a compiled program's nominal run is right or raises (3)
+    config, source = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, src, prog = Path(tmp) / "cfg.json", Path(tmp) / "p.txt", Path(tmp) / "p.json"
+        cfg.write_text(json.dumps(config))
+        src.write_text(source)
+        rc = main(["compile", str(src), "-o", str(prog), "--config", str(cfg)])
+        assert rc in (0, 2, 3)
+        names = PimProgram.from_json(prog).inputs if rc == 0 else ()
+        if names:  # a program of constants alone has no input CSV to run on
+            inputs = Path(tmp) / "in.csv"
+            inputs.write_text(",".join(names) + "\n" + "".join(
+                ",".join(bits) + "\n" for bits in itertools.product("01", repeat=len(names))))
+            assert main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
+                         "--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 3)
+
+
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):
     # input a idles through a 40-gate chain: unrefreshed, it is consumed
     # stale at 100/50 ns windows, a resource error (3), not an I/O error
@@ -868,6 +916,30 @@ def test_input_csv_validation(adder, tmp_path):
                  "--out", str(tmp_path / "x3")]) == 2
 
 
+def test_csvs_with_a_byte_order_mark_read_as_plain_ones(adder, tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a BOM, which is not part of
+    # the first column's name
+    src, inputs = adder
+    main(["compile", str(src)])
+    compiled = tmp_path / "adder.compiled.json"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + inputs.read_bytes())
+    for name, csv_path in (("plain", inputs), ("bom", bom)):
+        assert main(["run", str(compiled), "--inputs", str(csv_path),
+                     "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bom" / "outputs.csv").read_bytes()
+            == (tmp_path / "plain" / "outputs.csv").read_bytes())
+    # and so does a ledger given to report
+    ledger = tmp_path / "plain" / "ledger.csv"
+    bom_ledger = tmp_path / "bom_ledger.csv"
+    bom_ledger.write_bytes(b"\xef\xbb\xbf" + ledger.read_bytes())
+    capsys.readouterr()
+    assert main(["report", str(ledger)]) == 0
+    plain_report = capsys.readouterr().out
+    assert main(["report", str(bom_ledger)]) == 0
+    assert capsys.readouterr().out == plain_report.replace(str(ledger), str(bom_ledger))
+
+
 def aged_and_source() -> str:
     chain = ["t0 = ~b;"]
     for i in range(1, 40):
@@ -900,16 +972,38 @@ def test_compile_of_gate_inputs_that_cannot_all_be_fresh_exits_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"version": 1, "compiler": {"max_nor_arity": 4},
                                "model": {"drt_read_ns": 1000, "drt_logic_ns": 12}}))
+    done = compile_in_a_capped_process(src, cfg)
+    assert done.returncode == 3, done.stderr
+    assert "more than the 12ns logic window" in done.stderr
+
+
+def test_compile_whose_live_rows_outlast_their_refreshes_exits_3(tmp_path):
+    # before op 8 five rows are live; a round of 5 ns refreshes takes 25 ns,
+    # but a refreshed row is due again 21 ns after its refresh starts, so
+    # refreshing never leaves room for the op
+    src = tmp_path / "live.txt"
+    src.write_text("f0 = ~a;\nf1 = ~f0;\nf2 = ~f1;\nf3 = ~f2;\n"
+                   "o0 = ~~~0;\no1 = ~~~0;\no2 = ~~~a;\no3 = ~~(a & 0);\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "model": {"drt_read_ns": 20, "drt_logic_ns": 17},
+                               "timing_energy": {"t_read_ns": 4, "t_init_ns": 2}}))
+    done = compile_in_a_capped_process(src, cfg)
+    assert done.returncode == 3, done.stderr
+    assert ("op 8 never starts: 5 live rows, refreshed 5ns apart, outlast the 20ns read "
+            "window") in done.stderr
+
+
+def compile_in_a_capped_process(src, cfg) -> subprocess.CompletedProcess:
+    """``gcpim compile`` in a child with 2 GiB of address space and 30 s,
+    so a compile that never ends fails the test rather than hanging it."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "gcpim.cli", "compile", str(src), "--config", str(cfg),
-         "-o", str(tmp_path / "wide.json")],
+         "-o", str(src.with_suffix(".json"))],
         env=_cli_env(), capture_output=True, text=True, timeout=30, preexec_fn=cap_memory)
-    assert done.returncode == 3, done.stderr
-    assert "more than the 12ns logic window" in done.stderr
 
 
 def _cli_env() -> dict:
