@@ -32,6 +32,7 @@ from gcpim.compiler import (
     simulate_program,
 )
 from gcpim.compiler.program import PimProgram
+from gcpim.compiler.simulate import MODES
 from gcpim.config import load_config
 from gcpim.montecarlo import (
     CalibrationError,
@@ -114,10 +115,10 @@ def _print_report(report: SuccessReport, floor: float) -> int:
     for key, combo in sorted(report.combinations.items()):
         detail = (f"decay={combo.decay_only} threshold={combo.threshold_only} "
                   f"both={combo.both} other={combo.other}")
-        print(f"{key:>8}  {combo.trials:>7}  {combo.successes:>8}  "
+        print(f"{key or '(none)':>8}  {combo.trials:>7}  {combo.successes:>8}  "
               f"{100 * combo.success_rate:>7.3f}%  {detail}")
     key, rate = report.worst_case()
-    print(f"worst case: {key} at {100 * rate:.3f}% (floor {100 * floor:.2f}%)")
+    print(f"worst case: {key or '(none)'} at {100 * rate:.3f}% (floor {100 * floor:.2f}%)")
     if rate < floor:
         print("FAIL: worst-case success rate is below the floor")
         return EXIT_FLOOR
@@ -160,7 +161,8 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     prog = PimProgram.from_json(args.program)
-    vectors = _read_input_csv(args.inputs)
+    vectors = (_read_input_csv(args.inputs) if args.inputs is not None
+               else exhaustive_vectors(prog.inputs, prog.cols))
     mode = args.mode or cfg.run.mode
     trials = args.trials if args.trials is not None else cfg.run.trials
     res = simulate_program(
@@ -297,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="execute a compiled program")
     r.add_argument("program", help="compiled program JSON")
-    r.add_argument("--inputs", required=True, help="CSV of input vectors")
-    r.add_argument("--mode", choices=["ideal", "nominal", "mc"])
+    r.add_argument("--inputs", help="CSV of input vectors (default: every input combination)")
+    r.add_argument("--mode", choices=MODES)
     r.add_argument("--trials", type=int, help="Monte Carlo trials (mc mode)")
     r.add_argument("--seed", type=int, help="override the variation seed")
     r.add_argument("--trace", action="store_true",

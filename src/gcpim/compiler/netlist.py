@@ -138,28 +138,6 @@ class NorNetlist:
             outputs[name] = np.unpackbits(packed, count=size, bitorder="little").reshape(shape)
         return outputs
 
-    def truth_table(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Exhaustive (input bits, output bits) rows, inputs in MSB-first
-        counting order.  Intended for small input counts."""
-        k = len(self.inputs)
-        if k > 16:
-            raise ValueError(f"{k} inputs is too many for exhaustive enumeration")
-        combos = np.arange(2**k)
-        env = {
-            name: ((combos >> (k - 1 - i)) & 1).astype(np.uint8)
-            for i, name in enumerate(self.inputs)
-        }
-        out = {
-            n: np.broadcast_to(np.asarray(v), combos.shape)
-            for n, v in self.evaluate(env).items()
-        }
-        rows = []
-        for c in range(2**k):
-            in_bits = tuple(int(env[n][c]) for n in self.inputs)
-            out_bits = tuple(int(out[n][c]) for n, _ in self.outputs)
-            rows.append((in_bits, out_bits))
-        return rows
-
     def to_json_dict(self) -> dict:
         nodes = []
         for n in self.nodes:

@@ -72,6 +72,8 @@ class SimulationResult:
 
 
 def _normalize_vectors(program: PimProgram, input_vectors: dict) -> tuple[dict, int]:
+    """Bit vectors per declared input, and the run's width: their common
+    length, or one column for a program that declares no inputs."""
     declared = set(program.inputs)
     given = set(input_vectors)
     if given != declared:
@@ -84,7 +86,7 @@ def _normalize_vectors(program: PimProgram, input_vectors: dict) -> tuple[dict, 
             parts.append(f"unknown inputs {extra}")
         raise ConfigError("; ".join(parts))
     vectors = {}
-    width = None
+    width = None if program.inputs else 1
     for name in program.inputs:
         v = np.asarray(input_vectors[name])
         if v.ndim != 1:
@@ -109,7 +111,8 @@ def _normalize_vectors(program: PimProgram, input_vectors: dict) -> tuple[dict, 
 
 
 def exhaustive_vectors(inputs: Sequence[str], max_width: int = 64) -> dict[str, list[int]]:
-    """All input combinations, one per column, MSB-first counting order."""
+    """All input combinations (one, empty, for no inputs), one per column in
+    MSB-first counting order: what ``run`` without a CSV and ``mc --program`` run."""
     k = len(inputs)
     if 2**k > max_width:
         raise ConfigError(
@@ -130,7 +133,8 @@ def run_program_on_array(
     array column.
 
     Array column ``j`` holds vector ``j``: each ``input:<name>`` WRITE
-    stores that input, with 0s in the columns past its end.
+    stores that input, with 0s in the columns past its end.  A program
+    without inputs computes the same bits in every column.
     """
     inputs = {}
     for name, v in vectors.items():
@@ -158,7 +162,8 @@ def simulate_program(
     tracing).  mc: that check, then n_trials array simulations with
     sampled variation, run in blocks of trials side by side on one
     array's columns and scored per column against ideal; the report
-    aggregates per input combination.
+    aggregates per input combination.  Every mode's outputs hold one bit
+    per vector; a program without inputs takes ``{}`` and runs on one column.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r} (expected one of {MODES})")
@@ -179,9 +184,9 @@ def simulate_program(
                 f"({len(stale)} violations); recompile it with refresh insertion"
             )
 
-    # the netlist's outputs: ideal mode's result, and what nominal and MC
-    # runs are held to
-    ideal_out = program.netlist.evaluate(vectors)
+    # the netlist's outputs, one bit per column (evaluate({}) gives 0-d
+    # arrays): ideal mode's result, and what nominal and MC runs are held to
+    ideal_out = {n: np.broadcast_to(v, width) for n, v in program.netlist.evaluate(vectors).items()}
     if mode == "ideal":
         return SimulationResult(width=width, outputs=ideal_out)
 

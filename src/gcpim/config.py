@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from gcpim.charge import ConfigError, ModelConfig, known_keys
 from gcpim.compiler.program import CompilerConfig
+from gcpim.compiler.simulate import MODES
 from gcpim.montecarlo import VariationConfig
 from gcpim.subarray import TimingEnergyConfig
 
@@ -34,7 +35,7 @@ class RunSection:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.mode not in ("ideal", "nominal", "mc"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown run mode {self.mode!r}")
         if not 0.0 < self.success_floor <= 1.0:
             raise ConfigError("success_floor must be in (0, 1]")

@@ -26,6 +26,7 @@ from gcpim.compiler import (
     Xor,
     allocate_rows,
     eval_expr,
+    exhaustive_vectors,
     lower_to_nor,
     parse_expr,
     parse_program,
@@ -174,8 +175,11 @@ def test_deep_expressions_are_parse_errors_at_their_position():
 # -- lowering ---------------------------------------------------------
 
 
-def table_of(netlist: NorNetlist) -> list:
-    return netlist.truth_table()
+def table_of(netlist: NorNetlist) -> dict[str, list[int]]:
+    """Each output's bit per input combination, in exhaustive_vectors' order."""
+    width = 2 ** len(netlist.inputs)
+    return {name: np.broadcast_to(bits, width).tolist() for name, bits
+            in netlist.evaluate(exhaustive_vectors(netlist.inputs)).items()}
 
 
 def test_gate_counts_for_the_standard_identities():
@@ -223,10 +227,9 @@ def test_arity_cap_must_be_at_least_two():
 
 def test_constant_lowering():
     n = lower_to_nor("a & 1")
-    rows = table_of(n)
-    assert [out for _, out in rows] == [(0,), (1,)]
+    assert list(table_of(n).values()) == [[0, 1]]
     n0 = lower_to_nor("0")
-    assert table_of(n0) == [((), (0,))]
+    assert n0.inputs == () and list(table_of(n0).values()) == [[0]]
 
 
 def _random_expr_text(rng: random.Random, depth: int) -> str:
@@ -249,9 +252,10 @@ def test_random_expression_equivalence_corpus():
         text = _random_expr_text(rng, depth=4)
         expr = parse_expr(text)
         netlist = lower_to_nor(text)
-        for in_bits, out_bits in netlist.truth_table():
-            env = dict(zip(netlist.inputs, in_bits))
-            assert out_bits == (eval_expr(expr, env),), text
+        vectors = exhaustive_vectors(netlist.inputs)
+        (got,) = table_of(netlist).values()
+        for c, bit in enumerate(got):
+            assert bit == eval_expr(expr, {name: v[c] for name, v in vectors.items()}), text
 
 
 def test_netlist_json_roundtrip():

@@ -6,11 +6,12 @@ the two that guard against a compile that never ends spawn one under a
 timeout, and a run whose stdout is closed needs a stdout of its own.
 """
 
+import contextlib
 import hashlib
-import itertools
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -255,6 +256,47 @@ def test_mc_program_mode(adder, tmp_path):
     report = json.loads((tmp_path / "pm" / "report.json").read_text())
     assert len(report["combinations"]) == 8  # 3 inputs, exhaustive
     assert rc in (0, 1)  # rate depends on draws; files must exist either way
+
+
+def test_run_without_inputs_takes_the_columns_mc_program_takes(adder, tmp_path):
+    # both commands run every input combination of the full adder: at the
+    # same trials and seed they write the same report bytes
+    src, _ = adder
+    program = tmp_path / "adder.json"
+    assert main(["compile", str(src), "-o", str(program)]) == 0
+    same = ["--trials", "40", "--seed", "3"]
+    run, mc = tmp_path / "run", tmp_path / "mc"
+    assert main(["run", str(program), "--mode", "mc", *same, "--out", str(run)]) == main(
+        ["mc", "--program", str(program), *same, "--out", str(mc)])
+    for name in ("report.json", "report.csv"):
+        assert (run / name).read_bytes() == (mc / name).read_bytes(), name
+    assert len((run / "outputs.csv").read_text().splitlines()) == 1 + 8
+
+
+def test_run_and_mc_run_a_program_without_inputs_on_one_column(tmp_path, capsys):
+    src, program = tmp_path / "consts.txt", tmp_path / "consts.json"
+    src.write_text("o = 1;\np = ~(0 | 0);\n")
+    assert main(["compile", str(src), "-o", str(program)]) == 0
+    assert main(["run", str(program), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "outputs.csv").read_bytes() == b"o,p\r\n1,1\r\n"
+    capsys.readouterr()
+    out = tmp_path / "mc"
+    assert main(["mc", "--program", str(program), "--trials", "20", "--out", str(out)]) == 0
+    # the one, empty combination: "(none)" on the terminal, "" in the files
+    text = capsys.readouterr().out
+    assert "\n  (none)       20        20  100.000%" in text
+    assert "worst case: (none) at 100.000%" in text
+    assert list(json.loads((out / "report.json").read_text())["combinations"]) == [""]
+    assert (out / "report.csv").read_text().splitlines()[1] == ",20,20,1.0,0,0,0,0"
+
+
+def test_run_without_inputs_needs_every_combination_in_one_subarray(tmp_path, capsys):
+    src, program = tmp_path / "wide.txt", tmp_path / "wide.json"
+    src.write_text("o = a ^ b ^ c ^ d ^ e ^ f ^ g;\n")
+    assert main(["compile", str(src), "-o", str(program)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(program), "--out", str(tmp_path / "run")]) == 2
+    assert "7 inputs need 128 columns" in capsys.readouterr().err
 
 
 # (command, sigma_tau/sigma_sa/sigma_drive, sha256 of report.csv and
@@ -814,6 +856,20 @@ CLI_EXPRESSIONS = st.recursive(
     max_leaves=20)
 
 
+@contextlib.contextmanager
+def wall_time_limit(seconds: float):
+    """Fail the enclosed block, in process, once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def accepted_configs_and_sources(draw):
     """A config over the ranges the validators are asked to accept, and a
@@ -822,9 +878,15 @@ def accepted_configs_and_sources(draw):
     model = {"drt_read_ns": drt_read, "drt_logic_ns": draw(st.integers(1, drt_read))}
     if draw(st.booleans()):
         model["tau_ns"] = draw(st.floats(1, 1e6))
+    if draw(st.booleans()):  # 0 < v_residual_floor < v_sa_read < vdd, 0 <= v_t_drive < v_sa_read
+        vdd = draw(st.floats(0.1, 3.0))
+        v_sa_read = vdd * draw(st.floats(0.05, 0.95))
+        model.update(vdd=vdd, v_sa_read=v_sa_read,
+                     v_residual_floor=v_sa_read * draw(st.floats(0.01, 0.95)),
+                     v_t_drive=v_sa_read * draw(st.floats(0, 0.95)))
+    rows = draw(st.integers(4, 7) | st.integers(8, 128) | st.integers(129, 256))
     config = {"version": 1, "model": model,
-              "compiler": {"rows": draw(st.integers(8, 128)),
-                           "max_nor_arity": draw(st.integers(2, 8))},
+              "compiler": {"rows": rows, "max_nor_arity": draw(st.integers(2, 8))},
               "timing_energy": {name: draw(st.integers(1, 4)) for name in
                                 ("t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns")}}
     links = draw(st.integers(0, 150))
@@ -837,21 +899,18 @@ def accepted_configs_and_sources(draw):
 @given(case=accepted_configs_and_sources())
 def test_every_accepted_config_compiles_and_runs_or_fails_typed(case):
     # compile succeeds, or fails as a syntax/config (2) or resource (3)
-    # error; a compiled program's nominal run is right or raises (3)
+    # error; a compiled program's nominal run, on every input combination
+    # (one column for a program of constants), is right or raises (3)
     config, source = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, wall_time_limit(20):
         cfg, src, prog = Path(tmp) / "cfg.json", Path(tmp) / "p.txt", Path(tmp) / "p.json"
         cfg.write_text(json.dumps(config))
         src.write_text(source)
         rc = main(["compile", str(src), "-o", str(prog), "--config", str(cfg)])
         assert rc in (0, 2, 3)
-        names = PimProgram.from_json(prog).inputs if rc == 0 else ()
-        if names:  # a program of constants alone has no input CSV to run on
-            inputs = Path(tmp) / "in.csv"
-            inputs.write_text(",".join(names) + "\n" + "".join(
-                ",".join(bits) + "\n" for bits in itertools.product("01", repeat=len(names))))
-            assert main(["run", str(prog), "--inputs", str(inputs), "--mode", "nominal",
-                         "--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 3)
+        if rc == 0:
+            assert main(["run", str(prog), "--mode", "nominal", "--config", str(cfg),
+                         "--out", str(Path(tmp) / "out")]) in (0, 3)
 
 
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):

@@ -1043,6 +1043,21 @@ def test_exhaustive_vectors_layout():
         exhaustive_vectors(tuple("abcdefg"))  # 128 combos > 64 columns
 
 
+@pytest.mark.parametrize("mode, trace", [("ideal", False), ("nominal", False),
+                                         ("nominal", True), ("mc", False)])
+def test_a_program_without_inputs_runs_on_one_column(mode, trace):
+    prog = compile_program("o = 1;\np = ~(0 | 0);\nq = ~1;")
+    assert prog.inputs == () and exhaustive_vectors(prog.inputs) == {}
+    res = simulate_program(prog, {}, mode, var_cfg=VariationConfig(), n_trials=8, trace=trace)
+    assert res.width == 1
+    assert {name: bits.tolist() for name, bits in res.outputs.items()} == {
+        name: [int(bit)] for name, bit in prog.netlist.evaluate({}).items()} == {
+        "o": [1], "p": [1], "q": [0]}
+    assert (res.trace is not None) == trace
+    if mode == "mc":
+        assert {key: c.trials for key, c in res.report.combinations.items()} == {"": 8}
+
+
 def test_mc_report_aggregates_repeated_combinations():
     prog = compile_program("out = a & b;")
     vecs = {"a": [0, 0, 1], "b": [0, 0, 1]}
