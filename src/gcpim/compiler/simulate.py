@@ -6,10 +6,11 @@ its outputs are every mode's result and Monte Carlo's reference.  A
 ``worst_margin`` above ``MARGIN_ALLOWANCE_V`` certifies them for nominal
 cells; otherwise (the bound is conservative) or when tracing, a nominal
 array runs and must match them or raise ``RetentionViolationError``.
-Monte Carlo gives trial ``i`` its own variation draw, from stream ``i``
-and shared by the trial's columns, and scores each column through
-``montecarlo.block_masks`` on block arrays of about ``PROGRAM_BLOCK_CELLS``
-cells.
+Monte Carlo gives trial ``i`` its own draw from stream ``i``: the rows
+the program touches at its full column width, of which the vectors use
+the first columns, so no cell depends on the vector count or the block
+size.  ``montecarlo.block_masks`` scores each column on block arrays of
+about ``PROGRAM_BLOCK_CELLS`` cells.
 
 Every mode first runs the soundness audit; nominal and MC runs also run
 the retention audit and the margin replay.  All three read one replay of
@@ -32,6 +33,7 @@ from gcpim.charge import ConfigError, ModelConfig
 from gcpim.montecarlo import (
     PROGRAM_BLOCK_CELLS,
     CombinationResult,
+    SampledVariation,
     SuccessReport,
     VariationConfig,
     block_masks,
@@ -220,9 +222,12 @@ def simulate_program(
     # a block array keeps only the rows the program touches
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
-    rngs = stream_generators(var_cfg.seed, range(n_trials))
-    draws = (sample_params(var_cfg, rng, rows=program.rows, cols=program.cols,
-                           model_cfg=model, keep=(n_rows, width)) for rng in rngs)
+    # drawn at full width and cut to the vectors' columns (copies, so a
+    # block's draws do not hold the unused columns alive)
+    draws = (sample_params(var_cfg, rng, rows=n_rows, cols=program.cols, model_cfg=model)
+             for rng in stream_generators(var_cfg.seed, range(n_trials)))
+    draws = (SampledVariation(sv.tau_scale[:, :width].copy(), sv.drive_offset[:, :width].copy(),
+                              sv.sa_threshold[:width]) for sv in draws)
     ok, fast, adverse = (mask.reshape(n_trials, width) for mask in block_masks(
         model, program.timing, program.ops, draws, n_trials,
         max(1, PROGRAM_BLOCK_CELLS // (n_rows * width)), vectors, ideal_out))

@@ -20,8 +20,9 @@ draws side by side on a block array of about ``BLOCK_CELLS`` cells
 (``PROGRAM_BLOCK_CELLS`` for programs), runs the ops and scores every
 column; columns never interact, so grouping changes no result.  A gate is
 a 3-op program and draws one ``(k+1) x 64`` grid per batch; a program
-trial's stream is positioned as if it drew one full grid, but only the
-corner its block keeps is transformed (``sample_params(..., keep=...)``).
+trial draws the rows the program touches at the program's full column
+width, row-major, so a cell's value depends on neither the vector count
+nor the block budget.
 ``CombinationResult.from_masks`` counts one input combination's trials.
 """
 
@@ -231,40 +232,27 @@ def sample_params(
     rows: int = 64,
     cols: int = 64,
     model_cfg: ModelConfig | None = None,
-    keep: tuple[int, int] | None = None,
 ) -> SampledVariation:
-    """Draw one grid of variation parameters.
+    """Draw one ``rows x cols`` grid of variation parameters.
 
     Deterministic given (var_cfg.seed, rng_stream) and the grid shape;
     every cell and column is an independent draw.  ``rng_stream`` is a
     stream number, or that stream's generator from ``stream_generators``
     (which a run uses to seed all its streams at once).  Zero sigmas
-    reproduce nominal parameters exactly.  ``keep=(n_rows, width)`` returns only
-    the grid's top-left ``n_rows x width`` corner and the first ``width``
-    thresholds, equal to the same corner of the full draw: the stream
-    advances past the other cells with raw normal draws, which consume
-    exactly the bits their transformed draws would.
+    reproduce nominal parameters exactly.  Grids are drawn row-major:
+    program MC draws a program's touched rows at its full column width
+    and cuts out one column per vector.
     """
     model = model_cfg or ModelConfig()
     if rows <= 0 or cols <= 0:
         raise ConfigError(f"bad grid shape {rows}x{cols}")
-    n_rows, width = (rows, cols) if keep is None else keep
-    if not (0 < n_rows <= rows and 0 < width <= cols):
-        raise ConfigError(f"cannot keep {n_rows}x{width} of a {rows}x{cols} grid")
     rng = (rng_stream if isinstance(rng_stream, np.random.Generator)
            else next(stream_generators(var_cfg.seed, (rng_stream,))))
-    skipped = (rows - n_rows) * cols
     # draw order is part of the determinism contract: tau, drive, threshold
-    tau_scale = rng.lognormal(mean=0.0, sigma=var_cfg.sigma_tau, size=(n_rows, cols))
-    if skipped:
-        rng.standard_normal(skipped)
-    drive_offset = rng.normal(loc=0.0, scale=var_cfg.sigma_drive, size=(n_rows, cols))
-    if skipped:
-        rng.standard_normal(skipped)
-    sa_threshold = rng.normal(loc=model.v_sa_read, scale=var_cfg.sigma_sa, size=width)
-    # a copy, so a kept corner does not hold the rest of its rows alive
-    return SampledVariation(np.ascontiguousarray(tau_scale[:, :width]),
-                            np.ascontiguousarray(drive_offset[:, :width]), sa_threshold)
+    tau_scale = rng.lognormal(mean=0.0, sigma=var_cfg.sigma_tau, size=(rows, cols))
+    drive_offset = rng.normal(loc=0.0, scale=var_cfg.sigma_drive, size=(rows, cols))
+    sa_threshold = rng.normal(loc=model.v_sa_read, scale=var_cfg.sigma_sa, size=cols)
+    return SampledVariation(tau_scale, drive_offset, sa_threshold)
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,8 @@ def test_run_without_inputs_needs_every_combination_in_one_subarray(tmp_path, ca
 # failure bucket is non-empty, both below the floor
 REPORT_PINS = {
     "full-adder": (["--program", "{program}", "--trials", "200"], (0.4, 0.08, 0.068), (
-        "0725f64ea3681aa055936b832d66b96f9e236615159c4f32e672f8d96f5ffd71",
-        "c572ea02509f336af67516b25b28a76b59383453147f0be962fa64ac2ae29eb9")),
+        "c6ea38210ecde3a5302ef1a7e8cd746940b52e47b38d2bc585d7a13bc1fd3380",
+        "32a95b233e9ba2813f78125d11230977d196b73a160e049c57c12075cb4578ce")),
     "nor2": (["--gate", "NOR", "--arity", "2", "--trials", "640"], (0.6, 0.12, 0.102), (
         "314f48731e6eacc6ea1f692934ba9b5c2942aa8cecc59296f8a54a79de68c349",
         "e8d9dffefeef595a04d7e5a58766fe58fe81641546ad46b0243ee4f8044a7ce7")),

@@ -77,32 +77,6 @@ def test_sample_params_seed_changes_draws():
     assert not np.array_equal(a.tau_scale, b.tau_scale)
 
 
-@given(
-    rows=st.integers(1, 70),
-    cols=st.integers(1, 70),
-    keep=st.tuples(st.floats(0, 1), st.floats(0, 1)),
-    stream=st.integers(0, 2**40),
-    seed=st.integers(0, 2**64 - 1),
-    scale=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-)
-@settings(max_examples=200, deadline=None)
-def test_a_kept_corner_equals_the_corner_of_the_full_draw(rows, cols, keep, stream,
-                                                          seed, scale):
-    n_rows, width = max(1, round(keep[0] * rows)), max(1, round(keep[1] * cols))
-    var = VariationConfig(seed=seed).scaled(scale)
-    full = sample_params(var, stream, rows=rows, cols=cols)
-    part = sample_params(var, stream, rows=rows, cols=cols, keep=(n_rows, width))
-    assert part.tau_scale.tobytes() == full.tau_scale[:n_rows, :width].tobytes()
-    assert part.drive_offset.tobytes() == full.drive_offset[:n_rows, :width].tobytes()
-    assert part.sa_threshold.tobytes() == full.sa_threshold[:width].tobytes()
-
-
-def test_sample_params_rejects_a_corner_outside_the_grid():
-    for keep in ((0, 4), (4, 0), (9, 4), (4, 9)):
-        with pytest.raises(ConfigError, match="cannot keep"):
-            sample_params(VAR, rows=8, cols=8, keep=keep)
-
-
 # a seed or stream of 1, 2, 3 and 5 numpy entropy words; with a 2-word
 # seed, every word count from 2 to 7 is hashed
 WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**160 - 1)
@@ -155,22 +129,19 @@ def test_stream_generators_reject_negative_entropy():
 @given(
     rows=st.integers(1, 40),
     cols=st.integers(1, 40),
-    keep=st.tuples(st.floats(0, 1), st.floats(0, 1)),
     first=st.one_of(st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**64 - 2])),
     seed=st.integers(0, 2**64 - 1),
 )
 @settings(max_examples=50, deadline=None)
 def test_sample_params_from_a_run_s_generators_equals_the_standalone_draw(
-        rows, cols, keep, first, seed):
-    n_rows, width = max(1, round(keep[0] * rows)), max(1, round(keep[1] * cols))
+        rows, cols, first, seed):
     var = VariationConfig(seed=seed)
     streams = range(first, first + 3)
-    for corner in (None, (n_rows, width)):
-        for stream, rng in zip(streams, stream_generators(seed, streams)):
-            fed = sample_params(var, rng, rows=rows, cols=cols, keep=corner)
-            alone = sample_params(var, stream, rows=rows, cols=cols, keep=corner)
-            for field in ("tau_scale", "drive_offset", "sa_threshold"):
-                assert getattr(fed, field).tobytes() == getattr(alone, field).tobytes()
+    for stream, rng in zip(streams, stream_generators(seed, streams)):
+        fed = sample_params(var, rng, rows=rows, cols=cols)
+        alone = sample_params(var, stream, rows=rows, cols=cols)
+        for field in ("tau_scale", "drive_offset", "sa_threshold"):
+            assert getattr(fed, field).tobytes() == getattr(alone, field).tobytes()
     # the standalone draw is numpy's, seeded with SeedSequence((seed, stream))
     ref = numpy_rng(seed, first)
     alone = sample_params(var, first, rows=rows, cols=cols)
