@@ -10,7 +10,7 @@ Monte Carlo gives trial ``i`` its own draw from stream ``i``: the rows
 the program touches at its full column width, of which the vectors use
 the first columns, so no cell depends on the vector count or the block
 size.  ``montecarlo.block_masks`` scores each column on block arrays of
-about ``PROGRAM_BLOCK_CELLS`` cells.
+as many trials as fit in ``PROGRAM_BLOCK_CELLS`` cells.
 
 Every mode first runs the soundness audit; nominal and MC runs also run
 the retention audit and the margin replay.  All three read one replay of
@@ -229,8 +229,7 @@ def simulate_program(
     draws = (SampledVariation(sv.tau_scale[:, :width].copy(), sv.drive_offset[:, :width].copy(),
                               sv.sa_threshold[:width]) for sv in draws)
     ok, fast, adverse = (mask.reshape(n_trials, width) for mask in block_masks(
-        model, program.timing, program.ops, draws, n_trials,
-        max(1, PROGRAM_BLOCK_CELLS // (n_rows * width)), vectors, ideal_out))
+        model, program.timing, program.ops, draws, PROGRAM_BLOCK_CELLS, vectors, ideal_out))
 
     combos: dict[str, CombinationResult] = {}
     for key in dict.fromkeys(combo_key):  # stable order, unique

@@ -14,12 +14,13 @@ indices ``[64b, 64b + 64)`` and draws all its randomness from stream
 and results do not depend on execution order or batch scheduling.
 Stream ``s`` is numpy's ``default_rng(SeedSequence((seed, s)))``; a run
 seeds all its streams together (``stream_generators``), which computes
-numpy's seeding hash for a chunk of streams in one vectorised pass.
-One engine, ``block_masks``, runs gates and programs alike: it stacks
-draws side by side on a block array of about ``BLOCK_CELLS`` cells
-(``PROGRAM_BLOCK_CELLS`` for programs), runs the ops and scores every
-column; columns never interact, so grouping changes no result.  A gate is
-a 3-op program and draws one ``(k+1) x 64`` grid per batch; a program
+numpy's seeding hash for a chunk of streams in one pass over its
+four-word pool; seeds and streams stay below 2^64.  One engine,
+``block_masks``, runs gates and programs alike: it stacks as many draws
+side by side as fit in ``BLOCK_CELLS`` cells (``PROGRAM_BLOCK_CELLS`` for
+programs) on a block array, runs the ops and scores every column;
+columns never interact, so grouping changes no result.  A gate is a 3-op
+program and draws one ``(k+1) x 64`` grid per batch; a program
 trial draws the rows the program touches at the program's full column
 width, row-major, so a cell's value depends on neither the vector count
 nor the block budget.
@@ -32,7 +33,7 @@ import csv
 import json
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -80,6 +81,13 @@ BLOCK_CELLS = 8192
 PROGRAM_BLOCK_CELLS = 4 * BLOCK_CELLS
 
 
+def _below_2_64(value) -> int:
+    value = operator.index(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{value} is not a non-negative integer below 2^64")
+    return value
+
+
 @dataclass(frozen=True)
 class VariationConfig:
     """Magnitudes of the sampled process variation.
@@ -99,8 +107,10 @@ class VariationConfig:
         for name in ("sigma_tau", "sigma_sa", "sigma_drive"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ConfigError("seed must fit in 64 bits")
+        try:
+            _below_2_64(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed: {exc}") from None
 
     def scaled(self, factor: float) -> "VariationConfig":
         return replace(self, sigma_tau=self.sigma_tau * factor,
@@ -120,13 +130,6 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 # streams seeded per vectorised pass, so memory does not grow with the run
 _SEED_CHUNK = 1024
-
-
-def _n_words(value: int) -> int:
-    """How many 32-bit words numpy's SeedSequence splits ``value`` into."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    return max(1, -(-value.bit_length() // 32))
 
 
 def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,15 +155,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ value >> 16
 
 
-def _pcg64_seeds(words: np.ndarray) -> list[list[int]]:
+def _pcg64_seeds(pool: np.ndarray) -> list[list[int]]:
     """The 4 uint64 words ``SeedSequence.generate_state(4, np.uint64)``
-    gives for each column of ``words`` (one entropy word per row, every
-    column the same length): the PCG64 seed high and low, then the
+    gives for each column of ``pool`` (numpy's four-word entropy pool,
+    zero past the entropy): the PCG64 seed high and low, then the
     increment high and low."""
-    extra = max(0, len(words) - _POOL_WORDS)
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_WORDS + 4 * extra)
-    pool = np.zeros((_POOL_WORDS, words.shape[1]), dtype=np.uint64)
-    pool[:len(words)] = words[:_POOL_WORDS]  # a short entropy hashes zeros
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_WORDS)
     pool = _hash(pool, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
     # every pool word into every other one; a source never changes while
     # it feeds the other three, so they take it in one step
@@ -168,9 +168,6 @@ def _pcg64_seeds(words: np.ndarray) -> list[list[int]]:
         dst = [d for d in range(_POOL_WORDS) if d != src]
         k = _POOL_WORDS + 3 * src
         pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mult[k:k + 3]))
-    for j, word in enumerate(words[_POOL_WORDS:]):
-        k = 4 * _POOL_WORDS + 4 * j
-        pool = _mix(pool, _hash(word, xor[k:k + 4], mult[k:k + 4]))
     xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
     state = _hash(np.tile(pool, (2, 1)), xor, mult)
     return (state[0::2] | state[1::2] << 32).tolist()  # little-endian pairs
@@ -179,38 +176,30 @@ def _pcg64_seeds(words: np.ndarray) -> list[list[int]]:
 def stream_generators(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
     """One generator per stream, each at the state
     ``np.random.default_rng(np.random.SeedSequence((seed, stream)))``
-    starts from.
+    starts from; seed and streams lie in [0, 2^64), or raise ``ValueError``.
 
-    numpy's seeding hash runs for up to ``_SEED_CHUNK`` streams at a time
-    on uint64 arrays, one pass per entropy word count; the seed then
-    becomes a PCG64 state as ``pcg64_set_seed`` makes it.  Every yield is
-    the same ``Generator``, moved to the next stream: draw from it before
-    asking for the next one.
+    numpy puts the seed's and then the stream's 32-bit words, two at most,
+    into its four-word pool, zero past them, so that a high word of 0
+    hashes as none.  The hash runs for up to ``_SEED_CHUNK`` streams at a
+    time in one pass over the pool; the seed then becomes a PCG64 state as
+    ``pcg64_set_seed`` makes it.  Every yield is the same ``Generator``,
+    moved to the next stream: draw from it before asking for the next one.
     """
-    seed = operator.index(seed)
-    n_seed = _n_words(seed)
-    seed_words = np.array([seed >> 32 * j & _MASK32 for j in range(n_seed)],
-                          dtype=np.uint64)[:, None]
+    seed = _below_2_64(seed)
+    at = 2 if seed >> 32 else 1  # the pool word the stream starts at
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     streams = iter(streams)
-    while chunk := [operator.index(s) for s in islice(streams, _SEED_CHUNK)]:
-        groups: dict[int, list[int]] = {}
-        for i, stream in enumerate(chunk):
-            groups.setdefault(_n_words(stream), []).append(i)
-        states: list = [None] * len(chunk)
-        for n_words, members in groups.items():
-            words = np.empty((n_seed + n_words, len(members)), dtype=np.uint64)
-            words[:n_seed] = seed_words
-            for j in range(n_words):
-                words[n_seed + j] = [chunk[i] >> 32 * j & _MASK32 for i in members]
-            for i, seed_hi, seed_lo, inc_hi, inc_lo in zip(members, *_pcg64_seeds(words)):
-                # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then
-                # two LCG steps with the seed added after the first
-                inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-                state = ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc
-                states[i] = state & _MASK128, inc
-        for state, inc in states:
+    while chunk := [_below_2_64(s) for s in islice(streams, _SEED_CHUNK)]:
+        values = np.array(chunk, dtype=np.uint64)
+        pool = np.zeros((_POOL_WORDS, len(chunk)), dtype=np.uint64)
+        pool[0], pool[1] = seed & _MASK32, seed >> 32
+        pool[at], pool[at + 1] = values & _MASK32, values >> 32
+        for seed_hi, seed_lo, inc_hi, inc_lo in zip(*_pcg64_seeds(pool)):
+            # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1, then
+            # two LCG steps with the seed added after the first
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+            state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             yield rng
@@ -370,13 +359,14 @@ def _across(values, cols: int) -> np.ndarray:
 
 
 def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[MicroOp],
-                draws: Iterator[SampledVariation], n_draws: int, per_block: int,
+                draws: Iterator[SampledVariation], cells: int,
                 inputs: dict, wants: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run ``ops`` on ``n_draws`` variation draws and score every column.
+    """Run ``ops`` on every variation draw of ``draws`` and score every column.
 
-    Up to ``per_block`` draws from ``draws`` run side by side on one block
-    array, draw ``i`` right of draw ``i-1``; every draw has the ops' row
-    count.  ``inputs[name]`` is what an ``input:<name>`` WRITE stores in
+    Draws run side by side on block arrays, draw ``i`` right of draw
+    ``i-1``: a block takes as many as fit in ``cells`` cells at its first
+    draw's size, and at least one.  Every draw has the ops' row count.
+    ``inputs[name]`` is what an ``input:<name>`` WRITE stores in
     one draw's columns, and ``wants[name]`` what the READ of output
     ``name`` must sense.  Returns the masks, one entry per column: every
     output right, some input cell holding '1' decaying faster than
@@ -389,14 +379,15 @@ def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[Mi
               if op.kind is OpKind.WRITE and op.source.startswith("input:")]
     outputs = [op.output for op in ops if op.kind is OpKind.READ]
     blocks = []
-    for first in range(0, n_draws, per_block):
+    for first in draws:
+        block = chain((first,), islice(draws, max(1, cells // first.tau_scale.size) - 1))
         tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
-                                      for sv in islice(draws, min(per_block, n_draws - first))))
+                                      for sv in block))
         # rebound, so each draw's arrays are freed before the array is built
         tau, drive, threshold = np.hstack(tau), np.hstack(drive), np.concatenate(threshold)
         sa = SubArray(model, timing, rows=len(tau), cols=len(threshold),
                       tau_scale=tau, drive_offset=drive, sa_threshold=threshold)
-        del tau, drive  # the array keeps only what it derives from them
+        del first, tau, drive  # the array keeps only what it derives from them
         bits = {name: _across(v, sa.cols) for name, v in inputs.items()}
         sensed = dict(zip(outputs, sa.run(ops, bits)))  # the last READ of a name
         scored = [(sensed[name], _across(want, sa.cols)) for name, want in wants.items()]
@@ -461,8 +452,7 @@ def gate_trial_masks(
     draws = (sample_params(var_cfg, rng, rows=k + 1,
                            cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS), model_cfg=model)
              for b, rng in enumerate(rngs))
-    return block_masks(model, timing, ops, draws, n_batches,
-                       max(1, BLOCK_CELLS // ((k + 1) * _BATCH_COLS)),
+    return block_masks(model, timing, ops, draws, BLOCK_CELLS,
                        {f"x{i}": b for i, b in enumerate(bits)}, {"out": expected})
 
 
@@ -505,12 +495,12 @@ def run_gate_campaign(
 
     Stream indices are partitioned per combination so campaign results
     for a combination match a standalone run_gate_trials call with
-    stream_base = combination_index * 2^32.
+    stream_base = combination_index * 2^32, so a campaign takes at most 32
+    inputs: every stream stays below 2^64.
     """
-    if n_inputs < 1:
-        raise ConfigError(f"gate arity must be >= 1, got {n_inputs}")
-    if gate.upper() == "NOT" and n_inputs != 1:
-        raise ConfigError("NOT takes exactly one input")
+    max_inputs = 65 - _STREAM_STRIDE.bit_length()
+    if not 1 <= n_inputs <= max_inputs:
+        raise ConfigError(f"gate arity must be >= 1 and <= {max_inputs}, got {n_inputs}")
     report = SuccessReport(gate=gate.upper(), n_inputs=n_inputs, input_age_ns=int(input_age_ns))
     for c in range(2**n_inputs):
         bits = tuple((c >> (n_inputs - 1 - i)) & 1 for i in range(n_inputs))
@@ -544,13 +534,13 @@ def calibrate_variation(
     """Find variation magnitudes that reproduce the target worst-case yield.
 
     The worst case is a single stored '1' consumed at the full logic
-    retention budget: NOT('1') with the operand aged drt_logic_ns.  A
-    common scale factor over the base sigma ratios is bisected until the
-    measured success rate over n_trials lands within ``tolerance`` of the
-    target.  All evaluations reuse the same random streams (common random
-    numbers), which makes the measured rate a deterministic function of
-    the scale and keeps the root-find stable.  ``on_step(scale, rate)``
-    is called after each evaluation when given.
+    retention budget: NOT('1') with the operand aged drt_logic_ns.  One
+    loop probes a common scale over the base sigma ratios: it doubles from
+    1 while the rate stays above the band, then bisects, until the success
+    rate over n_trials lands within ``tolerance`` of the target.  All
+    evaluations reuse the same random streams (common random numbers), so
+    the rate is a deterministic function of the scale and the root-find
+    is stable.  ``on_step(scale, rate)`` is called after each evaluation.
     """
     if not (0.5 < target_worst_case < 1.0):
         raise ConfigError("target_worst_case must lie in (0.5, 1.0)")
@@ -558,54 +548,34 @@ def calibrate_variation(
         raise ConfigError("calibration needs at least 10^4 trials")
     model = model_cfg or ModelConfig()
     base = VariationConfig(**BASE_SIGMA_RATIOS, seed=seed)
-    age = model.drt_logic_ns
-
-    def rate(scale: float) -> float:
-        report = run_gate_trials(
-            "NOT", (1,), n_trials, age, base.scaled(scale), model, timing_cfg
-        )
-        return report.combinations["1"].success_rate
-
-    evaluations: list[tuple[float, float]] = []
-
-    def probe(scale: float) -> float:
-        r = rate(scale)
-        evaluations.append((scale, r))
-        if on_step is not None:
-            on_step(scale, r)
-        return r
-
     # zero variation always succeeds; targets within tolerance of 1 are
     # served by the degenerate config
     if 1.0 - target_worst_case <= tolerance:
         return base.scaled(0.0)
 
-    lo, hi = 0.0, 1.0
-    r_hi = probe(hi)
-    while r_hi > target_worst_case + tolerance and hi < 2**10:
-        lo, hi = hi, hi * 2
-        r_hi = probe(hi)
-    if abs(r_hi - target_worst_case) <= tolerance:
-        return base.scaled(hi)
-    if r_hi > target_worst_case:
-        raise CalibrationError(
-            f"worst-case rate stays above {target_worst_case} up to scale {hi}",
-            {"evaluations": evaluations, "n_trials": n_trials},
-        )
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        r_mid = probe(mid)
-        if abs(r_mid - target_worst_case) <= tolerance:
-            return base.scaled(mid)
-        if r_mid > target_worst_case:
-            lo = mid
+    # hi stays None while the scale doubles to bracket the target
+    lo, hi, scale, halvings = 0.0, None, 1.0, 0
+    evaluations: list[tuple[float, float]] = []
+    diagnostics = {"evaluations": evaluations, "n_trials": n_trials}
+    while True:
+        rate = run_gate_trials("NOT", (1,), n_trials, model.drt_logic_ns, base.scaled(scale),
+                               model, timing_cfg).combinations["1"].success_rate
+        evaluations.append((scale, rate))
+        if on_step is not None:
+            on_step(scale, rate)
+        if hi is None and rate > target_worst_case + tolerance and scale < 2**10:
+            lo, scale = scale, 2 * scale
+            continue
+        if abs(rate - target_worst_case) <= tolerance:
+            return base.scaled(scale)
+        if hi is None and rate > target_worst_case:
+            raise CalibrationError(f"worst-case rate stays above {target_worst_case} "
+                                   f"up to scale {scale}", diagnostics)
+        if rate > target_worst_case:
+            lo = scale
         else:
-            hi = mid
-        if hi - lo < 1e-9:
-            break
-
-    raise CalibrationError(
-        f"no scale within {tolerance} of {target_worst_case} after {max_iter} steps",
-        {"evaluations": evaluations, "n_trials": n_trials, "bracket": (lo, hi)},
-    )
+            hi = scale
+        if hi - lo < 1e-9 or halvings >= max_iter:
+            raise CalibrationError(f"no scale within {tolerance} of {target_worst_case} after "
+                                   f"{max_iter} steps", {**diagnostics, "bracket": (lo, hi)})
+        scale, halvings = 0.5 * (lo + hi), halvings + 1

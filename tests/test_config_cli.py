@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcpim.montecarlo as mc_mod
 from gcpim.charge import ConfigError
 from gcpim.cli import _write_trace_csv, main
 from gcpim.compiler import PimProgram, compile_program
@@ -692,6 +693,16 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
                      "--mode", mode, "--trials", "4",
                      "--out", str(tmp_path / "bad_out")]) == 3, mode
         assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
+
+
+def test_a_gate_campaign_past_32_inputs_runs_no_trial(tmp_path, capsys, monkeypatch):
+    # combination 2^32 and on would take streams past 2^64, and 2^33
+    # combinations never finish: refused before the first trial
+    calls = []
+    monkeypatch.setattr(mc_mod, "run_gate_trials", lambda *a, **k: calls.append(a))
+    assert main(["mc", "--gate", "NOR", "--arity", "33", "--out", str(tmp_path / "m")]) == 2
+    assert "gate arity must be >= 1 and <= 32, got 33" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "m").exists()
 
 
 def test_negative_starts_and_impossible_headers_are_malformed(adder, tmp_path, capsys):

@@ -6,6 +6,8 @@ better, so spurious failures need a broken generator, not bad luck.
 """
 
 import math
+from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +61,13 @@ def test_variation_validation():
         VariationConfig(sigma_tau=-0.1)
     with pytest.raises(ConfigError):
         VariationConfig(seed=-1)
+    with pytest.raises(ConfigError, match="below 2\\^64"):
+        VariationConfig(seed=2**64)
+    # a float seed fails here, not with a TypeError at the first draw
+    for seed in (1.5, 2.0, "7"):
+        with pytest.raises(ConfigError, match="seed"):
+            VariationConfig(seed=seed)
+    assert VariationConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_sample_params_deterministic_per_stream():
@@ -77,9 +86,11 @@ def test_sample_params_seed_changes_draws():
     assert not np.array_equal(a.tau_scale, b.tau_scale)
 
 
-# a seed or stream of 1, 2, 3 and 5 numpy entropy words; with a 2-word
-# seed, every word count from 2 to 7 is hashed
-WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**160 - 1)
+# a seed or stream of 1 and 2 numpy entropy words, the most one takes:
+# every entropy length from 2 to 4 words is hashed
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+# past 64 bits, which stream_generators refuses
+TOO_WIDE = (2**64, 2**96 + 5, 2**160 - 1)
 
 
 def numpy_rng(seed: int, stream: int) -> np.random.Generator:
@@ -87,14 +98,14 @@ def numpy_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 @given(
-    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
-                   st.integers(0, 2**64 - 1)),
-    streams=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**160 - 1)),
+    seed=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**64 - 1)),
+    streams=st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**64 - 1)),
                      min_size=1, max_size=12),
     split=st.integers(0, 12),
+    too_wide=st.integers(2**64, 2**160),
 )
 @settings(max_examples=40, deadline=None)
-def test_stream_generators_start_where_numpy_seeding_does(seed, streams, split):
+def test_stream_generators_start_where_numpy_seeding_does(seed, streams, split, too_wide):
     # one call over streams of every word count, placed so that the drawn
     # ones straddle the boundary between two seeding chunks
     split = min(split, len(streams))
@@ -106,17 +117,44 @@ def test_stream_generators_start_where_numpy_seeding_does(seed, streams, split):
             (seed, stream)
         n += 1
     assert n == len(all_streams)
+    # a stream past 64 bits raises once its chunk is seeded
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        for _ in stream_generators(seed, [*streams, too_wide]):
+            pass
+
+
+@pytest.mark.parametrize("seed", WORD_EDGES)
+def test_stream_generators_cover_the_64_bit_domain(seed):
+    # every word edge at the start of a chunk and across a chunk boundary
+    streams = [*WORD_EDGES, *range(7, 7 + _SEED_CHUNK - 6), *WORD_EDGES]
+    assert streams[_SEED_CHUNK - 2:_SEED_CHUNK + 2] == list(WORD_EDGES)
+    for stream, rng in zip(streams, stream_generators(seed, streams), strict=True):
+        assert rng.bit_generator.state == numpy_rng(seed, stream).bit_generator.state, \
+            (seed, stream)
+    # 2^64 raises in the first chunk, before any yield, and in a later one,
+    # after the chunks before it are yielded
+    for streams in ([2**64], [*range(_SEED_CHUNK), 2**64 - 1, 2**64]):
+        n = 0
+        with pytest.raises(ValueError, match="non-negative integer below 2\\^64"):
+            for _ in stream_generators(seed, streams):
+                n += 1
+        assert n == len(streams) // _SEED_CHUNK * _SEED_CHUNK
 
 
 def test_stream_generators_draw_what_numpy_draws():
     seeds = (0, 2**32, DEFAULT_SEED, 2**64 - 1)
-    streams = (*WORD_EDGES, 3, 2**96 + 5)
+    streams = (*WORD_EDGES, 3, 2**63 + 5)
     for seed in seeds:
         for stream, rng in zip(streams, stream_generators(seed, streams)):
             ref = numpy_rng(seed, stream)
             for draw in (lambda g: g.lognormal(0.0, 0.2, 5), lambda g: g.normal(0.45, 0.04, 3),
                          lambda g: g.standard_normal(7)):
                 assert draw(rng).tobytes() == draw(ref).tobytes(), (seed, stream)
+        for stream in TOO_WIDE:
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                next(stream_generators(seed, [stream]))
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                next(stream_generators(stream, [seed]))
 
 
 def test_stream_generators_reject_negative_entropy():
@@ -129,7 +167,7 @@ def test_stream_generators_reject_negative_entropy():
 @given(
     rows=st.integers(1, 40),
     cols=st.integers(1, 40),
-    first=st.one_of(st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**64 - 2])),
+    first=st.one_of(st.integers(0, 2**40), st.sampled_from([2**32 - 2, 2**64 - 3])),
     seed=st.integers(0, 2**64 - 1),
 )
 @settings(max_examples=50, deadline=None)
@@ -151,6 +189,9 @@ def test_sample_params_from_a_run_s_generators_equals_the_standalone_draw(
                                                       (rows, cols)).tobytes()
     assert alone.sa_threshold.tobytes() == ref.normal(CFG.v_sa_read, var.sigma_sa,
                                                       cols).tobytes()
+    # stream 2^64 lies past the seeding's 64-bit domain: no draw
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        sample_params(var, 2**64, rows=rows, cols=cols)
 
 
 def test_sample_params_distributions():
@@ -393,6 +434,104 @@ def test_calibration_failure_carries_diagnostics():
     evals = exc.value.diagnostics["evaluations"]
     assert len(evals) >= 3
     assert all(0.0 <= r <= 1.0 for _, r in evals)
+
+
+@pytest.mark.parametrize("target, tolerance, n_trials, scales, rate", [
+    (0.99, 0.001, 10**4, [1, 2, 4, 3, 2.5, 2.25, 2.125, 2.1875, 2.15625], 0.99),
+    (0.995, 0.003, 2 * 10**4, [1, 2.0], 0.99325),  # the CLI's defaults
+])
+def test_calibration_probes_at_the_default_seed(target, tolerance, n_trials, scales, rate):
+    steps = []
+    var = calibrate_variation(target, tolerance=tolerance, n_trials=n_trials,
+                              on_step=lambda *step: steps.append(step))
+    assert [scale for scale, _ in steps] == scales
+    assert steps[-1][1] == rate
+    assert var == VariationConfig(**BASE_SIGMA_RATIOS).scaled(scales[-1])
+
+
+def two_loop_calibration(rate, target, tolerance, max_iter):
+    """The probes and outcome of calibrate_variation's earlier control
+    flow, a doubling loop and then a bisection loop: the oracle for its
+    one loop."""
+    probes = []
+
+    def probe(scale):
+        probes.append((scale, rate(scale)))
+        return probes[-1][1]
+
+    if 1.0 - target <= tolerance:
+        return probes, ("scale", 0.0)
+    lo, hi = 0.0, 1.0
+    r_hi = probe(hi)
+    while r_hi > target + tolerance and hi < 2**10:
+        lo, hi = hi, hi * 2
+        r_hi = probe(hi)
+    if abs(r_hi - target) <= tolerance:
+        return probes, ("scale", hi)
+    if r_hi > target:
+        return probes, ("stays above", None)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        r_mid = probe(mid)
+        if abs(r_mid - target) <= tolerance:
+            return probes, ("scale", mid)
+        if r_mid > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-9:
+            break
+    return probes, ("no scale", (lo, hi))
+
+
+@st.composite
+def rate_curves(draw):
+    """A target, a tolerance and a falling step curve of rates over the
+    scale, whose steps sit on and next to the edges of the target band."""
+    target = draw(st.one_of(st.sampled_from([0.99, 0.995, 0.9975]),
+                            st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)))
+    tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-9, 0.001, 0.003]),
+                               st.floats(0.0, 0.2)))
+    edges = [target, target + tolerance, target - tolerance]
+    edges += [float(np.nextafter(e, side)) for e in edges for side in (0.0, 2.0)]
+    rates = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8))
+    cuts = draw(st.lists(st.one_of(st.floats(0.0, 2.0**11), st.sampled_from([1.0, 2.0**10])),
+                         min_size=len(rates) - 1, max_size=len(rates) - 1))
+    return target, tolerance, sorted(cuts), sorted(rates, reverse=True)
+
+
+@given(case=rate_curves(),
+       max_iter=st.one_of(st.sampled_from([-1, 0, 1, 48]), st.integers(-1, 60)))
+@settings(max_examples=300, deadline=None)
+def test_calibration_loop_probes_what_the_two_loops_probed(case, max_iter):
+    target, tolerance, cuts, rates = case
+    base = VariationConfig(**BASE_SIGMA_RATIOS)
+
+    def curve(sigma_tau):
+        return rates[bisect_right(cuts, sigma_tau / BASE_SIGMA_RATIOS["sigma_tau"])]
+
+    def stub(gate, bits, n_trials, age, var_cfg, model_cfg, timing_cfg):
+        rate = curve(var_cfg.sigma_tau)
+        return SimpleNamespace(combinations={"1": SimpleNamespace(success_rate=rate)})
+
+    want_probes, want = two_loop_calibration(
+        lambda scale: curve(base.scaled(scale).sigma_tau), target, tolerance, max_iter)
+    probes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc_mod, "run_gate_trials", stub)
+        try:
+            got = ("scale", calibrate_variation(
+                target, CFG, n_trials=10**4, tolerance=tolerance, max_iter=max_iter,
+                on_step=lambda *step: probes.append(step)))
+        except CalibrationError as exc:
+            assert exc.diagnostics["evaluations"] == probes
+            got = (("stays above", None) if "stays above" in str(exc)
+                   else ("no scale", exc.diagnostics["bracket"]))
+    assert probes == want_probes
+    if want[0] == "scale":
+        want = ("scale", base.scaled(want[1]))
+    assert got == want
 
 
 def test_combination_result_to_dict():
