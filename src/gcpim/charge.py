@@ -115,7 +115,10 @@ class ModelConfig:
     Voltage levels are in volts, times in nanoseconds.  ``tau_ns`` defaults
     to the value calibrated so a full-level cell decays to ``v_sa_read``
     exactly at ``drt_read_ns``; call :meth:`calibrated` after overriding
-    voltages to re-derive it.
+    voltages to re-derive it.  A smaller ``tau_ns`` is rejected: a stored
+    '1' would misread before ``drt_read_ns``.  So a longer window, or a
+    sense threshold nearer ``vdd``, takes its ``tau_ns`` from
+    :func:`calibrate_tau`.
     """
 
     vdd: float = 0.9
@@ -136,13 +139,15 @@ class ModelConfig:
             raise ConfigError(
                 f"need 0 <= v_t_drive < v_sa_read, got {self.v_t_drive}"
             )
-        if self.tau_ns <= 0:
-            raise ConfigError(f"tau_ns must be positive, got {self.tau_ns}")
         if not (0 < self.drt_logic_ns <= self.drt_read_ns):
             raise ConfigError(
                 f"need 0 < drt_logic_ns <= drt_read_ns, got "
                 f"{self.drt_logic_ns} and {self.drt_read_ns}"
             )
+        tau_min = calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns)
+        if not self.tau_ns >= tau_min * (1 - 1e-9):  # the calibrated tau sits on the bound
+            raise ConfigError(f"tau_ns must be at least {tau_min} for a stored '1' to stay "
+                              f"above v_sa_read for drt_read_ns, got {self.tau_ns}")
 
     def calibrated(self) -> "ModelConfig":
         """Return a copy with ``tau_ns`` re-derived from the voltage levels."""

@@ -9,8 +9,6 @@ from gcpim.compiler.expr import (
     And,
     Const,
     Expr,
-    Nand,
-    Nor,
     Not,
     Or,
     ParseError,
@@ -44,8 +42,8 @@ from gcpim.compiler.simulate import (
 )
 
 __all__ = [
-    "And", "CapacityError", "CompilerConfig", "Const", "Expr", "Nand",
-    "MalformedProgramError", "NetlistBuilder", "Nor", "NorNetlist", "Not", "Or",
+    "And", "CapacityError", "CompilerConfig", "Const", "Expr",
+    "MalformedProgramError", "NetlistBuilder", "NorNetlist", "Not", "Or",
     "ParseError", "PimProgram", "Program", "RefreshScheduleError", "RetentionViolationError",
     "RowAssignment", "SimulationResult", "UnsoundProgramError", "Var", "Xor",
     "allocate_rows", "audit_refresh_safety", "audit_row_soundness",

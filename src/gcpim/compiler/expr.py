@@ -10,9 +10,8 @@ assigned is an input, in first-use order.  A name assigned anywhere in
 the program must not be read before its defining statement.  Assigned
 names that no later statement reads are the program outputs.
 
-``~`` applied directly to a parenthesized ``|`` (or ``&``) chain folds
-into an n-ary NOR (NAND) node so the natural way of writing a NOR
-reaches the lowerer as one gate.
+The parser returns plain syntax: one node per operator, chains nested
+to the left as they associate.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 __all__ = [
-    "And", "Const", "Expr", "Nand", "Nor", "Not", "Or", "ParseError",
-    "Program", "Statement", "Var", "Xor", "eval_expr", "parse_expr",
-    "parse_program",
+    "And", "Const", "Expr", "Not", "Or", "ParseError", "Program", "Statement",
+    "Var", "Xor", "eval_expr", "parse_expr", "parse_program",
 ]
 
 
@@ -80,16 +78,6 @@ class Xor(Expr):
 
 
 @dataclass(frozen=True)
-class Nor(Expr):
-    args: tuple[Expr, ...] = ()
-
-
-@dataclass(frozen=True)
-class Nand(Expr):
-    args: tuple[Expr, ...] = ()
-
-
-@dataclass(frozen=True)
 class Statement:
     name: str
     expr: Expr
@@ -103,6 +91,9 @@ class Program:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
+
+# binary operators, loosest first; each associates left
+_BINARY = (("|", Or), ("^", Xor), ("&", And))
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -161,37 +152,22 @@ class _Parser:
             )
         return self.advance()
 
-    # precedence climbing: | is loosest, then ^, then &, then unary ~
-
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        e = self.xor_expr()
-        while self.cur.kind == "|":
+    def expr(self, level: int = 0) -> Expr:
+        """Precedence climbing over _BINARY, loosest first; past its last
+        level, a unary operand."""
+        if level == len(_BINARY):
+            return self.unary()
+        kind, node = _BINARY[level]
+        e = self.expr(level + 1)
+        while self.cur.kind == kind:
             tok = self.advance()
-            e = Or(e, self.xor_expr(), line=tok.line, col=tok.col)
-        return e
-
-    def xor_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.cur.kind == "^":
-            tok = self.advance()
-            e = Xor(e, self.and_expr(), line=tok.line, col=tok.col)
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.unary()
-        while self.cur.kind == "&":
-            tok = self.advance()
-            e = And(e, self.unary(), line=tok.line, col=tok.col)
+            e = node(e, self.expr(level + 1), line=tok.line, col=tok.col)
         return e
 
     def unary(self) -> Expr:
         if self.cur.kind == "~":
             tok = self.advance()
-            inner = self.unary()
-            return _fold_negation(inner, tok.line, tok.col)
+            return Not(self.unary(), line=tok.line, col=tok.col)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -223,20 +199,6 @@ class _Parser:
         return Statement(name_tok.text, e, name_tok.line, name_tok.col)
 
 
-def _flatten(expr: Expr, op) -> list[Expr]:
-    if isinstance(expr, op):
-        return _flatten(expr.a, op) + _flatten(expr.b, op)
-    return [expr]
-
-
-def _fold_negation(inner: Expr, line: int, col: int) -> Expr:
-    if isinstance(inner, Or):
-        return Nor(tuple(_flatten(inner, Or)), line=line, col=col)
-    if isinstance(inner, And):
-        return Nand(tuple(_flatten(inner, And)), line=line, col=col)
-    return Not(inner, line=line, col=col)
-
-
 def _walk_vars(expr: Expr) -> Iterator[Var]:
     """The expression's variables, left to right, at any nesting depth."""
     stack = [expr]
@@ -248,8 +210,6 @@ def _walk_vars(expr: Expr) -> Iterator[Var]:
             stack.append(expr.a)
         elif isinstance(expr, (And, Or, Xor)):
             stack += expr.b, expr.a
-        elif isinstance(expr, (Nor, Nand)):
-            stack += reversed(expr.args)
 
 
 def parse_program(text: str) -> Program:
@@ -331,8 +291,4 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
         return _eval(expr.a, env) | _eval(expr.b, env)
     if isinstance(expr, Xor):
         return _eval(expr.a, env) ^ _eval(expr.b, env)
-    if isinstance(expr, Nor):
-        return int(not any(_eval(a, env) for a in expr.args))
-    if isinstance(expr, Nand):
-        return int(not all(_eval(a, env) for a in expr.args))
     raise TypeError(f"not an expression node: {expr!r}")

@@ -6,10 +6,11 @@ the classical identities
     NOT(x)    = NOR(x)
     OR(a,b)   = NOT(NOR(a,b))
     AND(a,b)  = NOR(NOT(a), NOT(b))
-    NAND(a,b) = NOT(AND(a,b))
     XOR(a,b)  = n1=NOR(a,b); NOT(NOR(NOR(a,n1), NOR(b,n1)))
 
-and shares structurally identical subterms (hash-consing).  No other
+and one fold: ``~`` over a ``|`` chain, ``~(a | b | ...)``, is one n-ary
+NOR, and over an ``&`` chain a NAND, NOT(NOR(NOT(a), NOT(b), ...)).
+Structurally identical subterms are shared (hash-consing); no other
 minimization is attempted.  NOR argument lists are canonicalized (sorted,
 deduplicated), which is sound because the gate is symmetric and a row
 cannot be asserted twice in one pulse anyway.
@@ -29,8 +30,7 @@ import numpy as np
 
 from gcpim.charge import ConfigError
 from gcpim.compiler.expr import (
-    TOO_DEEP, And, Const, Expr, Nand, Nor, Not, Or, ParseError, Program, Var, Xor,
-    parse_program,
+    TOO_DEEP, And, Const, Expr, Not, Or, ParseError, Program, Var, Xor, parse_program,
 )
 
 __all__ = ["NetlistBuilder", "Node", "NorNetlist", "lower_program", "lower_to_nor"]
@@ -214,67 +214,48 @@ class NetlistBuilder:
             raise ValueError(f"unknown argument node in {canonical}")
         return self._add(("nor", canonical), Node("nor", canonical))
 
-    # -- capped gate constructors -------------------------------------
-
-    def not_(self, a: int) -> int:
-        return self.nor([a])
-
     def nor_wide(self, args) -> int:
         """NOR of any arity, split to respect the arity cap."""
         args = list(dict.fromkeys(args))  # dedupe, preserve order
         cap = self.max_nor_arity
         while len(args) > cap:
             head, args = args[:cap], args[cap:]
-            args.insert(0, self.not_(self.nor(head)))  # OR of the head group
+            args.insert(0, self.nor([self.nor(head)]))  # OR of the head group
         return self.nor(args)
 
-    def or_wide(self, args) -> int:
-        return self.not_(self.nor_wide(args))
 
-    def and_wide(self, args) -> int:
-        return self.nor_wide([self.not_(a) for a in args])
-
-    def nand_wide(self, args) -> int:
-        return self.not_(self.and_wide(args))
-
-    def xor2(self, a: int, b: int) -> int:
-        n1 = self.nor([a, b])
-        return self.not_(self.nor([self.nor([a, n1]), self.nor([b, n1])]))
-
-    def finish(self, outputs: dict[str, int], inputs: tuple[str, ...]) -> NorNetlist:
-        return NorNetlist(
-            nodes=tuple(self.nodes),
-            inputs=tuple(inputs),
-            outputs=tuple(outputs.items()),
-        )
+def _flatten(expr: Expr, op) -> list[Expr]:
+    if isinstance(expr, op):
+        return _flatten(expr.a, op) + _flatten(expr.b, op)
+    return [expr]
 
 
 def _lower_expr(builder: NetlistBuilder, expr: Expr, env: dict[str, int]) -> int:
+    """Each gate's operands are lowered before it, so ids stay topological."""
     if isinstance(expr, Var):
         if expr.name in env:
             return env[expr.name]
         return builder.input(expr.name)
     if isinstance(expr, Const):
         return builder.const(expr.value)
+    nor = builder.nor
     if isinstance(expr, Not):
-        return builder.not_(_lower_expr(builder, expr.a, env))
+        inner = expr.a
+        if not isinstance(inner, (Or, And)):
+            return nor([_lower_expr(builder, inner, env)])
+        args = [_lower_expr(builder, a, env) for a in _flatten(inner, type(inner))]
+        if isinstance(inner, Or):
+            return builder.nor_wide(args)
+        return nor([builder.nor_wide([nor([a]) for a in args])])
+    if not isinstance(expr, (And, Or, Xor)):
+        raise TypeError(f"not an expression node: {expr!r}")
+    a, b = _lower_expr(builder, expr.a, env), _lower_expr(builder, expr.b, env)
     if isinstance(expr, And):
-        return builder.and_wide(
-            [_lower_expr(builder, expr.a, env), _lower_expr(builder, expr.b, env)]
-        )
+        return nor([nor([a]), nor([b])])
     if isinstance(expr, Or):
-        return builder.or_wide(
-            [_lower_expr(builder, expr.a, env), _lower_expr(builder, expr.b, env)]
-        )
-    if isinstance(expr, Xor):
-        return builder.xor2(
-            _lower_expr(builder, expr.a, env), _lower_expr(builder, expr.b, env)
-        )
-    if isinstance(expr, Nor):
-        return builder.nor_wide([_lower_expr(builder, a, env) for a in expr.args])
-    if isinstance(expr, Nand):
-        return builder.nand_wide([_lower_expr(builder, a, env) for a in expr.args])
-    raise TypeError(f"not an expression node: {expr!r}")
+        return nor([nor([a, b])])
+    n1 = nor([a, b])
+    return nor([nor([nor([a, n1]), nor([b, n1])])])
 
 
 def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
@@ -288,8 +269,8 @@ def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
             env[st.name] = _lower_expr(builder, st.expr, env)
         except RecursionError:
             raise ParseError(TOO_DEEP, st.line, st.col) from None
-    outputs = {name: env[name] for name in program.outputs}
-    return builder.finish(outputs, program.inputs)
+    return NorNetlist(nodes=tuple(builder.nodes), inputs=program.inputs,
+                      outputs=tuple((name, env[name]) for name in program.outputs))
 
 
 def lower_to_nor(text: str, max_nor_arity: int = 2) -> NorNetlist:

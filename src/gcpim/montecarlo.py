@@ -577,5 +577,5 @@ def calibrate_variation(
             hi = scale
         if hi - lo < 1e-9 or halvings >= max_iter:
             raise CalibrationError(f"no scale within {tolerance} of {target_worst_case} after "
-                                   f"{max_iter} steps", {**diagnostics, "bracket": (lo, hi)})
+                                   f"{halvings} steps", {**diagnostics, "bracket": (lo, hi)})
         scale, halvings = 0.5 * (lo + hi), halvings + 1

@@ -111,7 +111,7 @@ def test_decay_scale_equals_time_dilation(v, dt, scale):
 
 
 @given(
-    tau_ns=st.floats(1.0, 1e7),
+    tau_ns=st.floats(DEFAULT_TAU_NS, 1e7),  # the accepted ones at the default windows
     scale=st.sampled_from([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
     | st.floats(0.5, 2.0),
 )
@@ -243,6 +243,19 @@ def test_config_rejects_bad_orderings():
         ModelConfig(tau_ns=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(drt_logic_ns=20000)  # longer than the read window
+
+
+def test_config_rejects_a_tau_that_cannot_retain_a_one_for_the_read_window():
+    # the calibrated tau is the bound, up to a relative 1e-9
+    assert ModelConfig(tau_ns=DEFAULT_TAU_NS * (1 - 1e-10)).tau_ns < DEFAULT_TAU_NS
+    assert ModelConfig(vdd=1.0, v_sa_read=0.5).tau_ns == DEFAULT_TAU_NS
+    for cfg in ({"tau_ns": DEFAULT_TAU_NS * (1 - 1e-8)}, {"tau_ns": 5},
+                {"tau_ns": float("nan")}, {"drt_read_ns": 15001},
+                {"vdd": 0.9, "v_sa_read": 0.46}):
+        with pytest.raises(ConfigError, match="^tau_ns must be at least "):
+            ModelConfig(**cfg)
+    with pytest.raises(ConfigError, match=f"at least {DEFAULT_TAU_NS} .*, got 5$"):
+        ModelConfig(tau_ns=5)
 
 
 def test_cell_params_reject_nonpositive_tau_scale():

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcpim.montecarlo as mc_mod
-from gcpim.charge import ConfigError
+from gcpim.charge import DEFAULT_TAU_NS, ConfigError, calibrate_tau
 from gcpim.cli import _write_trace_csv, main
 from gcpim.compiler import PimProgram, compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
@@ -145,6 +145,18 @@ def test_misspelt_or_misplaced_keys_are_still_rejected(tmp_path, capsys):
         assert main(["mc", "--gate", "NOT", "--arity", "1", "--trials", "10",
                      "--config", str(p), "--out", str(tmp_path / "m")]) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+
+def test_a_model_that_cannot_retain_a_one_exits_2(tmp_path, capsys):
+    # at tau_ns 5 a stored '1' misreads within nanoseconds: the half adder
+    # used to compile audit-clean under it and its run to exit 3
+    src, cfg = tmp_path / "half.txt", tmp_path / "cfg.json"
+    src.write_text("s = a ^ b;\nc = a & b;\n")
+    cfg.write_text('{"version": 1, "model": {"tau_ns": 5}}')
+    assert main(["compile", str(src), "-o", str(tmp_path / "half.json"),
+                 "--config", str(cfg)]) == 2
+    assert f"tau_ns must be at least {DEFAULT_TAU_NS}" in capsys.readouterr().err
+    assert not (tmp_path / "half.json").exists()
 
 
 def test_seed_override():
@@ -887,14 +899,18 @@ def accepted_configs_and_sources(draw):
     source of random expressions behind an optional NOT-chain filler."""
     drt_read = draw(st.integers(20, 20_000))
     model = {"drt_read_ns": drt_read, "drt_logic_ns": draw(st.integers(1, drt_read))}
-    if draw(st.booleans()):
-        model["tau_ns"] = draw(st.floats(1, 1e6))
+    vdd, v_sa_read = 0.9, 0.45
     if draw(st.booleans()):  # 0 < v_residual_floor < v_sa_read < vdd, 0 <= v_t_drive < v_sa_read
         vdd = draw(st.floats(0.1, 3.0))
         v_sa_read = vdd * draw(st.floats(0.05, 0.95))
         model.update(vdd=vdd, v_sa_read=v_sa_read,
                      v_residual_floor=v_sa_read * draw(st.floats(0.01, 0.95)),
                      v_t_drive=v_sa_read * draw(st.floats(0, 0.95)))
+    # tau_ns at or above the calibrated one, below which a '1' misreads
+    # before drt_read_ns; the default tau only where it is above too
+    tau_min = calibrate_tau(vdd, v_sa_read, drt_read)
+    if draw(st.booleans()) or tau_min > DEFAULT_TAU_NS:
+        model["tau_ns"] = tau_min * draw(st.floats(1, 100))
     rows = draw(st.integers(4, 7) | st.integers(8, 128) | st.integers(129, 256))
     config = {"version": 1, "model": model,
               "compiler": {"rows": rows, "max_nor_arity": draw(st.integers(2, 8))},

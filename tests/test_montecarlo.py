@@ -436,6 +436,16 @@ def test_calibration_failure_carries_diagnostics():
     assert all(0.0 <= r <= 1.0 for _, r in evals)
 
 
+@pytest.mark.parametrize("max_iter, steps", [(48, 30), (2, 2)])
+def test_calibration_failure_reports_the_bisection_steps_that_ran(max_iter, steps):
+    # 2 doubling probes, then bisection until the bracket is under 1e-9
+    # wide (30 steps) or max_iter steps have run
+    with pytest.raises(CalibrationError) as exc:
+        calibrate_variation(0.99505, n_trials=10**4, tolerance=1e-9, max_iter=max_iter)
+    assert str(exc.value) == f"no scale within 1e-09 of 0.99505 after {steps} steps"
+    assert len(exc.value.diagnostics["evaluations"]) == 2 + steps
+
+
 @pytest.mark.parametrize("target, tolerance, n_trials, scales, rate", [
     (0.99, 0.001, 10**4, [1, 2, 4, 3, 2.5, 2.25, 2.125, 2.1875, 2.15625], 0.99),
     (0.995, 0.003, 2 * 10**4, [1, 2.0], 0.99325),  # the CLI's defaults

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, overdrive_scalar,
-                          residual_scalar)
+from gcpim.charge import (ConfigError, ModelConfig, calibrate_tau, decay_scalar,
+                          overdrive_scalar, residual_scalar)
 from gcpim.cli import main
 from gcpim.compiler import (
     CapacityError,
@@ -421,8 +421,11 @@ def _compile_cases(draw):
     # LOGIC with 4 stale inputs refreshes them 4 ns apart; below 13 ns the
     # first would be stale again before the gate senses it
     drt_logic = draw(st.integers(16, drt_read))
+    # the default tau, and past its 15 us read window the calibrated one,
+    # the least tau that retains a '1' for drt_read
+    tau = calibrate_tau(drt_read_ns=max(drt_read, 15000))
     return (source, rows, draw(st.integers(2, 4)),
-            ModelConfig(drt_read_ns=drt_read, drt_logic_ns=drt_logic))
+            ModelConfig(drt_read_ns=drt_read, drt_logic_ns=drt_logic, tau_ns=tau))
 
 
 @settings(max_examples=150, deadline=None)
