@@ -114,11 +114,10 @@ class ModelConfig:
 
     Voltage levels are in volts, times in nanoseconds.  ``tau_ns`` defaults
     to the value calibrated so a full-level cell decays to ``v_sa_read``
-    exactly at ``drt_read_ns``; call :meth:`calibrated` after overriding
-    voltages to re-derive it.  A smaller ``tau_ns`` is rejected: a stored
-    '1' would misread before ``drt_read_ns``.  So a longer window, or a
-    sense threshold nearer ``vdd``, takes its ``tau_ns`` from
-    :func:`calibrate_tau`.
+    exactly at ``drt_read_ns``.  A smaller ``tau_ns`` is rejected: a stored
+    '1' would misread before ``drt_read_ns``.  So a model with other levels
+    or window passes ``tau_ns=calibrate_tau(vdd, v_sa_read, drt_read_ns)``;
+    :meth:`calibrated` re-derives it only on a model that already loads.
     """
 
     vdd: float = 0.9
@@ -147,7 +146,8 @@ class ModelConfig:
         tau_min = calibrate_tau(self.vdd, self.v_sa_read, self.drt_read_ns)
         if not self.tau_ns >= tau_min * (1 - 1e-9):  # the calibrated tau sits on the bound
             raise ConfigError(f"tau_ns must be at least {tau_min} for a stored '1' to stay "
-                              f"above v_sa_read for drt_read_ns, got {self.tau_ns}")
+                              f"above v_sa_read for drt_read_ns, got {self.tau_ns}. Pass "
+                              "tau_ns=calibrate_tau(vdd, v_sa_read, drt_read_ns)")
 
     def calibrated(self) -> "ModelConfig":
         """Return a copy with ``tau_ns`` re-derived from the voltage levels."""

@@ -9,8 +9,10 @@ array runs and must match them or raise ``RetentionViolationError``.
 Monte Carlo gives trial ``i`` its own draw from stream ``i``: the rows
 the program touches at its full column width, of which the vectors use
 the first columns, so no cell depends on the vector count or the block
-size.  ``montecarlo.block_masks`` scores each column on block arrays of
-as many trials as fit in ``PROGRAM_BLOCK_CELLS`` cells.
+size.  ``montecarlo.block_masks`` copies those columns into block arrays
+of as many trials as fit in ``PROGRAM_BLOCK_CELLS`` cells and scores each
+column, and ``CombinationResult.grouped`` counts every input combination
+in one pass over each block.
 
 Every mode first runs the soundness audit; nominal and MC runs also run
 the retention audit and the margin replay.  All three read one replay of
@@ -215,27 +217,19 @@ def simulate_program(
         return result
 
     # Monte Carlo over whole-program executions
-    combo_key = [
-        "".join(str(int(vectors[name][c])) for name in program.inputs)
-        for c in range(width)
-    ]
     # a block array keeps only the rows the program touches
     n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
                       if r is not None), default=0)
-    # drawn at full width and cut to the vectors' columns (copies, so a
-    # block's draws do not hold the unused columns alive)
+    # drawn at full width; block_masks copies the vectors' columns into its block
     draws = (sample_params(var_cfg, rng, rows=n_rows, cols=program.cols, model_cfg=model)
              for rng in stream_generators(var_cfg.seed, range(n_trials)))
-    draws = (SampledVariation(sv.tau_scale[:, :width].copy(), sv.drive_offset[:, :width].copy(),
+    draws = (SampledVariation(sv.tau_scale[:, :width], sv.drive_offset[:, :width],
                               sv.sa_threshold[:width]) for sv in draws)
-    ok, fast, adverse = (mask.reshape(n_trials, width) for mask in block_masks(
+    # column c's combination: its input bits in declaration order ("" without inputs)
+    keys = ["".join(map(str, bits))
+            for bits in zip(*(vectors[name].tolist() for name in program.inputs))] or [""]
+    combos = CombinationResult.grouped(keys, block_masks(
         model, program.timing, program.ops, draws, PROGRAM_BLOCK_CELLS, vectors, ideal_out))
-
-    combos: dict[str, CombinationResult] = {}
-    for key in dict.fromkeys(combo_key):  # stable order, unique
-        cols_for = [c for c in range(width) if combo_key[c] == key]
-        combos[key] = CombinationResult.from_masks(
-            ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for])
     result.report = SuccessReport(
         gate="program", n_inputs=len(program.inputs),
         input_age_ns=0, combinations=combos,

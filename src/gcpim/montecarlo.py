@@ -16,15 +16,17 @@ Stream ``s`` is numpy's ``default_rng(SeedSequence((seed, s)))``; a run
 seeds all its streams together (``stream_generators``), which computes
 numpy's seeding hash for a chunk of streams in one pass over its
 four-word pool; seeds and streams stay below 2^64.  One engine,
-``block_masks``, runs gates and programs alike: it stacks as many draws
+``block_masks``, runs gates and programs alike: it copies as many draws
 side by side as fit in ``BLOCK_CELLS`` cells (``PROGRAM_BLOCK_CELLS`` for
-programs) on a block array, runs the ops and scores every column;
-columns never interact, so grouping changes no result.  A gate is a 3-op
-program and draws one ``(k+1) x 64`` grid per batch; a program
-trial draws the rows the program touches at the program's full column
-width, row-major, so a cell's value depends on neither the vector count
-nor the block budget.
-``CombinationResult.from_masks`` counts one input combination's trials.
+programs) into one block's grids, runs the ops on a block array and
+scores every column; columns never interact, so grouping changes no
+result.  A gate is a 3-op program and draws one ``(k+1) x 64`` grid per
+batch; a program trial draws the rows the program touches at the
+program's full column width, row-major, so a cell's value depends on
+neither the vector count nor the block budget.
+``CombinationResult.grouped`` counts every input combination's trials
+in one pass over each block's columns, so memory follows the block, not
+the run.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ _BATCH_COLS = 64
 _STREAM_STRIDE = 2**32
 
 # Cells in one Monte Carlo block array, which holds at least one 64-trial
-# batch (gates) or one trial (programs); peak memory grows by about 64
+# batch (gates) or one trial (programs); peak memory grows by about 43
 # bytes per cell.  A gate block runs 4 ops on k+1 rows, not bound by
 # per-call overhead: at 4x these cells, 10,000-trial NOT/NOR2/NOR3
 # campaigns took -4% to +3% time, no gain.  A program block replays every op
-# (ripple-8: ~130) at ~16 numpy calls each, so programs get 4x: ripple-8 on
-# 64 vectors runs 40 trials in 3 blocks, not 10, the full adder 300 in 1.
+# (ripple-8: 170) at ~15 numpy calls each, so programs get 16x: ripple-8 on
+# 64 vectors runs 40 trials in 1 block, not 3 at 4x, in 10 ms, not 14 (2-vCPU
+# host), at a 5.6 MB peak for a full block, not 1.4 MB; the full adder 300 in 1.
 BLOCK_CELLS = 8192
-PROGRAM_BLOCK_CELLS = 4 * BLOCK_CELLS
+PROGRAM_BLOCK_CELLS = 16 * BLOCK_CELLS
 
 
 def _below_2_64(value) -> int:
@@ -269,19 +272,25 @@ class CombinationResult:
             raise ValueError("successes and failures must be >= 0 and sum to the trials")
 
     @classmethod
-    def from_masks(cls, ok: np.ndarray, fast: np.ndarray,
-                   adverse: np.ndarray) -> "CombinationResult":
-        """One combination's result from its ``block_masks`` masks, one
-        entry per trial."""
-        fail = ~ok
-        return cls(
-            trials=ok.size,
-            successes=int(ok.sum()),
-            decay_only=int(np.sum(fail & fast & ~adverse)),
-            threshold_only=int(np.sum(fail & ~fast & adverse)),
-            both=int(np.sum(fail & fast & adverse)),
-            other=int(np.sum(fail & ~fast & ~adverse)),
-        )
+    def grouped(cls, keys: Sequence[str],
+                blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                ) -> "dict[str, CombinationResult]":
+        """Each combination's result from ``block_masks`` blocks of whole
+        trials of ``len(keys)`` columns each, column ``j`` running
+        combination ``keys[j]``; keyed in the order combinations first
+        appear.  Counts are kept per column, so a block's masks are dropped
+        once counted."""
+        tally = np.zeros((5, len(keys)), dtype=np.int64)
+        for ok, fast, adverse in blocks:
+            ok, fast, adverse = (m.reshape(-1, len(keys)) for m in (ok, fast, adverse))
+            fail = ~ok
+            # successes, then the failures in field order
+            tally += np.stack([ok, fail & fast & ~adverse, fail & ~fast & adverse,
+                               fail & fast & adverse, fail & ~fast & ~adverse]).sum(axis=1)
+        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        counts = np.zeros((len(index), 5), dtype=np.int64)
+        np.add.at(counts, [index[key] for key in keys], tally.T)
+        return {key: cls(sum(row), *row) for key, row in zip(index, counts.tolist())}
 
     @property
     def success_rate(self) -> float:
@@ -360,7 +369,7 @@ def _across(values, cols: int) -> np.ndarray:
 
 def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[MicroOp],
                 draws: Iterator[SampledVariation], cells: int,
-                inputs: dict, wants: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                inputs: dict, wants: dict) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run ``ops`` on every variation draw of ``draws`` and score every column.
 
     Draws run side by side on block arrays, draw ``i`` right of draw
@@ -368,26 +377,31 @@ def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[Mi
     draw's size, and at least one.  Every draw has the ops' row count.
     ``inputs[name]`` is what an ``input:<name>`` WRITE stores in
     one draw's columns, and ``wants[name]`` what the READ of output
-    ``name`` must sense.  Returns the masks, one entry per column: every
-    output right, some input cell holding '1' decaying faster than
-    nominal, and a sense threshold shifted toward the failing side of the
-    first wrong output (of the first output in a column with none wrong):
-    below the model's read threshold when a '0' must be sensed, above it
-    when a '1' must.
+    ``name`` must sense.  A block's grids are allocated once and each draw
+    is copied into its column slice, so it lives no longer than that; no
+    draw may be wider than its block's first.  Yields each block's masks,
+    one entry per column: every output right, some input cell holding '1'
+    decaying faster than nominal, and a sense threshold shifted toward the
+    failing side of the first wrong output (of the first output in a column
+    with none wrong): below the model's read threshold when a '0' must be
+    sensed, above it when a '1' must.
     """
     writes = [(op.rows[0], op.source[len("input:"):]) for op in ops
               if op.kind is OpKind.WRITE and op.source.startswith("input:")]
     outputs = [op.output for op in ops if op.kind is OpKind.READ]
-    blocks = []
     for first in draws:
-        block = chain((first,), islice(draws, max(1, cells // first.tau_scale.size) - 1))
-        tau, drive, threshold = zip(*((sv.tau_scale, sv.drive_offset, sv.sa_threshold)
-                                      for sv in block))
-        # rebound, so each draw's arrays are freed before the array is built
-        tau, drive, threshold = np.hstack(tau), np.hstack(drive), np.concatenate(threshold)
-        sa = SubArray(model, timing, rows=len(tau), cols=len(threshold),
-                      tau_scale=tau, drive_offset=drive, sa_threshold=threshold)
-        del first, tau, drive  # the array keeps only what it derives from them
+        rows, step = first.tau_scale.shape
+        fits = max(1, cells // first.tau_scale.size)
+        tau, drive = np.empty((2, rows, fits * step))
+        threshold, end = np.empty(fits * step), 0
+        for sv in chain((first,), islice(draws, fits - 1)):
+            cols = slice(end, end + sv.sa_threshold.size)
+            tau[:, cols], drive[:, cols], threshold[cols] = (
+                sv.tau_scale, sv.drive_offset, sv.sa_threshold)
+            end = cols.stop
+        sa = SubArray(model, timing, rows=rows, cols=end, tau_scale=tau[:, :end],
+                      drive_offset=drive[:, :end], sa_threshold=threshold[:end])
+        del first, sv, tau, drive, threshold  # the array keeps what it derives from them
         bits = {name: _across(v, sa.cols) for name, v in inputs.items()}
         sensed = dict(zip(outputs, sa.run(ops, bits)))  # the last READ of a name
         scored = [(sensed[name], _across(want, sa.cols)) for name, want in wants.items()]
@@ -401,11 +415,10 @@ def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[Mi
         fast = np.zeros(sa.cols, dtype=bool)
         for row, name in writes:
             fast |= (sa.tau[row] < model.tau_ns) & (bits[name] != 0)
-        adverse = np.where(side == 0, threshold < model.v_sa_read,
-                           threshold > model.v_sa_read)
-        blocks.append((ok, fast, adverse))
+        adverse = np.where(side == 0, sa.sa_threshold < model.v_sa_read,
+                           sa.sa_threshold > model.v_sa_read)
         del sa  # before the next block's draws
-    return tuple(np.concatenate(masks) for masks in zip(*blocks))
+        yield ok, fast, adverse
 
 
 def gate_trial_masks(
@@ -452,8 +465,9 @@ def gate_trial_masks(
     draws = (sample_params(var_cfg, rng, rows=k + 1,
                            cols=min(_BATCH_COLS, n_trials - b * _BATCH_COLS), model_cfg=model)
              for b, rng in enumerate(rngs))
-    return block_masks(model, timing, ops, draws, BLOCK_CELLS,
-                       {f"x{i}": b for i, b in enumerate(bits)}, {"out": expected})
+    blocks = block_masks(model, timing, ops, draws, BLOCK_CELLS,
+                         {f"x{i}": b for i, b in enumerate(bits)}, {"out": expected})
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def run_gate_trials(
@@ -478,7 +492,7 @@ def run_gate_trials(
         gate=name,
         n_inputs=len(bits),
         input_age_ns=int(input_age_ns),
-        combinations={"".join(map(str, bits)): CombinationResult.from_masks(ok, fast, adverse)},
+        combinations=CombinationResult.grouped(["".join(map(str, bits))], [(ok, fast, adverse)]),
     )
 
 

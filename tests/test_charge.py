@@ -254,8 +254,21 @@ def test_config_rejects_a_tau_that_cannot_retain_a_one_for_the_read_window():
                 {"vdd": 0.9, "v_sa_read": 0.46}):
         with pytest.raises(ConfigError, match="^tau_ns must be at least "):
             ModelConfig(**cfg)
-    with pytest.raises(ConfigError, match=f"at least {DEFAULT_TAU_NS} .*, got 5$"):
+    with pytest.raises(ConfigError, match=rf"at least {DEFAULT_TAU_NS} .*, got 5\. Pass "
+                       r"tau_ns=calibrate_tau\(vdd, v_sa_read, drt_read_ns\)$"):
         ModelConfig(tau_ns=5)
+
+
+def test_a_longer_window_takes_its_tau_from_calibrate_tau():
+    # the default tau retains a '1' for only 15 us, so a 20 us model is
+    # built with the tau its error names, not through calibrated()
+    with pytest.raises(ConfigError, match="^tau_ns must be at least "):
+        ModelConfig(drt_read_ns=20000)
+    cfg = ModelConfig(drt_read_ns=20000, tau_ns=calibrate_tau(0.9, 0.45, 20000))
+    assert cfg.tau_ns == pytest.approx(DEFAULT_TAU_NS * 4 / 3, rel=1e-12)
+    assert cfg.calibrated() == cfg
+    # a stored '1' reaches the sense threshold exactly at the 20 us window
+    assert decay_scalar(cfg.vdd, 20000, cfg.tau_ns) == pytest.approx(cfg.v_sa_read, rel=1e-12)
 
 
 def test_cell_params_reject_nonpositive_tau_scale():

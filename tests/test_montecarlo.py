@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -555,3 +555,53 @@ def test_combination_result_to_dict():
     for successes, other in ((11, 4), (10, 5), (-1, 15), (21, -7)):
         with pytest.raises(ValueError, match="sum to the trials"):
             CombinationResult(20, successes, 1, 2, 3, other)
+
+
+def per_combination_reference(keys, ok, fast, adverse) -> dict:
+    """The scorer before grouping: each combination's columns fancy-indexed
+    out of (trials, columns) masks and counted one combination at a time."""
+    combos = {}
+    for key in dict.fromkeys(keys):
+        cols_for = [c for c in range(len(keys)) if keys[c] == key]
+        o, f, a = ok[:, cols_for], fast[:, cols_for], adverse[:, cols_for]
+        fail = ~o
+        combos[key] = CombinationResult(
+            trials=o.size, successes=int(o.sum()),
+            decay_only=int(np.sum(fail & f & ~a)), threshold_only=int(np.sum(fail & ~f & a)),
+            both=int(np.sum(fail & f & a)), other=int(np.sum(fail & ~f & ~a)))
+    return combos
+
+
+@st.composite
+def scored_columns(draw):
+    """Random (trials x width) masks, cut into blocks of whole trials, and
+    a column -> combination map over a few keys, the input-less "" among them."""
+    trials, width = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    masks = [np.array(draw(st.lists(st.booleans(), min_size=trials * width,
+                                     max_size=trials * width))).reshape(trials, width)
+             for _ in range(3)]
+    keys = draw(st.lists(st.sampled_from(["", "0", "1", "01", "11"]),
+                         min_size=width, max_size=width))
+    cuts = sorted(draw(st.sets(st.integers(1, trials - 1))) if trials > 1 else set())
+    return keys, masks, cuts
+
+
+@given(case=scored_columns())
+@example(case=(["01", "11", "01", "0"],  # "01" in non-adjacent columns, "0" in one
+               [np.array([[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0]], dtype=bool),
+                np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]], dtype=bool),
+                np.array([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool)], [1]))
+@example(case=([""], [np.array([[1], [0], [0], [0]], dtype=bool),
+                      np.array([[0], [1], [0], [1]], dtype=bool),
+                      np.array([[0], [0], [1], [1]], dtype=bool)], [2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_grouped_counts_equal_the_per_combination_loop(case):
+    # block_masks yields flat masks of whole trials; the grouped count
+    # over blocks must equal the old loop over the whole (trials, width) masks
+    keys, (ok, fast, adverse), cuts = case
+    blocks = [tuple(m.ravel() for m in block) for block in
+              zip(*(np.split(mask, cuts) for mask in (ok, fast, adverse)))]
+    got = CombinationResult.grouped(keys, blocks)
+    want = per_combination_reference(keys, ok, fast, adverse)
+    assert list(got) == list(want)
+    assert got == want

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -1170,19 +1171,18 @@ def test_batched_mc_matches_per_trial_reference_on_the_top_row():
 
 
 def test_batched_mc_matches_per_trial_reference_across_blocks():
-    # each combination 8 times over, so a trial spans 64 columns and 67
-    # trials fill one block and part of a second
-    prog = compile_program(
-        "s1 = a ^ b;\nsum = s1 ^ cin;\nc1 = a & b;\nc2 = s1 & cin;\ncout = c1 | c2;")
-    vecs = {name: bits * 8 for name, bits in exhaustive_vectors(prog.inputs).items()}
+    # a 2-bit ripple adder on each combination twice, so a trial spans 64
+    # columns of 12 rows and 173 trials fill one block and part of a second
+    prog = compile_program(ripple_text(2))
+    vecs = {name: bits * 2 for name, bits in exhaustive_vectors(prog.inputs).items()}
     per_block = PROGRAM_BLOCK_CELLS // (rows_touched(prog) * 64)
     assert 1 < per_block < 200
     assert_batched_mc_matches_reference(
         prog, vecs, VariationConfig().scaled(4.0), per_block + 3)
 
 
-@pytest.mark.parametrize("n_bits, scale, n_trials", [(1, 4.0, 530), (4, 2.0, 60),
-                                                    (4, 3.0, 60)])
+@pytest.mark.parametrize("n_bits, scale, n_trials", [(1, 4.0, 2600), (4, 2.0, 150),
+                                                    (4, 3.0, 150)])
 def test_block_grouping_changes_no_result(monkeypatch, tmp_path, n_bits, scale, n_trials):
     # one trial per block, the default budget and every trial in one block
     prog = compile_program(ripple_text(n_bits))
@@ -1226,6 +1226,28 @@ def test_program_mc_draws_depend_on_neither_the_vector_count_nor_the_block(
     for key, got in part.combinations.items():
         assert got == report.combinations[key]
     assert any(c.successes < c.trials for c in part.combinations.values())
+
+
+def test_program_mc_memory_follows_the_block_not_the_run():
+    # 40 ripple-8 trials run as one part-filled block, 400 and 4,000 fill
+    # blocks of 68 trials: a draw lives only until it is copied into its
+    # block, and a block's masks only until they are counted, so ten times
+    # the trials take no more memory
+    prog = compile_program(ripple_text(8))
+    rng = np.random.default_rng(8)
+    vecs = {name: rng.integers(0, 2, 64) for name in prog.inputs}
+    var_cfg = VariationConfig()
+    simulate_program(prog, vecs, mode="mc", var_cfg=var_cfg, n_trials=1)  # caches the replay
+    peaks = {}
+    for n_trials in (40, 400, 4000):
+        tracemalloc.start()
+        try:
+            simulate_program(prog, vecs, mode="mc", var_cfg=var_cfg, n_trials=n_trials)
+            peaks[n_trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= peaks[400]
+    assert abs(peaks[4000] - peaks[400]) < 0.1 * peaks[400], peaks
 
 
 def test_batched_mc_matches_per_trial_reference_with_anonymous_ops():

@@ -62,7 +62,9 @@ def test_the_run_path_goes_through_every_patched_kernel(tmp_path):
         for name in ("subarray.logic_calls", "charge.overdrive_calls",
                      "charge.residual_calls"):
             assert metrics[name] > 0, (command[0], name)
+    # the 8 trials draw one grid each and all run on one block array
     assert metrics["montecarlo.sample_params_calls"] == 8
+    assert metrics["subarray.instances"] == 1
     with tracing.Tracer() as tracer:
         assert main([*run, "--out", str(tmp_path / "out")]) == 0
     metrics = tracer.layer_metrics()
