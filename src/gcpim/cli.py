@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import json
 import os
 import sys
@@ -57,15 +58,15 @@ def _read_input_csv(path) -> dict[str, list[int]]:
     """Input vectors: header row of signal names, one bit row per vector;
     a UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+        reader = csv.reader(fh)  # (file line, cells): skipped blank lines still count
+        rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
         raise ConfigError(f"{path}: need a header row and at least one vector")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if len(set(header)) != len(header):
         raise ConfigError(f"{path}: duplicate column names")
     vectors: dict[str, list[int]] = {name: [] for name in header}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ConfigError(
                 f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
@@ -106,8 +107,12 @@ def _trace_lines(times, rows, values) -> list[str]:
     signal = (row_of[:, None] * cols + np.arange(cols)).ravel()
     time = np.repeat(np.asarray(times, dtype=np.int64), cols)
     order = np.lexsort((np.arange(signal.size), rank[signal], time))
-    return [f"{t},{names[s]},{v!r}\r\n" for t, s, v in
-            zip(time[order].tolist(), signal[order].tolist(), values.ravel()[order].tolist())]
+    # one repr per distinct bit pattern, so -0.0, 0.0 and NaN keep their own text
+    flat = values.ravel()
+    _, first, text_of = np.unique(flat.view(np.uint64), return_index=True, return_inverse=True)
+    text = [repr(v) for v in flat[first].tolist()]
+    return [f"{t},{names[s]},{text[v]}\r\n" for t, s, v in
+            zip(time[order].tolist(), signal[order].tolist(), text_of[order].tolist())]
 
 
 def _print_report(report: SuccessReport, floor: float) -> int:
@@ -147,11 +152,12 @@ def cmd_compile(args) -> int:
     prog = compile_program(text, ccfg, cfg.model, cfg.timing_energy)
     out = args.out or os.path.splitext(args.source)[0] + ".compiled.json"
     prog.to_json(out)
-    n = prog.netlist
+    arities = [len(node.args) for node in prog.netlist.nodes if node.op == "nor"]
+    n_not = arities.count(1)
     print(f"wrote {out}")
     print(f"inputs:  {', '.join(prog.inputs) or '(none)'}")
     print(f"outputs: {', '.join(prog.output_names)}")
-    print(f"gates:   {n.n_gates} ({n.n_not} NOT, {n.n_nor} NOR), "
+    print(f"gates:   {len(arities)} ({n_not} NOT, {len(arities) - n_not} NOR), "
           f"peak rows {prog.peak_rows}/{prog.rows - 2}")
     print(f"ops:     {len(prog.ops)} ({prog.n_refresh} refresh), "
           f"{prog.duration_ns} ns, {prog.energy_fj:.1f} fJ")
@@ -341,6 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a command builds tens of thousands of acyclic records (tokens, netlist
+    # nodes, micro-ops, ledger rows) that reference counting frees; scanning
+    # them took the cyclic collector ~15% of an XOR-chain compile or run, so it
+    # pauses for the command and comes back only if the caller had it on
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         # looked up per call, so a cmd_* patched after the parser was built runs
         code = globals()[f"cmd_{args.command}"](args)
@@ -374,6 +386,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"gcpim: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

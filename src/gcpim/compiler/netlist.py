@@ -101,14 +101,6 @@ class NorNetlist:
     def n_gates(self) -> int:
         return len(self.gate_ids())
 
-    @property
-    def n_not(self) -> int:
-        return sum(1 for n in self.nodes if n.op == "nor" and len(n.args) == 1)
-
-    @property
-    def n_nor(self) -> int:
-        return sum(1 for n in self.nodes if n.op == "nor" and len(n.args) >= 2)
-
     def evaluate(self, env: dict) -> dict[str, np.ndarray]:
         """Bitwise evaluation; env maps input name -> bit or bit array, and
         every output takes the inputs' broadcast shape.  The gates run on

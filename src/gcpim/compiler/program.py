@@ -121,7 +121,9 @@ class PimProgram:
 
     @property
     def energy_fj(self) -> float:
-        return sum(self.timing.energy_fj(op.kind, len(op.rows), self.cols) for op in self.ops)
+        # the ledger's per-op energies, summed left to right as it lists them
+        energy = {key: per_col * self.cols for key, per_col in self.timing._per_col.items()}
+        return sum(energy[op.kind, len(op.rows) == 1] for op in self.ops)
 
     @cached_property
     def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores

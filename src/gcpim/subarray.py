@@ -220,18 +220,16 @@ class EventLedger:
 
     def to_csv(self, path) -> None:
         """One row per op; a LOGIC op lists its input rows, then ``>`` and
-        its output row."""
-        duration, name = self.timing._duration, {kind: kind.value for kind in OpKind}
-        energy = {key: repr(per_col * self.cols)  # one string per kind and arity
-                  for key, per_col in self.timing._per_col.items()}
+        its output row.  No field holds a character CSV would quote."""
+        head = {kind: f",{self.timing._duration[kind]},{kind.value}," for kind in OpKind}
+        tail = {key: f",{per_col * self.cols!r}\r\n"  # one string per kind and arity
+                for key, per_col in self.timing._per_col.items()}
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LEDGER_CSV_HEADER)
-            writer.writerows(
-                [op.t_start_ns, duration[op.kind], name[op.kind],
-                 "+".join(map(str, op.rows)) + ("" if op.out_row is None
-                                                else f">{op.out_row}"),
-                 energy[op.kind, len(op.rows) == 1]]
+            fh.write(",".join(LEDGER_CSV_HEADER) + "\r\n")
+            fh.writelines(
+                f"{op.t_start_ns}{head[op.kind]}{'+'.join(map(str, op.rows))}"
+                f"{'' if op.out_row is None else f'>{op.out_row}'}"
+                f"{tail[op.kind, len(op.rows) == 1]}"
                 for op in self.ops)
 
     @staticmethod

@@ -1,14 +1,17 @@
 """Configuration schema and command-line behavior, exercised in process.
 
 Every CLI assertion calls main() directly so exit codes and file
-side effects are checked without spawning interpreters, except three:
-the two that guard against a compile that never ends spawn one under a
-timeout, and a run whose stdout is closed needs a stdout of its own.
+side effects are checked without spawning interpreters, except in four
+tests: the two that guard against a compile that never ends spawn one
+under a timeout, and the two that run into a closed stdout need a stdout
+of their own.
 """
 
 import contextlib
+import gc
 import hashlib
 import json
+import math
 import os
 import resource
 import signal
@@ -22,9 +25,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcpim.cli as cli_mod
 import gcpim.montecarlo as mc_mod
 from gcpim.charge import DEFAULT_TAU_NS, ConfigError, calibrate_tau
-from gcpim.cli import _write_trace_csv, main
+from gcpim.cli import _trace_lines, _write_trace_csv, main
 from gcpim.compiler import PimProgram, compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
 from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
@@ -225,6 +229,30 @@ def test_trace_csv_sorts_by_time_then_signal_string_then_record(tmp_path):
         "5,sn_r1_c0,0.3\r\n5,sn_r1_c1,0.4\r\n")
     _write_trace_csv(path, [])
     assert path.read_bytes() == b"time_ns,signal,value\r\n"
+
+
+def trace_lines_by_sorting(records) -> list[str]:
+    """The lines of trace.csv by a plain sort, one ``repr`` per cell."""
+    cells = [(t, f"sn_r{r}_c{c}", i, v) for i, (t, r, values) in enumerate(records)
+             for c, v in enumerate(values.tolist())]
+    return [f"{t},{name},{v!r}\r\n" for t, name, _, v in sorted(cells, key=lambda c: c[:3])]
+
+
+VOLTAGES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                      0.8, 1e-05]), st.floats())
+
+
+@given(st.integers(0, 3).flatmap(lambda cols: st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 12),
+              st.lists(VOLTAGES, min_size=cols, max_size=cols)), min_size=1, max_size=12)))
+@example([(1, 0, [0.0, -0.0]), (1, 0, [-0.0, 0.0]), (0, 10, [math.nan, 0.0])])
+@example([(2, 1, [0.5]), (2, 1, [0.5]), (1, 1, [math.inf])])
+@example([(3, 4, []), (3, 2, [])])
+def test_trace_lines_format_each_cell_as_its_own_repr(records):
+    # one repr per distinct bit pattern gives every cell the text its own
+    # repr gives: -0.0 beside 0.0, NaN, infinities, repeats, 0 or 1 columns
+    records = [(t, r, np.array(values, dtype=float)) for t, r, values in records]
+    assert _trace_lines(*zip(*records)) == trace_lines_by_sorting(records)
 
 
 def test_run_is_byte_deterministic(adder, tmp_path):
@@ -707,6 +735,58 @@ def test_cli_exit_codes(adder, tmp_path, capsys):
         assert "op 10 starts at 23ns, before op 9 ends at 26ns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_command_leaves_the_collector_as_the_caller_had_it(
+        adder, tmp_path, capsys, monkeypatch, collecting):
+    # main pauses the cyclic collector for the command; it comes back on
+    # after every exit only if it was on before
+    src, inputs = adder
+    bad, big, floor = tmp_path / "bad.txt", tmp_path / "big.txt", tmp_path / "floor.json"
+    bad.write_text("out = a &&& b;\n")
+    big.write_text("out = " + " | ".join(f"x{i}" for i in range(70)) + ";\n")
+    floor.write_text('{"version": 1, "run": {"success_floor": 0.9999}}')
+    prog = tmp_path / "adder.json"
+
+    def unmapped(args):
+        raise RuntimeError("not an exit code")
+
+    monkeypatch.setattr(cli_mod, "cmd_calibrate", unmapped)
+    calls = [(0, ["compile", str(src), "-o", str(prog)]),
+             (1, ["mc", "--gate", "NOT", "--arity", "1", "--trials", "2000", "--age", "5000",
+                  "--config", str(floor), "--out", str(tmp_path / "m")]),
+             (2, ["compile", str(bad)]),
+             (3, ["compile", str(big)]),
+             (5, ["run", str(tmp_path / "nope.json"), "--inputs", str(inputs)]),
+             (RuntimeError, ["calibrate"])]
+    was = gc.isenabled()
+    try:
+        for code, argv in calls:
+            (gc.enable if collecting else gc.disable)()
+            if code is RuntimeError:
+                with pytest.raises(RuntimeError):
+                    main(argv)
+            else:
+                assert main(argv) == code, argv
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    # 141: a run into a closed stdout, in a child that needs a stdout of its own
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    check = ("import gc, sys\nfrom gcpim.cli import main\n"
+             f"{'gc.enable()' if collecting else 'gc.disable()'}\n"
+             "code = main(sys.argv[1:])\nsys.stderr.write(f'{code} {gc.isenabled()}')\n")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", check, "run", str(prog), "--inputs", str(inputs),
+             "--out", str(tmp_path / "piped")],
+            env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == f"141 {collecting}"
+
+
 def test_a_gate_campaign_past_32_inputs_runs_no_trial(tmp_path, capsys, monkeypatch):
     # combination 2^32 and on would take streams past 2^64, and 2^33
     # combinations never finish: refused before the first trial
@@ -1000,6 +1080,22 @@ def test_input_csv_validation(adder, tmp_path):
     wrong_names.write_text("a,b\n0,1\n")
     assert main(["run", str(compiled), "--inputs", str(wrong_names),
                  "--out", str(tmp_path / "x3")]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0,1\n\n\n1,2\n", ":5: '2' is not a bit"),
+    ("a,b\n\n0,1\n1,0,1\n", ":4: 3 cells, expected 2"),
+])
+def test_an_input_csv_error_names_the_file_line_past_blank_lines(
+        tmp_path, capsys, text, message):
+    src, prog, csv_path = tmp_path / "and.txt", tmp_path / "and.json", tmp_path / "in.csv"
+    src.write_text("o = a & b;\n")
+    assert main(["compile", str(src), "-o", str(prog)]) == 0
+    csv_path.write_text(text)
+    capsys.readouterr()
+    assert main(["run", str(prog), "--inputs", str(csv_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"gcpim: error: {csv_path}{message}\n"
 
 
 def test_csvs_with_a_byte_order_mark_read_as_plain_ones(adder, tmp_path, capsys):

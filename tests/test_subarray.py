@@ -4,7 +4,9 @@ Energy references are hand-multiplied from the per-column op costs and a
 64-column row; they do not come from the code under test.
 """
 
+import csv
 import dataclasses
+import io
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -311,6 +313,50 @@ def test_op_energies_against_hand_totals(tmp_path):
     )
     assert [(r["start_ns"], r["duration_ns"], r["rows"]) for r in rows] == [
         (0, 1, "0"), (1, 1, "1"), (2, 3, "0>3"), (5, 3, "0+1>4"), (8, 4, "0"), (12, 3, "4")]
+
+
+def ledger_csv_by_csv_writer(timing, cols, ops) -> bytes:
+    """The ledger CSV as ``csv.writer`` writes its rows, one energy
+    ``repr`` per op."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(LEDGER_CSV_HEADER)
+    writer.writerows(
+        [op.t_start_ns, timing.duration_ns(op.kind), op.kind.value,
+         "+".join(map(str, op.rows)) + ("" if op.out_row is None else f">{op.out_row}"),
+         repr(timing.energy_fj(op.kind, len(op.rows), cols))]
+        for op in ops)
+    return out.getvalue().encode()
+
+
+@st.composite
+def ledger_ops(draw) -> list[MicroOp]:
+    ops, t = [], 0
+    for kind in draw(st.lists(st.sampled_from(list(OpKind)), max_size=12)):
+        t += draw(st.integers(0, 10**6))
+        if kind is OpKind.LOGIC:
+            rows = draw(st.lists(st.integers(0, 300), min_size=1, max_size=5, unique=True))
+            out_row = draw(st.integers(0, 300).filter(lambda r: r not in rows))
+            ops.append(MicroOp(kind, tuple(rows), out_row=out_row, t_start_ns=t))
+        else:
+            source = "const:1" if kind is OpKind.WRITE else None
+            ops.append(MicroOp(kind, (draw(st.integers(0, 300)),), source=source,
+                               t_start_ns=t))
+    return ops
+
+
+ENERGIES = st.floats(1e-3, 1e6)
+
+
+@settings(deadline=None)
+@given(ops=ledger_ops(), cols=st.integers(1, 4096),
+       timing=st.builds(TimingEnergyConfig, *[st.integers(1, 50)] * 4, *[ENERGIES] * 4))
+def test_ledger_csv_keeps_the_bytes_csv_writer_writes(tmp_path_factory, ops, cols, timing):
+    # multi-input LOGIC, REFRESH, READ and WRITE rows, at any timing and
+    # width: no field needs quoting, so one formatted line per op is the row
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+    EventLedger(timing, cols, ops).to_csv(path)
+    assert path.read_bytes() == ledger_csv_by_csv_writer(timing, cols, ops)
 
 
 def test_op_durations():
