@@ -1,22 +1,22 @@
 """NOR-only DAG and the lowering from the Boolean AST onto it.
 
 Every internal node is an n-input NOR (arity 1 is NOT).  Lowering uses
-the classical identities
+complemented edges, as and-inverter graphs do: an expression lowers to
+``(node, negated)``, and a NOT is a gate only where a NOR needs a
+positive operand or a program output its value.  ``~`` flips the bit,
 
-    NOT(x)    = NOR(x)
-    OR(a,b)   = NOT(NOR(a,b))
-    AND(a,b)  = NOR(NOT(a), NOT(b))
-    XOR(a,b)  = n1=NOR(a,b); NOT(NOR(NOR(a,n1), NOR(b,n1)))
+    a & b & ...  = NOR(~a, ~b, ...)    a | b | ... = ~NOR(a, b, ...)
+    a ^ b        = ~XNOR(a, b),  XNOR(a,b) = n1=NOR(a,b); NOR(NOR(a,n1), NOR(b,n1))
 
-and one fold: ``~`` over a ``|`` chain, ``~(a | b | ...)``, is one n-ary
-NOR, and over an ``&`` chain a NAND, NOT(NOR(NOT(a), NOT(b), ...)).
-Structurally identical subterms are shared (hash-consing); no other
-minimization is attempted.  NOR argument lists are canonicalized (sorted,
-deduplicated), which is sound because the gate is symmetric and a row
-cannot be asserted twice in one pulse anyway.
+and XOR folds its operands' bits into its own: ``XOR(~y, c)`` is the
+4-gate ``XNOR(y, c)``.  A statement's value keeps its bit, so negations
+cross statements for free.  Structurally identical subterms are shared
+(hash-consing); no other minimization is attempted.  NOR argument lists
+are canonicalized (sorted, deduplicated), which is sound because the
+gate is symmetric and a row cannot be asserted twice in one pulse anyway.
 
 Gate arity is capped by configuration (default 2: the validated case);
-wider NORs are split by OR-reducing argument groups.
+an ``&`` or ``|`` chain is one NOR, split by OR-reducing argument groups.
 """
 
 from __future__ import annotations
@@ -215,6 +215,10 @@ class NetlistBuilder:
             args.insert(0, self.nor([self.nor(head)]))  # OR of the head group
         return self.nor(args)
 
+    def positive(self, node: int, negated: bool) -> int:
+        """The edge's value as a node: a NOT gate only when it is negated."""
+        return self.nor([node]) if negated else node
+
 
 def _flatten(expr: Expr, op) -> list[Expr]:
     if isinstance(expr, op):
@@ -222,47 +226,43 @@ def _flatten(expr: Expr, op) -> list[Expr]:
     return [expr]
 
 
-def _lower_expr(builder: NetlistBuilder, expr: Expr, env: dict[str, int]) -> int:
-    """Each gate's operands are lowered before it, so ids stay topological."""
+def _lower_expr(builder: NetlistBuilder, expr: Expr, env: dict) -> tuple[int, bool]:
+    """The expression as an edge ``(node, negated)``.  Each gate's operands
+    are lowered before it, so ids stay topological."""
     if isinstance(expr, Var):
-        if expr.name in env:
-            return env[expr.name]
-        return builder.input(expr.name)
+        return env[expr.name] if expr.name in env else (builder.input(expr.name), False)
     if isinstance(expr, Const):
-        return builder.const(expr.value)
-    nor = builder.nor
+        return builder.const(expr.value), False
     if isinstance(expr, Not):
-        inner = expr.a
-        if not isinstance(inner, (Or, And)):
-            return nor([_lower_expr(builder, inner, env)])
-        args = [_lower_expr(builder, a, env) for a in _flatten(inner, type(inner))]
-        if isinstance(inner, Or):
-            return builder.nor_wide(args)
-        return nor([builder.nor_wide([nor([a]) for a in args])])
+        node, negated = _lower_expr(builder, expr.a, env)
+        return node, not negated
     if not isinstance(expr, (And, Or, Xor)):
         raise TypeError(f"not an expression node: {expr!r}")
-    a, b = _lower_expr(builder, expr.a, env), _lower_expr(builder, expr.b, env)
-    if isinstance(expr, And):
-        return nor([nor([a]), nor([b])])
-    if isinstance(expr, Or):
-        return nor([nor([a, b])])
-    n1 = nor([a, b])
-    return nor([nor([nor([a, n1]), nor([b, n1])])])
+    if isinstance(expr, Xor):  # XNOR, negated unless exactly one operand is
+        (a, neg_a), (b, neg_b) = (_lower_expr(builder, e, env) for e in (expr.a, expr.b))
+        n1 = builder.nor([a, b])
+        return builder.nor([builder.nor([a, n1]), builder.nor([b, n1])]), neg_a == neg_b
+    # AND is the NOR of the operands' complements, OR the complement of their NOR
+    is_and = isinstance(expr, And)
+    edges = [_lower_expr(builder, e, env) for e in _flatten(expr, type(expr))]
+    return builder.nor_wide([builder.positive(n, neg != is_and) for n, neg in edges]), not is_and
 
 
 def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
-    """Lower a parsed multi-statement program to one shared NOR DAG."""
+    """Lower a parsed multi-statement program to one shared NOR DAG; a
+    negated output takes its NOT right after its statement."""
     builder = NetlistBuilder(max_nor_arity)
     for name in program.inputs:  # bind inputs first so their ids lead
         builder.input(name)
-    env: dict[str, int] = {}
+    env, outputs = {}, set(program.outputs)  # env: name -> (node, negated)
     for st in program.statements:
         try:
-            env[st.name] = _lower_expr(builder, st.expr, env)
+            edge = _lower_expr(builder, st.expr, env)
         except RecursionError:
             raise ParseError(TOO_DEEP, st.line, st.col) from None
+        env[st.name] = (builder.positive(*edge), False) if st.name in outputs else edge
     return NorNetlist(nodes=tuple(builder.nodes), inputs=program.inputs,
-                      outputs=tuple((name, env[name]) for name in program.outputs))
+                      outputs=tuple((name, env[name][0]) for name in program.outputs))
 
 
 def lower_to_nor(text: str, max_nor_arity: int = 2) -> NorNetlist:

@@ -66,9 +66,9 @@ class RefreshScheduleError(RuntimeError):
     readable, an op's stale inputs cannot all be refreshed inside the
     logic window, or refreshing the live rows never leaves room for the
     next op.  Greedy latest-possible placement hits the first at
-    tight windows with refresh bandwidth to spare, e.g. ripple-8 at
-    drt_read_ns/drt_logic_ns = 400/100 or ripple-32 (256 rows) at
-    1000/300: inputs written back to back expire together."""
+    tight windows with refresh bandwidth to spare, e.g. ripple-32 (256
+    rows) at drt_read_ns/drt_logic_ns = 1000/300: inputs written back to
+    back expire together.  Ripple-8 at 400/100 compiles (19 refreshes)."""
 
 
 @dataclass(frozen=True)

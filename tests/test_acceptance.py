@@ -223,7 +223,7 @@ def test_08_refresh_keeps_long_programs_alive(capsys):
         short = ModelConfig(drt_read_ns=100, drt_logic_ns=50).calibrated()
         lines = ["t0 = ~b;"]
         for i in range(1, 40):
-            lines.append(f"t{i} = ~t{i - 1};")
+            lines.append(f"t{i} = ~(t{i - 1} | 0);")
         lines.append("out = a & t39;")
         source = "\n".join(lines)
 
