@@ -18,10 +18,11 @@ Per case and input combination the counts pool over the seeds.  The
 script prints both sides' pooled successes/trials, the two-proportion z
 (positive when B succeeds more often) and the Holm-adjusted p-value over
 every combination (Holm, Scand. J. Statist. 1979).  It exits 1 when an
-adjusted p falls below ``--alpha``; with ``--alternative worse`` the
-test is one-sided, and only B succeeding less often counts.
+adjusted p falls below ``--alpha``; the sign of z tells which side is
+better.
 
-``--compile`` first prints, per corpus program, gates, ops, refreshes,
+``--compile`` first prints, per program of the benchmark corpus
+(``bench/corpus.py``), gates, ops, refreshes,
 duration, energy and worst margin on each side, under the default model
 or under ``--model READ/LOGIC`` windows (ns) with tau re-derived for them.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -43,30 +45,23 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-FULL_ADDER = ("s1 = a ^ b;\nsum = s1 ^ cin;\n"
-              "c1 = a & b;\nc2 = s1 & cin;\ncout = c1 | c2;\n")
+
+def load_corpus():
+    """The benchmark's ``bench/corpus.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus", os.path.join(ROOT, "bench", "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
 
 
-def ripple_source(n: int) -> str:
-    lines, carry = [], "cin"
-    for i in range(n):
-        out = "cout" if i == n - 1 else f"c{i}"
-        lines += [f"p{i} = a{i} ^ b{i};", f"s{i} = p{i} ^ {carry};", f"g{i} = a{i} & b{i};",
-                  f"t{i} = p{i} & {carry};", f"{out} = g{i} | t{i};"]
-        carry = out
-    return "\n".join(lines) + "\n"
-
-
-def xor_chain_source() -> str:
-    """1,100 links over 40 inputs, consumed in back-to-back shuffles."""
-    rng, slots = random.Random(0), []
-    while len(slots) < 1101:
-        round_ = list(range(40))
-        rng.shuffle(round_)
-        slots += round_
-    terms = [f"i{k}" for k in slots[:1101]]
-    return "".join(f"x{k} = {'x' + str(k - 1) if k > 1 else terms[0]} ^ {terms[k]};\n"
-                   for k in range(1, 1101))
+def corpus_programs(corpus) -> dict:
+    """name -> (source, rows) of the compile table: the pipeline's programs."""
+    table = {"half_adder": (corpus.HALF_ADDER, 64), "full_adder": (corpus.FULL_ADDER, 64)}
+    for n in (8, 16, 32):
+        table[f"ripple{n}"] = (corpus.ripple_source(n), 256 if n == 32 else 64)
+    table["xor_chain"] = (corpus.xor_chain_source(corpus.xor_chain_terms(0)), 64)
+    return table
 
 
 # name -> (CLI argv with {fa}/{r8}/{r8_inputs} placeholders, sigma factor, trials per seed)
@@ -77,15 +72,6 @@ CASES = {
     "r8_2x": (["run", "{r8}", "--inputs", "{r8_inputs}", "--mode", "mc"], 2, 40),
     "not": (["mc", "--gate", "NOT", "--arity", "1"], 1, 2000),
     "nor2": (["mc", "--gate", "NOR", "--arity", "2"], 1, 2000),
-}
-# name -> (source, rows) of the compile table: the benchmark corpus
-PROGRAMS = {
-    "half_adder": ("s = a ^ b;\nc = a & b;\n", 64),
-    "full_adder": (FULL_ADDER, 64),
-    "ripple8": (ripple_source(8), 64),
-    "ripple16": (ripple_source(16), 64),
-    "ripple32": (ripple_source(32), 256),
-    "xor_chain": (xor_chain_source(), 64),
 }
 
 
@@ -120,10 +106,11 @@ def worker(spec: dict) -> dict:
                 for key, c in json.load(fh)["combinations"].items():
                     s, n = counts.get(key, (0, 0))
                     counts[key] = (s + c["successes"], n + c["trials"])
-    return {"yield": pooled, "compile": compile_table(spec["model"]) if spec["compile"] else None}
+    compiled = compile_table(spec["programs"], spec["model"]) if spec["compile"] else None
+    return {"yield": pooled, "compile": compiled}
 
 
-def compile_table(windows) -> dict:
+def compile_table(programs: dict, windows) -> dict:
     from gcpim.charge import ModelConfig
     from gcpim.compiler import CompilerConfig, compile_program
     from gcpim.compiler import program as program_mod
@@ -133,7 +120,7 @@ def compile_table(windows) -> dict:
         model = ModelConfig(drt_read_ns=windows[0], drt_logic_ns=windows[1]).calibrated()
     margin = getattr(program_mod, "worst_margin", None)  # older trees lack it
     table = {}
-    for name, (source, rows) in PROGRAMS.items():
+    for name, (source, rows) in programs.items():
         try:
             prog = compile_program(source, CompilerConfig(rows=rows), model)
         except Exception as exc:  # a schedule or capacity error is a table entry
@@ -183,7 +170,7 @@ def holm(p: list[float]) -> list[float]:
     return adjusted
 
 
-def compare(a: dict, b: dict, alternative: str) -> list[tuple]:
+def compare(a: dict, b: dict) -> list[tuple]:
     """(case, combination, A counts, B counts, z, Holm-adjusted p) rows."""
     rows = []
     for case in a:
@@ -192,11 +179,7 @@ def compare(a: dict, b: dict, alternative: str) -> list[tuple]:
             if not (n_a and n_b):
                 raise SystemExit(f"{case} {key!r} ran on one side only")
             z = two_proportion_z(s_a, n_a, s_b, n_b)
-            if alternative == "worse":  # one-sided: P(Z <= z)
-                p = 0.5 * math.erfc(-z / math.sqrt(2))
-            else:
-                p = math.erfc(abs(z) / math.sqrt(2))
-            rows.append((case, key, (s_a, n_a), (s_b, n_b), z, p))
+            rows.append((case, key, (s_a, n_a), (s_b, n_b), z, math.erfc(abs(z) / math.sqrt(2))))
     return [row[:5] + (adj,) for row, adj in zip(rows, holm([r[5] for r in rows]))]
 
 
@@ -204,7 +187,7 @@ def print_compile(a: dict, b: dict) -> None:
     widths = (11, 11, 9, 13, 21, 15)
     print(f"{'program':<11} " + " ".join(f"{h:>{w}}" for h, w in zip(
         ("gates", "ops", "refreshes", "ns", "fJ", "margin mV"), widths)))
-    for name in PROGRAMS:
+    for name in a:
         if isinstance(a[name], str) or isinstance(b[name], str):
             print(f"{name:<11} A: {a[name] if isinstance(a[name], str) else 'compiles'}; "
                   f"B: {b[name] if isinstance(b[name], str) else 'compiles'}")
@@ -222,7 +205,6 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, help="trials per seed for every case")
     p.add_argument("--cases", default=",".join(CASES), help="comma-separated subset")
     p.add_argument("--alpha", type=float, default=0.05, help="level for the adjusted p")
-    p.add_argument("--alternative", choices=["two-sided", "worse"], default="two-sided")
     p.add_argument("--compile", action="store_true", help="print the compile table first")
     p.add_argument("--model", help="READ/LOGIC windows in ns for the compile table")
     args = p.parse_args(argv)
@@ -238,7 +220,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"fa_src": os.path.join(tmp, "fa.txt"), "r8_src": os.path.join(tmp, "r8.txt"),
                  "r8_inputs": os.path.join(tmp, "r8.csv")}
-        for key, text in (("fa_src", FULL_ADDER), ("r8_src", ripple_source(8))):
+        corpus = load_corpus()
+        for key, text in (("fa_src", corpus.FULL_ADDER), ("r8_src", corpus.ripple_source(8))):
             with open(paths[key], "w") as fh:
                 fh.write(text)
         names = [f"{x}{i}" for i in range(8) for x in "ab"] + ["cin"]
@@ -249,10 +232,7 @@ def main(argv=None) -> int:
                           for _ in range(64))
         for factor in (1, 2):  # the calibrated sigmas, scaled
             paths[f"sigma{factor}x"] = os.path.join(tmp, f"sigma{factor}x.json")
-            with open(paths[f"sigma{factor}x"], "w") as fh:
-                json.dump({"version": 1, "variation": {
-                    "sigma_tau": 0.2 * factor, "sigma_sa": 0.04 * factor,
-                    "sigma_drive": 0.034 * factor}}, fh)
+            corpus.write_config(paths[f"sigma{factor}x"], sigma_factor=factor)
         results = []
         for label, side in (("a", args.a), ("b", args.b)):
             tree = unpack(side, os.path.join(tmp, f"tree_{label}"))
@@ -261,21 +241,22 @@ def main(argv=None) -> int:
             results.append(run_side(tree, {
                 "work": work, "paths": paths, "cases": cases, "trials": args.trials,
                 "seeds": list(range(args.first_seed, args.first_seed + args.seeds)),
-                "compile": args.compile, "model": windows}))
+                "compile": args.compile, "model": windows,
+                "programs": corpus_programs(corpus)}))
     a, b = results
     print(f"A = {args.a}, B = {args.b}; seeds {args.first_seed}..."
           f"{args.first_seed + args.seeds - 1}")
     if args.compile:
         print_compile(a["compile"], b["compile"])
-    rows = compare(a["yield"], b["yield"], args.alternative)
+    rows = compare(a["yield"], b["yield"])
     print(f"{'case':<6} {'combination':<18} {'A succ/trials':>14} {'B succ/trials':>14} "
           f"{'z':>7} {'p (Holm)':>9}")
     for case, key, (s_a, n_a), (s_b, n_b), z, p_adj in rows:
         print(f"{case:<6} {key or '(none)':<18} {f'{s_a}/{n_a}':>14} {f'{s_b}/{n_b}':>14} "
               f"{z:>7.2f} {p_adj:>9.4f}")
     flagged = [r for r in rows if r[5] < args.alpha]
-    print(f"{len(flagged)} of {len(rows)} combinations differ at adjusted p < {args.alpha} "
-          f"({args.alternative})")
+    print(f"{len(flagged)} of {len(rows)} combinations differ at adjusted p < {args.alpha}, "
+          f"{sum(r[4] < 0 for r in flagged)} of them worse in B")
     return 1 if flagged else 0
 
 

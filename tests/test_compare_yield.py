@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,9 @@ def test_a_tree_against_itself_differs_nowhere():
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    table = lines[2:2 + len(compare_yield.PROGRAMS)]
-    assert [line.split()[0] for line in table] == list(compare_yield.PROGRAMS)
+    programs = compare_yield.corpus_programs(compare_yield.load_corpus())
+    table = lines[2:2 + len(programs)]
+    assert [line.split()[0] for line in table] == list(programs)
     for line in table:
         for cell in line.split()[1:]:
             before, after = cell.split("->")
@@ -34,6 +36,16 @@ def test_a_tree_against_itself_differs_nowhere():
     for case, _, a, b, z, p in rows:
         assert a == b and float(z) == 0 and float(p) == 1, (case, a, b, z, p)
     assert lines[-1].startswith(f"0 of {len(rows)} combinations differ")
+
+
+def test_a_revision_unpacks_to_its_tree(tmp_path):
+    inside = shutil.which("git") and subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--is-inside-work-tree"], capture_output=True)
+    if not inside or inside.returncode:
+        pytest.skip("not a git checkout")
+    tree = compare_yield.unpack("HEAD", str(tmp_path / "tree"))
+    assert tree == str(tmp_path / "tree")
+    assert (tmp_path / "tree" / "src" / "gcpim" / "__init__.py").is_file()
 
 
 def test_holm_adjusts_in_input_order():
