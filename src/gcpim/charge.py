@@ -129,9 +129,9 @@ class ModelConfig:
     tau_ns: float = DEFAULT_TAU_NS
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.v_residual_floor < self.v_sa_read < self.vdd):
+        if not (0.0 < self.v_residual_floor < self.v_sa_read < self.vdd < math.inf):
             raise ConfigError(
-                "need 0 < v_residual_floor < v_sa_read < vdd, got "
+                "need 0 < v_residual_floor < v_sa_read < vdd < inf, got "
                 f"{self.v_residual_floor}, {self.v_sa_read}, {self.vdd}"
             )
         if not (0.0 <= self.v_t_drive < self.v_sa_read):

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import os
 import sys
 
@@ -243,16 +244,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    per_file = []
-    for path in args.ledgers:
-        rows = EventLedger.read_csv_rows(path)
-        energy = sum(r["energy_fj"] for r in rows)
-        span = max((r["start_ns"] + r["duration_ns"] for r in rows), default=0)
-        refresh = sum(r["duration_ns"] for r in rows if r["op"] == "REFRESH")
-        per_file.append({"file": str(path), "ops": len(rows),
-                         "energy_fj": energy, "makespan_ns": span,
-                         "refresh_ns": refresh})
-    total_energy = sum((f["energy_fj"] for f in per_file), 0.0)
+    per_file = [{"file": str(path), **EventLedger.read_totals(path)} for path in args.ledgers]
+    total_energy = math.fsum(f["energy_fj"] for f in per_file)
     makespan = max(f["makespan_ns"] for f in per_file)
     refresh_time = sum(f["refresh_ns"] for f in per_file)
     n_ops = sum(f["ops"] for f in per_file)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -121,9 +122,9 @@ class PimProgram:
 
     @property
     def energy_fj(self) -> float:
-        # the ledger's per-op energies, summed left to right as it lists them
-        energy = {key: per_col * self.cols for key, per_col in self.timing._per_col.items()}
-        return sum(energy[op.kind, len(op.rows) == 1] for op in self.ops)
+        # correctly rounded, so it equals the ledger's ``read_totals`` on any Python
+        energy = self.timing.op_energies_fj(self.cols)
+        return math.fsum([energy[op.kind, len(op.rows) == 1] for op in self.ops])
 
     @cached_property
     def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -108,8 +109,8 @@ class VariationConfig:
 
     def __post_init__(self) -> None:
         for name in ("sigma_tau", "sigma_sa", "sigma_drive"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be non-negative and finite")
         try:
             _below_2_64(self.seed)
         except (TypeError, ValueError) as exc:

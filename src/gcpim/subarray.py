@@ -166,18 +166,11 @@ class TimingEnergyConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
-        # per-op lookups, built once: duration by kind, and energy per
-        # active column by kind and whether the op has a single row
-        object.__setattr__(self, "_duration", {
+            if not 0 < getattr(self, f.name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{f.name} must be positive and finite")
+        object.__setattr__(self, "_duration", {  # per-op lookup, built once
             OpKind.WRITE: self.t_write_ns, OpKind.READ: self.t_read_ns,
             OpKind.REFRESH: self.t_refresh_ns, OpKind.LOGIC: self.t_logic_ns})
-        per_col = {OpKind.WRITE: self.e_write_fj, OpKind.READ: self.e_read_fj,
-                   OpKind.REFRESH: self.e_read_fj + self.e_write_fj}
-        object.__setattr__(self, "_per_col", {
-            (kind, one): per_col.get(kind, self.e_not_fj if one else self.e_nor_fj)
-            for kind in OpKind for one in (True, False)})
 
     @property
     def t_logic_ns(self) -> int:
@@ -190,9 +183,14 @@ class TimingEnergyConfig:
     def duration_ns(self, kind: OpKind) -> int:
         return self._duration[kind]
 
-    def energy_fj(self, kind: OpKind, n_inputs: int, active_columns: int) -> float:
-        """Ledger energy for one op; logic energy depends on gate arity."""
-        return self._per_col[kind, n_inputs == 1] * active_columns
+    def op_energies_fj(self, cols: int) -> dict[tuple[OpKind, bool], float]:
+        """The one energy table: fJ of an op on ``cols`` active columns, by
+        kind and whether it has a single row (a one-input LOGIC op is a
+        NOT, a wider one a NOR)."""
+        per_col = {OpKind.WRITE: self.e_write_fj, OpKind.READ: self.e_read_fj,
+                   OpKind.REFRESH: self.e_read_fj + self.e_write_fj}
+        return {(kind, one): per_col.get(kind, self.e_not_fj if one else self.e_nor_fj) * cols
+                for kind in OpKind for one in (True, False)}
 
 
 LEDGER_CSV_HEADER = ["start_ns", "duration_ns", "op", "rows", "energy_fj"]
@@ -221,9 +219,9 @@ class EventLedger:
     def to_csv(self, path) -> None:
         """One row per op; a LOGIC op lists its input rows, then ``>`` and
         its output row.  No field holds a character CSV would quote."""
-        head = {kind: f",{self.timing._duration[kind]},{kind.value}," for kind in OpKind}
-        tail = {key: f",{per_col * self.cols!r}\r\n"  # one string per kind and arity
-                for key, per_col in self.timing._per_col.items()}
+        head = {kind: f",{self.timing.duration_ns(kind)},{kind.value}," for kind in OpKind}
+        tail = {key: f",{energy!r}\r\n"  # one string per kind and arity
+                for key, energy in self.timing.op_energies_fj(self.cols).items()}
         with open(path, "w", newline="") as fh:
             fh.write(",".join(LEDGER_CSV_HEADER) + "\r\n")
             fh.writelines(
@@ -233,12 +231,14 @@ class EventLedger:
                 for op in self.ops)
 
     @staticmethod
-    def read_csv_rows(path) -> list[dict]:
-        """Parse a ledger CSV back into dicts (used by the report command),
-        skipping blank lines.  A row without five cells, an op kind,
-        non-negative integer times and a finite energy raises ValueError
-        at path:line."""
-        rows, kinds = [], {kind.value for kind in OpKind}
+    def read_totals(path) -> dict:
+        """A ledger CSV's ``ops``, ``energy_fj`` (their ``math.fsum``, so
+        correctly rounded in any order), ``makespan_ns`` (the latest op
+        end) and ``refresh_ns``, in one pass that skips blank lines.  A row
+        without five cells, an op kind, non-negative integer times and a
+        finite energy raises ValueError at path:line."""
+        kinds = {kind.value for kind in OpKind}
+        energies, makespan, refresh = [], 0, 0
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -246,7 +246,7 @@ class EventLedger:
                 raise ValueError(f"{path}: not a ledger CSV (header {header})")
             for line in filter(None, reader):
                 try:
-                    start, duration, op, label, energy = line
+                    start, duration, op, _, energy = line
                     start, duration, energy = int(start), int(duration), float(energy)
                     if min(start, duration) < 0 or not math.isfinite(energy):
                         raise ValueError(f"negative time or non-finite energy in {line}")
@@ -254,9 +254,13 @@ class EventLedger:
                         raise ValueError(f"unknown op {op!r}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-                rows.append({"start_ns": start, "duration_ns": duration, "op": op,
-                             "rows": label, "energy_fj": energy})
-        return rows
+                energies.append(energy)
+                if start + duration > makespan:
+                    makespan = start + duration
+                if op == "REFRESH":
+                    refresh += duration
+        return {"ops": len(energies), "energy_fj": math.fsum(energies),
+                "makespan_ns": makespan, "refresh_ns": refresh}
 
 
 class SubArray:

@@ -107,9 +107,9 @@ def test_03_refresh_overhead(capsys, tmp_path):
         for row in range(64):
             assert arr.last_update[row] == 4 * (row + 1), row
         EventLedger(TIM, 64, refreshes).to_csv(tmp_path / "ledger.csv")
-        rows = EventLedger.read_csv_rows(tmp_path / "ledger.csv")
-        assert len(rows) == 64
-        assert max(r["start_ns"] + r["duration_ns"] for r in rows) == 256
+        totals = EventLedger.read_totals(tmp_path / "ledger.csv")
+        assert totals["ops"] == 64
+        assert totals["makespan_ns"] == 256
         availability = 1.0 - duration / MODEL.drt_logic_ns
         assert abs(availability - 0.9488) < 1e-4
 
@@ -131,9 +131,9 @@ def test_04_energy_ledger(capsys, tmp_path):
         assert cli_main(["run", str(tmp_path / "and.json"), "--mode", "nominal",
                          "--inputs", str(tmp_path / "inputs.csv"),
                          "--out", str(tmp_path / "run")]) == 0
-        rows = EventLedger.read_csv_rows(tmp_path / "run" / "ledger.csv")
-        ledger_total = sum(r["energy_fj"] for r in rows)
+        ledger_total = EventLedger.read_totals(tmp_path / "run" / "ledger.csv")["energy_fj"]
         assert ledger_total == pytest.approx(4160.0, abs=1e-9)
+        assert ledger_total == prog.energy_fj
 
 
 def test_05_variation_statistics(capsys):

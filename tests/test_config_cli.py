@@ -27,10 +27,11 @@ from hypothesis import strategies as st
 
 import gcpim.cli as cli_mod
 import gcpim.montecarlo as mc_mod
-from gcpim.charge import DEFAULT_TAU_NS, ConfigError, calibrate_tau
+from gcpim.charge import DEFAULT_TAU_NS, ConfigError, ModelConfig, calibrate_tau
 from gcpim.cli import _trace_lines, _write_trace_csv, main
 from gcpim.compiler import PimProgram, compile_program
 from gcpim.config import CONFIG_VERSION, RunConfig, load_config
+from gcpim.montecarlo import VariationConfig
 from gcpim.subarray import EventLedger, MicroOp, OpKind, TimingEnergyConfig
 
 # a full adder as written by the version-1 program writer
@@ -161,6 +162,50 @@ def test_a_model_that_cannot_retain_a_one_exits_2(tmp_path, capsys):
                  "--config", str(cfg)]) == 2
     assert f"tau_ns must be at least {DEFAULT_TAU_NS}" in capsys.readouterr().err
     assert not (tmp_path / "half.json").exists()
+
+
+NON_FINITE_FIELDS = [*(("timing_energy", f"e_{op}_fj") for op in ("write", "read", "not", "nor")),
+                     *(("variation", f"sigma_{v}") for v in ("tau", "sa", "drive")),
+                     ("model", "vdd")]
+SECTION_CLASS = {"timing_energy": TimingEnergyConfig, "variation": VariationConfig,
+                 "model": ModelConfig}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("section, key", NON_FINITE_FIELDS)
+def test_non_finite_config_values_are_refused(tmp_path, capsys, section, key, value):
+    # json.load takes NaN, Infinity and 1e400; the validators refuse them
+    # and name the field: a config exits 2, a program file's timing 5
+    with pytest.raises(ConfigError, match=key):
+        SECTION_CLASS[section](**{key: value})
+    src, cfg, prog = tmp_path / "and.txt", tmp_path / "cfg.json", tmp_path / "and.json"
+    src.write_text("out = a & b;\n")
+    cfg.write_text(json.dumps({"version": 1, section: {key: value}}))
+    assert main(["compile", str(src), "-o", str(prog), "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not prog.exists()
+    if section == "timing_energy":
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        data = json.loads(prog.read_text())
+        data["timing_energy"][key] = value
+        prog.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["run", str(prog), "--out", str(tmp_path / "run")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("gcpim: malformed program:") and key in err, err
+
+
+def test_a_cell_that_never_leaks_is_accepted(tmp_path, capsys):
+    # tau_ns = inf is the one non-finite value a config may hold
+    src, cfg = tmp_path / "and.txt", tmp_path / "cfg.json"
+    src.write_text("out = a & b;\n")
+    cfg.write_text('{"version": 1, "model": {"tau_ns": Infinity}}')
+    assert RunConfig.from_json(cfg).model.tau_ns == math.inf
+    assert main(["compile", str(src), "-o", str(tmp_path / "and.json"),
+                 "--config", str(cfg)]) == 0
+    assert main(["run", str(tmp_path / "and.json"), "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "certified" in capsys.readouterr().out
 
 
 def test_seed_override():
@@ -485,6 +530,9 @@ def test_report_json_totals(adder, tmp_path, capsys):
     assert summary["refresh_ns"] == 0
     assert summary["availability"] == 1.0
     assert summary["ops"] == 20
+    # fsum totals: the report's energy is the program's, exactly
+    energy = PimProgram.from_json(tmp_path / "adder.compiled.json").energy_fj
+    assert summary["energy_fj"] == summary["files"][0]["energy_fj"] == energy
 
 
 def test_program_with_retired_timing_key_runs_unchanged(adder, tmp_path, capsys):
@@ -977,7 +1025,8 @@ def wall_time_limit(seconds: float):
 @st.composite
 def accepted_configs_and_sources(draw):
     """A config over the ranges the validators are asked to accept, and a
-    source of random expressions behind an optional NOT-chain filler."""
+    source of random expressions behind an optional NOT-chain filler whose
+    links ``~(f | 0)`` the lowering cannot cancel as it would ``~~f``."""
     drt_read = draw(st.integers(20, 20_000))
     model = {"drt_read_ns": drt_read, "drt_logic_ns": draw(st.integers(1, drt_read))}
     vdd, v_sa_read = 0.9, 0.45
@@ -998,7 +1047,7 @@ def accepted_configs_and_sources(draw):
               "timing_energy": {name: draw(st.integers(1, 4)) for name in
                                 ("t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns")}}
     links = draw(st.integers(0, 150))
-    filler = [f"f{i} = ~{'a' if i == 0 else f'f{i - 1}'};" for i in range(links)]
+    filler = [f"f{i} = ~{'a' if i == 0 else f'(f{i - 1} | 0)'};" for i in range(links)]
     exprs = draw(st.lists(CLI_EXPRESSIONS, min_size=1, max_size=4))
     return config, "\n".join(filler + [f"o{k} = {e};" for k, e in enumerate(exprs)])
 

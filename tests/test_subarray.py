@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import math
+import random
 import tracemalloc
 from dataclasses import dataclass
 
@@ -239,11 +240,19 @@ def test_refresh_too_late_loses_the_bit():
     assert sa.read_row(0, t_now=16005)[0] == 0
 
 
+def dict_rows(path) -> list[dict]:
+    """A ledger CSV's rows as ``csv.DictReader`` reads them, with times
+    and energies as numbers."""
+    with open(path, newline="") as fh:
+        return [{**r, "start_ns": int(r["start_ns"]), "duration_ns": int(r["duration_ns"]),
+                 "energy_fj": float(r["energy_fj"])} for r in csv.DictReader(fh)]
+
+
 def ledger_rows(tmp_path, ops) -> list[dict]:
     """The rows ``to_csv`` writes for a 64-column ledger of ``ops``."""
     path = tmp_path / "ledger.csv"
     EventLedger(TIM, 64, ops).to_csv(path)
-    return EventLedger.read_csv_rows(path)
+    return dict_rows(path)
 
 
 def test_refresh_is_a_read_then_a_write_back(monkeypatch):
@@ -324,7 +333,7 @@ def ledger_csv_by_csv_writer(timing, cols, ops) -> bytes:
     writer.writerows(
         [op.t_start_ns, timing.duration_ns(op.kind), op.kind.value,
          "+".join(map(str, op.rows)) + ("" if op.out_row is None else f">{op.out_row}"),
-         repr(timing.energy_fj(op.kind, len(op.rows), cols))]
+         repr(timing.op_energies_fj(cols)[op.kind, len(op.rows) == 1])]
         for op in ops)
     return out.getvalue().encode()
 
@@ -346,17 +355,35 @@ def ledger_ops(draw) -> list[MicroOp]:
 
 
 ENERGIES = st.floats(1e-3, 1e6)
+TIMINGS = st.builds(TimingEnergyConfig, *[st.integers(1, 50)] * 4, *[ENERGIES] * 4)
 
 
 @settings(deadline=None)
-@given(ops=ledger_ops(), cols=st.integers(1, 4096),
-       timing=st.builds(TimingEnergyConfig, *[st.integers(1, 50)] * 4, *[ENERGIES] * 4))
+@given(ops=ledger_ops(), cols=st.integers(1, 4096), timing=TIMINGS)
 def test_ledger_csv_keeps_the_bytes_csv_writer_writes(tmp_path_factory, ops, cols, timing):
     # multi-input LOGIC, REFRESH, READ and WRITE rows, at any timing and
     # width: no field needs quoting, so one formatted line per op is the row
     path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
     EventLedger(timing, cols, ops).to_csv(path)
     assert path.read_bytes() == ledger_csv_by_csv_writer(timing, cols, ops)
+
+
+@settings(deadline=None)
+@given(ops=ledger_ops(), cols=st.integers(1, 4096), timing=TIMINGS, seed=st.integers(0, 99))
+def test_read_totals_recounts_the_ledger(tmp_path_factory, ops, cols, timing, seed):
+    # the one-pass totals equal a csv.DictReader recount, and the energy is
+    # correctly rounded, so the order of the rows does not move it
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+    EventLedger(timing, cols, ops).to_csv(path)
+    rows = dict_rows(path)
+    energies = [r["energy_fj"] for r in rows]
+    totals = EventLedger.read_totals(path)
+    assert totals == {
+        "ops": len(rows), "energy_fj": math.fsum(energies),
+        "makespan_ns": max((r["start_ns"] + r["duration_ns"] for r in rows), default=0),
+        "refresh_ns": sum(r["duration_ns"] for r in rows if r["op"] == "REFRESH")}
+    random.Random(seed).shuffle(energies)
+    assert totals["energy_fj"] == math.fsum(energies)
 
 
 def test_op_durations():
@@ -367,12 +394,14 @@ def test_op_durations():
     assert TIM.t_logic_ns == TIM.t_init_ns + TIM.t_eval_ns
 
 
-def test_wide_nor_energy_uses_nor_rate():
+def test_wide_nor_energy_uses_nor_rate(tmp_path):
     # arity follows the input count, not the total row count
-    assert TIM.energy_fj(OpKind.LOGIC, 1, 64) == pytest.approx(E_NOT_ROW)
-    assert TIM.energy_fj(OpKind.LOGIC, 2, 64) == pytest.approx(E_NOR_ROW)
-    assert TIM.energy_fj(OpKind.LOGIC, 3, 64) == pytest.approx(E_NOR_ROW)
-    assert TIM.energy_fj(OpKind.READ, 1, 1) == pytest.approx(13.3)
+    energy = TIM.op_energies_fj(64)
+    assert energy[OpKind.LOGIC, True] == pytest.approx(E_NOT_ROW)
+    assert energy[OpKind.LOGIC, False] == pytest.approx(E_NOR_ROW)
+    rows = ledger_rows(tmp_path, [MicroOp(OpKind.LOGIC, (0, 1, 2), out_row=3)])
+    assert rows[0]["energy_fj"] == pytest.approx(E_NOR_ROW)
+    assert TIM.op_energies_fj(1)[OpKind.READ, True] == pytest.approx(13.3)
 
 
 def test_ledger_requires_time_order():
@@ -403,8 +432,8 @@ def test_ledger_csv_roundtrip(tmp_path):
     other = tmp_path / "other.csv"
     other.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        EventLedger.read_csv_rows(other)
-    assert EventLedger.read_csv_rows.__doc__  # format is documented
+        EventLedger.read_totals(other)
+    assert EventLedger.read_totals.__doc__  # format is documented
     assert rows[0].keys() == {k: 0 for k in LEDGER_CSV_HEADER}.keys()
 
 
