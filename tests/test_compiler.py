@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcpim.compiler import (
     And,
@@ -126,6 +128,161 @@ def test_inputs_in_first_use_order():
 def test_outputs_are_unconsumed_assignments():
     prog = parse_program("t = a & b;\nu = ~t;\nv = t ^ a;\n")
     assert prog.outputs == ("u", "v")
+
+
+# (source, message, line, col) per ParseError kind; a tab, a \r\n line
+# end, a comment and a Unicode space each count as one column or line break
+PARSE_ERRORS = [
+    ("o = a $ b;", "unexpected character '$'", 1, 7),
+    ("\to = a\t$ b;", "unexpected character '$'", 1, 8),
+    ("o\u00a0=\u2003a ?;", "unexpected character '?'", 1, 7),
+    ("o = a & ;", "expected an operand, found ';'", 1, 9),
+    ("# c\r\no = a &", "expected an operand, found 'end of input'", 2, 8),
+    ("o = (a | b;", "expected ')', found ';'", 1, 11),
+    ("o = ((a | b)\r\n;", "expected ')', found ';'", 2, 1),
+    ("o a;", "expected '=', found 'a'", 1, 3),
+    ("x = a\ny = b;", "expected ';', found 'y'", 2, 1),
+    ("x = a;\r\ny = b\r\n", "expected ';', found 'end of input'", 3, 1),
+    ("= a;", "expected 'name', found '='", 1, 1),
+    ("o = a; # c\n\t1 = b;", "expected 'name', found '1'", 2, 2),
+    ("# only a comment\n \u3000", "no statements", 2, 3),
+    ("", "no statements", 1, 1),
+    ("x = a;\n\tx = b;", "'x' is assigned more than once", 2, 2),
+    ("y = a & x; # later\r\nx = a;", "'x' is used before its definition", 1, 9),
+    ("\u3000o = " + "(" * 1200 + "a" + ")" * 1200 + ";", "expression nests too deeply",
+     1, 2),
+    ("# deep\no = " + "~" * 1200 + "a;", "expression nests too deeply", 2, 1),
+]
+
+
+@pytest.mark.parametrize("source, message, line, col", PARSE_ERRORS)
+def test_parse_errors_name_their_kind_and_position(source, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# the parser's precedence, loosest first; each binary operator associates left
+PRECEDENCE = {Or: 0, Xor: 1, And: 2}
+SYMBOL = {Or: "|", Xor: "^", And: "&", Not: "~"}
+GAPS = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u2003", "\n", "\r\n",
+                        " # note\n", "#\r\n\t"])
+
+
+def draw_ast(draw, names, depth):
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        leaf = draw(st.sampled_from(names + ["0", "1"]))
+        return Const(int(leaf)) if leaf in "01" else Var(leaf)
+    kind = draw(st.sampled_from([Not, And, Xor, Or]))
+    if kind is Not:
+        return Not(draw_ast(draw, names, depth - 1))
+    return kind(draw_ast(draw, names, depth - 1), draw_ast(draw, names, depth - 1))
+
+
+def print_ast(draw, expr, parts, tokens):
+    """Append the expression's text to ``parts``, each token behind a drawn
+    gap, and each node's token and text offset to ``tokens``.  A needed
+    parenthesis is always printed, a redundant one when drawn."""
+    def emit(text):
+        parts.append(draw(GAPS))
+        offset = sum(map(len, parts))
+        parts.append(text)
+        return offset
+
+    def operand(child, needs_parens):
+        if needs_parens or draw(st.integers(0, 5)) == 0:
+            emit("(")
+            print_ast(draw, child, parts, tokens)
+            emit(")")
+        else:
+            print_ast(draw, child, parts, tokens)
+
+    if isinstance(expr, Var):
+        tokens.append((expr, expr.name, emit(expr.name)))
+    elif isinstance(expr, Const):
+        tokens.append((expr, str(expr.value), emit(str(expr.value))))
+    elif isinstance(expr, Not):
+        tokens.append((expr, "~", emit("~")))
+        operand(expr.a, not isinstance(expr.a, (Var, Const, Not)))
+    else:
+        level = PRECEDENCE[type(expr)]
+        # a looser left operand, or a right one at most as tight, needs parentheses
+        operand(expr.a, PRECEDENCE.get(type(expr.a), 3) < level)
+        tokens.append((expr, SYMBOL[type(expr)], emit(SYMBOL[type(expr)])))
+        operand(expr.b, PRECEDENCE.get(type(expr.b), 3) <= level)
+
+
+@st.composite
+def printed_programs(draw):
+    """A program of 1-4 statements and its text, with the expected inputs,
+    outputs and each node's token offset in the text."""
+    names, assigned, statements, parts, tokens = ["a", "b", "c", "d"], [], [], [], []
+    for k in range(draw(st.integers(1, 4))):
+        expr = draw_ast(draw, names + assigned, 6)
+        name = f"t{k}"
+        parts.append(draw(GAPS))
+        statements.append((name, expr, sum(map(len, parts))))
+        parts += [name, draw(GAPS), "="]
+        print_ast(draw, expr, parts, tokens)
+        parts += [draw(GAPS), ";"]
+        assigned.append(name)
+    parts.append(draw(GAPS))
+    return "".join(parts), statements, tokens
+
+
+def position_of(text, offset):
+    """The (line, col) of a text offset: lines break at \\n alone, columns count from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def reads(expr):
+    """The names an expression reads, left to right."""
+    if isinstance(expr, Var):
+        return [expr.name]
+    if isinstance(expr, Const):
+        return []
+    if isinstance(expr, Not):
+        return reads(expr.a)
+    return reads(expr.a) + reads(expr.b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=printed_programs())
+def test_printed_programs_parse_back_with_every_position(case):
+    text, statements, tokens = case
+    prog = parse_program(text)
+    assert [(st_.name, st_.expr) for st_ in prog.statements] == [
+        (name, expr) for name, expr, _ in statements]
+    read = [n for _, expr, _ in statements for n in reads(expr)]
+    assigned = [name for name, _, _ in statements]
+    assert prog.inputs == tuple(dict.fromkeys(n for n in read if n not in assigned))
+    assert prog.outputs == tuple(n for n in assigned if n not in read)
+    for st_, (name, _, offset) in zip(prog.statements, statements):
+        assert (st_.line, st_.col) == position_of(text, offset)
+    # the parsed nodes, in the order print_ast met the drawn ones
+    parsed = []
+
+    def visit(expr):
+        if isinstance(expr, (Var, Const)):
+            parsed.append(expr)
+        elif isinstance(expr, Not):
+            parsed.append(expr)
+            visit(expr.a)
+        else:
+            visit(expr.a)
+            parsed.append(expr)
+            visit(expr.b)
+
+    for st_ in prog.statements:
+        visit(st_.expr)
+    assert len(parsed) == len(tokens)
+    for node, (drawn, token, offset) in zip(parsed, tokens):
+        assert node == drawn
+        line, col = (node.line, node.col)
+        assert (line, col) == position_of(text, offset)
+        assert text.split("\n")[line - 1][col - 1:].startswith(token)
 
 
 def test_eval_expr_truth_table():

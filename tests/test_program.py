@@ -10,10 +10,12 @@ import bisect
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import random
 import tracemalloc
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,50 @@ WEAK_43_28 = "o0 = ~(h | ((d & c) | (a | g)));\no1 = ((e ^ (c & d)) | ~h);"
 # 1000/300, 29 refreshes and 289 ops
 RIPPLE16_1000_300_SHA256 = (
     "5c62493df3e1b2709ea7ad178b41370ce862d5d56944f72f0fe73b9485a89ea6")
+
+
+def load_bench_corpus():
+    """The benchmark's ``bench/corpus.py``, loaded read-only from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+# sha256 of PimProgram.to_json at the benchmark's sizes: the 1,100-link XOR
+# chain (seed 0) at the default and at the tight 2000/1000 windows, and
+# ripple-32, each on 256 rows; ripple-32 at 1000/300 fails to schedule
+BENCH_SIZE_SHA256 = {
+    ("xor_chain", None): "d6d718308fe2c4643066073c383c2641d14ff715f1b688540807e52c545c4e82",
+    ("xor_chain", "xor_chain"): "b97b73e1ae259e208093e05fc0f9b71e45259c151002879fa7078b9264100e21",
+    ("ripple32", None): "2e2358a52945f100a7d06315f4a3cf2d13c990f9ee2a304ccba63303fd2a1763",
+}
+
+
+@pytest.mark.parametrize("name, tight", sorted(BENCH_SIZE_SHA256, key=str))
+def test_compiles_at_benchmark_size_keep_their_bytes(tmp_path, name, tight):
+    corpus = load_bench_corpus()
+    source = (corpus.xor_chain_source(corpus.xor_chain_terms(0)) if name == "xor_chain"
+              else corpus.ripple_source(32))
+    model = ModelConfig()
+    if tight is not None:
+        drt_read, drt_logic = corpus.TIGHT[tight]
+        model = ModelConfig(drt_read_ns=drt_read, drt_logic_ns=drt_logic)
+    prog = compile_program(source, CompilerConfig(rows=256), model)
+    prog.to_json(tmp_path / "p.json")
+    digest = hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
+    assert digest == BENCH_SIZE_SHA256[name, tight]
+
+
+def test_ripple32_at_the_tight_windows_fails_with_its_message():
+    corpus = load_bench_corpus()
+    drt_read, drt_logic = corpus.TIGHT["ripple32"]
+    with pytest.raises(RefreshScheduleError) as exc:
+        compile_program(corpus.ripple_source(32), CompilerConfig(rows=256),
+                        ModelConfig(drt_read_ns=drt_read, drt_logic_ns=drt_logic))
+    assert str(exc.value) == ("row 46 is 1002ns old at t=1049ns; its refresh would sense "
+                              "garbage (limit 1000ns)")
 
 
 @pytest.mark.parametrize("source, model, n_refresh, n_ops", [
