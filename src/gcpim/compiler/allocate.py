@@ -36,65 +36,49 @@ class RowAssignment:
 
 
 def allocate_rows(netlist: NorNetlist, rows_available: int = 62) -> RowAssignment:
-    """Map every node to a row, reusing rows once values die.
-
-    Raises CapacityError naming the node set live at the point where the
-    demand first exceeds rows_available.
-    """
+    """Map every node to a row, reusing rows once values die.  Raises
+    CapacityError naming the node set live where the demand first exceeds
+    rows_available."""
     if rows_available < 1:
         raise CapacityError("no value rows available", 0, ())
 
-    last_consumer: dict[int, int] = {}
-    for nid, node in enumerate(netlist.nodes):
+    nodes = netlist.nodes
+    # last_use[nid]: the last gate reading node nid; inputs, constants and
+    # outputs are never reclaimed, so theirs is set past every node
+    last_use, kept = [-1] * len(nodes), len(nodes)
+    for nid, node in enumerate(nodes):
         for a in node.args:
-            last_consumer[a] = nid
-
-    protected = set()  # never reclaimed: inputs, constants, outputs
-    output_ids = {nid for _, nid in netlist.outputs}
+            last_use[a] = nid
+    for _, nid in netlist.outputs:
+        last_use[nid] = kept
 
     row_of: dict[int, int] = {}
     input_rows: dict[str, int] = {}
     const_rows: dict[int, int] = {}
-    free = list(range(rows_available))  # a heap: the lowest free row first
-    live: set[int] = set()
-
-    def take_row(nid: int) -> None:
+    free, live, peak = list(range(rows_available)), set(), 0  # free: a heap, lowest row first
+    # inputs first, in declaration order, so operand rows are stable; then
+    # the other nodes in id order, each gate taking the lowest free row
+    input_ids = {n.name: i for i, n in enumerate(nodes) if n.op == "input"}
+    order = [input_ids[name] for name in netlist.inputs]
+    for nid in order + [nid for nid, n in enumerate(nodes) if n.op != "input"]:
+        node = nodes[nid]
+        if node.op == "const":  # reserved rows sit just past the value region
+            row_of[nid] = const_rows[node.value] = rows_available + node.value
+            last_use[nid] = kept
+            continue
         if not free:
-            raise CapacityError(
-                f"{len(live) + 1} values live at node {nid} but only "
-                f"{rows_available} rows are available",
-                len(live) + 1,
-                tuple(sorted(live | {nid})),
-            )
+            raise CapacityError(f"{len(live) + 1} values live at node {nid} but only "
+                                f"{rows_available} rows are available",
+                                len(live) + 1, tuple(sorted(live | {nid})))
         row_of[nid] = heapq.heappop(free)
         live.add(nid)
-
-    # inputs first, in declaration order, so operand rows are stable
-    input_ids = {n.name: i for i, n in enumerate(netlist.nodes) if n.op == "input"}
-    for name in netlist.inputs:
-        nid = input_ids[name]
-        take_row(nid)
-        input_rows[name] = row_of[nid]
-        protected.add(nid)
-
-    peak = len(live)
-    for nid, node in enumerate(netlist.nodes):
+        if len(live) > peak:
+            peak = len(live)
         if node.op == "input":
-            continue
-        if node.op == "const":
-            # reserved rows sit just past the value region
-            row_of[nid] = rows_available + node.value
-            const_rows[node.value] = row_of[nid]
-            protected.add(nid)
-            continue
-        take_row(nid)
-        peak = max(peak, len(live))
-        if nid in output_ids:
-            protected.add(nid)
-        for a in set(node.args):
-            if a in protected or a not in live:
-                continue
-            if last_consumer[a] == nid:
+            input_rows[node.name], last_use[nid] = row_of[nid], kept
+        for a in node.args:  # the operands this gate reads last give their rows back
+            if last_use[a] == nid:
+                last_use[a] = -1  # once, should a gate list it twice
                 live.discard(a)
                 heapq.heappush(free, row_of[a])
 

@@ -11,14 +11,20 @@ the program must not be read before its defining statement.  Assigned
 names that no later statement reads are the program outputs.
 
 The parser returns plain syntax: one node per operator, chains nested
-to the left as they associate.
+to the left as they associate.  Tokens are ``(kind, text, line, col)``
+tuples from one regex scan per line, and one precedence-climbing loop
+parses the binary operators, so only ``~`` (a frame each) and
+parentheses (two frames each) recurse.  Past the interpreter's recursion
+limit (some 990 ``~`` or 490 parentheses at the default limit of 1000)
+an expression is a ParseError "expression nests too deeply", never a
+RecursionError.  Each statement's variables are noted as they parse.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields
+from operator import and_, or_, xor
 
 __all__ = [
     "And", "Const", "Expr", "Not", "Or", "ParseError", "Program", "Statement",
@@ -36,7 +42,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
+# The nodes are frozen and slotted, equal and hashable by their fields;
+# each ``__init__`` stores through the slot descriptors, as ``Node`` does.
+@dataclass(frozen=True, slots=True, init=False)
 class Expr:
     # source positions are metadata: keyword-only and excluded from
     # structural equality, so Var("a") == Var("a") wherever they parsed
@@ -44,37 +52,70 @@ class Expr:
     col: int = field(default=0, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Expr):
     name: str = ""
 
+    def __init__(self, name: str = "", *, line: int = 0, col: int = 0) -> None:
+        _set_var(self, name)
+        _set_var_line(self, line)
+        _set_var_col(self, col)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const(Expr):
     value: int = 0
 
+    def __init__(self, value: int = 0, *, line: int = 0, col: int = 0) -> None:
+        _set_const(self, value)
+        _set_const_line(self, line)
+        _set_const_col(self, col)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Not(Expr):
     a: Expr = None
 
+    def __init__(self, a: Expr = None, *, line: int = 0, col: int = 0) -> None:
+        _set_not(self, a)
+        _set_not_line(self, line)
+        _set_not_col(self, col)
 
-@dataclass(frozen=True)
-class And(Expr):
+
+@dataclass(frozen=True, slots=True, init=False)
+class _Binary(Expr):
+    """The two operands of ``And``, ``Or`` and ``Xor``, which differ in type only."""
+
     a: Expr = None
     b: Expr = None
 
+    def __init__(self, a: Expr = None, b: Expr = None, *, line: int = 0,
+                 col: int = 0) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_binary_line(self, line)
+        _set_binary_col(self, col)
 
-@dataclass(frozen=True)
-class Or(Expr):
-    a: Expr = None
-    b: Expr = None
+
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Xor(Expr):
-    a: Expr = None
-    b: Expr = None
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Xor(_Binary):
+    __slots__ = ()
+
+
+# a class's own descriptors: Python 3.10's dataclass re-slots inherited fields
+_set_var_line, _set_var_col, _set_var = (getattr(Var, f.name).__set__ for f in fields(Var))
+_set_const_line, _set_const_col, _set_const = (
+    getattr(Const, f.name).__set__ for f in fields(Const))
+_set_not_line, _set_not_col, _set_not = (getattr(Not, f.name).__set__ for f in fields(Not))
+_set_binary_line, _set_binary_col, _set_a, _set_b = (
+    getattr(_Binary, f.name).__set__ for f in fields(_Binary))
 
 
 @dataclass(frozen=True)
@@ -92,135 +133,101 @@ class Program:
     outputs: tuple[str, ...]
 
 
-# binary operators, loosest first; each associates left
-_BINARY = (("|", Or), ("^", Xor), ("&", And))
+# binary operators and their precedence, loosest lowest; each associates left
+_PRECEDENCE = {"|": 0, "^": 1, "&": 2}
+_BINARY = {"|": Or, "^": Xor, "&": And}
+_BITWISE = {Or: or_, Xor: xor, And: and_}
 
+# per line: whitespace (Unicode-aware, as \s) separates tokens, a comment
+# runs to the line's end, and any other non-space character is bad
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<const>[01])|(?P<punct>[~&|^()=;])|(?P<bad>.)"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<const>[01])|(?P<punct>[~&|^()=;])"
+    r"|(?P<comment>#.*)|(?P<bad>\S)"
 )
 
 
-class _Token:
-    """A lexeme's kind ("name", "const", a punct char or "eof"), text, line and column."""
-
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        self.kind, self.text, self.line, self.col = kind, text, line, col
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """One scan; a token's column counts from the last newline before it."""
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, col)`` per token, kind "name", "const", the
+    punctuation character itself or "eof".  Lines break at \\n alone and
+    a column counts characters from the line's start."""
     tokens = []
-    line, line_start = 1, 0  # the current line and the offset it starts at
-    for m in _TOKEN_RE.finditer(text):
-        group, value = m.lastgroup, m.group()
-        if group == "name" or group == "const":
-            tokens.append(_Token(group, value, line, m.start() - line_start + 1))
-        elif group == "punct":
-            tokens.append(_Token(value, value, line, m.start() - line_start + 1))
-        elif group == "ws" and "\n" in value:
-            line += value.count("\n")
-            line_start = m.start() + value.rfind("\n") + 1
-        elif group == "bad":
-            raise ParseError(f"unexpected character {value!r}", line,
-                             m.start() - line_start + 1)
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    lines = text.split("\n")
+    for line, line_text in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(line_text):
+            kind = m.lastgroup
+            if kind == "punct":
+                kind = m.group()
+            elif kind == "comment":
+                break
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+            tokens.append((kind, m.group(), line, m.start() + 1))
+    tokens.append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
+    """Precedence climbing over token tuples; ``reads`` collects the
+    variables parsed, left to right."""
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, tokens: list[tuple[str, str, int, int]]) -> None:
+        self.tokens, self.i, self.reads = tokens, 0, []
 
-    def advance(self) -> _Token:
-        tok = self.cur
+    def expect(self, kind: str) -> tuple[str, str, int, int]:
+        token = self.tokens[self.i]
+        if token[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {token[1] or 'end of input'!r}",
+                             token[2], token[3])
         self.i += 1
-        return tok
+        return token
 
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
-                self.cur.line, self.cur.col,
-            )
-        return self.advance()
+    def expr(self, min_precedence: int = 0) -> Expr:
+        """An operand, then every binary operator at least as tight as
+        ``min_precedence``; a right operand takes only tighter ones."""
+        left, tokens = self.operand(), self.tokens
+        while True:
+            kind, _, line, col = tokens[self.i]
+            precedence = _PRECEDENCE.get(kind, -1)
+            if precedence < min_precedence:
+                return left
+            self.i += 1
+            left = _BINARY[kind](left, self.expr(precedence + 1), line=line, col=col)
 
-    def expr(self, level: int = 0) -> Expr:
-        """Precedence climbing over _BINARY, loosest first; past its last
-        level, a unary operand."""
-        if level == len(_BINARY):
-            return self.unary()
-        kind, node = _BINARY[level]
-        e = self.expr(level + 1)
-        while self.cur.kind == kind:
-            tok = self.advance()
-            e = node(e, self.expr(level + 1), line=tok.line, col=tok.col)
-        return e
-
-    def unary(self) -> Expr:
-        if self.cur.kind == "~":
-            tok = self.advance()
-            return Not(self.unary(), line=tok.line, col=tok.col)
-        return self.primary()
-
-    def primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "name":
-            self.advance()
-            return Var(tok.text, line=tok.line, col=tok.col)
-        if tok.kind == "const":
-            self.advance()
-            return Const(int(tok.text), line=tok.line, col=tok.col)
-        if tok.kind == "(":
-            self.advance()
+    def operand(self) -> Expr:
+        kind, text, line, col = self.tokens[self.i]
+        self.i += 1
+        if kind == "name":
+            var = Var(text, line=line, col=col)
+            self.reads.append(var)
+            return var
+        if kind == "const":
+            return Const(int(text), line=line, col=col)
+        if kind == "~":
+            return Not(self.operand(), line=line, col=col)
+        if kind == "(":
             e = self.expr()
             self.expect(")")
             return e
-        raise ParseError(
-            f"expected an operand, found {tok.text or 'end of input'!r}",
-            tok.line, tok.col,
-        )
-
-    def statement(self) -> Statement:
-        name_tok = self.expect("name")
-        self.expect("=")
-        try:
-            e = self.expr()
-        except RecursionError:
-            raise ParseError(TOO_DEEP, name_tok.line, name_tok.col) from None
-        self.expect(";")
-        return Statement(name_tok.text, e, name_tok.line, name_tok.col)
-
-
-def _walk_vars(expr: Expr) -> Iterator[Var]:
-    """The expression's variables, left to right, at any nesting depth."""
-    stack = [expr]
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, Var):
-            yield expr
-        elif isinstance(expr, Not):
-            stack.append(expr.a)
-        elif isinstance(expr, (And, Or, Xor)):
-            stack += expr.b, expr.a
+        raise ParseError(f"expected an operand, found {text or 'end of input'!r}", line, col)
 
 
 def parse_program(text: str) -> Program:
     """Parse a full program and infer its input and output name lists."""
     parser = _Parser(_tokenize(text))
-    statements: list[Statement] = []
-    while parser.cur.kind != "eof":
-        statements.append(parser.statement())
+    tokens, statements, reads = parser.tokens, [], []
+    while tokens[parser.i][0] != "eof":
+        _, name, line, col = parser.expect("name")
+        parser.expect("=")
+        parser.reads = []
+        try:
+            e = parser.expr()
+        except RecursionError:
+            raise ParseError(TOO_DEEP, line, col) from None
+        parser.expect(";")
+        statements.append(Statement(name, e, line, col))
+        reads.append(parser.reads)
     if not statements:
-        tok = parser.cur
-        raise ParseError("no statements", tok.line, tok.col)
+        raise ParseError("no statements", *tokens[parser.i][2:])
 
     assigned_anywhere = {}
     for st in statements:
@@ -228,20 +235,15 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"{st.name!r} is assigned more than once", st.line, st.col)
         assigned_anywhere[st.name] = st
 
-    inputs: list[str] = []
-    defined: set[str] = set()
-    referenced: set[str] = set()
-    for st in statements:
-        for var in _walk_vars(st.expr):
+    inputs, defined, referenced = {}, set(), set()  # inputs: an ordered set
+    for st, variables in zip(statements, reads):
+        for var in variables:
             referenced.add(var.name)
-            if var.name in defined:
-                continue
-            if var.name in assigned_anywhere:
-                raise ParseError(
-                    f"{var.name!r} is used before its definition", var.line, var.col
-                )
-            if var.name not in inputs:
-                inputs.append(var.name)
+            if var.name not in defined and var.name not in inputs:
+                if var.name in assigned_anywhere:
+                    raise ParseError(f"{var.name!r} is used before its definition",
+                                     var.line, var.col)
+                inputs[var.name] = None
         defined.add(st.name)
 
     outputs = tuple(st.name for st in statements if st.name not in referenced)
@@ -253,15 +255,14 @@ def parse_expr(text: str) -> Expr:
     (with or without the trailing semicolon)."""
     tokens = _tokenize(text)
     parser = _Parser(tokens)
-    if tokens[0].kind == "name" and tokens[1].kind == "=":
-        parser.advance()
-        parser.advance()
+    if tokens[0][0] == "name" and tokens[1][0] == "=":
+        parser.i = 2
     try:
         e = parser.expr()
     except RecursionError:
-        raise ParseError(TOO_DEEP, tokens[0].line, tokens[0].col) from None
-    if parser.cur.kind == ";":
-        parser.advance()
+        raise ParseError(TOO_DEEP, *tokens[0][2:]) from None
+    if tokens[parser.i][0] == ";":
+        parser.i += 1
     parser.expect("eof")
     return e
 
@@ -285,10 +286,6 @@ def _eval(expr: Expr, env: dict[str, int]) -> int:
         return expr.value
     if isinstance(expr, Not):
         return 1 - _eval(expr.a, env)
-    if isinstance(expr, And):
-        return _eval(expr.a, env) & _eval(expr.b, env)
-    if isinstance(expr, Or):
-        return _eval(expr.a, env) | _eval(expr.b, env)
-    if isinstance(expr, Xor):
-        return _eval(expr.a, env) ^ _eval(expr.b, env)
+    if isinstance(expr, _Binary):
+        return _BITWISE[type(expr)](_eval(expr.a, env), _eval(expr.b, env))
     raise TypeError(f"not an expression node: {expr!r}")

@@ -80,14 +80,12 @@ class NorNetlist:
             raise ValueError(f"unreachable nodes: {orphans}")
 
     def reachable_ids(self) -> set[int]:
-        seen: set[int] = set()
-        stack = [nid for _, nid in self.outputs]
+        seen, stack = set(), [nid for _, nid in self.outputs]
         while stack:
             nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.extend(self.nodes[nid].args)
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(self.nodes[nid].args)
         return seen
 
     @property
@@ -131,19 +129,11 @@ class NorNetlist:
         return outputs
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for n in self.nodes:
-            if n.op == "input":
-                nodes.append({"op": "input", "name": n.name})
-            elif n.op == "const":
-                nodes.append({"op": "const", "value": n.value})
-            else:
-                nodes.append({"op": "nor", "args": list(n.args)})
-        return {
-            "nodes": nodes,
-            "inputs": list(self.inputs),
-            "outputs": [[name, nid] for name, nid in self.outputs],
-        }
+        nodes = [{"op": "nor", "args": list(n.args)} if n.op == "nor"
+                 else {"op": "input", "name": n.name} if n.op == "input"
+                 else {"op": "const", "value": n.value} for n in self.nodes]
+        return {"nodes": nodes, "inputs": list(self.inputs),
+                "outputs": [[name, nid] for name, nid in self.outputs]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "NorNetlist":
@@ -169,47 +159,57 @@ class NorNetlist:
 
 
 class NetlistBuilder:
-    """Bottom-up interning builder; node ids come out topologically sorted."""
+    """Bottom-up interning builder; node ids come out topologically sorted.
+    A node is built only when its key is new."""
 
     def __init__(self, max_nor_arity: int = 2) -> None:
         if max_nor_arity < 2:
             raise ConfigError("max_nor_arity must be at least 2")
         self.max_nor_arity = max_nor_arity
         self.nodes: list[Node] = []
-        self._intern: dict[tuple, int] = {}
+        self._intern: dict[tuple, int] = {}  # ("input", name), ("const", value) or NOR args
 
     def _add(self, key: tuple, node: Node) -> int:
-        nid = self._intern.get(key)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(node)
-            self._intern[key] = nid
+        """Intern a node under a key that is not interned yet."""
+        nid = self._intern[key] = len(self.nodes)
+        self.nodes.append(node)
         return nid
 
     def input(self, name: str) -> int:
-        return self._add(("input", name), Node("input", name=name))
+        nid = self._intern.get(("input", name))
+        return self._add(("input", name), Node("input", name=name)) if nid is None else nid
 
     def const(self, value: int) -> int:
         if value not in (0, 1):
             raise ValueError(f"constant must be 0 or 1, got {value}")
-        return self._add(("const", value), Node("const", value=value))
+        nid = self._intern.get(("const", value))
+        return self._add(("const", value), Node("const", value=value)) if nid is None else nid
 
     def nor(self, args) -> int:
-        canonical = tuple(sorted(set(args)))
-        if not canonical:
-            raise ValueError("NOR needs at least one argument")
-        if len(canonical) > self.max_nor_arity:
-            raise ValueError(
-                f"NOR arity {len(canonical)} exceeds the cap {self.max_nor_arity}"
-            )
-        if canonical[0] < 0 or canonical[-1] >= len(self.nodes):  # sorted ends
-            raise ValueError(f"unknown argument node in {canonical}")
-        return self._add(("nor", canonical), Node("nor", canonical))
+        """The NOR of the argument ids, sorted and deduplicated: one or two
+        are ordered by hand, more sorted.  Checked before it is built."""
+        if len(args) == 2:
+            a, b = args
+            key = (a, b) if a < b else (b, a) if b < a else (a,)
+        else:
+            key = tuple(args) if len(args) == 1 else tuple(sorted(set(args)))
+        nid = self._intern.get(key)
+        if nid is None:
+            if not key:
+                raise ValueError("NOR needs at least one argument")
+            if len(key) > self.max_nor_arity:
+                raise ValueError(f"NOR arity {len(key)} exceeds the cap {self.max_nor_arity}")
+            if key[0] < 0 or key[-1] >= len(self.nodes):  # sorted ends
+                raise ValueError(f"unknown argument node in {key}")
+            nid = self._add(key, Node("nor", key))
+        return nid
 
     def nor_wide(self, args) -> int:
         """NOR of any arity, split to respect the arity cap."""
-        args = list(dict.fromkeys(args))  # dedupe, preserve order
         cap = self.max_nor_arity
+        if len(args) <= cap:
+            return self.nor(args)
+        args = list(dict.fromkeys(args))  # dedupe, preserve order
         while len(args) > cap:
             head, args = args[:cap], args[cap:]
             args.insert(0, self.nor([self.nor(head)]))  # OR of the head group
@@ -217,44 +217,52 @@ class NetlistBuilder:
 
     def positive(self, node: int, negated: bool) -> int:
         """The edge's value as a node: a NOT gate only when it is negated."""
-        return self.nor([node]) if negated else node
+        return self.nor((node,)) if negated else node
 
 
-def _flatten(expr: Expr, op) -> list[Expr]:
-    if isinstance(expr, op):
-        return _flatten(expr.a, op) + _flatten(expr.b, op)
-    return [expr]
+def _flatten(expr: Expr, kind: type, out: list[Expr]) -> list[Expr]:
+    """The operands of a chain of ``kind``, left to right, appended to ``out``."""
+    if type(expr) is kind:
+        _flatten(expr.a, kind, out)
+        _flatten(expr.b, kind, out)
+    else:
+        out.append(expr)
+    return out
 
 
 def _lower_expr(builder: NetlistBuilder, expr: Expr, env: dict) -> tuple[int, bool]:
-    """The expression as an edge ``(node, negated)``.  Each gate's operands
-    are lowered before it, so ids stay topological."""
-    if isinstance(expr, Var):
-        return env[expr.name] if expr.name in env else (builder.input(expr.name), False)
-    if isinstance(expr, Const):
-        return builder.const(expr.value), False
-    if isinstance(expr, Not):
+    """The expression as an edge ``(node, negated)``; ``env`` holds every
+    input's and earlier statement's edge.  Each gate's operands are
+    lowered before it, so ids stay topological."""
+    kind = type(expr)
+    if kind is Var:
+        return env[expr.name]
+    if kind is Not:
         node, negated = _lower_expr(builder, expr.a, env)
         return node, not negated
-    if not isinstance(expr, (And, Or, Xor)):
-        raise TypeError(f"not an expression node: {expr!r}")
-    if isinstance(expr, Xor):  # XNOR, negated unless exactly one operand is
-        (a, neg_a), (b, neg_b) = (_lower_expr(builder, e, env) for e in (expr.a, expr.b))
-        n1 = builder.nor([a, b])
-        return builder.nor([builder.nor([a, n1]), builder.nor([b, n1])]), neg_a == neg_b
-    # AND is the NOR of the operands' complements, OR the complement of their NOR
-    is_and = isinstance(expr, And)
-    edges = [_lower_expr(builder, e, env) for e in _flatten(expr, type(expr))]
-    return builder.nor_wide([builder.positive(n, neg != is_and) for n, neg in edges]), not is_and
+    if kind is Xor:  # XNOR, negated unless exactly one operand is
+        a, neg_a = _lower_expr(builder, expr.a, env)
+        b, neg_b = _lower_expr(builder, expr.b, env)
+        n1 = builder.nor((a, b))
+        return builder.nor((builder.nor((a, n1)), builder.nor((b, n1)))), neg_a == neg_b
+    if kind is And or kind is Or:
+        # AND is the NOR of the operands' complements, OR the complement of their NOR
+        is_and = kind is And
+        edges = [_lower_expr(builder, e, env) for e in _flatten(expr, kind, [])]
+        args = [builder.positive(n, neg != is_and) for n, neg in edges]
+        return builder.nor_wide(args), not is_and
+    if kind is Const:
+        return builder.const(expr.value), False
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def lower_program(program: Program, max_nor_arity: int = 2) -> NorNetlist:
     """Lower a parsed multi-statement program to one shared NOR DAG; a
     negated output takes its NOT right after its statement."""
     builder = NetlistBuilder(max_nor_arity)
-    for name in program.inputs:  # bind inputs first so their ids lead
-        builder.input(name)
-    env, outputs = {}, set(program.outputs)  # env: name -> (node, negated)
+    # env: name -> (node, negated); inputs are bound first so their ids lead
+    env = {name: (builder.input(name), False) for name in program.inputs}
+    outputs = set(program.outputs)
     for st in program.statements:
         try:
             edge = _lower_expr(builder, st.expr, env)

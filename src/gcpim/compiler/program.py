@@ -26,7 +26,7 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
 from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys,
@@ -239,24 +239,30 @@ class PimProgram:
         return PimProgram.from_json_dict(data)
 
 
-_OP_NAME = {kind: f'"op":{json.dumps(kind.value)}' for kind in OpKind}
+@cache
+def _line_template(kind: OpKind, n_rows: int, node: bool, output: bool) -> str:
+    """The ``%`` template of an op line, keys in sorted order: a WRITE has a
+    source and a LOGIC op an out_row, and no other op has either."""
+    return "{" + ",".join(text for text, present in (
+        ('"node":%d', node), (f'"op":{json.dumps(kind.value)}', True),
+        ('"out_row":%d', kind is _LOGIC), ('"output":%s', output),
+        (f'"rows":[{",".join(["%d"] * n_rows)}]', True), ('"source":%s', kind is _WRITE),
+        ('"t_start_ns":%d', True)) if present) + "}"
 
 
 def _op_line(op: MicroOp) -> str:
     """The op's ``to_json_dict`` entry as the sorted compact encoder writes
-    it, for fields of ints and strings, as compiled and loaded ops hold."""
-    line = "{"
-    if op.node is not None:
-        line += f'"node":{op.node},'
-    line += _OP_NAME[op.kind]
-    if op.out_row is not None:
-        line += f',"out_row":{op.out_row}'
-    if op.output is not None:
-        line += f',"output":{encode_basestring_ascii(op.output)}'
-    line += f',"rows":[{",".join(map(str, op.rows))}]'
-    if op.source is not None:
-        line += f',"source":{encode_basestring_ascii(op.source)}'
-    return f'{line},"t_start_ns":{op.t_start_ns}}}'
+    it, for fields of ints and strings, as compiled and loaded ops hold:
+    its kind's template for its row count, filled in one ``%``."""
+    kind, node, output = op.kind, op.node, op.output
+    template = _line_template(kind, len(op.rows), node is not None, output is not None)
+    if kind is _LOGIC:
+        values = (op.out_row, *op.rows) if node is None else (node, op.out_row, *op.rows)
+    elif kind is _WRITE:
+        values = (*op.rows, encode_basestring_ascii(op.source))
+    else:  # a READ, of an output or not, or a REFRESH
+        values = op.rows if output is None else (encode_basestring_ascii(output), *op.rows)
+    return template % (*values, op.t_start_ns)
 
 
 _OP_KIND = {kind.value: kind for kind in OpKind}
@@ -327,6 +333,13 @@ class _RowAges:
         t = t_start + self.sense_offset[op.kind]
         t_valid = self.t_valid
         return [(r, t, t - t_valid[r] if r in t_valid else None) for r in op.rows]
+
+    def stale(self, op: MicroOp, t_start: int, limit: int) -> list[int]:
+        """The rows ``sensed`` ages past ``limit``, without a tuple per row."""
+        if op.kind is _WRITE:
+            return []
+        oldest, t_valid = t_start + self.sense_offset[op.kind] - limit, self.t_valid
+        return [r for r in op.rows if t_valid.get(r, oldest) < oldest]
 
     def commit(self, op: MicroOp, t_start: int) -> None:
         if op.kind is not _READ:
@@ -440,8 +453,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 written, row = heapq.heappop(deadlines)
                 if ages.t_valid[row] == written and dies[row] > i:
                     due.add(row)
-            due.update([r for r, _, age in ages.sensed(op, t)
-                        if age is not None and age > budget])
+            due.update(ages.stale(op, t, budget))
             if not due:
                 break
             # once no value written before t_op is fresh enough, every
