@@ -147,11 +147,9 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """``(kind, text, line, col)`` per token, kind "name", "const", the
-    punctuation character itself or "eof".  Lines break at \\n alone and
-    a column counts characters from the line's start."""
-    tokens = []
-    lines = text.split("\n")
+    """``(kind, text, line, col)`` per token, kind "name", "const", "eof" or
+    the punctuation character; lines break at \\n alone, columns count from 1."""
+    tokens, lines = [], text.split("\n")
     for line, line_text in enumerate(lines, 1):
         for m in _TOKEN_RE.finditer(line_text):
             kind = m.lastgroup
@@ -167,8 +165,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
-    """Precedence climbing over token tuples; ``reads`` collects the
-    variables parsed, left to right."""
+    """Precedence climbing over token tuples; ``reads`` gets each Var parsed."""
 
     def __init__(self, tokens: list[tuple[str, str, int, int]]) -> None:
         self.tokens, self.i, self.reads = tokens, 0, []
@@ -197,8 +194,7 @@ class _Parser:
         kind, text, line, col = self.tokens[self.i]
         self.i += 1
         if kind == "name":
-            var = Var(text, line=line, col=col)
-            self.reads.append(var)
+            self.reads.append(var := Var(text, line=line, col=col))
             return var
         if kind == "const":
             return Const(int(text), line=line, col=col)

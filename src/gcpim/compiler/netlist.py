@@ -10,10 +10,11 @@ positive operand or a program output its value.  ``~`` flips the bit,
 
 and XOR folds its operands' bits into its own: ``XOR(~y, c)`` is the
 4-gate ``XNOR(y, c)``.  A statement's value keeps its bit, so negations
-cross statements for free.  Structurally identical subterms are shared
-(hash-consing); no other minimization is attempted.  NOR argument lists
-are canonicalized (sorted, deduplicated), which is sound because the
-gate is symmetric and a row cannot be asserted twice in one pulse anyway.
+cross statements for free.  Identical subterms are shared (hash-consing:
+a node is built only when its key is new); no other minimization is
+attempted.  NOR argument lists are canonicalized (sorted, deduplicated),
+which is sound because the gate is symmetric and a row cannot be
+asserted twice in one pulse anyway.
 
 Gate arity is capped by configuration (default 2: the validated case);
 an ``&`` or ``|`` chain is one NOR, split by OR-reducing argument groups.
@@ -74,8 +75,7 @@ class NorNetlist:
         if len(set(self.inputs)) != len(self.inputs) or sorted(self.inputs) != named:
             raise ValueError(f"inputs {list(self.inputs)} do not name the input nodes "
                              f"{named} once each")
-        reachable = self.reachable_ids()
-        if len(reachable) != len(self.nodes):
+        if len(reachable := self.reachable_ids()) != len(self.nodes):
             orphans = sorted(set(range(len(self.nodes))) - reachable)
             raise ValueError(f"unreachable nodes: {orphans}")
 

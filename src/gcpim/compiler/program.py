@@ -251,9 +251,8 @@ def _line_template(kind: OpKind, n_rows: int, node: bool, output: bool) -> str:
 
 
 def _op_line(op: MicroOp) -> str:
-    """The op's ``to_json_dict`` entry as the sorted compact encoder writes
-    it, for fields of ints and strings, as compiled and loaded ops hold:
-    its kind's template for its row count, filled in one ``%``."""
+    """The op's ``to_json_dict`` entry as the sorted compact encoder writes it
+    (ints and strings, as compiled and loaded ops hold), filled in one ``%``."""
     kind, node, output = op.kind, op.node, op.output
     template = _line_template(kind, len(op.rows), node is not None, output is not None)
     if kind is _LOGIC:
