@@ -10,11 +10,12 @@ positive operand or a program output its value.  ``~`` flips the bit,
 
 and XOR folds its operands' bits into its own: ``XOR(~y, c)`` is the
 4-gate ``XNOR(y, c)``.  A statement's value keeps its bit, so negations
-cross statements for free.  Identical subterms are shared (hash-consing:
-a node is built only when its key is new); no other minimization is
-attempted.  NOR argument lists are canonicalized (sorted, deduplicated),
-which is sound because the gate is symmetric and a row cannot be
-asserted twice in one pulse anyway.
+cross statements for free, and a chain of one edge is that edge (``a & a``
+is ``a``).  Identical subterms are shared (hash-consing: a node is built
+only when its key is new); no other minimization is attempted.  NOR
+argument lists are canonicalized (sorted, deduplicated), which is sound
+because the gate is symmetric and a row cannot be asserted twice in one
+pulse anyway.
 
 Gate arity is capped by configuration (default 2: the validated case);
 an ``&`` or ``|`` chain is one NOR, split by OR-reducing argument groups.
@@ -249,6 +250,8 @@ def _lower_expr(builder: NetlistBuilder, expr: Expr, env: dict) -> tuple[int, bo
         # AND is the NOR of the operands' complements, OR the complement of their NOR
         is_and = kind is And
         edges = [_lower_expr(builder, e, env) for e in _flatten(expr, kind, [])]
+        if edges.count(edges[0]) == len(edges):  # a & a is a, as a | a is
+            return edges[0]
         args = [builder.positive(n, neg != is_and) for n, neg in edges]
         return builder.nor_wide(args), not is_and
     if kind is Const:

@@ -1212,12 +1212,12 @@ def test_compile_of_gate_inputs_that_cannot_all_be_fresh_exits_3(tmp_path):
 def test_compile_whose_live_rows_outlast_their_refreshes_exits_3(tmp_path):
     # before op 8 five rows are live; a round of 5 ns refreshes takes 25 ns,
     # but a refreshed row is due again 21 ns after its refresh starts, so
-    # refreshing never leaves room for the op; ~(x | x) is a NOT gate that
-    # the lowering keeps, where ~~x would cancel
+    # refreshing never leaves room for the op; ~(x | 0) is a NOT gate (a NOR
+    # with the constant row) that the lowering keeps, where ~(x | x) and
+    # ~~x would cancel
     src = tmp_path / "live.txt"
-    src.write_text("f0 = ~(a | a);\nf1 = ~(f0 | f0);\nf2 = ~(f1 | f1);\nf3 = ~(f2 | f2);\n"
-                   "z0 = ~(0 | 0);\nz1 = ~(z0 | z0);\no0 = ~(z1 | z1);\no1 = ~(z1 | z1);\n"
-                   "o2 = ~(f1 | f1);\ng = ~((a & 0) | (a & 0));\no3 = ~(g | g);\n")
+    src.write_text("f0 = ~(a | 0);\nf1 = ~(f0 | 0);\nf2 = ~(a | f1);\no0 = ~(f1 | 0);\n"
+                   "o1 = ~(f1 | f0);\no2 = ~(f1 | f2);\no3 = ~(f2 | f0);\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"version": 1, "model": {"drt_read_ns": 20, "drt_logic_ns": 17},
                                "timing_energy": {"t_read_ns": 4, "t_init_ns": 2}}))

@@ -295,9 +295,10 @@ def test_row_reuse_does_not_trigger_bogus_refreshes():
 
 # a value whose last consumer has fired is dead even while its row waits
 # to be rewritten, and is not refreshed: the programs schedule at 40/32 and
-# 43/28 only so (refreshing the dead values too, row 1 would be refreshed
-# 43 and 45 ns old)
-REWRITE_40_32 = "o0 = (~d | ~(g ^ ~f));\no1 = ~(c ^ ((f & f) | ~a));"
+# 43/28 only so (refreshing the dead values too, row 0 would be refreshed
+# 41 ns old and row 1 45 ns old); ~~(f | 0) is f through a NOR with the
+# constant row, which the lowering keeps where it folds f & f to f
+REWRITE_40_32 = "o0 = (~d | ~(g ^ ~f));\no1 = ~(c ^ (~~(f | 0) | ~a));"
 MODEL_40_32 = ModelConfig(drt_read_ns=40, drt_logic_ns=32)
 REWRITE_43_28 = ("o0 = (((b & (d | a)) | ((c | h) ^ ~d)) & c);\n"
                  "o1 = ~(~c & (~e | ~d));")
@@ -356,7 +357,7 @@ def test_ripple32_at_the_tight_windows_fails_with_its_message():
 
 
 @pytest.mark.parametrize("source, model, n_refresh, n_ops", [
-    (REWRITE_40_32, MODEL_40_32, 1, 25),
+    (REWRITE_40_32, MODEL_40_32, 1, 26),
     (REWRITE_43_28, MODEL_43_28, 3, 28),
 ])
 def test_dead_values_are_not_refreshed_before_their_row_is_rewritten(
