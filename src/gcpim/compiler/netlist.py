@@ -160,8 +160,7 @@ class NorNetlist:
 
 
 class NetlistBuilder:
-    """Bottom-up interning builder; node ids come out topologically sorted.
-    A node is built only when its key is new."""
+    """Bottom-up interning builder: node ids in topological order, each built once."""
 
     def __init__(self, max_nor_arity: int = 2) -> None:
         if max_nor_arity < 2:

@@ -86,7 +86,8 @@ class CompilerConfig:
         if self.rows < 4 or self.cols < 1:
             raise ConfigError(f"implausible array shape {self.rows}x{self.cols}")
         if not (2 <= self.max_nor_arity <= self.rows - 3):
-            raise ConfigError("max_nor_arity out of range for the row budget")
+            raise ConfigError(f"max_nor_arity {self.max_nor_arity} out of range for {self.rows} "
+                              "rows: needs 2 <= max_nor_arity and rows >= max_nor_arity + 3")
 
 
 @dataclass(frozen=True)

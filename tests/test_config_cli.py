@@ -195,6 +195,18 @@ def test_non_finite_config_values_are_refused(tmp_path, capsys, section, key, va
         assert err.startswith("gcpim: malformed program:") and key in err, err
 
 
+def test_a_row_budget_without_room_for_a_gate_exits_2(tmp_path, capsys):
+    # 4 rows pass the array-shape check, but even a NOR2 needs 2 + 3 rows
+    src, cfg = tmp_path / "and.txt", tmp_path / "cfg.json"
+    src.write_text("out = a & b;\n")
+    cfg.write_text('{"version": 1, "compiler": {"rows": 4}}')
+    assert main(["compile", str(src), "-o", str(tmp_path / "and.json"),
+                 "--config", str(cfg)]) == 2
+    assert ("max_nor_arity 2 out of range for 4 rows: needs 2 <= max_nor_arity and "
+            "rows >= max_nor_arity + 3") in capsys.readouterr().err
+    assert not (tmp_path / "and.json").exists()
+
+
 def test_a_cell_that_never_leaks_is_accepted(tmp_path, capsys):
     # tau_ns = inf is the one non-finite value a config may hold
     src, cfg = tmp_path / "and.txt", tmp_path / "cfg.json"
@@ -1041,9 +1053,10 @@ def accepted_configs_and_sources(draw):
     tau_min = calibrate_tau(vdd, v_sa_read, drt_read)
     if draw(st.booleans()) or tau_min > DEFAULT_TAU_NS:
         model["tau_ns"] = tau_min * draw(st.floats(1, 100))
-    rows = draw(st.integers(4, 7) | st.integers(8, 128) | st.integers(129, 256))
+    # rows >= max_nor_arity + 3 >= 5: a gate's inputs, its output and the two constant rows
+    rows = draw(st.integers(5, 7) | st.integers(8, 128) | st.integers(129, 256))
     config = {"version": 1, "model": model,
-              "compiler": {"rows": rows, "max_nor_arity": draw(st.integers(2, 8))},
+              "compiler": {"rows": rows, "max_nor_arity": draw(st.integers(2, min(8, rows - 3)))},
               "timing_energy": {name: draw(st.integers(1, 4)) for name in
                                 ("t_write_ns", "t_read_ns", "t_init_ns", "t_eval_ns")}}
     links = draw(st.integers(0, 150))

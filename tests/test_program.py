@@ -225,10 +225,14 @@ def test_program_json_rejects_other_files(tmp_path):
 
 
 def test_compiler_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^max_nor_arity 62 out of range for 64 rows: needs "
+                       r"2 <= max_nor_arity and rows >= max_nor_arity \+ 3$"):
         CompilerConfig(rows=64, max_nor_arity=62)  # no row left for the output
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="max_nor_arity 1 out of range"):
         CompilerConfig(max_nor_arity=1)
+    with pytest.raises(ConfigError, match="max_nor_arity 2 out of range for 4 rows"):
+        CompilerConfig(rows=4)  # a valid shape, but no arity fits it
+    assert CompilerConfig(rows=5).max_nor_arity == 2
 
 
 def test_value_rows_follow_the_row_count():
