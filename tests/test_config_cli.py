@@ -1013,6 +1013,129 @@ def test_an_edited_op_field_gives_a_documented_exit_code(index, edit):
             assert main(["report", str(out / "ledger.csv")]) == 0
 
 
+def _set_op(i, **fields):
+    """An edit of op entry ``i``: each field set, or deleted for ``...``."""
+    def edit(data):
+        for key, value in fields.items():
+            if value is ...:
+                del data["ops"][i][key]
+            else:
+                data["ops"][i][key] = value
+    return edit
+
+
+def _edits(*edits):
+    def edit(data):
+        for one in edits:
+            one(data)
+    return edit
+
+
+def _set_netlist(**fields):
+    def edit(data):
+        data["netlist"].update(fields)
+    return edit
+
+
+def _set_node(i, **fields):
+    def edit(data):
+        data["netlist"]["nodes"][i].update(fields)
+    return edit
+
+
+def _replace_op(i, value):
+    def edit(data):
+        data["ops"][i] = value
+    return edit
+
+
+_LOGIC_4 = "{'op': 'LOGIC', 'rows': [0, 1], 't_start_ns': %s, 'out_row': 3, 'node': 3}"
+# one corruption of EDITED_PROGRAM per row (op 2 is a WRITE, 4-16 are LOGIC
+# ops and 17 a READ) and the message ``run`` printed for it, as recorded
+# before the ops were stored column-wise; the first bad op is the one named
+CORRUPTIONS = {
+    "a list entry": (_replace_op(4, [1, 2]), "program file holds a wrong-typed value: "
+                     "'list' object has no attribute 'get'"),
+    "a number entry": (_replace_op(4, 7), "program file holds a wrong-typed value: "
+                       "'int' object has no attribute 'get'"),
+    "true as a start": (_set_op(4, t_start_ns=True),
+                        "program file holds a wrong-typed value: op " + _LOGIC_4 % "True"),
+    "true as a row": (_set_op(17, rows=[True]), "program file holds a wrong-typed value: op "
+                      "{'op': 'READ', 'rows': [True], 't_start_ns': 43, 'output': 's'}"),
+    "a float out_row": (_set_op(5, out_row=3.0), "program file holds a wrong-typed value: op "
+                        "{'op': 'LOGIC', 'rows': [0, 3], 't_start_ns': 7, 'out_row': 3.0, "
+                        "'node': 4}"),
+    "an int source": (_set_op(1, source=1), "program file holds a wrong-typed value: op "
+                      "{'op': 'WRITE', 'rows': [0], 't_start_ns': 1, 'source': 1}"),
+    "a missing key": (_set_op(4, rows=...), "program file lacks the 'rows' key"),
+    "an unknown op": (_set_op(4, op="NAND"), "unknown op 'NAND'"),
+    "an unknown key": (_set_op(4, bits=[1]), "op entry has unknown keys ['bits']"),
+    "a negative start": (_set_op(17, t_start_ns=-3), "READ op starts at a negative time -3ns"),
+    "a negative row": (_set_op(4, rows=[-1, 1]), "negative row in (-1, 1)"),
+    "a negative out_row": (_set_op(4, out_row=-2), "negative row -2 as the output"),
+    "in-place LOGIC": (_set_op(4, out_row=1),
+                       "in-place logic is undefined: output row 1 is also an input"),
+    "duplicate LOGIC rows": (_set_op(4, rows=[0, 0]), "duplicate input rows in (0, 0)"),
+    "LOGIC without rows": (_set_op(4, rows=[]), "LOGIC op needs at least one row"),
+    "LOGIC without out_row": (_set_op(4, out_row=...), "LOGIC op needs an output row"),
+    "two rows on a READ": (_set_op(17, rows=[4, 5]), "READ op takes exactly one row"),
+    "an out_row on a READ": (_set_op(17, out_row=5), "READ op has no output row"),
+    "an out_row on a WRITE": (_set_op(2, out_row=5), "WRITE op has no output row"),
+    "a WRITE without a source": (_set_op(2, source=...), "WRITE needs a source"),
+    "a source on a LOGIC op": (_set_op(4, source="input:a"), "LOGIC op carries no data"),
+    "a node on a READ": (_set_op(17, node=7), "READ op computes no node"),
+    "an output on a WRITE": (_set_op(2, output="s"), "WRITE op senses no output"),
+    "an output on a LOGIC op": (_set_op(5, output="s"), "LOGIC op senses no output"),
+    "a rule, then a type": (_edits(_set_op(4, out_row=1), _set_op(9, t_start_ns="9")),
+                            "in-place logic is undefined: output row 1 is also an input"),
+    "a type, then a rule": (_edits(_set_op(4, t_start_ns="9"), _set_op(9, out_row=0)),
+                            "program file holds a wrong-typed value: op " + _LOGIC_4 % "'9'"),
+    "a rule, then a key": (_edits(_set_op(4, rows=[0, 0]), _set_op(9, bits=1)),
+                           "duplicate input rows in (0, 0)"),
+    "a key, then a rule": (_edits(_set_op(4, bits=1), _set_op(9, rows=[0, 0])),
+                           "op entry has unknown keys ['bits']"),
+    "a rule and a key in one op": (_set_op(4, rows=[0, 0], bits=1),
+                                   "duplicate input rows in (0, 0)"),
+    "an unknown op and a rule in one op": (_set_op(4, op="NAND", rows=[0, 0]),
+                                           "unknown op 'NAND'"),
+    # the netlist loader
+    "an argument past its node": (
+        _set_node(4, args=[0, 9]), "node 4 references a node outside 0..3: "
+        "Node(op='nor', args=(0, 9), name=None, value=None)"),
+    "a negative argument": (
+        _set_node(3, args=[-1, 1]), "node 3 references a node outside 0..2: "
+        "Node(op='nor', args=(-1, 1), name=None, value=None)"),
+    "true as an argument": (_set_node(3, args=[0, True]), "program file holds a wrong-typed "
+                            "value: node {'op': 'nor', 'args': [0, True]}"),
+    "an output id past the nodes": (
+        _set_netlist(outputs=[["s", 7], ["c", 17]]),
+        "outputs [('s', 7), ('c', 17)] name a node outside the netlist"),
+    "a negative output id": (
+        _set_netlist(outputs=[["s", -1], ["c", 16]]),
+        "outputs [('s', -1), ('c', 16)] name a node outside the netlist"),
+    "an input named twice": (
+        _set_netlist(inputs=["a", "a", "b"]),
+        "inputs ['a', 'a', 'b'] do not name the input nodes ['a', 'b', 'cin'] once each"),
+    "an input left out": (
+        _set_netlist(inputs=["a", "cin"]),
+        "inputs ['a', 'cin'] do not name the input nodes ['a', 'b', 'cin'] once each"),
+    "orphan nodes": (_set_netlist(outputs=[["s", 7]]),
+                     "unreachable nodes: [2, 8, 9, 10, 11, 12, 13, 14, 15, 16]"),
+}
+
+
+@pytest.mark.parametrize("edit, message", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+def test_a_corrupted_program_file_exits_5_with_its_message(tmp_path, capsys, edit, message):
+    data = json.loads(json.dumps(EDITED_PROGRAM))
+    edit(data)
+    prog, inputs = tmp_path / "prog.json", tmp_path / "in.csv"
+    prog.write_text(json.dumps(data))
+    inputs.write_text("a,cin,b\n0,1,1\n")
+    capsys.readouterr()
+    assert main(["run", str(prog), "--inputs", str(inputs), "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err == f"gcpim: malformed program: {message}\n"
+
+
 CLI_EXPRESSIONS = st.recursive(
     st.sampled_from(["a", "b", "c", "d", "e", "0", "1"]),
     lambda inner: inner.map(lambda e: f"~{e}") | st.tuples(
