@@ -42,7 +42,7 @@ from gcpim.montecarlo import (
     calibrate_variation,
     run_gate_campaign,
 )
-from gcpim.subarray import EventLedger
+from gcpim.subarray import EventLedger, write_ledger
 
 __all__ = ["main"]
 
@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
     names = list(prog.output_names)
     writers = {"outputs.csv": lambda path: _write_output_csv(path, names, res.outputs, res.width)}
     if mode != "ideal":  # an array run executes the program's ops
-        writers["ledger.csv"] = EventLedger(prog.timing, prog.cols, prog.ops).to_csv
+        writers["ledger.csv"] = lambda path: write_ledger(path, prog.timing, prog.cols, prog.ops)
     if res.trace is not None:
         writers["trace.csv"] = lambda path: _write_trace_csv(path, res.trace)
     if res.report is not None:
@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
           f"{prog.energy_fj:.1f} fJ")
     if res.margin is not None:  # a program that runs reads at least one output
         (v, at), how = res.margin, "certified" if res.certified else "array-checked"
-        print(f"worst margin: {1000 * v:.1f} mV at op {at} ({prog.ops[at].kind.value}), {how}")
+        print(f"worst margin: {1000 * v:.1f} mV at op {at} ({prog.ops.kind[at].value}), {how}")
     code = EXIT_OK if res.report is None else _print_report(res.report, cfg.run.success_floor)
     print(f"results in {args.out}")
     return code
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # a command builds tens of thousands of acyclic records (tokens, netlist
-    # nodes, micro-ops, ledger rows) that reference counting frees; scanning
+    # nodes, op columns, ledger lines) that reference counting frees; scanning
     # them took the cyclic collector ~15% of an XOR-chain compile or run, so it
     # pauses for the command and comes back only if the caller had it on
     collecting = gc.isenabled()

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -56,6 +57,7 @@ class Node:
 
 
 _set_op, _set_args, _set_name, _set_value = (getattr(Node, f.name).__set__ for f in fields(Node))
+_INT = {int}
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,34 @@ class NorNetlist:
     outputs: tuple[tuple[str, int], ...]  # (name, node id), ordered
 
     def __post_init__(self) -> None:
-        for i, node in enumerate(self.nodes):
-            if node.args and not 0 <= min(node.args) <= max(node.args) < i:
-                raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")
+        args, first = self.arg_columns
+        owner = np.repeat(np.arange(len(self.nodes)), np.diff(first))
+        if np.any(bad := (args < 0) | (args >= owner)):
+            i = int(owner[bad][0])
+            raise ValueError(f"node {i} references a node outside 0..{i - 1}: {self.nodes[i]}")
         if any(not 0 <= nid < len(self.nodes) for _, nid in self.outputs):
             raise ValueError(f"outputs {list(self.outputs)} name a node outside the netlist")
         named = sorted(n.name for n in self.nodes if n.op == "input")
         if len(set(self.inputs)) != len(self.inputs) or sorted(self.inputs) != named:
             raise ValueError(f"inputs {list(self.inputs)} do not name the input nodes "
                              f"{named} once each")
-        if len(reachable := self.reachable_ids()) != len(self.nodes):
-            orphans = sorted(set(range(len(self.nodes))) - reachable)
+        # every node's arguments precede it, so (by induction from the last
+        # node) all are reachable exactly when each non-output is an argument
+        used = np.bincount(args, minlength=len(self.nodes)).astype(bool)
+        used[[nid for _, nid in self.outputs]] = True
+        if not used.all():
+            orphans = sorted(set(range(len(self.nodes))) - self.reachable_ids())
             raise ValueError(f"unreachable nodes: {orphans}")
+
+    @cached_property
+    def arg_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's arguments in node order, each node's sorted, and
+        the offsets: node i's are ``args[first[i]:first[i + 1]]``."""
+        each = [n.args for n in self.nodes]
+        first = np.zeros(len(each) + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, each), np.int64, len(each)), out=first[1:])
+        args = np.fromiter(chain.from_iterable(each), np.int64, first[-1])
+        return args[np.lexsort((args, np.repeat(np.arange(len(each)), np.diff(first))))], first
 
     def reachable_ids(self) -> set[int]:
         seen, stack = set(), [nid for _, nid in self.outputs]
@@ -141,15 +159,19 @@ class NorNetlist:
         """Fields are type-checked, not coerced: a wrong type raises TypeError."""
         nodes = []
         for n in data["nodes"]:
-            op, args, name, value = n["op"], n.get("args"), n.get("name"), n.get("value")
-            if op == "nor" and type(args) is list and set(map(type, args)) <= {int}:
-                nodes.append(Node("nor", tuple(args)))
-            elif op == "input" and type(name) is str:
-                nodes.append(Node("input", name=name))
-            elif op == "const" and type(value) is int and value in (0, 1):
-                nodes.append(Node("const", value=value))
-            else:
-                raise TypeError(f"node {n}")
+            op = n["op"]
+            if op == "nor":
+                if type(args := n.get("args")) is list and _INT.issuperset(map(type, args)):
+                    nodes.append(Node("nor", tuple(args)))
+                    continue
+            elif op == "input":
+                if type(name := n.get("name")) is str:
+                    nodes.append(Node("input", (), name))
+                    continue
+            elif op == "const" and type(value := n.get("value")) is int and value in (0, 1):
+                nodes.append(Node("const", (), None, value))
+                continue
+            raise TypeError(f"node {n}")
         inputs, outputs = data["inputs"], data["outputs"]
         if not (type(inputs) is list and all(type(name) is str for name in inputs)
                 and type(outputs) is list

@@ -4,20 +4,24 @@ A compiled program is a straight-line sequence of micro-ops for one
 sub-array: constant writes, operand writes, one LOGIC op per netlist gate
 in topological order, and one READ per program output.  Each LOGIC op
 carries the netlist ``node`` it computes and each READ the ``output`` it
-senses, so the op list alone is the program.  ``emit_ops`` builds each op
-once, timed back to back from t=0, and the program, its JSON file and a
-run's ledger hold that op.  Refresh insertion splices REFRESH ops in
+senses, so the ops alone are the program.  A program holds them in one
+checked ``OpTable``: ``emit_ops`` writes its columns, timed back to back
+from t=0, a program file's op entries load into columns, and the audits,
+the level replay, the op totals and both writers read them; no path
+builds a ``MicroOp`` unless a caller indexes or iterates the table.
+Refresh insertion splices REFRESH ops in
 front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
 value would outlive the read retention window and become unrefreshable;
-it re-stamps only the ops whose start moved.
+a moved op keeps its columns with a new start.
 A value is live only while a later op consumes it: once its last consumer
 has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
 the op that needs it, never earlier than required, found with a heap of
-read deadlines in O((ops + refreshes) * log rows).  Insertion drives the
-retention-age rule (``_RowAges``) op by op; the audits and the worst-case
-level replay (``level_intervals``) read one replay of it, ``PimProgram.senses``.
+read deadlines in O((ops + refreshes) * log rows).  The retention-age
+rule (``_age_rule``) is defined once: insertion drives it op by op
+(``_RowAges``), and the audits and the worst-case level replay
+(``level_intervals``) read one replay of the whole table, ``PimProgram.senses``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
-from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys,
-                          overdrive_scalar, residual_scalar)
-from gcpim.subarray import MicroOp, OpKind, TimingEnergyConfig
+import numpy as np
+
+from gcpim.charge import ConfigError, ModelConfig, known_keys, overdrive_scalar, residual_scalar
+from gcpim.subarray import OpKind, OpTable, TimingEnergyConfig
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
 from gcpim.compiler.expr import parse_program
 from gcpim.compiler.netlist import NorNetlist, lower_program
@@ -94,13 +101,16 @@ class CompilerConfig:
 class PimProgram:
     """Timestamped micro-op program plus the metadata to run and audit it."""
 
-    ops: tuple[MicroOp, ...]
+    ops: OpTable  # a sequence of MicroOps is stored as its table
     netlist: NorNetlist
     timing: TimingEnergyConfig
     drt_logic_ns: int
     drt_read_ns: int
     rows: int
     cols: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", OpTable.of(self.ops))
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -112,20 +122,20 @@ class PimProgram:
 
     @property
     def n_refresh(self) -> int:
-        return sum(1 for op in self.ops if op.kind is _REFRESH)
+        return self.ops.kind.count(_REFRESH)
 
     @property
     def duration_ns(self) -> int:
         if not self.ops:
             return 0
-        last = self.ops[-1]
-        return last.t_start_ns + self.timing.duration_ns(last.kind)
+        return self.ops.start[-1] + self.timing.duration_ns(self.ops.kind[-1])
 
     @property
     def energy_fj(self) -> float:
         # correctly rounded, so it equals the ledger's ``read_totals`` on any Python
-        energy = self.timing.op_energies_fj(self.cols)
-        return math.fsum([energy[op.kind, len(op.rows) == 1] for op in self.ops])
+        energy, a = self.timing.op_energies_fj(self.cols), self.ops.arrays
+        table = np.array([[energy[kind, False], energy[kind, True]] for kind in OpKind])
+        return math.fsum(table[a.code, (np.diff(a.first) == 1).astype(int)].tolist())
 
     @cached_property
     def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores
@@ -133,47 +143,28 @@ class PimProgram:
                 for i, n in enumerate(self.netlist.nodes) if n.op != "nor"}
 
     @cached_property
-    def senses(self) -> list[list[tuple[int, int, int | None, int | None]]]:
-        """Per op, ``(row, t_sense, age, held)`` per row it senses, as
-        ``_RowAges.sensed`` plus ``held``: the row's netlist node (a REFRESH
-        keeps it), None if anonymous or unwritten.  One replay, on first use."""
-        sources, held = self.source_nodes, {}
-        ages, table = _RowAges(self.timing), []
-        offset, t_valid = ages.sense_offset, ages.t_valid
-        for op in self.ops:
-            if op.kind is _WRITE:  # senses nothing
-                table.append([])
-                held[op.rows[0]] = sources.get(op.source)
-            else:  # sensed() inlined, each row's tuple built once
-                t = op.t_start_ns + offset[op.kind]
-                table.append([(r, t, t - t_valid[r] if r in t_valid else None, held.get(r))
-                              for r in op.rows])
-                if op.kind is _LOGIC:
-                    held[op.out_row] = op.node
-            ages.commit(op, op.t_start_ns)
-        return table
+    def senses(self) -> "Senses":
+        """Every row an op senses, by one replay of the ages, on first use."""
+        return _replay(self.ops, self.timing)
 
     @property
     def peak_rows(self) -> int:
         """1 + the highest value row (below the two constant rows) any op
         touches.  The allocator takes the lowest free row, so this is its
         peak liveness."""
-        values = self.rows - 2
-        return 1 + max((r for op in self.ops for r in (*op.rows, op.out_row)
-                        if r is not None and r < values), default=-1)
+        a = self.ops.arrays
+        rows = np.concatenate([a.rows, a.out])
+        rows = rows[(rows >= 0) & (rows < self.rows - 2)]
+        return 1 + int(rows.max()) if rows.size else 0
 
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ops = []
-        for op in self.ops:
-            entry: dict = {"op": op.kind.value, "rows": list(op.rows),
-                           "t_start_ns": op.t_start_ns}
-            for key in ("out_row", "source", "node", "output"):
-                if getattr(op, key) is not None:
-                    entry[key] = getattr(op, key)
-            ops.append(entry)
-        return {**self._header_dict(), "ops": ops}
+        ops = [{"op": kind.value, "rows": list(rows), "t_start_ns": start, **{
+            key: value for key, value in (("out_row", out_row), ("source", source),
+                                          ("node", node), ("output", output)) if value is not None}}
+               for kind, rows, out_row, source, start, node, output in zip(*self.ops.columns)]
+        return {**self._header_dict(), "netlist": self.netlist.to_json_dict(), "ops": ops}
 
     def _header_dict(self) -> dict:
         return {
@@ -184,16 +175,23 @@ class PimProgram:
             "drt_logic_ns": self.drt_logic_ns,
             "drt_read_ns": self.drt_read_ns,
             "timing_energy": asdict(self.timing),
-            "netlist": self.netlist.to_json_dict(),
         }
 
     def to_json(self, path) -> None:
         """One JSON object: everything but the ops on the first line, then
-        ``"ops"`` last with one compact op per line, so files diff op by op."""
+        ``"ops"`` last with one compact op per line, so files diff op by op.
+        Both are what the sorted compact encoder writes for ``to_json_dict``;
+        the netlist's nodes and the ops fill one ``%`` template each."""
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        ops = ",\n".join(map(_op_line, self.ops))
+        header, net = self._header_dict(), self.netlist
+        nodes = ",".join(_node_lines(net.nodes))
+        netlist = (f'{{"inputs":{encode(list(net.inputs))},"nodes":[{nodes}],'
+                   f'"outputs":{encode([list(o) for o in net.outputs])}}}')
+        before = encode({k: v for k, v in header.items() if k < "netlist"})[:-1]
+        after = encode({k: v for k, v in header.items() if k > "netlist"})[1:-1]
+        ops = ",\n".join(_op_lines(self.ops))
         with open(path, "w") as fh:
-            fh.write(f'{encode(self._header_dict())[:-1]},"ops":[\n{ops}\n]}}\n')
+            fh.write(f'{before},"netlist":{netlist},{after},"ops":[\n{ops}\n]}}\n')
 
     @staticmethod
     def from_json_dict(data: dict) -> "PimProgram":
@@ -219,7 +217,7 @@ class PimProgram:
             if not 0 < header["drt_logic_ns"] <= header["drt_read_ns"]:
                 raise ValueError(f"need 0 < drt_logic_ns <= drt_read_ns, got "
                                  f"{header['drt_logic_ns']} and {header['drt_read_ns']}")
-            return PimProgram(ops=tuple(map(_op_from_json, data["ops"])),
+            return PimProgram(ops=_op_table(data["ops"]),
                               netlist=NorNetlist.from_json_dict(data["netlist"]),
                               timing=timing, **header)
         except KeyError as exc:
@@ -240,7 +238,22 @@ class PimProgram:
         return PimProgram.from_json_dict(data)
 
 
-@cache
+def _node_lines(nodes) -> list[str]:
+    """Each node's ``NorNetlist.to_json_dict`` entry as the sorted compact
+    encoder writes it; a NOR node fills one ``%`` template per arity."""
+    lines, templates = [], {}
+    for n in nodes:
+        if n.op == "nor":
+            template = templates.get(len(n.args)) or templates.setdefault(
+                len(n.args), '{"args":[%s],"op":"nor"}' % ",".join(["%d"] * len(n.args)))
+            lines.append(template % n.args)
+        elif n.op == "input":
+            lines.append('{"name":%s,"op":"input"}' % encode_basestring_ascii(n.name))
+        else:
+            lines.append('{"op":"const","value":%d}' % n.value)
+    return lines
+
+
 def _line_template(kind: OpKind, n_rows: int, node: bool, output: bool) -> str:
     """The ``%`` template of an op line, keys in sorted order: a WRITE has a
     source and a LOGIC op an out_row, and no other op has either."""
@@ -251,18 +264,21 @@ def _line_template(kind: OpKind, n_rows: int, node: bool, output: bool) -> str:
         ('"t_start_ns":%d', True)) if present) + "}"
 
 
-def _op_line(op: MicroOp) -> str:
-    """The op's ``to_json_dict`` entry as the sorted compact encoder writes it
-    (ints and strings, as compiled and loaded ops hold), filled in one ``%``."""
-    kind, node, output = op.kind, op.node, op.output
-    template = _line_template(kind, len(op.rows), node is not None, output is not None)
-    if kind is _LOGIC:
-        values = (op.out_row, *op.rows) if node is None else (node, op.out_row, *op.rows)
-    elif kind is _WRITE:
-        values = (*op.rows, encode_basestring_ascii(op.source))
-    else:  # a READ, of an output or not, or a REFRESH
-        values = op.rows if output is None else (encode_basestring_ascii(output), *op.rows)
-    return template % (*values, op.t_start_ns)
+def _op_lines(ops: OpTable) -> list[str]:
+    """Each op's ``to_json_dict`` entry as the sorted compact encoder writes
+    it (ints and strings, as tables hold), filled in one ``%``."""
+    lines, templates = [], {}
+    for kind, rows, out_row, source, start, node, output in zip(*ops.columns):
+        key = kind, len(rows), node is not None, output is not None
+        template = templates.get(key) or templates.setdefault(key, _line_template(*key))
+        if kind is _LOGIC:
+            values = (out_row, *rows) if node is None else (node, out_row, *rows)
+        elif kind is _WRITE:
+            values = (*rows, encode_basestring_ascii(source))
+        else:  # a READ, of an output or not, or a REFRESH
+            values = rows if output is None else (encode_basestring_ascii(output), *rows)
+        lines.append(template % (*values, start))
+    return lines
 
 
 _OP_KIND = {kind.value: kind for kind in OpKind}
@@ -270,83 +286,181 @@ _OP_KEYS = frozenset(("op", "rows", "t_start_ns", "out_row", "source", "node", "
 _INT, _INT_OR_NONE, _STR_OR_NONE = {int}, (int, type(None)), (str, type(None))
 
 
-def _op_from_json(entry: dict) -> MicroOp:
-    """An op entry with every field type-checked (``type(True)`` is bool,
-    not int), so a wrong-typed value is refused on load instead of
-    crashing an audit.  An absent optional field reads as None, and any
-    other key is refused.  Each value is read once and the op is built
-    from it positionally."""
-    get = entry.get
-    rows, t_start = entry["rows"], entry["t_start_ns"]
-    out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
-    if not (type(rows) is list and type(t_start) is int
-            and type(out_row) in _INT_OR_NONE and type(node) in _INT_OR_NONE
-            and type(source) in _STR_OR_NONE and type(output) in _STR_OR_NONE
-            and _INT.issuperset(map(type, rows))):
-        raise TypeError(f"op {entry}")
-    kind = _OP_KIND.get(entry["op"])
-    if kind is None:
-        raise ValueError(f"unknown op {entry['op']!r}")
-    op = MicroOp(kind, tuple(rows), out_row, source, t_start, node, output)
-    if not _OP_KEYS.issuperset(entry):  # after MicroOp, which names a WRITE without a source
-        raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
-    return op
+def _op_table(entries: list) -> OpTable:
+    """The op entries as a checked table, each field type-checked (``type(True)``
+    is bool, not int), so a wrong-typed value is refused on load instead of
+    crashing an audit.  An absent optional field reads as None, and an
+    unknown op or key is refused.  The table checks the op rules over the
+    entries read before the first such error, and over its own entry too
+    when it is an unknown key, which the rules precede: the first bad entry
+    names the error."""
+    records, error = [], None
+    try:
+        for entry in entries:
+            get = entry.get
+            rows, start = entry["rows"], entry["t_start_ns"]
+            out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
+            if not (type(rows) is list and type(start) is int
+                    and type(out_row) in _INT_OR_NONE and type(node) in _INT_OR_NONE
+                    and type(source) in _STR_OR_NONE and type(output) in _STR_OR_NONE
+                    and _INT.issuperset(map(type, rows))):
+                raise TypeError(f"op {entry}")
+            kind = _OP_KIND.get(entry["op"])
+            if kind is None:
+                raise ValueError(f"unknown op {entry['op']!r}")
+            records.append((kind, tuple(rows), out_row, source, start, node, output))
+            if not _OP_KEYS.issuperset(entry):
+                raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        error = exc
+    table = OpTable(*(list(zip(*records)) or [()] * 7))
+    if error is not None:
+        raise error
+    return table
 
 
 def emit_ops(netlist: NorNetlist, assignment: RowAssignment,
-             timing: TimingEnergyConfig) -> list[MicroOp]:
+             timing: TimingEnergyConfig) -> OpTable:
     """Constants, operands, gates, output reads, back to back from t=0."""
     t_write, t_logic, t_read = timing.t_write_ns, timing.t_logic_ns, timing.t_read_ns
     writes = [(assignment.const_rows[v], f"const:{v}") for v in sorted(assignment.const_rows)]
     writes += [(assignment.input_rows[name], f"input:{name}") for name in netlist.inputs]
-    ops = [MicroOp(_WRITE, (row,), source=source, t_start_ns=i * t_write)
-           for i, (row, source) in enumerate(writes)]
-    t, row_of, nodes = len(ops) * t_write, assignment.row_of, netlist.nodes
-    gates = netlist.gate_ids()
-    ops += [MicroOp(_LOGIC, tuple(map(row_of.__getitem__, nodes[nid].args)), row_of[nid],
-                    None, t + i * t_logic, nid)  # positional: a keyword call costs more
-            for i, nid in enumerate(gates)]
-    t += len(gates) * t_logic
-    ops += [MicroOp(_READ, (row_of[nid],), t_start_ns=t + i * t_read, output=name)
-            for i, (name, nid) in enumerate(netlist.outputs)]
-    return ops
+    row_of, nodes, gates = assignment.row_of, netlist.nodes, netlist.gate_ids()
+    outputs = netlist.outputs
+    w, g, r = len(writes), len(gates), len(outputs)
+    t_gates, t_reads = w * t_write, w * t_write + g * t_logic
+    return OpTable(
+        [_WRITE] * w + [_LOGIC] * g + [_READ] * r,
+        [(row,) for row, _ in writes] + [tuple(map(row_of.__getitem__, nodes[nid].args))
+                                        for nid in gates] + [(row_of[nid],) for _, nid in outputs],
+        [None] * w + [row_of[nid] for nid in gates] + [None] * r,
+        [source for _, source in writes] + [None] * (g + r),
+        [i * t_write for i in range(w)] + [t_gates + i * t_logic for i in range(g)]
+        + [t_reads + i * t_read for i in range(r)],
+        [None] * w + gates + [None] * r,
+        [None] * (w + g) + [name for name, _ in outputs])
+
+
+def _age_rule(timing: TimingEnergyConfig) -> tuple[dict, dict]:
+    """The one retention-age rule, per kind.  READ and REFRESH sense their
+    row at pulse start and LOGIC its input rows when evaluation begins:
+    ``t_start + sense_offset``.  The row an op writes (WRITE, REFRESH,
+    LOGIC output) is fresh from the end of its pulse: ``t_start + duration``."""
+    return ({k: timing.t_init_ns if k is _LOGIC else 0 for k in OpKind},
+            {k: timing.duration_ns(k) for k in OpKind})
 
 
 class _RowAges:
-    """The one retention-age rule.  READ and REFRESH sense their row at
-    pulse start, LOGIC its input rows when evaluation begins.  The row
-    an op writes (WRITE, REFRESH, LOGIC output) is fresh from the end of
-    its pulse; ``t_valid`` maps each written row to that instant."""
+    """``_age_rule`` driven op by op: ``t_valid`` maps each written row to
+    the instant it is fresh from."""
 
     def __init__(self, timing: TimingEnergyConfig, heap: list | None = None) -> None:
-        self.sense_offset = {k: timing.t_init_ns if k is _LOGIC else 0
-                             for k in OpKind}
-        self.duration = {k: timing.duration_ns(k) for k in OpKind}
+        self.sense_offset, self.duration = _age_rule(timing)
         self.t_valid: dict[int, int] = {}
         self.heap = heap  # gets (t_valid, row) per write, if given
 
-    def sensed(self, op: MicroOp, t_start: int) -> list[tuple[int, int, int | None]]:
+    def sensed(self, kind: OpKind, rows, t_start: int) -> list[tuple[int, int, int | None]]:
         """(row, t_sense, age) per row the op senses when started at
         t_start; age is None for a row that was never written."""
-        if op.kind is _WRITE:
+        if kind is _WRITE:
             return []
-        t = t_start + self.sense_offset[op.kind]
+        t = t_start + self.sense_offset[kind]
         t_valid = self.t_valid
-        return [(r, t, t - t_valid[r] if r in t_valid else None) for r in op.rows]
+        return [(r, t, t - t_valid[r] if r in t_valid else None) for r in rows]
 
-    def stale(self, op: MicroOp, t_start: int, limit: int) -> list[int]:
+    def stale(self, kind: OpKind, rows, t_start: int, limit: int) -> list[int]:
         """The rows ``sensed`` ages past ``limit``, without a tuple per row."""
-        if op.kind is _WRITE:
+        if kind is _WRITE:
             return []
-        oldest, t_valid = t_start + self.sense_offset[op.kind] - limit, self.t_valid
-        return [r for r in op.rows if t_valid.get(r, oldest) < oldest]
+        oldest, t_valid = t_start + self.sense_offset[kind] - limit, self.t_valid
+        return [r for r in rows if t_valid.get(r, oldest) < oldest]
 
-    def commit(self, op: MicroOp, t_start: int) -> None:
-        if op.kind is not _READ:
-            row = op.out_row if op.kind is _LOGIC else op.rows[0]
-            written = self.t_valid[row] = t_start + self.duration[op.kind]
+    def commit(self, kind: OpKind, rows, out_row: int | None, t_start: int) -> None:
+        if kind is not _READ:
+            row = out_row if kind is _LOGIC else rows[0]
+            written = self.t_valid[row] = t_start + self.duration[kind]
             if self.heap is not None:
                 heapq.heappush(self.heap, (written, row))
+
+
+class Senses(NamedTuple):
+    """One entry per row an op senses, in op order, then row order."""
+
+    op: np.ndarray
+    row: np.ndarray
+    t: np.ndarray  # the sense instant
+    age: np.ndarray  # t minus the instant the row was fresh from; 0 if never written
+    written: np.ndarray  # whether an earlier op wrote the row
+    holder: np.ndarray  # the last earlier WRITE or LOGIC op that wrote the row, or -1
+    first: np.ndarray  # op i's entries are [first[i], first[i + 1])
+
+
+def _last_before(w_row: np.ndarray, w_op: np.ndarray, row: np.ndarray,
+                 op: np.ndarray) -> np.ndarray:
+    """Per ``(row, op)`` pair, the last of the writes ``(w_row, w_op)``, in
+    op order, to that row before that op; -1 if there is none.  One
+    ``searchsorted`` over ``(row, op)`` keys, rows numbered densely."""
+    if not (len(w_op) and len(op)):
+        return np.full(len(op), -1)
+    span, rows = 1 + max(w_op[-1], op[-1]), np.concatenate([w_row, row])  # both ascend
+    if rows.dtype == object or rows.max() >= 2**62 // span:  # number the rows densely
+        rows = np.unique(rows, return_inverse=True)[1]
+    keys, queries = rows[:len(w_row)] * span + w_op, rows[len(w_row):] * span + op
+    order, asked = np.argsort(keys), np.argsort(queries)  # sorted queries search faster
+    pos = np.empty(len(op), np.int64)
+    pos[asked] = np.searchsorted(keys[order], queries[asked]) - 1  # the last key below
+    found = order[np.maximum(pos, 0)]
+    return np.where((pos >= 0) & (rows[found] == rows[len(w_row):]), w_op[found], -1)
+
+
+def _replay(ops: OpTable, timing: TimingEnergyConfig) -> Senses:
+    """``_age_rule`` over the whole table at once: each sensed row's last
+    writer, and its last WRITE or LOGIC writer (a REFRESH keeps the value)."""
+    a, n = ops.arrays, len(ops)
+    sense_offset, duration = (np.array([rule[k] for k in OpKind]) for rule in _age_rule(timing))
+    sensing = a.code[a.op] != 0  # the rows of every op but a WRITE
+    op, row = a.op[sensing], a.rows[sensing]
+    t = (a.start + sense_offset[a.code])[op]
+    writes = np.flatnonzero(a.code != 1)  # the row a WRITE or REFRESH writes, a LOGIC output
+    w_row = np.where(a.code == 3, a.out, a.rows[a.first[:-1]])[writes]
+    writer = _last_before(w_row, writes, row, op)
+    fresh = (a.start + duration[a.code])[np.maximum(writer, 0)]
+    keep = a.code[writes] != 2
+    first = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(op, minlength=n), out=first[1:])
+    return Senses(op, row, t, np.where(writer >= 0, t - fresh, 0), writer >= 0,
+                  _last_before(w_row[keep], writes[keep], row, op), first)
+
+
+def _levels(program: "PimProgram", model: ModelConfig):
+    """``level_intervals`` without the ops: ``(op_index, lo1, hi0)``.  A
+    sensed row's levels decay as ``decay_scalar`` has them, ``v * fade``
+    with ``fade = math.exp(-age / tau)`` taken once for both."""
+    tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
+    s, ops = program.senses, program.ops
+    ages, k, exp = s.age.tolist(), 0, math.exp  # an unwritten row's age reads 0
+    levels = {}  # row -> (lo1, hi0) at its t_valid
+    for i, (kind, rows, out_row) in enumerate(zip(ops.kind, ops.rows, ops.out_row)):
+        if kind is _LOGIC:
+            total, weakest = 0.0, float("inf")
+            for row in rows:
+                lo1, hi0 = levels.get(row, (0.0, 0.0))
+                fade = exp(-ages[k] / tau)
+                k += 1
+                total += overdrive_scalar(hi0 * fade, v_t)
+                drive = overdrive_scalar(lo1 * fade, v_t)
+                if drive < weakest:
+                    weakest = drive
+            levels[out_row] = (residual_scalar(total, model), residual_scalar(weakest, model))
+        elif kind is _WRITE:
+            levels[rows[0]] = rails
+        else:  # a READ or REFRESH senses its row
+            lo1, hi0 = levels.get(rows[0], (0.0, 0.0))
+            fade = exp(-ages[k] / tau)
+            k += 1
+            yield i, lo1 * fade, hi0 * fade
+            if kind is _REFRESH:
+                levels[rows[0]] = rails
 
 
 def level_intervals(program: "PimProgram", model: ModelConfig):
@@ -359,31 +473,14 @@ def level_intervals(program: "PimProgram", model: ModelConfig):
     ``lo1``.  The laws are monotone, so ``hi0 < v_sa_read <= lo1`` means
     the sense reads the netlist value.  Ages come from ``program.senses``.
     """
-    tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
-    levels = {}  # row -> (lo1, hi0) at its t_valid
-    for i, (op, sensed) in enumerate(zip(program.ops, program.senses)):
-        if op.kind is _LOGIC:
-            total, weakest = 0.0, float("inf")
-            for row, _, age, _ in sensed:
-                lo1, hi0 = levels.get(row, (0.0, 0.0))
-                total += overdrive_scalar(decay_scalar(hi0, age or 0, tau), v_t)
-                drive = overdrive_scalar(decay_scalar(lo1, age or 0, tau), v_t)
-                if drive < weakest:
-                    weakest = drive
-            levels[op.out_row] = (residual_scalar(total, model), residual_scalar(weakest, model))
-        else:
-            for row, _, age, _ in sensed:  # the row of a READ or REFRESH
-                lo1, hi0 = levels.get(row, (0.0, 0.0))
-                yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
-            if op.kind is not _READ:
-                levels[op.rows[0]] = rails
+    return ((i, program.ops[i], lo1, hi0) for i, lo1, hi0 in _levels(program, model))
 
 
 def worst_margin(program: "PimProgram", model: ModelConfig) -> tuple[float, int | None]:
     """The smallest ``min(lo1 - v_sa_read, v_sa_read - hi0)`` (volts) of
     ``level_intervals`` and its first op index; (inf, None) if none."""
     v = model.v_sa_read
-    return min(((min(lo1 - v, v - hi0), i) for i, _, lo1, hi0 in level_intervals(program, model)),
+    return min(((min(lo1 - v, v - hi0), i) for i, lo1, hi0 in _levels(program, model)),
                default=(float("inf"), None))
 
 
@@ -394,9 +491,9 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     Every consumed value must be at most drt_logic_ns old at its
     consumption instant, and every live value must stay young enough
     (drt_read_ns) that a refresh can still sense it correctly.
-    Timestamps are recomputed from t=0; the result is a new program that
-    keeps every op whose start did not move and rebuilds the others,
-    checked, at their new start.
+    Timestamps are recomputed from t=0; the result is a new program whose
+    table takes each kept op's columns with its new start (the table
+    itself when no op moved).
 
     Each row write pushes ``(t_valid, row)`` on a deadline heap.  Before
     op i, entries due by its end are popped, dropped if the row was
@@ -413,16 +510,19 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     # last_use[i]: index of the last op that consumes the value op i
     # writes, -1 if none does; one backward pass over the original ops
     ops = program.ops
+    kinds, rows_of, out_rows = ops.kind, ops.rows, ops.out_row
     last_use = [-1] * len(ops)
     consumer: dict[int, int] = {}  # row -> last consumer of its next value
-    for i, op in reversed(list(enumerate(ops))):
-        if op.kind in (_WRITE, _LOGIC):
-            last_use[i] = consumer.pop(op.out_row if op.kind is _LOGIC else op.rows[0], -1)
-        if op.kind in (_READ, _LOGIC):
-            for r in op.rows:
+    for i in reversed(range(len(ops))):
+        kind = kinds[i]
+        if kind is _WRITE or kind is _LOGIC:
+            last_use[i] = consumer.pop(out_rows[i] if kind is _LOGIC else rows_of[i][0], -1)
+        if kind is _READ or kind is _LOGIC:
+            for r in rows_of[i]:
                 consumer.setdefault(r, i)
 
-    new_ops: list[MicroOp] = []
+    picks: list[int] = []  # per new op, its index in ops, or ~row for a refresh of row
+    starts: list[int] = []
     t = 0
     deadlines: list[tuple[int, int]] = []  # (t_valid, row) per row write
     ages = _RowAges(timing, deadlines)
@@ -430,22 +530,22 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
 
     def emit_refresh(row: int) -> None:
         nonlocal t
-        op = MicroOp(_REFRESH, (row,), t_start_ns=t)
-        [(_, _, age)] = ages.sensed(op, t)
+        [(_, _, age)] = ages.sensed(_REFRESH, (row,), t)
         if age > drt_read:
             raise RefreshScheduleError(
                 f"row {row} is {age}ns old at t={t}ns; its "
                 f"refresh would sense garbage (limit {drt_read}ns)")
-        new_ops.append(op)
-        ages.commit(op, t)
+        picks.append(~row)
+        starts.append(t)
+        ages.commit(_REFRESH, (row,), None, t)
         t += timing.t_refresh_ns
 
-    for i, op in enumerate(ops):
-        if op.kind is _REFRESH:
+    for i, (kind, rows) in enumerate(zip(kinds, rows_of)):
+        if kind is _REFRESH:
             # re-inserting over an already-refreshed program: drop old
             # refreshes, they are re-derived below
             continue
-        dur = ages.duration[op.kind]
+        dur = ages.duration[kind]
         t_op = t
         due, seen = set(), set()  # rows due now; loop states past t_op's logic window
         while True:
@@ -453,23 +553,23 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 written, row = heapq.heappop(deadlines)
                 if ages.t_valid[row] == written and dies[row] > i:
                     due.add(row)
-            due.update(ages.stale(op, t, budget))
+            due.update(ages.stale(kind, rows, t, budget))
             if not due:
                 break
             # once no value written before t_op is fresh enough, every
             # input needs a refresh, and refreshes t_refresh_ns apart
             # cannot fit them all in the window: this loop would not end
-            offset = ages.sense_offset[op.kind]
-            span = timing.t_refresh_ns * (len(set(op.rows)) - 1) + offset
+            offset = ages.sense_offset[kind]
+            span = timing.t_refresh_ns * (len(set(rows)) - 1) + offset
             if t + offset - budget > t_op:
                 if span > budget:
                     raise RefreshScheduleError(
-                        f"op {i} senses rows {sorted(set(op.rows))} at t={t}ns; refreshing "
+                        f"op {i} senses rows {sorted(set(rows))} at t={t}ns; refreshing "
                         f"them takes {span}ns, more than the {budget}ns logic window")
                 # from here on the loop reads only the due rows and the live
                 # rows' ages (alike past drt_read): a state seen before recurs forever
                 state = (frozenset(due), tuple((r, min(t - v, drt_read + 1)) for r, v
-                                               in ages.t_valid.items() if r in op.rows or dies[r] > i))
+                                               in ages.t_valid.items() if r in rows or dies[r] > i))
                 if state in seen:
                     raise RefreshScheduleError(
                         f"op {i} never starts: {len(state[1])} live rows, refreshed "
@@ -477,14 +577,21 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 seen.add(state)
             emit_refresh(row := min(due))
             due.discard(row)
-        new_ops.append(op if op.t_start_ns == t else MicroOp(
-            op.kind, op.rows, op.out_row, op.source, t, op.node, op.output))
-        ages.commit(op, t)
-        if op.kind is not _READ:
-            dies[op.out_row if op.kind is _LOGIC else op.rows[0]] = last_use[i]
+        picks.append(i)
+        starts.append(t)
+        ages.commit(kind, rows, out_rows[i], t)
+        if kind is not _READ:
+            dies[out_rows[i] if kind is _LOGIC else rows[0]] = last_use[i]
         t += dur
 
-    return replace(program, ops=tuple(new_ops))
+    if len(picks) == len(ops) and tuple(starts) == ops.start and min(picks, default=0) >= 0:
+        return replace(program, ops=ops)
+    out_row, source, node, output = ([column[j] if j >= 0 else None for j in picks]
+                                     for column in (out_rows, ops.source, ops.node, ops.output))
+    return replace(program, ops=OpTable(
+        [kinds[j] if j >= 0 else _REFRESH for j in picks],
+        [rows_of[j] if j >= 0 else (~j,) for j in picks],
+        out_row, source, starts, node, output, checked=True))
 
 
 @dataclass(frozen=True)
@@ -500,79 +607,108 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
     """Every op that starts before the previous one ends, then every sense
     in ``program.senses`` of a never-written row, of a consumed value older
     than the logic window or of a refreshed one older than the read window."""
-    ops, duration = program.ops, program.timing.duration_ns
+    a, s = program.ops.arrays, program.senses
+    end = a.start + np.array([program.timing.duration_ns(k) for k in OpKind])[a.code]
+    late = np.flatnonzero(a.start[1:] < end[:-1]) + 1
     violations = [
-        AuditViolation(i, op.t_start_ns, None, "overlap",
-                       f"op {i} starts at {op.t_start_ns}ns, before op {i - 1} "
-                       f"ends at {prev.t_start_ns + duration(prev.kind)}ns")
-        for i, (prev, op) in enumerate(zip(ops, ops[1:]), 1)
-        if op.t_start_ns < prev.t_start_ns + duration(prev.kind)]
-    for i, (op, sensed) in enumerate(zip(ops, program.senses)):
-        refresh = op.kind is _REFRESH
-        for row, t, age, _ in sensed:
-            if age is None:
-                violations.append(AuditViolation(
-                    i, t, row, "unwritten",
-                    f"refresh of never-written row {row}" if refresh
-                    else f"row {row} consumed before any write"))
-            elif refresh and age > program.drt_read_ns:
-                violations.append(AuditViolation(
-                    i, t, row, "stale-refresh",
-                    f"refresh senses row {row} at age {age}ns (> {program.drt_read_ns}ns)"))
-            elif not refresh and age > program.drt_logic_ns:
-                violations.append(AuditViolation(
-                    i, t, row, "stale-value",
-                    f"row {row} consumed at age {age}ns (> {program.drt_logic_ns}ns)"))
+        AuditViolation(i, start, None, "overlap",
+                       f"op {i} starts at {start}ns, before op {i - 1} ends at {prev_end}ns")
+        for i, start, prev_end in zip(late.tolist(), a.start[late].tolist(),
+                                      end[late - 1].tolist())]
+    refresh = a.code[s.op] == 2
+    stale = ~s.written | (s.age > np.where(refresh, program.drt_read_ns, program.drt_logic_ns))
+    flagged = np.flatnonzero(stale)
+    for i, row, t, age, written, is_refresh in zip(
+            *(c[flagged].tolist() for c in (s.op, s.row, s.t, s.age, s.written, refresh))):
+        if not written:
+            violations.append(AuditViolation(
+                i, t, row, "unwritten",
+                f"refresh of never-written row {row}" if is_refresh
+                else f"row {row} consumed before any write"))
+        elif is_refresh:
+            violations.append(AuditViolation(
+                i, t, row, "stale-refresh",
+                f"refresh senses row {row} at age {age}ns (> {program.drt_read_ns}ns)"))
+        else:
+            violations.append(AuditViolation(
+                i, t, row, "stale-value",
+                f"row {row} consumed at age {age}ns (> {program.drt_logic_ns}ns)"))
     return violations
 
 
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Every consumed row must hold the netlist value the op was compiled
-    against (``held`` in ``program.senses``), and every output must be
+    against (what its last writer in ``program.senses`` stored; a REFRESH
+    keeps it), and every output must be
     read.  Rows outside the array and names the netlist lacks are
     violations too, so a malformed file is caught before any array runs."""
-    netlist = program.netlist
-    sources = program.source_nodes
+    netlist, ops, a, s = program.netlist, program.ops, program.ops.arrays, program.senses
+    sources, output_map = program.source_nodes, netlist.output_map
     gates = set(netlist.gate_ids())
-    output_map = netlist.output_map
-    unread = set(output_map)
     violations: list[AuditViolation] = []
 
-    def flag(i: int, op: MicroOp, row, kind: str, message: str) -> None:
-        violations.append(AuditViolation(i, op.t_start_ns, row, kind, message))
+    def flag(i: int, row, kind: str, message: str) -> None:
+        violations.append(AuditViolation(i, ops.start[i], row, kind, message))
 
-    for i, (op, sensed) in enumerate(zip(program.ops, program.senses)):
+    # one numpy test passes every op whose rows lie in the array and hold
+    # what it expects; the loop below judges the others, op by op
+    n, code = len(ops), a.code
+
+    def ids(values, known: dict) -> np.ndarray:  # None reads -2, an unknown value -1
+        return np.fromiter(map({None: -2, **known}.get, values, repeat(-1)), np.int64, n)
+
+    node, source = ids(ops.node, {g: g for g in gates}), ids(ops.source, sources)
+    want = ids(ops.output, output_map)
+    held = np.append(np.where(code == 0, source, node), -1)[s.holder]  # <0 matches no node
+    gate = (code == 3) & (node >= 0)
+    args, arg_first = netlist.arg_columns
+    gate &= np.diff(a.first) == np.append(np.diff(arg_first), [-1, -1])[node]
+    entries = np.flatnonzero(gate[s.op])
+    order = entries[np.lexsort((held[entries], s.op[entries]))]
+    e_op = s.op[order]
+    rank = np.arange(len(order)) - np.searchsorted(e_op, e_op)
+    gate[e_op[held[order] != args[arg_first[node[e_op]] + rank]]] = False
+    ok = np.select([code == 0, code == 1, code == 2],
+                   [source >= 0, (want == -2) | ((want >= 0) & (
+                       np.append(held, -1)[s.first[:-1]] == want)), True], gate | (node == -2))
+    ok[a.op[a.rows >= program.rows]] = False
+    ok[a.out >= program.rows] = False
+
+    def held_by(i: int) -> list:  # per row op i senses, its node; None if anonymous or unwritten
+        return [None if j < 0 else ops.node[j] if ops.kind[j] is _LOGIC
+                else sources.get(ops.source[j]) for j in s.holder[s.first[i]:s.first[i + 1]].tolist()]
+
+    for i in np.flatnonzero(~ok).tolist():
+        op = ops[i]
         for row in (*op.rows, op.out_row):
             if row is not None and not 0 <= row < program.rows:
-                flag(i, op, row, "outside-array",
+                flag(i, row, "outside-array",
                      f"row {row} is outside the {program.rows}-row array")
         if op.kind is _WRITE:
             if op.source not in sources:
-                flag(i, op, op.rows[0], "unknown-name",
-                     f"write of unknown source {op.source!r}")
+                flag(i, op.rows[0], "unknown-name", f"write of unknown source {op.source!r}")
         elif op.kind is _LOGIC:
             nid = op.node
             if nid is not None and nid not in gates:
-                flag(i, op, op.out_row, "unknown-name",
+                flag(i, op.out_row, "unknown-name",
                      f"LOGIC computes node {nid!r}, not a gate of the netlist")
             elif nid is not None:
                 expected_args = set(netlist.nodes[nid].args)
-                found_args = {held for _, _, _, held in sensed}
+                found_args = set(held_by(i))
                 if found_args != expected_args:
-                    flag(i, op, op.out_row, "clobbered",
+                    flag(i, op.out_row, "clobbered",
                          f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
                          f"expected nodes {sorted(expected_args)}")
         elif op.kind is _READ and op.output is not None:
-            [(row, _, _, held)] = sensed
+            [held_node], row = held_by(i), op.rows[0]
             expected = output_map.get(op.output)
             if expected is None:
-                flag(i, op, row, "unknown-name",
+                flag(i, row, "unknown-name",
                      f"READ senses output {op.output!r}, not an output of the netlist")
-            elif held != expected:
-                flag(i, op, row, "clobbered",
-                     f"row {row} holds node {held}, expected node {expected}")
-            unread.discard(op.output)
-    for name in sorted(unread):
+            elif held_node != expected:
+                flag(i, row, "clobbered",
+                     f"row {row} holds node {held_node}, expected node {expected}")
+    for name in sorted(set(output_map) - set(ops.output)):
         violations.append(AuditViolation(len(program.ops), program.duration_ns, None,
                                          "unread-output", f"output {name!r} is never read"))
     return violations
@@ -592,7 +728,7 @@ def compile_program(
 
     netlist = lower_program(parse_program(source), cfg.max_nor_arity)
     program = PimProgram(
-        ops=tuple(emit_ops(netlist, allocate_rows(netlist, cfg.rows - 2), timing)),
+        ops=emit_ops(netlist, allocate_rows(netlist, cfg.rows - 2), timing),
         netlist=netlist,
         timing=timing,
         drt_logic_ns=model.drt_logic_ns,

@@ -145,7 +145,8 @@ def run_program_on_array(
         inputs[name] = np.zeros(subarray.cols, dtype=np.uint8)
         inputs[name][:len(v)] = v
     reads = subarray.run(program.ops, inputs)
-    names = [op.output for op in program.ops if op.kind is OpKind.READ]
+    names = [name for kind, name in zip(program.ops.kind, program.ops.output)
+             if kind is OpKind.READ]
     return {name: bits for name, bits in zip(names, reads) if name is not None}
 
 
@@ -218,8 +219,8 @@ def simulate_program(
 
     # Monte Carlo over whole-program executions
     # a block array keeps only the rows the program touches
-    n_rows = 1 + max((r for op in program.ops for r in (*op.rows, op.out_row)
-                      if r is not None), default=0)
+    a = program.ops.arrays
+    n_rows = 1 + int(max(a.rows.max(initial=0), a.out.max(initial=0)))
     # drawn at full width; block_masks copies the vectors' columns into its block
     draws = (sample_params(var_cfg, rng, rows=n_rows, cols=program.cols, model_cfg=model)
              for rng in stream_generators(var_cfg.seed, range(n_trials)))

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from gcpim.charge import ConfigError, ModelConfig
-from gcpim.subarray import MicroOp, OpKind, SubArray, TimingEnergyConfig
+from gcpim.subarray import MicroOp, OpKind, OpTable, SubArray, TimingEnergyConfig
 
 __all__ = [
     "BASE_SIGMA_RATIOS",
@@ -387,9 +387,11 @@ def block_masks(model: ModelConfig, timing: TimingEnergyConfig, ops: Sequence[Mi
     with none wrong): below the model's read threshold when a '0' must be
     sensed, above it when a '1' must.
     """
-    writes = [(op.rows[0], op.source[len("input:"):]) for op in ops
-              if op.kind is OpKind.WRITE and op.source.startswith("input:")]
-    outputs = [op.output for op in ops if op.kind is OpKind.READ]
+    ops = OpTable.of(ops)
+    writes = [(rows[0], source[len("input:"):]) for kind, rows, source
+              in zip(ops.kind, ops.rows, ops.source)
+              if kind is OpKind.WRITE and source.startswith("input:")]
+    outputs = [name for kind, name in zip(ops.kind, ops.output) if kind is OpKind.READ]
     for first in draws:
         rows, step = first.tau_scale.shape
         fits = max(1, cells // first.tau_scale.size)

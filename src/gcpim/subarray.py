@@ -1,5 +1,5 @@
 """Sub-array simulator: writes, nondestructive reads, refresh, and the
-two-phase stateful logic pulse, plus the micro-op and event-ledger types.
+two-phase stateful logic pulse, plus the micro-op, op-table and ledger types.
 
 The sub-array is 64x64 by default and keeps only cell state.  Every op
 writes a whole row at one instant, so each row stores its cells'
@@ -12,22 +12,28 @@ at once; the array keeps the first two only as the per-cell time
 constants (``tau``) and drive thresholds (``v_drive``) it derives from
 them once, when it is built.
 
-``SubArray.run`` executes timestamped micro-ops, resolving each WRITE's
-source itself; nominal runs, program Monte Carlo and gate campaigns all
-drive the array through it, and a refresh is a read plus a write-back.
-An op's time and energy follow from its kind and row count, never from
-the cells, so the CLI writes a run's ``ledger.csv`` from the program's ops.
-With tracing on, the array records one ``(time_ns, row, voltages)``
-entry per sampled row.
+A program's ops live in an ``OpTable``, one immutable column per
+``MicroOp`` field plus the same columns as numpy arrays, checked once by
+the rules a single ``MicroOp`` obeys.  ``SubArray.run`` executes a
+table's timestamped ops from its columns, resolving each WRITE's source
+itself; nominal runs, program Monte Carlo and gate campaigns all drive
+the array through it, and a refresh is a read plus a write-back.  An
+op's time and energy follow from its kind and row count, never from the
+cells, so the CLI writes a run's ``ledger.csv`` from the program's table
+(``write_ledger``).  With tracing on, the array records one
+``(time_ns, row, voltages)`` entry per sampled row.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +52,10 @@ __all__ = [
     "EventLedger",
     "MicroOp",
     "OpKind",
+    "OpTable",
     "SubArray",
     "TimingEnergyConfig",
+    "write_ledger",
 ]
 
 
@@ -62,7 +70,7 @@ class OpKind(str, Enum):
 _WRITE, _READ, _REFRESH, _LOGIC = OpKind
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class MicroOp:
     """One array instruction.
 
@@ -72,11 +80,9 @@ class MicroOp:
     "const:1"), resolved when the program runs.  A compiled op also says
     what it means to the netlist: a LOGIC op the ``node`` it computes, a
     READ the program ``output`` it senses.  Ops without them are
-    anonymous; the soundness audit does not track their values.
-
-    Frozen, slotted, equal by fields: ``__init__`` (``dataclasses.replace``
-    too) checks the fields, then stores each through its slot descriptor,
-    so every op, moved ones too, is built checked.
+    anonymous; the soundness audit does not track their values.  Frozen,
+    slotted, equal by fields, and checked by ``_check_op`` when built
+    (``dataclasses.replace`` too).  Programs hold their ops in an ``OpTable``.
     """
 
     kind: OpKind
@@ -87,30 +93,35 @@ class MicroOp:
     node: int | None = None
     output: str | None = None
 
-    def __init__(self, kind: OpKind, rows: tuple[int, ...], out_row: int | None = None,
-                 source: str | None = None, t_start_ns: int = 0, node: int | None = None,
-                 output: str | None = None) -> None:
-        _check_rows(kind, rows, out_row)
-        if t_start_ns < 0:
-            raise ValueError(f"{kind.value} op starts at a negative time {t_start_ns}ns")
-        if (source is None) == (kind is _WRITE):
-            raise ValueError("WRITE needs a source" if kind is _WRITE
-                             else f"{kind.value} op carries no data")
-        if node is not None and kind is not _LOGIC:
-            raise ValueError(f"{kind.value} op computes no node")
-        if output is not None and kind is not _READ:
-            raise ValueError(f"{kind.value} op senses no output")
-        _set_kind(self, kind)
-        _set_rows(self, rows)
-        _set_out_row(self, out_row)
-        _set_source(self, source)
-        _set_t_start(self, t_start_ns)
-        _set_node(self, node)
-        _set_output(self, output)
+    def __post_init__(self) -> None:
+        _check_op(self.kind, self.rows, self.out_row, self.source, self.t_start_ns, self.node,
+                  self.output)
 
 
-(_set_kind, _set_rows, _set_out_row, _set_source, _set_t_start, _set_node,
- _set_output) = (getattr(MicroOp, f.name).__set__ for f in fields(MicroOp))
+_SETTERS = [getattr(MicroOp, f.name).__set__ for f in fields(MicroOp)]
+
+
+def _op(*values) -> MicroOp:
+    """An op of fields a table has checked, built without a second check."""
+    op = object.__new__(MicroOp)
+    for setter, value in zip(_SETTERS, values):
+        setter(op, value)
+    return op
+
+
+def _check_op(kind, rows, out_row, source, t_start_ns, node, output) -> None:
+    """The one set of op rules, in the order they name an error: the rows,
+    the start, then the fields a kind allows."""
+    _check_rows(kind, rows, out_row)
+    if t_start_ns < 0:
+        raise ValueError(f"{kind.value} op starts at a negative time {t_start_ns}ns")
+    if (source is None) == (kind is _WRITE):
+        raise ValueError("WRITE needs a source" if kind is _WRITE
+                         else f"{kind.value} op carries no data")
+    if node is not None and kind is not _LOGIC:
+        raise ValueError(f"{kind.value} op computes no node")
+    if output is not None and kind is not _READ:
+        raise ValueError(f"{kind.value} op senses no output")
 
 
 def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> None:
@@ -139,11 +150,107 @@ def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> Non
                              "is also an input")
         if len(set(rows)) != len(rows):
             raise ValueError(f"duplicate input rows in {rows}")
-    else:
-        if len(rows) != 1:
-            raise ValueError(f"{kind.value} op takes exactly one row")
-        if out_row is not None:
-            raise ValueError(f"{kind.value} op has no output row")
+    elif len(rows) != 1:
+        raise ValueError(f"{kind.value} op takes exactly one row")
+    elif out_row is not None:
+        raise ValueError(f"{kind.value} op has no output row")
+
+
+_CODE = {kind: code for code, kind in enumerate(OpKind)}  # WRITE 0, READ 1, REFRESH 2, LOGIC 3
+
+
+def _ints(values: Sequence[int]) -> np.ndarray:
+    """The ints as int64, or as Python ints if one needs more than 64 bits."""
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class OpArrays(NamedTuple):
+    """An ``OpTable``'s columns as numpy arrays."""
+
+    code: np.ndarray  # the kind's index in OpKind
+    start: np.ndarray
+    first: np.ndarray  # op i's rows are rows[first[i]:first[i + 1]]
+    rows: np.ndarray  # every op's rows, in op order
+    op: np.ndarray  # the op of each entry of rows
+    out: np.ndarray  # out_row, -1 for None
+
+
+class OpTable(Sequence):
+    """A program's ops as one tuple per ``MicroOp`` field, in op order:
+    ``kind``, ``rows``, ``out_row``, ``source``, ``start`` (each op's
+    ``t_start_ns``), ``node`` and ``output``; ``arrays`` holds them as
+    numpy arrays, built on first use.  Built from columns, a table checks
+    them once, op by op with ``_check_op``, so the first bad op names the
+    error.  ``of`` makes a table of ``MicroOp``s, which are checked
+    already.  Indexing or iterating builds a ``MicroOp`` per op, a slice a
+    tuple of them; a table equals a table or sequence of the same ops.
+    """
+
+    __slots__ = ("kind", "rows", "out_row", "source", "start", "node", "output", "_arrays")
+
+    def __init__(self, kind, rows, out_row, source, start, node, output, *,
+                 checked: bool = False) -> None:
+        for name, column in zip(self.__slots__, (kind, rows, out_row, source, start, node, output)):
+            setattr(self, name, tuple(column))
+        self._arrays = None
+        if not checked:
+            for op in zip(*self.columns):
+                _check_op(*op)
+
+    @property
+    def arrays(self) -> OpArrays:
+        if self._arrays is None:
+            n, rows = len(self.kind), self.rows
+            width = np.fromiter(map(len, rows), np.int64, n)
+            first = np.zeros(n + 1, np.int64)
+            np.cumsum(width, out=first[1:])
+            self._arrays = OpArrays(
+                np.fromiter(map(_CODE.__getitem__, self.kind), np.int8, n), _ints(self.start),
+                first, _ints(list(chain.from_iterable(rows))), np.repeat(np.arange(n), width),
+                _ints([-1 if r is None else r for r in self.out_row]))
+        return self._arrays
+
+    @classmethod
+    def of(cls, ops: Iterable[MicroOp]) -> "OpTable":
+        """The ops as a table, a table as itself."""
+        if isinstance(ops, OpTable):
+            return ops
+        ops = list(ops)
+        return cls(*(tuple(zip(*((op.kind, op.rows, op.out_row, op.source, op.t_start_ns,
+                                  op.node, op.output) for op in ops))) or [()] * 7),
+                   checked=all(type(op) is MicroOp for op in ops))
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        return (self.kind, self.rows, self.out_row, self.source, self.start, self.node,
+                self.output)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_op, *(column[i] for column in self.columns)))
+        return _op(*(column[i] for column in self.columns))
+
+    def __iter__(self):
+        return map(_op, *self.columns)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OpTable):
+            return self.columns == other.columns
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:  # as the tuple of its ops, which it equals
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"OpTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -217,18 +324,7 @@ class EventLedger:
         self.ops.append(op)
 
     def to_csv(self, path) -> None:
-        """One row per op; a LOGIC op lists its input rows, then ``>`` and
-        its output row.  No field holds a character CSV would quote."""
-        head = {kind: f",{self.timing.duration_ns(kind)},{kind.value}," for kind in OpKind}
-        tail = {key: f",{energy!r}\r\n"  # one string per kind and arity
-                for key, energy in self.timing.op_energies_fj(self.cols).items()}
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(LEDGER_CSV_HEADER) + "\r\n")
-            fh.writelines(
-                f"{op.t_start_ns}{head[op.kind]}{'+'.join(map(str, op.rows))}"
-                f"{'' if op.out_row is None else f'>{op.out_row}'}"
-                f"{tail[op.kind, len(op.rows) == 1]}"
-                for op in self.ops)
+        write_ledger(path, self.timing, self.cols, OpTable.of(self.ops))
 
     @staticmethod
     def read_totals(path) -> dict:
@@ -261,6 +357,24 @@ class EventLedger:
                     refresh += duration
         return {"ops": len(energies), "energy_fj": math.fsum(energies),
                 "makespan_ns": makespan, "refresh_ns": refresh}
+
+
+def write_ledger(path, timing: TimingEnergyConfig, cols: int, ops: OpTable) -> None:
+    """The ledger CSV of ``ops`` on ``cols`` active columns: one row per op;
+    a LOGIC op lists its input rows, then ``>`` and its output row.  No
+    field holds a character CSV would quote.  A row fills the ``%``
+    template of its op's kind and row count from the columns."""
+    energy, templates, lines = timing.op_energies_fj(cols), {}, []
+    for kind, start, rows, out_row in zip(ops.kind, ops.start, ops.rows, ops.out_row):
+        template = templates.get(key := (kind, len(rows)))
+        if template is None:
+            cells = "+".join(["%d"] * key[1]) + (">%d" if kind is _LOGIC else "")
+            template = templates[key] = (f"%d,{timing.duration_ns(kind)},{kind.value},"
+                                         f"{cells},{energy[key[0], key[1] == 1]!r}\r\n")
+        lines.append(template % ((start, *rows) if out_row is None else (start, *rows, out_row)))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(LEDGER_CSV_HEADER) + "\r\n")
+        fh.writelines(lines)
 
 
 class SubArray:
@@ -382,17 +496,17 @@ class SubArray:
         bits.  A WRITE stores ``inputs[name]``, one bit per array column,
         for source ``input:<name>`` and a constant row for ``const:0`` or
         ``const:1``; any other source raises ConfigError."""
-        reads = []
-        for op in ops:
-            t = op.t_start_ns
-            if op.kind is _WRITE:
-                self.write_row(op.rows[0], self._source_bits(op.source, inputs), t)
-            elif op.kind is _READ:
-                reads.append(self.read_row(op.rows[0], t))
-            elif op.kind is _REFRESH:
-                self.refresh_row(op.rows[0], t)
+        ops, reads = OpTable.of(ops), []
+        for kind, rows, out_row, source, t in zip(ops.kind, ops.rows, ops.out_row, ops.source,
+                                                  ops.start):
+            if kind is _WRITE:
+                self.write_row(rows[0], self._source_bits(source, inputs), t)
+            elif kind is _READ:
+                reads.append(self.read_row(rows[0], t))
+            elif kind is _REFRESH:
+                self.refresh_row(rows[0], t)
             else:
-                self.exec_logic(op.rows, op.out_row, t)
+                self.exec_logic(rows, out_row, t)
         return reads
 
     def _source_bits(self, source: str, inputs) -> np.ndarray:

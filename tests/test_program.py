@@ -52,6 +52,7 @@ from gcpim.compiler.program import (
     worst_margin,
 )
 from gcpim.compiler.netlist import NorNetlist
+import gcpim.compiler.program as program_mod
 import gcpim.compiler.simulate as simulate_mod
 from gcpim.compiler.simulate import MARGIN_ALLOWANCE_V, PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
@@ -154,11 +155,9 @@ def test_a_program_without_refresh_holds_the_emitted_ops(monkeypatch):
     refreshed = compile_program(ripple_text(4))
     assert refreshed.n_refresh == 0 and len(calls) == 2
     for prog, emitted in zip((bare, refreshed), calls):
-        assert len(prog.ops) == len(emitted)
-        assert all(op is op_emitted for op, op_emitted in zip(prog.ops, emitted))
+        assert prog.ops is emitted  # the emitted table itself
     again = insert_refresh(bare)
-    assert len(again.ops) == len(calls[0])
-    assert all(op is op_emitted for op, op_emitted in zip(again.ops, calls[0]))
+    assert again.ops is calls[0]
 
 
 def test_refresh_insertion_rebuilds_only_the_ops_it_moves(monkeypatch):
@@ -168,7 +167,9 @@ def test_refresh_insertion_rebuilds_only_the_ops_it_moves(monkeypatch):
     emitted = [op for op in prog.ops if op.kind is not OpKind.REFRESH]
     moved = [op.t_start_ns != was.t_start_ns for op, was in zip(emitted, calls[0])]
     assert any(moved) and not all(moved)
-    assert all((op is was) != shifted for op, was, shifted in zip(emitted, calls[0], moved))
+    # a moved op differs from its emitted op in its start alone
+    assert emitted == [dataclasses.replace(was, t_start_ns=op.t_start_ns)
+                       for op, was in zip(emitted, calls[0])]
 
 
 def test_program_json_roundtrip_is_byte_stable(tmp_path):
@@ -215,6 +216,43 @@ def test_op_lines_are_what_the_sorted_compact_encoder_writes(tmp_path_factory, o
     assert [line.removesuffix(",") for line in lines] == [
         encode(entry) for entry in prog.to_json_dict()["ops"]]
     assert PimProgram.from_json(path).ops == prog.ops
+
+
+@pytest.mark.parametrize("name", ["a", "ä\"\\é", "x\n y"])
+def test_the_header_line_is_what_the_sorted_compact_encoder_writes(tmp_path, name):
+    # an input renamed in a loaded file: its name is escaped as the encoder does
+    data = compile_program("s = a ^ b;\nc = ~(a | b | 1);",
+                           CompilerConfig(max_nor_arity=3)).to_json_dict()
+    renamed = json.loads(json.dumps(data).replace('"a"', json.dumps(name)).replace(
+        '"input:a"', json.dumps(f"input:{name}")))
+    prog = PimProgram.from_json_dict(renamed)
+    prog.to_json(tmp_path / "p.json")
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    header = {key: value for key, value in prog.to_json_dict().items() if key != "ops"}
+    first = (tmp_path / "p.json").read_text().split("\n")[0]
+    assert first == encode(header)[:-1] + ',"ops":['
+    assert PimProgram.from_json(tmp_path / "p.json").netlist == prog.netlist
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(_literal_ops(), max_size=12))
+def test_valid_op_lists_round_trip_through_a_program_file(tmp_path_factory, ops):
+    # held by a program, written and loaded again, every op comes back
+    # equal, field by field and with the same field types
+    prog = dataclasses.replace(compile_program("o = ~a;"), ops=tuple(ops))
+    path = tmp_path_factory.mktemp("ops") / "p.json"
+    prog.to_json(path)
+    loaded = PimProgram.from_json(path)
+    fields = [(op.kind, op.rows, op.out_row, op.source, op.t_start_ns, op.node, op.output)
+              for op in ops]
+    for held in (prog, loaded):
+        assert len(held.ops) == len(ops) and list(held.ops) == ops
+        got = [(op.kind, op.rows, op.out_row, op.source, op.t_start_ns, op.node, op.output)
+               for op in held.ops]
+        assert got == fields
+        assert [tuple(map(type, f)) for f in got] == [tuple(map(type, f)) for f in fields]
+        assert [held.ops[i] for i in range(-len(ops), 0)] == ops
+        assert held.ops == tuple(ops) and hash(held.ops) == hash(tuple(ops))
 
 
 def test_program_json_rejects_other_files(tmp_path):
@@ -416,14 +454,14 @@ def scan_insert_refresh(program):
     def emit_refresh(row: int) -> None:
         nonlocal t
         op = MicroOp(OpKind.REFRESH, (row,), t_start_ns=t)
-        [(_, _, age)] = ages.sensed(op, t)
+        [(_, _, age)] = ages.sensed(op.kind, op.rows, t)
         if age > drt_read:
             raise RefreshScheduleError(
                 f"row {row} is {age}ns old at t={t}ns; its "
                 f"refresh would sense garbage (limit {drt_read}ns)"
             )
         new_ops.append(op)
-        ages.commit(op, t)
+        ages.commit(op.kind, op.rows, op.out_row, t)
         t += timing.t_refresh_ns
 
     for i, op in enumerate(program.ops):
@@ -431,7 +469,7 @@ def scan_insert_refresh(program):
             continue
         dur = ages.duration[op.kind]
         while True:
-            stale = [r for r, _, age in ages.sensed(op, t)
+            stale = [r for r, _, age in ages.sensed(op.kind, op.rows, t)
                      if age is not None and age > budget]
             expiring = [
                 r for r in sorted(t_valid)
@@ -442,7 +480,7 @@ def scan_insert_refresh(program):
                 break
             emit_refresh(candidates[0])
         new_ops.append(dataclasses.replace(op, t_start_ns=t))
-        ages.commit(op, t)
+        ages.commit(op.kind, op.rows, op.out_row, t)
         t += dur
 
     return dataclasses.replace(program, ops=tuple(new_ops))
@@ -656,9 +694,9 @@ def test_audit_flags_a_refresh_of_a_never_written_row():
 def oracle_retention_ages(ops, timing):
     ages = _RowAges(timing)
     for i, op in enumerate(ops):
-        for row, t, age in ages.sensed(op, op.t_start_ns):
+        for row, t, age in ages.sensed(op.kind, op.rows, op.t_start_ns):
             yield i, op, row, t, age
-        ages.commit(op, op.t_start_ns)
+        ages.commit(op.kind, op.rows, op.out_row, op.t_start_ns)
 
 
 def oracle_audit_refresh_safety(program):
@@ -743,7 +781,7 @@ def oracle_level_intervals(program, model):
     tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
     ages, levels = _RowAges(program.timing), {}
     for i, op in enumerate(program.ops):
-        sensed = ages.sensed(op, op.t_start_ns)
+        sensed = ages.sensed(op.kind, op.rows, op.t_start_ns)
         if op.kind is OpKind.LOGIC:
             total, weakest = 0.0, float("inf")
             for row, _, age in sensed:
@@ -759,7 +797,7 @@ def oracle_level_intervals(program, model):
                 yield i, op, decay_scalar(lo1, age or 0, tau), decay_scalar(hi0, age or 0, tau)
             if op.kind is not OpKind.READ:
                 levels[op.rows[0]] = rails
-        ages.commit(op, op.t_start_ns)
+        ages.commit(op.kind, op.rows, op.out_row, op.t_start_ns)
 
 
 @st.composite
@@ -825,6 +863,23 @@ def test_the_audits_and_the_level_replay_match_their_separate_replays(case):
     assert list(level_intervals(prog, model)) == list(oracle_level_intervals(prog, model))
 
 
+def test_the_audits_read_values_past_64_bits_as_their_oracles_do():
+    # the table keeps such values as Python ints; its arrays hold them as objects
+    prog = compile_program("o = ~a;")
+    big = 2**70
+    logic = next(op for op in prog.ops if op.kind is OpKind.LOGIC)
+    for ops in [
+        (prog.ops[0], dataclasses.replace(logic, out_row=big, t_start_ns=big),
+         MicroOp(OpKind.READ, (big,), t_start_ns=big + 3, output="o")),
+        (prog.ops[0], dataclasses.replace(logic, node=big),
+         MicroOp(OpKind.REFRESH, (logic.out_row,), t_start_ns=9), prog.ops[-1]),
+    ]:
+        broken = dataclasses.replace(prog, ops=ops)
+        assert audit_row_soundness(broken) == oracle_audit_row_soundness(broken) != []
+        assert audit_refresh_safety(broken) == oracle_audit_refresh_safety(broken)
+        assert list(level_intervals(broken, SHORT)) == list(oracle_level_intervals(broken, SHORT))
+
+
 def test_a_replaced_program_reads_its_own_senses():
     prog = compile_program("s = a ^ b;\nc = a & b;",
                            model_cfg=ModelConfig(drt_read_ns=40, drt_logic_ns=12))
@@ -838,17 +893,23 @@ def test_a_replaced_program_reads_its_own_senses():
 
 
 def test_a_certified_run_replays_the_ops_once(monkeypatch):
+    # one replay of the whole table, and no op-by-op one
     prog = compile_program(ripple_text(2))
     built = []
-    init = _RowAges.__init__
+    replay, init = program_mod._replay, _RowAges.__init__
 
-    def counted(self, *args):
-        built.append(1)
+    def counted(*args):
+        built.append("table")
+        return replay(*args)
+
+    def counted_init(self, *args):
+        built.append("op by op")
         init(self, *args)
 
-    monkeypatch.setattr(_RowAges, "__init__", counted)
+    monkeypatch.setattr(program_mod, "_replay", counted)
+    monkeypatch.setattr(_RowAges, "__init__", counted_init)
     assert simulate_program(prog, exhaustive_vectors(prog.inputs)).certified
-    assert len(built) == 1
+    assert built == ["table"]
 
 
 # -- simulation -------------------------------------------------------
