@@ -370,7 +370,7 @@ def write_ledger(path, timing: TimingEnergyConfig, cols: int, ops: OpTable) -> N
         if template is None:
             cells = "+".join(["%d"] * key[1]) + (">%d" if kind is _LOGIC else "")
             template = templates[key] = (f"%d,{timing.duration_ns(kind)},{kind.value},"
-                                         f"{cells},{energy[key[0], key[1] == 1]!r}\r\n")
+                                         f"{cells},{energy[kind, len(rows) == 1]!r}\r\n")
         lines.append(template % ((start, *rows) if out_row is None else (start, *rows, out_row)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(LEDGER_CSV_HEADER) + "\r\n")
