@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 
@@ -69,11 +69,9 @@ class NorNetlist:
     outputs: tuple[tuple[str, int], ...]  # (name, node id), ordered
 
     def __post_init__(self) -> None:
-        args, first = self.arg_columns
-        owner = np.repeat(np.arange(len(self.nodes)), np.diff(first))
-        if np.any(bad := (args < 0) | (args >= owner)):
-            i = int(owner[bad][0])
-            raise ValueError(f"node {i} references a node outside 0..{i - 1}: {self.nodes[i]}")
+        for i, node in enumerate(self.nodes):
+            if node.args and not 0 <= min(node.args) <= max(node.args) < i:
+                raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")
         if any(not 0 <= nid < len(self.nodes) for _, nid in self.outputs):
             raise ValueError(f"outputs {list(self.outputs)} name a node outside the netlist")
         named = sorted(n.name for n in self.nodes if n.op == "input")
@@ -82,21 +80,10 @@ class NorNetlist:
                              f"{named} once each")
         # every node's arguments precede it, so (by induction from the last
         # node) all are reachable exactly when each non-output is an argument
-        used = np.bincount(args, minlength=len(self.nodes)).astype(bool)
-        used[[nid for _, nid in self.outputs]] = True
-        if not used.all():
+        used = set(chain.from_iterable(n.args for n in self.nodes))
+        if len(used.union(nid for _, nid in self.outputs)) != len(self.nodes):
             orphans = sorted(set(range(len(self.nodes))) - self.reachable_ids())
             raise ValueError(f"unreachable nodes: {orphans}")
-
-    @cached_property
-    def arg_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's arguments in node order, each node's sorted, and
-        the offsets: node i's are ``args[first[i]:first[i + 1]]``."""
-        each = [n.args for n in self.nodes]
-        first = np.zeros(len(each) + 1, np.int64)
-        np.cumsum(np.fromiter(map(len, each), np.int64, len(each)), out=first[1:])
-        args = np.fromiter(chain.from_iterable(each), np.int64, first[-1])
-        return args[np.lexsort((args, np.repeat(np.arange(len(each)), np.diff(first))))], first
 
     def reachable_ids(self) -> set[int]:
         seen, stack = set(), [nid for _, nid in self.outputs]

@@ -31,13 +31,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-import numpy as np
-
-from gcpim.charge import ConfigError, ModelConfig, known_keys, overdrive_scalar, residual_scalar
+from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys, overdrive_scalar,
+                          residual_scalar)
 from gcpim.subarray import OpKind, OpTable, TimingEnergyConfig
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
 from gcpim.compiler.expr import parse_program
@@ -133,9 +132,9 @@ class PimProgram:
     @property
     def energy_fj(self) -> float:
         # correctly rounded, so it equals the ledger's ``read_totals`` on any Python
-        energy, a = self.timing.op_energies_fj(self.cols), self.ops.arrays
-        table = np.array([[energy[kind, False], energy[kind, True]] for kind in OpKind])
-        return math.fsum(table[a.code, (np.diff(a.first) == 1).astype(int)].tolist())
+        energy = self.timing.op_energies_fj(self.cols)
+        return math.fsum([energy[kind, len(rows) == 1]
+                          for kind, rows in zip(self.ops.kind, self.ops.rows)])
 
     @cached_property
     def source_nodes(self) -> dict[str, int]:  # a WRITE's source -> the node it stores
@@ -145,17 +144,16 @@ class PimProgram:
     @cached_property
     def senses(self) -> "Senses":
         """Every row an op senses, by one replay of the ages, on first use."""
-        return _replay(self.ops, self.timing)
+        return _replay(self)
 
     @property
     def peak_rows(self) -> int:
         """1 + the highest value row (below the two constant rows) any op
         touches.  The allocator takes the lowest free row, so this is its
         peak liveness."""
-        a = self.ops.arrays
-        rows = np.concatenate([a.rows, a.out])
-        rows = rows[(rows >= 0) & (rows < self.rows - 2)]
-        return 1 + int(rows.max()) if rows.size else 0
+        values = self.rows - 2
+        return 1 + max((r for r in chain(chain.from_iterable(self.ops.rows), self.ops.out_row)
+                        if r is not None and r < values), default=-1)
 
     # -- serialization -------------------------------------------------
 
@@ -386,67 +384,53 @@ class _RowAges:
 class Senses(NamedTuple):
     """One entry per row an op senses, in op order, then row order."""
 
-    op: np.ndarray
-    row: np.ndarray
-    t: np.ndarray  # the sense instant
-    age: np.ndarray  # t minus the instant the row was fresh from; 0 if never written
-    written: np.ndarray  # whether an earlier op wrote the row
-    holder: np.ndarray  # the last earlier WRITE or LOGIC op that wrote the row, or -1
-    first: np.ndarray  # op i's entries are [first[i], first[i + 1])
+    op: tuple[int, ...]
+    row: tuple[int, ...]
+    t: tuple[int, ...]  # the sense instant
+    age: tuple[int | None, ...]  # t minus when the row was fresh from; None if never written
+    # the netlist node the row holds (a REFRESH keeps it); None if anonymous or never written
+    held: tuple[int | None, ...]
 
 
-def _last_before(w_row: np.ndarray, w_op: np.ndarray, row: np.ndarray,
-                 op: np.ndarray) -> np.ndarray:
-    """Per ``(row, op)`` pair, the last of the writes ``(w_row, w_op)``, in
-    op order, to that row before that op; -1 if there is none.  One
-    ``searchsorted`` over ``(row, op)`` keys, rows numbered densely."""
-    if not (len(w_op) and len(op)):
-        return np.full(len(op), -1)
-    span, rows = 1 + max(w_op[-1], op[-1]), np.concatenate([w_row, row])  # both ascend
-    if rows.dtype == object or rows.max() >= 2**62 // span:  # number the rows densely
-        rows = np.unique(rows, return_inverse=True)[1]
-    keys, queries = rows[:len(w_row)] * span + w_op, rows[len(w_row):] * span + op
-    order, asked = np.argsort(keys), np.argsort(queries)  # sorted queries search faster
-    pos = np.empty(len(op), np.int64)
-    pos[asked] = np.searchsorted(keys[order], queries[asked]) - 1  # the last key below
-    found = order[np.maximum(pos, 0)]
-    return np.where((pos >= 0) & (rows[found] == rows[len(w_row):]), w_op[found], -1)
-
-
-def _replay(ops: OpTable, timing: TimingEnergyConfig) -> Senses:
-    """``_age_rule`` over the whole table at once: each sensed row's last
-    writer, and its last WRITE or LOGIC writer (a REFRESH keeps the value)."""
-    a, n = ops.arrays, len(ops)
-    sense_offset, duration = (np.array([rule[k] for k in OpKind]) for rule in _age_rule(timing))
-    sensing = a.code[a.op] != 0  # the rows of every op but a WRITE
-    op, row = a.op[sensing], a.rows[sensing]
-    t = (a.start + sense_offset[a.code])[op]
-    writes = np.flatnonzero(a.code != 1)  # the row a WRITE or REFRESH writes, a LOGIC output
-    w_row = np.where(a.code == 3, a.out, a.rows[a.first[:-1]])[writes]
-    writer = _last_before(w_row, writes, row, op)
-    fresh = (a.start + duration[a.code])[np.maximum(writer, 0)]
-    keep = a.code[writes] != 2
-    first = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(op, minlength=n), out=first[1:])
-    return Senses(op, row, t, np.where(writer >= 0, t - fresh, 0), writer >= 0,
-                  _last_before(w_row[keep], writes[keep], row, op), first)
+def _replay(program: "PimProgram") -> Senses:
+    """``_age_rule`` over the table, op by op, and each row's node."""
+    ops, sources = program.ops, program.source_nodes
+    sense_offset, duration = _age_rule(program.timing)
+    t_valid, held, columns = {}, {}, ([], [], [], [], [])
+    s_op, s_row, s_t, s_age, s_held = columns
+    for i, (kind, rows, out_row, source, start, node) in enumerate(zip(
+            ops.kind, ops.rows, ops.out_row, ops.source, ops.start, ops.node)):
+        if kind is _WRITE:
+            t_valid[rows[0]], held[rows[0]] = start + duration[kind], sources.get(source)
+            continue
+        t = start + sense_offset[kind]
+        for row in rows:
+            s_op.append(i)
+            s_row.append(row)
+            s_t.append(t)
+            s_age.append(t - t_valid[row] if row in t_valid else None)
+            s_held.append(held.get(row))
+        if kind is _LOGIC:
+            t_valid[out_row], held[out_row] = start + duration[kind], node
+        elif kind is _REFRESH:
+            t_valid[rows[0]] = start + duration[kind]
+    return Senses(*map(tuple, columns))
 
 
 def _levels(program: "PimProgram", model: ModelConfig):
     """``level_intervals`` without the ops: ``(op_index, lo1, hi0)``.  A
-    sensed row's levels decay as ``decay_scalar`` has them, ``v * fade``
-    with ``fade = math.exp(-age / tau)`` taken once for both."""
+    sensed row's ``fade`` is ``decay_scalar(1.0, age, tau)``, so ``v * fade``
+    is ``decay_scalar(v, age, tau)`` to the bit; one exp per sensed row
+    instead of one per level takes about 15% off the XOR chain's replay."""
     tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
-    s, ops = program.senses, program.ops
-    ages, k, exp = s.age.tolist(), 0, math.exp  # an unwritten row's age reads 0
+    ops, ages, k = program.ops, program.senses.age, 0
     levels = {}  # row -> (lo1, hi0) at its t_valid
     for i, (kind, rows, out_row) in enumerate(zip(ops.kind, ops.rows, ops.out_row)):
         if kind is _LOGIC:
             total, weakest = 0.0, float("inf")
             for row in rows:
                 lo1, hi0 = levels.get(row, (0.0, 0.0))
-                fade = exp(-ages[k] / tau)
-                k += 1
+                fade, k = decay_scalar(1.0, ages[k] or 0, tau), k + 1
                 total += overdrive_scalar(hi0 * fade, v_t)
                 drive = overdrive_scalar(lo1 * fade, v_t)
                 if drive < weakest:
@@ -456,8 +440,7 @@ def _levels(program: "PimProgram", model: ModelConfig):
             levels[rows[0]] = rails
         else:  # a READ or REFRESH senses its row
             lo1, hi0 = levels.get(rows[0], (0.0, 0.0))
-            fade = exp(-ages[k] / tau)
-            k += 1
+            fade, k = decay_scalar(1.0, ages[k] or 0, tau), k + 1
             yield i, lo1 * fade, hi0 * fade
             if kind is _REFRESH:
                 levels[rows[0]] = rails
@@ -607,107 +590,75 @@ def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
     """Every op that starts before the previous one ends, then every sense
     in ``program.senses`` of a never-written row, of a consumed value older
     than the logic window or of a refreshed one older than the read window."""
-    a, s = program.ops.arrays, program.senses
-    end = a.start + np.array([program.timing.duration_ns(k) for k in OpKind])[a.code]
-    late = np.flatnonzero(a.start[1:] < end[:-1]) + 1
+    ops, budget, drt_read = program.ops, program.drt_logic_ns, program.drt_read_ns
+    _, duration = _age_rule(program.timing)
     violations = [
         AuditViolation(i, start, None, "overlap",
-                       f"op {i} starts at {start}ns, before op {i - 1} ends at {prev_end}ns")
-        for i, start, prev_end in zip(late.tolist(), a.start[late].tolist(),
-                                      end[late - 1].tolist())]
-    refresh = a.code[s.op] == 2
-    stale = ~s.written | (s.age > np.where(refresh, program.drt_read_ns, program.drt_logic_ns))
-    flagged = np.flatnonzero(stale)
-    for i, row, t, age, written, is_refresh in zip(
-            *(c[flagged].tolist() for c in (s.op, s.row, s.t, s.age, s.written, refresh))):
-        if not written:
+                       f"op {i} starts at {start}ns, before op {i - 1} "
+                       f"ends at {prev + duration[kind]}ns")
+        for i, (kind, prev, start) in enumerate(zip(ops.kind, ops.start, ops.start[1:]), 1)
+        if start < prev + duration[kind]]
+    s, limit = program.senses, min(budget, drt_read)  # a violating age is None or past it
+    for j in [j for j, age in enumerate(s.age) if age is None or age > limit]:
+        i, row, t, age = s.op[j], s.row[j], s.t[j], s.age[j]
+        refresh = ops.kind[i] is _REFRESH
+        if age is None:
             violations.append(AuditViolation(
                 i, t, row, "unwritten",
-                f"refresh of never-written row {row}" if is_refresh
+                f"refresh of never-written row {row}" if refresh
                 else f"row {row} consumed before any write"))
-        elif is_refresh:
+        elif refresh and age > drt_read:
             violations.append(AuditViolation(
                 i, t, row, "stale-refresh",
-                f"refresh senses row {row} at age {age}ns (> {program.drt_read_ns}ns)"))
-        else:
+                f"refresh senses row {row} at age {age}ns (> {drt_read}ns)"))
+        elif not refresh and age > budget:
             violations.append(AuditViolation(
                 i, t, row, "stale-value",
-                f"row {row} consumed at age {age}ns (> {program.drt_logic_ns}ns)"))
+                f"row {row} consumed at age {age}ns (> {budget}ns)"))
     return violations
 
 
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Every consumed row must hold the netlist value the op was compiled
-    against (what its last writer in ``program.senses`` stored; a REFRESH
-    keeps it), and every output must be
-    read.  Rows outside the array and names the netlist lacks are
-    violations too, so a malformed file is caught before any array runs."""
-    netlist, ops, a, s = program.netlist, program.ops, program.ops.arrays, program.senses
-    sources, output_map = program.source_nodes, netlist.output_map
+    against (``held`` in ``program.senses``), and every output must be read.
+    Rows outside the array and names the netlist lacks are violations
+    too, so a malformed file is caught before any array runs."""
+    netlist, ops, n_rows = program.netlist, program.ops, program.rows
+    sources, output_map, held = program.source_nodes, netlist.output_map, program.senses.held
     gates = set(netlist.gate_ids())
     violations: list[AuditViolation] = []
+    k = 0  # op i's sensed rows hold held[k:k + len(rows)]; a WRITE senses none
 
     def flag(i: int, row, kind: str, message: str) -> None:
         violations.append(AuditViolation(i, ops.start[i], row, kind, message))
 
-    # one numpy test passes every op whose rows lie in the array and hold
-    # what it expects; the loop below judges the others, op by op
-    n, code = len(ops), a.code
-
-    def ids(values, known: dict) -> np.ndarray:  # None reads -2, an unknown value -1
-        return np.fromiter(map({None: -2, **known}.get, values, repeat(-1)), np.int64, n)
-
-    node, source = ids(ops.node, {g: g for g in gates}), ids(ops.source, sources)
-    want = ids(ops.output, output_map)
-    held = np.append(np.where(code == 0, source, node), -1)[s.holder]  # <0 matches no node
-    gate = (code == 3) & (node >= 0)
-    args, arg_first = netlist.arg_columns
-    gate &= np.diff(a.first) == np.append(np.diff(arg_first), [-1, -1])[node]
-    entries = np.flatnonzero(gate[s.op])
-    order = entries[np.lexsort((held[entries], s.op[entries]))]
-    e_op = s.op[order]
-    rank = np.arange(len(order)) - np.searchsorted(e_op, e_op)
-    gate[e_op[held[order] != args[arg_first[node[e_op]] + rank]]] = False
-    ok = np.select([code == 0, code == 1, code == 2],
-                   [source >= 0, (want == -2) | ((want >= 0) & (
-                       np.append(held, -1)[s.first[:-1]] == want)), True], gate | (node == -2))
-    ok[a.op[a.rows >= program.rows]] = False
-    ok[a.out >= program.rows] = False
-
-    def held_by(i: int) -> list:  # per row op i senses, its node; None if anonymous or unwritten
-        return [None if j < 0 else ops.node[j] if ops.kind[j] is _LOGIC
-                else sources.get(ops.source[j]) for j in s.holder[s.first[i]:s.first[i + 1]].tolist()]
-
-    for i in np.flatnonzero(~ok).tolist():
-        op = ops[i]
-        for row in (*op.rows, op.out_row):
-            if row is not None and not 0 <= row < program.rows:
-                flag(i, row, "outside-array",
-                     f"row {row} is outside the {program.rows}-row array")
-        if op.kind is _WRITE:
-            if op.source not in sources:
-                flag(i, op.rows[0], "unknown-name", f"write of unknown source {op.source!r}")
-        elif op.kind is _LOGIC:
-            nid = op.node
-            if nid is not None and nid not in gates:
-                flag(i, op.out_row, "unknown-name",
-                     f"LOGIC computes node {nid!r}, not a gate of the netlist")
-            elif nid is not None:
-                expected_args = set(netlist.nodes[nid].args)
-                found_args = set(held_by(i))
-                if found_args != expected_args:
-                    flag(i, op.out_row, "clobbered",
-                         f"gate {nid} reads rows holding {sorted(map(str, found_args))}, "
-                         f"expected nodes {sorted(expected_args)}")
-        elif op.kind is _READ and op.output is not None:
-            [held_node], row = held_by(i), op.rows[0]
-            expected = output_map.get(op.output)
+    for i, (kind, rows, out_row, source, node, output) in enumerate(zip(
+            ops.kind, ops.rows, ops.out_row, ops.source, ops.node, ops.output)):
+        for row in rows if out_row is None else (*rows, out_row):
+            if not 0 <= row < n_rows:
+                flag(i, row, "outside-array", f"row {row} is outside the {n_rows}-row array")
+        if kind is _WRITE:
+            if source not in sources:
+                flag(i, rows[0], "unknown-name", f"write of unknown source {source!r}")
+            continue
+        found, k = held[k:k + len(rows)], k + len(rows)
+        if kind is _LOGIC and node is not None:
+            if node not in gates:
+                flag(i, out_row, "unknown-name",
+                     f"LOGIC computes node {node!r}, not a gate of the netlist")
+            # a compiled op's rows hold its node's args in order
+            elif found != (expected := netlist.nodes[node].args) and set(found) != set(expected):
+                flag(i, out_row, "clobbered",
+                     f"gate {node} reads rows holding {sorted(map(str, set(found)))}, "
+                     f"expected nodes {sorted(set(expected))}")
+        elif kind is _READ and output is not None:
+            expected = output_map.get(output)
             if expected is None:
-                flag(i, row, "unknown-name",
-                     f"READ senses output {op.output!r}, not an output of the netlist")
-            elif held_node != expected:
-                flag(i, row, "clobbered",
-                     f"row {row} holds node {held_node}, expected node {expected}")
+                flag(i, rows[0], "unknown-name",
+                     f"READ senses output {output!r}, not an output of the netlist")
+            elif found[0] != expected:
+                flag(i, rows[0], "clobbered",
+                     f"row {rows[0]} holds node {found[0]}, expected node {expected}")
     for name in sorted(set(output_map) - set(ops.output)):
         violations.append(AuditViolation(len(program.ops), program.duration_ns, None,
                                          "unread-output", f"output {name!r} is never read"))

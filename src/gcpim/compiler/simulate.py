@@ -27,6 +27,7 @@ compiled start times, and their cost never depends on the cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -219,8 +220,9 @@ def simulate_program(
 
     # Monte Carlo over whole-program executions
     # a block array keeps only the rows the program touches
-    a = program.ops.arrays
-    n_rows = 1 + int(max(a.rows.max(initial=0), a.out.max(initial=0)))
+    ops = program.ops
+    n_rows = 1 + max((r for r in chain(chain.from_iterable(ops.rows), ops.out_row)
+                      if r is not None), default=0)
     # drawn at full width; block_masks copies the vectors' columns into its block
     draws = (sample_params(var_cfg, rng, rows=n_rows, cols=program.cols, model_cfg=model)
              for rng in stream_generators(var_cfg.seed, range(n_trials)))

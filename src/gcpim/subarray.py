@@ -13,15 +13,15 @@ constants (``tau``) and drive thresholds (``v_drive``) it derives from
 them once, when it is built.
 
 A program's ops live in an ``OpTable``, one immutable column per
-``MicroOp`` field plus the same columns as numpy arrays, checked once by
-the rules a single ``MicroOp`` obeys.  ``SubArray.run`` executes a
-table's timestamped ops from its columns, resolving each WRITE's source
-itself; nominal runs, program Monte Carlo and gate campaigns all drive
-the array through it, and a refresh is a read plus a write-back.  An
-op's time and energy follow from its kind and row count, never from the
-cells, so the CLI writes a run's ``ledger.csv`` from the program's table
-(``write_ledger``).  With tracing on, the array records one
-``(time_ns, row, voltages)`` entry per sampled row.
+``MicroOp`` field, checked once by the rules a single ``MicroOp`` obeys.
+``SubArray.run`` executes a table's timestamped ops from its columns,
+resolving each WRITE's source itself; nominal runs, program Monte Carlo
+and gate campaigns all drive the array through it, and a refresh is a
+read plus a write-back.  An op's time and energy follow from its kind
+and row count, never from the cells, so the CLI writes a run's
+``ledger.csv`` from the program's table (``write_ledger``).  With
+tracing on, the array records one ``(time_ns, row, voltages)`` entry per
+sampled row.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,62 +154,25 @@ def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> Non
         raise ValueError(f"{kind.value} op has no output row")
 
 
-_CODE = {kind: code for code, kind in enumerate(OpKind)}  # WRITE 0, READ 1, REFRESH 2, LOGIC 3
-
-
-def _ints(values: Sequence[int]) -> np.ndarray:
-    """The ints as int64, or as Python ints if one needs more than 64 bits."""
-    try:
-        return np.fromiter(values, np.int64, len(values))
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-class OpArrays(NamedTuple):
-    """An ``OpTable``'s columns as numpy arrays."""
-
-    code: np.ndarray  # the kind's index in OpKind
-    start: np.ndarray
-    first: np.ndarray  # op i's rows are rows[first[i]:first[i + 1]]
-    rows: np.ndarray  # every op's rows, in op order
-    op: np.ndarray  # the op of each entry of rows
-    out: np.ndarray  # out_row, -1 for None
-
-
 class OpTable(Sequence):
     """A program's ops as one tuple per ``MicroOp`` field, in op order:
     ``kind``, ``rows``, ``out_row``, ``source``, ``start`` (each op's
-    ``t_start_ns``), ``node`` and ``output``; ``arrays`` holds them as
-    numpy arrays, built on first use.  Built from columns, a table checks
-    them once, op by op with ``_check_op``, so the first bad op names the
-    error.  ``of`` makes a table of ``MicroOp``s, which are checked
+    ``t_start_ns``), ``node`` and ``output``.  Built from columns, a table
+    checks them once, op by op with ``_check_op``, so the first bad op names
+    the error.  ``of`` makes a table of ``MicroOp``s, which are checked
     already.  Indexing or iterating builds a ``MicroOp`` per op, a slice a
     tuple of them; a table equals a table or sequence of the same ops.
     """
 
-    __slots__ = ("kind", "rows", "out_row", "source", "start", "node", "output", "_arrays")
+    __slots__ = ("kind", "rows", "out_row", "source", "start", "node", "output")
 
     def __init__(self, kind, rows, out_row, source, start, node, output, *,
                  checked: bool = False) -> None:
         for name, column in zip(self.__slots__, (kind, rows, out_row, source, start, node, output)):
             setattr(self, name, tuple(column))
-        self._arrays = None
         if not checked:
             for op in zip(*self.columns):
                 _check_op(*op)
-
-    @property
-    def arrays(self) -> OpArrays:
-        if self._arrays is None:
-            n, rows = len(self.kind), self.rows
-            width = np.fromiter(map(len, rows), np.int64, n)
-            first = np.zeros(n + 1, np.int64)
-            np.cumsum(width, out=first[1:])
-            self._arrays = OpArrays(
-                np.fromiter(map(_CODE.__getitem__, self.kind), np.int8, n), _ints(self.start),
-                first, _ints(list(chain.from_iterable(rows))), np.repeat(np.arange(n), width),
-                _ints([-1 if r is None else r for r in self.out_row]))
-        return self._arrays
 
     @classmethod
     def of(cls, ops: Iterable[MicroOp]) -> "OpTable":

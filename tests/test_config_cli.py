@@ -1105,6 +1105,12 @@ CORRUPTIONS = {
     "a negative argument": (
         _set_node(3, args=[-1, 1]), "node 3 references a node outside 0..2: "
         "Node(op='nor', args=(-1, 1), name=None, value=None)"),
+    "an argument past 64 bits": (
+        _set_node(4, args=[0, 2**70]), "node 4 references a node outside 0..3: "
+        "Node(op='nor', args=(0, 1180591620717411303424), name=None, value=None)"),
+    "a negative argument past 64 bits": (
+        _set_node(3, args=[-2**64, 1]), "node 3 references a node outside 0..2: "
+        "Node(op='nor', args=(-18446744073709551616, 1), name=None, value=None)"),
     "true as an argument": (_set_node(3, args=[0, True]), "program file holds a wrong-typed "
                             "value: node {'op': 'nor', 'args': [0, True]}"),
     "an output id past the nodes": (

@@ -864,7 +864,7 @@ def test_the_audits_and_the_level_replay_match_their_separate_replays(case):
 
 
 def test_the_audits_read_values_past_64_bits_as_their_oracles_do():
-    # the table keeps such values as Python ints; its arrays hold them as objects
+    # the table and its replay keep such values as Python ints
     prog = compile_program("o = ~a;")
     big = 2**70
     logic = next(op for op in prog.ops if op.kind is OpKind.LOGIC)
