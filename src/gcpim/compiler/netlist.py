@@ -41,7 +41,8 @@ __all__ = ["NetlistBuilder", "Node", "NorNetlist", "lower_program", "lower_to_no
 
 @dataclass(frozen=True, slots=True, init=False)
 class Node:
-    """Frozen, slotted, equal by fields; stored as ``MicroOp`` stores its."""
+    """Frozen, slotted, equal by fields; built through its slots' setters,
+    not the frozen dataclass's ``object.__setattr__`` per field."""
 
     op: str  # "input" | "const" | "nor"
     args: tuple[int, ...] = ()
@@ -78,6 +79,9 @@ class NorNetlist:
         if len(set(self.inputs)) != len(self.inputs) or sorted(self.inputs) != named:
             raise ValueError(f"inputs {list(self.inputs)} do not name the input nodes "
                              f"{named} once each")
+        names = [name for name, _ in self.outputs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"outputs {list(self.outputs)} name an output more than once")
         # every node's arguments precede it, so (by induction from the last
         # node) all are reachable exactly when each non-output is an argument
         used = set(chain.from_iterable(n.args for n in self.nodes))

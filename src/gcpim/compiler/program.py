@@ -5,10 +5,11 @@ sub-array: constant writes, operand writes, one LOGIC op per netlist gate
 in topological order, and one READ per program output.  Each LOGIC op
 carries the netlist ``node`` it computes and each READ the ``output`` it
 senses, so the ops alone are the program.  A program holds them in one
-checked ``OpTable``: ``emit_ops`` writes its columns, timed back to back
-from t=0, a program file's op entries load into columns, and the audits,
-the level replay, the op totals and both writers read them; no path
-builds a ``MicroOp`` unless a caller indexes or iterates the table.
+``OpTable``: ``emit_ops`` writes its columns, timed back to back from
+t=0, and the audits, the level replay, the op totals and both writers
+read them; no path builds a ``MicroOp`` unless a caller indexes or
+iterates the table.  A program file's op entries are checked by the op
+rules as they load; the compiler's ops are valid by construction.
 Refresh insertion splices REFRESH ops in
 front of any op that would otherwise consume a value older than the
 logic retention budget, plus (for very long programs) wherever a live
@@ -19,9 +20,10 @@ has fired it is never refreshed, even before its row is rewritten.
 Insertion is greedy latest-possible: a refresh lands immediately before
 the op that needs it, never earlier than required, found with a heap of
 read deadlines in O((ops + refreshes) * log rows).  The retention-age
-rule (``_age_rule``) is defined once: insertion drives it op by op
-(``_RowAges``), and the audits and the worst-case level replay
-(``level_intervals``) read one replay of the whole table, ``PimProgram.senses``.
+rule (``_age_rule``) is defined once and read by two loops: insertion,
+which keeps each row's ``t_valid`` as it places ops, and one replay of the
+whole table, ``PimProgram.senses``, which the audits and the worst-case
+level replay (``level_intervals``) read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 from gcpim.charge import (ConfigError, ModelConfig, decay_scalar, known_keys, overdrive_scalar,
                           residual_scalar)
-from gcpim.subarray import OpKind, OpTable, TimingEnergyConfig
+from gcpim.subarray import OpKind, OpTable, TimingEnergyConfig, _check_op
 from gcpim.compiler.allocate import RowAssignment, allocate_rows
 from gcpim.compiler.expr import parse_program
 from gcpim.compiler.netlist import NorNetlist, lower_program
@@ -285,36 +287,30 @@ _INT, _INT_OR_NONE, _STR_OR_NONE = {int}, (int, type(None)), (str, type(None))
 
 
 def _op_table(entries: list) -> OpTable:
-    """The op entries as a checked table, each field type-checked (``type(True)``
-    is bool, not int), so a wrong-typed value is refused on load instead of
-    crashing an audit.  An absent optional field reads as None, and an
-    unknown op or key is refused.  The table checks the op rules over the
-    entries read before the first such error, and over its own entry too
-    when it is an unknown key, which the rules precede: the first bad entry
-    names the error."""
-    records, error = [], None
-    try:
-        for entry in entries:
-            get = entry.get
-            rows, start = entry["rows"], entry["t_start_ns"]
-            out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
-            if not (type(rows) is list and type(start) is int
-                    and type(out_row) in _INT_OR_NONE and type(node) in _INT_OR_NONE
-                    and type(source) in _STR_OR_NONE and type(output) in _STR_OR_NONE
-                    and _INT.issuperset(map(type, rows))):
-                raise TypeError(f"op {entry}")
-            kind = _OP_KIND.get(entry["op"])
-            if kind is None:
-                raise ValueError(f"unknown op {entry['op']!r}")
-            records.append((kind, tuple(rows), out_row, source, start, node, output))
-            if not _OP_KEYS.issuperset(entry):
-                raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
-    except (LookupError, TypeError, AttributeError, ValueError) as exc:
-        error = exc
-    table = OpTable(*(list(zip(*records)) or [()] * 7))
-    if error is not None:
-        raise error
-    return table
+    """The op entries as a table, each entry checked as it is read, in this
+    order: its field types (``type(True)`` is bool, not int, so a wrong-typed
+    value is refused on load instead of crashing an audit), its op, the op
+    rules (``_check_op``) and its keys.  An absent optional field reads as
+    None.  The first bad entry names the error."""
+    records = []
+    for entry in entries:
+        get = entry.get
+        rows, start = entry["rows"], entry["t_start_ns"]
+        out_row, node, source, output = get("out_row"), get("node"), get("source"), get("output")
+        if not (type(rows) is list and type(start) is int
+                and type(out_row) in _INT_OR_NONE and type(node) in _INT_OR_NONE
+                and type(source) in _STR_OR_NONE and type(output) in _STR_OR_NONE
+                and _INT.issuperset(map(type, rows))):
+            raise TypeError(f"op {entry}")
+        kind = _OP_KIND.get(entry["op"])
+        if kind is None:
+            raise ValueError(f"unknown op {entry['op']!r}")
+        record = (kind, tuple(rows), out_row, source, start, node, output)
+        _check_op(*record)
+        if not _OP_KEYS.issuperset(entry):
+            raise ValueError(f"op entry has unknown keys {sorted(entry.keys() - _OP_KEYS)}")
+        records.append(record)
+    return OpTable(*(list(zip(*records)) or [()] * 7))
 
 
 def emit_ops(netlist: NorNetlist, assignment: RowAssignment,
@@ -346,39 +342,6 @@ def _age_rule(timing: TimingEnergyConfig) -> tuple[dict, dict]:
     LOGIC output) is fresh from the end of its pulse: ``t_start + duration``."""
     return ({k: timing.t_init_ns if k is _LOGIC else 0 for k in OpKind},
             {k: timing.duration_ns(k) for k in OpKind})
-
-
-class _RowAges:
-    """``_age_rule`` driven op by op: ``t_valid`` maps each written row to
-    the instant it is fresh from."""
-
-    def __init__(self, timing: TimingEnergyConfig, heap: list | None = None) -> None:
-        self.sense_offset, self.duration = _age_rule(timing)
-        self.t_valid: dict[int, int] = {}
-        self.heap = heap  # gets (t_valid, row) per write, if given
-
-    def sensed(self, kind: OpKind, rows, t_start: int) -> list[tuple[int, int, int | None]]:
-        """(row, t_sense, age) per row the op senses when started at
-        t_start; age is None for a row that was never written."""
-        if kind is _WRITE:
-            return []
-        t = t_start + self.sense_offset[kind]
-        t_valid = self.t_valid
-        return [(r, t, t - t_valid[r] if r in t_valid else None) for r in rows]
-
-    def stale(self, kind: OpKind, rows, t_start: int, limit: int) -> list[int]:
-        """The rows ``sensed`` ages past ``limit``, without a tuple per row."""
-        if kind is _WRITE:
-            return []
-        oldest, t_valid = t_start + self.sense_offset[kind] - limit, self.t_valid
-        return [r for r in rows if t_valid.get(r, oldest) < oldest]
-
-    def commit(self, kind: OpKind, rows, out_row: int | None, t_start: int) -> None:
-        if kind is not _READ:
-            row = out_row if kind is _LOGIC else rows[0]
-            written = self.t_valid[row] = t_start + self.duration[kind]
-            if self.heap is not None:
-                heapq.heappush(self.heap, (written, row))
 
 
 class Senses(NamedTuple):
@@ -507,20 +470,22 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     picks: list[int] = []  # per new op, its index in ops, or ~row for a refresh of row
     starts: list[int] = []
     t = 0
+    sense_offset, duration = _age_rule(timing)
+    t_valid: dict[int, int] = {}  # row -> the instant its value is fresh from
     deadlines: list[tuple[int, int]] = []  # (t_valid, row) per row write
-    ages = _RowAges(timing, deadlines)
     dies: dict[int, int] = {}  # row -> last_use of the value it holds
 
     def emit_refresh(row: int) -> None:
         nonlocal t
-        [(_, _, age)] = ages.sensed(_REFRESH, (row,), t)
+        age = t + sense_offset[_REFRESH] - t_valid[row]  # due and stale rows were written
         if age > drt_read:
             raise RefreshScheduleError(
                 f"row {row} is {age}ns old at t={t}ns; its "
                 f"refresh would sense garbage (limit {drt_read}ns)")
         picks.append(~row)
         starts.append(t)
-        ages.commit(_REFRESH, (row,), None, t)
+        t_valid[row] = written = t + duration[_REFRESH]
+        heapq.heappush(deadlines, (written, row))
         t += timing.t_refresh_ns
 
     for i, (kind, rows) in enumerate(zip(kinds, rows_of)):
@@ -528,21 +493,22 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             # re-inserting over an already-refreshed program: drop old
             # refreshes, they are re-derived below
             continue
-        dur = ages.duration[kind]
+        dur, offset = duration[kind], sense_offset[kind]
         t_op = t
         due, seen = set(), set()  # rows due now; loop states past t_op's logic window
         while True:
             while deadlines and deadlines[0][0] + drt_read < t + dur:
                 written, row = heapq.heappop(deadlines)
-                if ages.t_valid[row] == written and dies[row] > i:
+                if t_valid[row] == written and dies[row] > i:
                     due.add(row)
-            due.update(ages.stale(kind, rows, t, budget))
+            if kind is not _WRITE:  # the rows it senses past the logic window
+                oldest = t + offset - budget
+                due.update(r for r in rows if t_valid.get(r, oldest) < oldest)
             if not due:
                 break
             # once no value written before t_op is fresh enough, every
             # input needs a refresh, and refreshes t_refresh_ns apart
             # cannot fit them all in the window: this loop would not end
-            offset = ages.sense_offset[kind]
             span = timing.t_refresh_ns * (len(set(rows)) - 1) + offset
             if t + offset - budget > t_op:
                 if span > budget:
@@ -552,7 +518,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
                 # from here on the loop reads only the due rows and the live
                 # rows' ages (alike past drt_read): a state seen before recurs forever
                 state = (frozenset(due), tuple((r, min(t - v, drt_read + 1)) for r, v
-                                               in ages.t_valid.items() if r in rows or dies[r] > i))
+                                               in t_valid.items() if r in rows or dies[r] > i))
                 if state in seen:
                     raise RefreshScheduleError(
                         f"op {i} never starts: {len(state[1])} live rows, refreshed "
@@ -562,9 +528,11 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
             due.discard(row)
         picks.append(i)
         starts.append(t)
-        ages.commit(kind, rows, out_rows[i], t)
         if kind is not _READ:
-            dies[out_rows[i] if kind is _LOGIC else rows[0]] = last_use[i]
+            row = out_rows[i] if kind is _LOGIC else rows[0]
+            t_valid[row] = written = t + dur
+            heapq.heappush(deadlines, (written, row))
+            dies[row] = last_use[i]
         t += dur
 
     if len(picks) == len(ops) and tuple(starts) == ops.start and min(picks, default=0) >= 0:
@@ -574,7 +542,7 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
     return replace(program, ops=OpTable(
         [kinds[j] if j >= 0 else _REFRESH for j in picks],
         [rows_of[j] if j >= 0 else (~j,) for j in picks],
-        out_row, source, starts, node, output, checked=True))
+        out_row, source, starts, node, output))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ constants (``tau``) and drive thresholds (``v_drive``) it derives from
 them once, when it is built.
 
 A program's ops live in an ``OpTable``, one immutable column per
-``MicroOp`` field, checked once by the rules a single ``MicroOp`` obeys.
+``MicroOp`` field.  The op rules (``_check_op``) run once per op, where it
+enters: a hand-built ``MicroOp`` checks itself, and the program-file loader
+checks each entry; a table trusts the columns it is given.
 ``SubArray.run`` executes a table's timestamped ops from its columns,
 resolving each WRITE's source itself; nominal runs, program Monte Carlo
 and gate campaigns all drive the array through it, and a refresh is a
@@ -80,7 +82,9 @@ class MicroOp:
     READ the program ``output`` it senses.  Ops without them are
     anonymous; the soundness audit does not track their values.  Frozen,
     slotted, equal by fields, and checked by ``_check_op`` when built
-    (``dataclasses.replace`` too).  Programs hold their ops in an ``OpTable``.
+    (``dataclasses.replace`` too), as a program file's op entries are when
+    they load; no other path checks an op.  Programs hold their ops in an
+    ``OpTable``.
     """
 
     kind: OpKind
@@ -94,17 +98,6 @@ class MicroOp:
     def __post_init__(self) -> None:
         _check_op(self.kind, self.rows, self.out_row, self.source, self.t_start_ns, self.node,
                   self.output)
-
-
-_SETTERS = [getattr(MicroOp, f.name).__set__ for f in fields(MicroOp)]
-
-
-def _op(*values) -> MicroOp:
-    """An op of fields a table has checked, built without a second check."""
-    op = object.__new__(MicroOp)
-    for setter, value in zip(_SETTERS, values):
-        setter(op, value)
-    return op
 
 
 def _check_op(kind, rows, out_row, source, t_start_ns, node, output) -> None:
@@ -157,32 +150,27 @@ def _check_rows(kind: OpKind, rows: tuple[int, ...], out_row: int | None) -> Non
 class OpTable(Sequence):
     """A program's ops as one tuple per ``MicroOp`` field, in op order:
     ``kind``, ``rows``, ``out_row``, ``source``, ``start`` (each op's
-    ``t_start_ns``), ``node`` and ``output``.  Built from columns, a table
-    checks them once, op by op with ``_check_op``, so the first bad op names
-    the error.  ``of`` makes a table of ``MicroOp``s, which are checked
-    already.  Indexing or iterating builds a ``MicroOp`` per op, a slice a
-    tuple of them; a table equals a table or sequence of the same ops.
+    ``t_start_ns``), ``node`` and ``output``.  ``OpTable(...)`` trusts its
+    columns: an op is checked where it enters, as a ``MicroOp`` or as a
+    program file's entry, and the compiler writes valid ops by
+    construction.  ``of`` makes a table of ``MicroOp``s.  Indexing or
+    iterating builds a ``MicroOp`` per op, a slice a tuple of them; a table
+    equals a table or sequence of the same ops.
     """
 
     __slots__ = ("kind", "rows", "out_row", "source", "start", "node", "output")
 
-    def __init__(self, kind, rows, out_row, source, start, node, output, *,
-                 checked: bool = False) -> None:
+    def __init__(self, kind, rows, out_row, source, start, node, output) -> None:
         for name, column in zip(self.__slots__, (kind, rows, out_row, source, start, node, output)):
             setattr(self, name, tuple(column))
-        if not checked:
-            for op in zip(*self.columns):
-                _check_op(*op)
 
     @classmethod
     def of(cls, ops: Iterable[MicroOp]) -> "OpTable":
         """The ops as a table, a table as itself."""
         if isinstance(ops, OpTable):
             return ops
-        ops = list(ops)
         return cls(*(tuple(zip(*((op.kind, op.rows, op.out_row, op.source, op.t_start_ns,
-                                  op.node, op.output) for op in ops))) or [()] * 7),
-                   checked=all(type(op) is MicroOp for op in ops))
+                                  op.node, op.output) for op in ops))) or [()] * 7))
 
     @property
     def columns(self) -> tuple[tuple, ...]:
@@ -194,11 +182,11 @@ class OpTable(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_op, *(column[i] for column in self.columns)))
-        return _op(*(column[i] for column in self.columns))
+            return tuple(map(MicroOp, *(column[i] for column in self.columns)))
+        return MicroOp(*(column[i] for column in self.columns))
 
     def __iter__(self):
-        return map(_op, *self.columns)
+        return map(MicroOp, *self.columns)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, OpTable):

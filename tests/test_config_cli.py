@@ -1127,6 +1127,13 @@ CORRUPTIONS = {
         "inputs ['a', 'cin'] do not name the input nodes ['a', 'b', 'cin'] once each"),
     "orphan nodes": (_set_netlist(outputs=[["s", 7]]),
                      "unreachable nodes: [2, 8, 9, 10, 11, 12, 13, 14, 15, 16]"),
+    # outputs.csv has one column per output name
+    "an output named twice": (
+        _set_netlist(outputs=[["s", 7], ["c", 16], ["s", 7]]),
+        "outputs [('s', 7), ('c', 16), ('s', 7)] name an output more than once"),
+    "one output name on two nodes": (
+        _set_netlist(outputs=[["s", 7], ["s", 16]]),
+        "outputs [('s', 7), ('s', 16)] name an output more than once"),
 }
 
 

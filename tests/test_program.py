@@ -44,7 +44,6 @@ from gcpim.compiler import (
 from gcpim.compiler.program import (
     AuditViolation,
     RefreshScheduleError,
-    _RowAges,
     audit_refresh_safety,
     audit_row_soundness,
     emit_ops,
@@ -56,7 +55,7 @@ import gcpim.compiler.program as program_mod
 import gcpim.compiler.simulate as simulate_mod
 from gcpim.compiler.simulate import MARGIN_ALLOWANCE_V, PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
-from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig
+from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig, _check_op
 
 TIM = TimingEnergyConfig()
 
@@ -419,6 +418,30 @@ def test_programs_without_dead_refreshes_keep_their_bytes(tmp_path):
     assert digest == RIPPLE16_1000_300_SHA256
 
 
+class OracleAges:
+    """The oracles' own retention-age bookkeeping, op by op: a READ or
+    REFRESH senses its row at pulse start, a LOGIC op its input rows once
+    the init phase ends, and the row an op writes is fresh from the end of
+    its pulse.  ``t_valid`` maps each written row to that instant."""
+
+    def __init__(self, timing):
+        self.timing = timing
+        self.t_valid = {}
+
+    def sensed(self, kind, rows, t_start):
+        """(row, t_sense, age) per row the op senses; age is None for a
+        row that was never written."""
+        if kind is OpKind.WRITE:
+            return []
+        t = t_start + (self.timing.t_init_ns if kind is OpKind.LOGIC else 0)
+        return [(r, t, t - self.t_valid[r] if r in self.t_valid else None) for r in rows]
+
+    def commit(self, kind, rows, out_row, t_start):
+        if kind is not OpKind.READ:
+            row = out_row if kind is OpKind.LOGIC else rows[0]
+            self.t_valid[row] = t_start + self.timing.duration_ns(kind)
+
+
 def scan_insert_refresh(program):
     """Oracle: the scan-based insertion that the deadline heap replaced,
     which re-checks every row ever written before each op."""
@@ -448,7 +471,7 @@ def scan_insert_refresh(program):
 
     new_ops: list[MicroOp] = []
     t = 0
-    ages = _RowAges(timing)
+    ages = OracleAges(timing)
     t_valid = ages.t_valid
 
     def emit_refresh(row: int) -> None:
@@ -467,7 +490,7 @@ def scan_insert_refresh(program):
     for i, op in enumerate(program.ops):
         if op.kind is OpKind.REFRESH:
             continue
-        dur = ages.duration[op.kind]
+        dur = timing.duration_ns(op.kind)
         while True:
             stale = [r for r, _, age in ages.sensed(op.kind, op.rows, t)
                      if age is not None and age > budget]
@@ -540,6 +563,8 @@ def test_heap_insertion_matches_the_scan_oracle(case):
     cfg = CompilerConfig(rows=rows, max_nor_arity=arity)
     bare = compile_program(source, dataclasses.replace(cfg, insert_refreshes=False),
                            model)
+    # the compiler builds its tables unchecked: every op passes the op rules
+    assert all(_check_op(*op) is None for op in zip(*bare.ops.columns))
     try:
         expected = scan_insert_refresh(bare).ops
     except RefreshScheduleError as exc:
@@ -550,6 +575,7 @@ def test_heap_insertion_matches_the_scan_oracle(case):
         assert str(exc) == expected
         return
     assert prog.ops == expected
+    assert all(_check_op(*op) is None for op in zip(*prog.ops.columns))
     assert audit_refresh_safety(prog) == []
     assert audit_row_soundness(prog) == []
 
@@ -692,7 +718,7 @@ def test_audit_flags_a_refresh_of_a_never_written_row():
 
 
 def oracle_retention_ages(ops, timing):
-    ages = _RowAges(timing)
+    ages = OracleAges(timing)
     for i, op in enumerate(ops):
         for row, t, age in ages.sensed(op.kind, op.rows, op.t_start_ns):
             yield i, op, row, t, age
@@ -779,7 +805,7 @@ def oracle_audit_row_soundness(program):
 
 def oracle_level_intervals(program, model):
     tau, v_t, rails = model.tau_ns, model.v_t_drive, (model.vdd, 0.0)
-    ages, levels = _RowAges(program.timing), {}
+    ages, levels = OracleAges(program.timing), {}
     for i, op in enumerate(program.ops):
         sensed = ages.sensed(op.kind, op.rows, op.t_start_ns)
         if op.kind is OpKind.LOGIC:
@@ -893,21 +919,16 @@ def test_a_replaced_program_reads_its_own_senses():
 
 
 def test_a_certified_run_replays_the_ops_once(monkeypatch):
-    # one replay of the whole table, and no op-by-op one
+    # one replay of the whole table
     prog = compile_program(ripple_text(2))
     built = []
-    replay, init = program_mod._replay, _RowAges.__init__
+    replay = program_mod._replay
 
     def counted(*args):
         built.append("table")
         return replay(*args)
 
-    def counted_init(self, *args):
-        built.append("op by op")
-        init(self, *args)
-
     monkeypatch.setattr(program_mod, "_replay", counted)
-    monkeypatch.setattr(_RowAges, "__init__", counted_init)
     assert simulate_program(prog, exhaustive_vectors(prog.inputs)).certified
     assert built == ["table"]
 
