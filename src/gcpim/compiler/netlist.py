@@ -70,6 +70,8 @@ class NorNetlist:
     outputs: tuple[tuple[str, int], ...]  # (name, node id), ordered
 
     def __post_init__(self) -> None:
+        if not self.outputs:  # the compiler emits at least one; a run reads and scores them
+            raise ValueError("a netlist needs at least one output")
         for i, node in enumerate(self.nodes):
             if node.args and not 0 <= min(node.args) <= max(node.args) < i:
                 raise ValueError(f"node {i} references a node outside 0..{i - 1}: {node}")

@@ -22,8 +22,8 @@ the op that needs it, never earlier than required, found with a heap of
 read deadlines in O((ops + refreshes) * log rows).  The retention-age
 rule (``_age_rule``) is defined once and read by two loops: insertion,
 which keeps each row's ``t_valid`` as it places ops, and one replay of the
-whole table, ``PimProgram.senses``, which the audits and the worst-case
-level replay (``level_intervals``) read.
+whole table, ``PimProgram.senses``, which runs both audits' checks and
+keeps the ages the worst-case level replay (``level_intervals``) reads.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class PimProgram:
 
     @cached_property
     def senses(self) -> "Senses":
-        """Every row an op senses, by one replay of the ages, on first use."""
+        """Both audits' violations and the sensed ages, by one replay, on first use."""
         return _replay(self)
 
     @property
@@ -344,40 +344,89 @@ def _age_rule(timing: TimingEnergyConfig) -> tuple[dict, dict]:
             {k: timing.duration_ns(k) for k in OpKind})
 
 
-class Senses(NamedTuple):
-    """One entry per row an op senses, in op order, then row order."""
+@dataclass(frozen=True)
+class AuditViolation:
+    op_index: int
+    t_ns: int
+    row: int | None
+    kind: str
+    message: str
 
-    op: tuple[int, ...]
-    row: tuple[int, ...]
-    t: tuple[int, ...]  # the sense instant
-    age: tuple[int | None, ...]  # t minus when the row was fresh from; None if never written
-    # the netlist node the row holds (a REFRESH keeps it); None if anonymous or never written
-    held: tuple[int | None, ...]
+
+class Senses(NamedTuple):
+    """What one replay of the ops finds: the age of each row an op senses
+    at its sense instant (None if never written), in op order, then row
+    order, and each audit's violations."""
+
+    age: tuple[int | None, ...]
+    retention: tuple[AuditViolation, ...]  # overlaps, then stale or unwritten senses
+    soundness: tuple[AuditViolation, ...]
 
 
 def _replay(program: "PimProgram") -> Senses:
-    """``_age_rule`` over the table, op by op, and each row's node."""
-    ops, sources = program.ops, program.source_nodes
+    """``_age_rule`` over the table, op by op, with each row's node (a
+    REFRESH keeps it), and both audits' checks as each op is replayed."""
+    ops, sources, netlist, n_rows = program.ops, program.source_nodes, program.netlist, program.rows
+    budget, drt_read, output_map = program.drt_logic_ns, program.drt_read_ns, netlist.output_map
+    gate_args = {nid: netlist.nodes[nid].args for nid in netlist.gate_ids()}
     sense_offset, duration = _age_rule(program.timing)
-    t_valid, held, columns = {}, {}, ([], [], [], [], [])
-    s_op, s_row, s_t, s_age, s_held = columns
-    for i, (kind, rows, out_row, source, start, node) in enumerate(zip(
-            ops.kind, ops.rows, ops.out_row, ops.source, ops.start, ops.node)):
+    t_valid, held, ages, overlaps, stale, unsound, end = {}, {}, [], [], [], [], 0
+
+    def flag(i: int, row, kind: str, message: str) -> None:
+        unsound.append(AuditViolation(i, ops.start[i], row, kind, message))
+
+    for i, (kind, rows, out_row, source, start, node, output) in enumerate(zip(*ops.columns)):
+        if i and start < end:  # end: when op i - 1 ends
+            overlaps.append(AuditViolation(i, start, None, "overlap", f"op {i} starts at "
+                                           f"{start}ns, before op {i - 1} ends at {end}ns"))
+        end = start + duration[kind]
+        for row in rows if out_row is None else (*rows, out_row):
+            if not 0 <= row < n_rows:
+                flag(i, row, "outside-array", f"row {row} is outside the {n_rows}-row array")
         if kind is _WRITE:
-            t_valid[rows[0]], held[rows[0]] = start + duration[kind], sources.get(source)
+            if source not in sources:
+                flag(i, rows[0], "unknown-name", f"write of unknown source {source!r}")
+            t_valid[rows[0]], held[rows[0]] = end, sources.get(source)
             continue
-        t = start + sense_offset[kind]
+        t, refresh = start + sense_offset[kind], kind is _REFRESH
+        window = drt_read if refresh else budget
         for row in rows:
-            s_op.append(i)
-            s_row.append(row)
-            s_t.append(t)
-            s_age.append(t - t_valid[row] if row in t_valid else None)
-            s_held.append(held.get(row))
-        if kind is _LOGIC:
-            t_valid[out_row], held[out_row] = start + duration[kind], node
-        elif kind is _REFRESH:
-            t_valid[rows[0]] = start + duration[kind]
-    return Senses(*map(tuple, columns))
+            age = t - t_valid[row] if row in t_valid else None
+            ages.append(age)
+            if age is None:
+                stale.append(AuditViolation(i, t, row, "unwritten",
+                                            f"refresh of never-written row {row}" if refresh
+                                            else f"row {row} consumed before any write"))
+            elif age > window:
+                stale.append(AuditViolation(
+                    i, t, row, "stale-refresh",
+                    f"refresh senses row {row} at age {age}ns (> {window}ns)") if refresh
+                    else AuditViolation(i, t, row, "stale-value",
+                                        f"row {row} consumed at age {age}ns (> {window}ns)"))
+        if refresh:
+            t_valid[rows[0]] = end
+        elif kind is _LOGIC:
+            if node is not None and (expected := gate_args.get(node)) is None:
+                flag(i, out_row, "unknown-name",
+                     f"LOGIC computes node {node!r}, not a gate of the netlist")
+            # a compiled op's rows hold its node's args in order
+            elif node is not None and ((found := tuple(map(held.get, rows))) != expected
+                                       and set(found) != set(expected)):
+                flag(i, out_row, "clobbered",
+                     f"gate {node} reads rows holding {sorted(map(str, set(found)))}, "
+                     f"expected nodes {sorted(set(expected))}")
+            t_valid[out_row], held[out_row] = end, node
+        elif output is not None:  # a READ of a program output
+            if (expected := output_map.get(output)) is None:
+                flag(i, rows[0], "unknown-name",
+                     f"READ senses output {output!r}, not an output of the netlist")
+            elif (found := held.get(rows[0])) != expected:
+                flag(i, rows[0], "clobbered",
+                     f"row {rows[0]} holds node {found}, expected node {expected}")
+    for name in sorted(set(output_map) - set(ops.output)):
+        unsound.append(AuditViolation(len(ops), program.duration_ns, None, "unread-output",
+                                      f"output {name!r} is never read"))
+    return Senses(tuple(ages), (*overlaps, *stale), tuple(unsound))
 
 
 def _levels(program: "PimProgram", model: ModelConfig):
@@ -545,92 +594,19 @@ def insert_refresh(program: "PimProgram") -> "PimProgram":
         out_row, source, starts, node, output))
 
 
-@dataclass(frozen=True)
-class AuditViolation:
-    op_index: int
-    t_ns: int
-    row: int | None
-    kind: str
-    message: str
-
-
 def audit_refresh_safety(program: PimProgram) -> list[AuditViolation]:
     """Every op that starts before the previous one ends, then every sense
-    in ``program.senses`` of a never-written row, of a consumed value older
-    than the logic window or of a refreshed one older than the read window."""
-    ops, budget, drt_read = program.ops, program.drt_logic_ns, program.drt_read_ns
-    _, duration = _age_rule(program.timing)
-    violations = [
-        AuditViolation(i, start, None, "overlap",
-                       f"op {i} starts at {start}ns, before op {i - 1} "
-                       f"ends at {prev + duration[kind]}ns")
-        for i, (kind, prev, start) in enumerate(zip(ops.kind, ops.start, ops.start[1:]), 1)
-        if start < prev + duration[kind]]
-    s, limit = program.senses, min(budget, drt_read)  # a violating age is None or past it
-    for j in [j for j, age in enumerate(s.age) if age is None or age > limit]:
-        i, row, t, age = s.op[j], s.row[j], s.t[j], s.age[j]
-        refresh = ops.kind[i] is _REFRESH
-        if age is None:
-            violations.append(AuditViolation(
-                i, t, row, "unwritten",
-                f"refresh of never-written row {row}" if refresh
-                else f"row {row} consumed before any write"))
-        elif refresh and age > drt_read:
-            violations.append(AuditViolation(
-                i, t, row, "stale-refresh",
-                f"refresh senses row {row} at age {age}ns (> {drt_read}ns)"))
-        elif not refresh and age > budget:
-            violations.append(AuditViolation(
-                i, t, row, "stale-value",
-                f"row {row} consumed at age {age}ns (> {budget}ns)"))
-    return violations
+    of a never-written row, of a consumed value older than the logic
+    window or of a refreshed one older than the read window."""
+    return list(program.senses.retention)
 
 
 def audit_row_soundness(program: PimProgram) -> list[AuditViolation]:
     """Every consumed row must hold the netlist value the op was compiled
-    against (``held`` in ``program.senses``), and every output must be read.
-    Rows outside the array and names the netlist lacks are violations
-    too, so a malformed file is caught before any array runs."""
-    netlist, ops, n_rows = program.netlist, program.ops, program.rows
-    sources, output_map, held = program.source_nodes, netlist.output_map, program.senses.held
-    gates = set(netlist.gate_ids())
-    violations: list[AuditViolation] = []
-    k = 0  # op i's sensed rows hold held[k:k + len(rows)]; a WRITE senses none
-
-    def flag(i: int, row, kind: str, message: str) -> None:
-        violations.append(AuditViolation(i, ops.start[i], row, kind, message))
-
-    for i, (kind, rows, out_row, source, node, output) in enumerate(zip(
-            ops.kind, ops.rows, ops.out_row, ops.source, ops.node, ops.output)):
-        for row in rows if out_row is None else (*rows, out_row):
-            if not 0 <= row < n_rows:
-                flag(i, row, "outside-array", f"row {row} is outside the {n_rows}-row array")
-        if kind is _WRITE:
-            if source not in sources:
-                flag(i, rows[0], "unknown-name", f"write of unknown source {source!r}")
-            continue
-        found, k = held[k:k + len(rows)], k + len(rows)
-        if kind is _LOGIC and node is not None:
-            if node not in gates:
-                flag(i, out_row, "unknown-name",
-                     f"LOGIC computes node {node!r}, not a gate of the netlist")
-            # a compiled op's rows hold its node's args in order
-            elif found != (expected := netlist.nodes[node].args) and set(found) != set(expected):
-                flag(i, out_row, "clobbered",
-                     f"gate {node} reads rows holding {sorted(map(str, set(found)))}, "
-                     f"expected nodes {sorted(set(expected))}")
-        elif kind is _READ and output is not None:
-            expected = output_map.get(output)
-            if expected is None:
-                flag(i, rows[0], "unknown-name",
-                     f"READ senses output {output!r}, not an output of the netlist")
-            elif found[0] != expected:
-                flag(i, rows[0], "clobbered",
-                     f"row {rows[0]} holds node {found[0]}, expected node {expected}")
-    for name in sorted(set(output_map) - set(ops.output)):
-        violations.append(AuditViolation(len(program.ops), program.duration_ns, None,
-                                         "unread-output", f"output {name!r} is never read"))
-    return violations
+    against, and every output must be read.  Rows outside the array and
+    names the netlist lacks are violations too, so a malformed file is
+    caught before any array runs."""
+    return list(program.senses.soundness)
 
 
 def compile_program(

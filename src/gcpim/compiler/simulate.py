@@ -15,10 +15,11 @@ column, and ``CombinationResult.grouped`` counts every input combination
 in one pass over each block.
 
 Every mode first runs the soundness audit; nominal and MC runs also run
-the retention audit and the margin replay.  All three read one replay of
-the ops, ``PimProgram.senses``, which the first of them builds.  A
-program that fails an audit is never executed: run an unrefreshed
-program's ops with ``run_program_on_array`` to see what the array
+the retention audit and the margin replay.  The first of them builds
+``PimProgram.senses``, one replay of the ops that finds both audits'
+violations and the ages the margin replay reads.  A program that fails
+an audit is never executed: run an unrefreshed program's ops with
+``run_program_on_array`` to see what the array
 computes.  A run's time and energy are the program's own
 (``PimProgram.duration_ns`` and ``energy_fj``): its ops carry their
 compiled start times, and their cost never depends on the cells.

@@ -1134,6 +1134,10 @@ CORRUPTIONS = {
     "one output name on two nodes": (
         _set_netlist(outputs=[["s", 7], ["s", 16]]),
         "outputs [('s', 7), ('s', 16)] name an output more than once"),
+    # a run would have nothing to read or score
+    "an empty program": (_edits(_set_netlist(inputs=[], nodes=[], outputs=[]),
+                                lambda data: data.update(ops=[])),
+                         "a netlist needs at least one output"),
 }
 
 
@@ -1147,6 +1151,20 @@ def test_a_corrupted_program_file_exits_5_with_its_message(tmp_path, capsys, edi
     capsys.readouterr()
     assert main(["run", str(prog), "--inputs", str(inputs), "--out", str(tmp_path / "out")]) == 5
     assert capsys.readouterr().err == f"gcpim: malformed program: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--mode", "ideal"], ["run", "--mode", "mc"],
+                                     ["mc", "--program"]], ids=["run-ideal", "run-mc", "mc-program"])
+def test_an_empty_program_file_exits_5_in_the_other_modes(tmp_path, capsys, command):
+    # CORRUPTIONS runs it in nominal mode
+    data = {**EDITED_PROGRAM, "netlist": {"inputs": [], "nodes": [], "outputs": []}, "ops": []}
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([*command, str(prog), "--trials", "2", "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err == (
+        "gcpim: malformed program: a netlist needs at least one output\n")
+    assert not (tmp_path / "out").exists()
 
 
 CLI_EXPRESSIONS = st.recursive(

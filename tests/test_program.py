@@ -56,6 +56,7 @@ import gcpim.compiler.simulate as simulate_mod
 from gcpim.compiler.simulate import MARGIN_ALLOWANCE_V, PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
 from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig, _check_op
+from schedule_search import search_refreshes, splice
 
 TIM = TimingEnergyConfig()
 
@@ -580,6 +581,54 @@ def test_heap_insertion_matches_the_scan_oracle(case):
     assert audit_row_soundness(prog) == []
 
 
+def _small_random_source(rng: random.Random) -> str:
+    """1-4 statements over 2-5 inputs, each a random expression of depth at
+    most 3 that may read the statements before it."""
+    names = [f"x{k}" for k in range(rng.randint(2, 5))]
+
+    def expr(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(names)
+        if rng.random() < 0.2:
+            return f"~{expr(depth - 1)}"
+        return f"({expr(depth - 1)} {rng.choice('&|^')} {expr(depth - 1)})"
+
+    lines = []
+    for k in range(rng.randint(1, 4)):
+        lines.append(f"o{k} = {expr(3)};")
+        names.append(f"o{k}")
+    return "\n".join(lines)
+
+
+def test_insertion_against_the_exact_schedule_search():
+    # seeded programs of at most 30 ops at logic windows of 6-20 ns and read
+    # windows up to 2 x logic + 10 ns: every schedule the search finds passes
+    # both audits, and where insertion succeeds the search finds one with at
+    # most as many refreshes; insertion may still fail where the search succeeds
+    rng, outcomes = random.Random(19), []
+    while len(outcomes) < 40:
+        source, logic = _small_random_source(rng), rng.randint(6, 20)
+        model = ModelConfig(drt_read_ns=rng.randint(logic, 2 * logic + 10), drt_logic_ns=logic)
+        bare = compile_program(source, CompilerConfig(insert_refreshes=False), model)
+        if len(bare.ops) > 30:
+            continue
+        found, schedule = search_refreshes(bare, cap=10_000)
+        try:
+            inserted = insert_refresh(bare).n_refresh
+        except RefreshScheduleError:
+            inserted = None
+        if schedule is not None:
+            spliced = splice(bare, schedule)
+            assert spliced.n_refresh == found
+            assert audit_refresh_safety(spliced) == audit_row_soundness(spliced) == []
+        assert found != "none" or inserted is None, (source, model)
+        assert schedule is None or inserted is None or found <= inserted, (source, model)
+        outcomes.append((found, inserted))
+    # the properties are exercised: refreshes found where insertion succeeds, and "none"
+    assert any(isinstance(n, int) and n > 0 and m is not None for n, m in outcomes)
+    assert any(n == "none" for n, _ in outcomes)
+
+
 def _assert_peak_rows_is_the_allocator_peak(source, rows, arity=2):
     cfg = CompilerConfig(rows=rows, max_nor_arity=arity, insert_refreshes=False)
     prog = compile_program(source, cfg)
@@ -880,6 +929,24 @@ def _mutated_programs(draw):
     return dataclasses.replace(prog, ops=tuple(ops)), model
 
 
+def _edited_half_adder(drt_logic_ns: int, changes: dict):
+    """The half adder at a 40 ns read window, its ops as emitted (no
+    refreshes) with op i's fields set to ``changes[i]``, or dropped for None."""
+    model = ModelConfig(drt_read_ns=40, drt_logic_ns=drt_logic_ns)
+    prog = compile_program("s = a ^ b;\nc = a & b;", CompilerConfig(insert_refreshes=False), model)
+    ops = [dataclasses.replace(op, **changes.get(i, {})) for i, op in enumerate(prog.ops)
+           if changes.get(i, {}) is not None]
+    return dataclasses.replace(prog, ops=tuple(ops)), model
+
+
+# programs that trip both audits: the last READ, moved to overlap the one
+# before, senses row 64 past the array (unwritten) or row 0 at age 26 as
+# output s, so it is clobbered and c is never read; then each at ops of its
+# own: an overlap, a gate output past the array (so the READ of s is
+# clobbered), stale values and an unread output
+@example(case=_edited_half_adder(20, {11: dict(rows=(64,), output="s", t_start_ns=27)}))
+@example(case=_edited_half_adder(20, {11: dict(rows=(0,), output="s", t_start_ns=27)}))
+@example(case=_edited_half_adder(18, {3: dict(t_start_ns=4), 6: dict(out_row=70), 11: None}))
 @settings(max_examples=200, deadline=None)
 @given(case=_mutated_programs())
 def test_the_audits_and_the_level_replay_match_their_separate_replays(case):
