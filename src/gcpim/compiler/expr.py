@@ -23,7 +23,7 @@ RecursionError.  Each statement's variables are noted as they parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import and_, or_, xor
 
 __all__ = [
@@ -42,9 +42,8 @@ class ParseError(ValueError):
         self.col = col
 
 
-# The nodes are frozen and slotted, equal and hashable by their fields;
-# each ``__init__`` stores through the slot descriptors, as ``Node`` does.
-@dataclass(frozen=True, slots=True, init=False)
+# The nodes are frozen and slotted, equal and hashable by their fields.
+@dataclass(frozen=True, slots=True)
 class Expr:
     # source positions are metadata: keyword-only and excluded from
     # structural equality, so Var("a") == Var("a") wherever they parsed
@@ -52,49 +51,27 @@ class Expr:
     col: int = field(default=0, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str = ""
 
-    def __init__(self, name: str = "", *, line: int = 0, col: int = 0) -> None:
-        _set_var(self, name)
-        _set_var_line(self, line)
-        _set_var_col(self, col)
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: int = 0
 
-    def __init__(self, value: int = 0, *, line: int = 0, col: int = 0) -> None:
-        _set_const(self, value)
-        _set_const_line(self, line)
-        _set_const_col(self, col)
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Not(Expr):
     a: Expr = None
 
-    def __init__(self, a: Expr = None, *, line: int = 0, col: int = 0) -> None:
-        _set_not(self, a)
-        _set_not_line(self, line)
-        _set_not_col(self, col)
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class _Binary(Expr):
     """The two operands of ``And``, ``Or`` and ``Xor``, which differ in type only."""
 
     a: Expr = None
     b: Expr = None
-
-    def __init__(self, a: Expr = None, b: Expr = None, *, line: int = 0,
-                 col: int = 0) -> None:
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_binary_line(self, line)
-        _set_binary_col(self, col)
 
 
 class And(_Binary):
@@ -107,15 +84,6 @@ class Or(_Binary):
 
 class Xor(_Binary):
     __slots__ = ()
-
-
-# a class's own descriptors: Python 3.10's dataclass re-slots inherited fields
-_set_var_line, _set_var_col, _set_var = (getattr(Var, f.name).__set__ for f in fields(Var))
-_set_const_line, _set_const_col, _set_const = (
-    getattr(Const, f.name).__set__ for f in fields(Const))
-_set_not_line, _set_not_col, _set_not = (getattr(Not, f.name).__set__ for f in fields(Not))
-_set_binary_line, _set_binary_col, _set_a, _set_b = (
-    getattr(_Binary, f.name).__set__ for f in fields(_Binary))
 
 
 @dataclass(frozen=True)

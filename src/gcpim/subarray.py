@@ -224,9 +224,6 @@ class TimingEnergyConfig:
         for f in fields(self):
             if not 0 < getattr(self, f.name) < math.inf:  # NaN fails too
                 raise ConfigError(f"{f.name} must be positive and finite")
-        object.__setattr__(self, "_duration", {  # per-op lookup, built once
-            OpKind.WRITE: self.t_write_ns, OpKind.READ: self.t_read_ns,
-            OpKind.REFRESH: self.t_refresh_ns, OpKind.LOGIC: self.t_logic_ns})
 
     @property
     def t_logic_ns(self) -> int:
@@ -237,7 +234,8 @@ class TimingEnergyConfig:
         return self.t_read_ns + self.t_write_ns
 
     def duration_ns(self, kind: OpKind) -> int:
-        return self._duration[kind]
+        return (self.t_logic_ns if kind is _LOGIC else self.t_refresh_ns if kind is _REFRESH
+                else self.t_read_ns if kind is _READ else self.t_write_ns)
 
     def op_energies_fj(self, cols: int) -> dict[tuple[OpKind, bool], float]:
         """The one energy table: fJ of an op on ``cols`` active columns, by
@@ -473,14 +471,13 @@ class SubArray:
         (2 ns) asserts the input rows' read word lines; any input cell still
         holding enough charge opens a discharge path and pulls its column's
         output cell low.  Input cells only age; they are never disturbed.
-        The rows are checked as a LOGIC op's are (a valid op's rows pass
-        ``_check_rows`` in one fast test), then against the array bounds.
+        The rows are checked as a LOGIC op's are (``_check_rows``), then
+        each against the array bounds (``_check_row``).
         """
         in_rows = tuple(in_rows)
         _check_rows(_LOGIC, in_rows, out_row)
-        if not (0 <= out_row < self.rows and max(in_rows) < self.rows):
-            for r in (*in_rows, out_row):
-                self._check_row(r)
+        for r in (*in_rows, out_row):
+            self._check_row(r)
         t_eval = t_now + self.timing.t_init_ns
         t_done = t_now + self.timing.t_logic_ns
         tracing = self.trace_rows is not None

@@ -7,12 +7,50 @@ places them, and an op costs 0 and a refresh 1.  A LOGIC or READ sense may
 be at most ``drt_logic_ns`` old, a REFRESH sense at most ``drt_read_ns``; a
 live row past ``drt_read_ns`` ends the branch, since no refresh may sense
 it.  A row is live before op i while an op from i on consumes its value.
+
+``small_random_programs`` makes the seeded programs that the property test
+and ``scripts/schedule_search.py`` run the search and insertion on.
 """
 
+import random
 from collections import deque
 from dataclasses import replace
 
+from gcpim.charge import ModelConfig
+from gcpim.compiler import CompilerConfig, compile_program
 from gcpim.subarray import MicroOp, OpKind
+
+
+def small_random_source(rng: random.Random) -> str:
+    """1-4 statements over 2-5 inputs, each a random expression of depth at
+    most 3 that may read the statements before it."""
+    names = [f"x{k}" for k in range(rng.randint(2, 5))]
+
+    def expr(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(names)
+        if rng.random() < 0.2:
+            return f"~{expr(depth - 1)}"
+        return f"({expr(depth - 1)} {rng.choice('&|^')} {expr(depth - 1)})"
+
+    lines = []
+    for k in range(rng.randint(1, 4)):
+        lines.append(f"o{k} = {expr(3)};")
+        names.append(f"o{k}")
+    return "\n".join(lines)
+
+
+def small_random_programs(seed: int):
+    """Endless ``(source, program)`` pairs from ``random.Random(seed)``:
+    each program compiled without refreshes, of at most 30 ops, at a logic
+    window of 6-20 ns and a read window up to 2 x logic + 10 ns."""
+    rng = random.Random(seed)
+    while True:
+        source, logic = small_random_source(rng), rng.randint(6, 20)
+        model = ModelConfig(drt_read_ns=rng.randint(logic, 2 * logic + 10), drt_logic_ns=logic)
+        bare = compile_program(source, CompilerConfig(insert_refreshes=False), model)
+        if len(bare.ops) <= 30:
+            yield source, bare
 
 
 def _base_ops(program) -> list[MicroOp]:

@@ -1224,7 +1224,8 @@ def accepted_configs_and_sources(draw):
 def test_every_accepted_config_compiles_and_runs_or_fails_typed(case):
     # compile succeeds, or fails as a syntax/config (2) or resource (3)
     # error; a compiled program's nominal run, on every input combination
-    # (one column for a program of constants), is right or raises (3)
+    # (one column for a program of constants), is right or raises (3), and
+    # its mc run passes the floor, falls below it (1) or raises (3)
     config, source = case
     with tempfile.TemporaryDirectory() as tmp, wall_time_limit(20):
         cfg, src, prog = Path(tmp) / "cfg.json", Path(tmp) / "p.txt", Path(tmp) / "p.json"
@@ -1235,6 +1236,8 @@ def test_every_accepted_config_compiles_and_runs_or_fails_typed(case):
         if rc == 0:
             assert main(["run", str(prog), "--mode", "nominal", "--config", str(cfg),
                          "--out", str(Path(tmp) / "out")]) in (0, 3)
+            assert main(["run", str(prog), "--mode", "mc", "--trials", "2", "--config",
+                         str(cfg), "--out", str(Path(tmp) / "mc")]) in (0, 1, 3)
 
 
 def test_run_exit_code_for_retention_violation(tmp_path, capsys):

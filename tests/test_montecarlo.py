@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -261,6 +262,48 @@ def test_nor_asymmetric_combos_agree_statistically():
     se = math.sqrt(pool * (1 - pool) * 2 / n)
     z = abs(p1 - p2) / se if se > 0 else 0.0
     assert z < stats.norm.ppf(0.995), (p1, p2, z)
+
+
+def quadrature_yield(var: VariationConfig, age_ns: int) -> float:
+    """P(a gate whose one '1' input is ``age_ns`` old at evaluation senses
+    0): the '1' cell's tau multiplier and drive offset integrate over a
+    50-node Gauss-Hermite grid each, and the column threshold in closed
+    form.  A '0' input is left out: it drives only where its offset is
+    below -v_t_drive, which can only help the pull-down."""
+    model, (z, w) = CFG, hermegauss(50)
+    w = w / w.sum()
+    level = model.vdd * np.exp(-age_ns / (model.tau_ns * np.exp(var.sigma_tau * z[:, None])))
+    drive = np.maximum(0.0, level - (model.v_t_drive + var.sigma_drive * z[None, :]))
+    pull = np.minimum(1.0, drive / (model.vdd - model.v_t_drive))
+    out = model.vdd - (model.vdd - model.v_residual_floor) * pull
+    return float(w @ stats.norm.sf(out, loc=model.v_sa_read, scale=var.sigma_sa) @ w)
+
+
+# (sigma factor, age in ns) -> the quadrature yield
+QUADRATURE_PINS = {(1, 5000): 0.994341, (1.5, 5000): 0.952170, (2, 5000): 0.890022,
+                   (2, 2500): 0.987132}
+
+
+@pytest.mark.parametrize("factor, age", QUADRATURE_PINS)
+def test_quadrature_yield_pins(factor, age):
+    assert quadrature_yield(VAR.scaled(factor), age) == pytest.approx(
+        QUADRATURE_PINS[factor, age], abs=5e-7)
+
+
+def test_quadrature_resolves_a_failure_rate_below_mc():
+    # 10^4 trials expect 0.025 failures here: MC cannot resolve the rate
+    assert 1 - quadrature_yield(VAR, 2500) == pytest.approx(2.5e-6, rel=0.02)
+
+
+@pytest.mark.parametrize("factor, age", [*QUADRATURE_PINS, (1, 2500)])
+def test_gate_trials_agree_with_the_quadrature(factor, age):
+    # NOR(0,1)'s '1' is written after the '0', so it is t_write_ns younger
+    var, younger = VAR.scaled(factor), TimingEnergyConfig().t_write_ns
+    for gate, bits_, one_age in (("NOT", (1,), age), ("NOR", (1, 0), age),
+                                 ("NOR", (0, 1), age - younger)):
+        (combo,) = run_gate_trials(gate, bits_, 10_000, age, var, CFG).combinations.values()
+        ci = stats.binomtest(combo.successes, combo.trials).proportion_ci(0.999, method="wilson")
+        assert ci.low <= quadrature_yield(var, one_age) <= ci.high, (gate, bits_, combo.successes)
 
 
 def test_campaign_covers_every_combination():

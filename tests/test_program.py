@@ -14,7 +14,7 @@ import importlib.util
 import json
 import random
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ import gcpim.compiler.simulate as simulate_mod
 from gcpim.compiler.simulate import MARGIN_ALLOWANCE_V, PROGRAM_BLOCK_CELLS
 from gcpim.montecarlo import VariationConfig, sample_params
 from gcpim.subarray import EventLedger, MicroOp, OpKind, SubArray, TimingEnergyConfig, _check_op
-from schedule_search import search_refreshes, splice
+from schedule_search import search_refreshes, small_random_programs, splice
 
 TIM = TimingEnergyConfig()
 
@@ -581,37 +581,14 @@ def test_heap_insertion_matches_the_scan_oracle(case):
     assert audit_row_soundness(prog) == []
 
 
-def _small_random_source(rng: random.Random) -> str:
-    """1-4 statements over 2-5 inputs, each a random expression of depth at
-    most 3 that may read the statements before it."""
-    names = [f"x{k}" for k in range(rng.randint(2, 5))]
-
-    def expr(depth: int) -> str:
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(names)
-        if rng.random() < 0.2:
-            return f"~{expr(depth - 1)}"
-        return f"({expr(depth - 1)} {rng.choice('&|^')} {expr(depth - 1)})"
-
-    lines = []
-    for k in range(rng.randint(1, 4)):
-        lines.append(f"o{k} = {expr(3)};")
-        names.append(f"o{k}")
-    return "\n".join(lines)
-
-
 def test_insertion_against_the_exact_schedule_search():
     # seeded programs of at most 30 ops at logic windows of 6-20 ns and read
     # windows up to 2 x logic + 10 ns: every schedule the search finds passes
     # both audits, and where insertion succeeds the search finds one with at
     # most as many refreshes; insertion may still fail where the search succeeds
-    rng, outcomes = random.Random(19), []
-    while len(outcomes) < 40:
-        source, logic = _small_random_source(rng), rng.randint(6, 20)
-        model = ModelConfig(drt_read_ns=rng.randint(logic, 2 * logic + 10), drt_logic_ns=logic)
-        bare = compile_program(source, CompilerConfig(insert_refreshes=False), model)
-        if len(bare.ops) > 30:
-            continue
+    outcomes = []
+    for source, bare in islice(small_random_programs(19), 40):
+        windows = (bare.drt_read_ns, bare.drt_logic_ns)
         found, schedule = search_refreshes(bare, cap=10_000)
         try:
             inserted = insert_refresh(bare).n_refresh
@@ -621,8 +598,8 @@ def test_insertion_against_the_exact_schedule_search():
             spliced = splice(bare, schedule)
             assert spliced.n_refresh == found
             assert audit_refresh_safety(spliced) == audit_row_soundness(spliced) == []
-        assert found != "none" or inserted is None, (source, model)
-        assert schedule is None or inserted is None or found <= inserted, (source, model)
+        assert found != "none" or inserted is None, (source, windows)
+        assert schedule is None or inserted is None or found <= inserted, (source, windows)
         outcomes.append((found, inserted))
     # the properties are exercised: refreshes found where insertion succeeds, and "none"
     assert any(isinstance(n, int) and n > 0 and m is not None for n, m in outcomes)
